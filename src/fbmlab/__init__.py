@@ -7,9 +7,7 @@ the limit theorems, constants, and moment bounds at desk scale.
 
 from .errors import CapabilityError, ConfigError, DomainError, EmbeddingError
 from .kernel import (
-    HermiteEval,
     KernelConstants,
-    LagSequence,
     cov_r,
     endpoint_increment_cov,
     gram_matrix,
@@ -28,7 +26,6 @@ from .sampler import (
     Path,
     PathKind,
     SeedPolicy,
-    restrict,
     sample_bm,
     sample_fbm,
 )

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError
 from .kernel import cov_r, hermite, rho
-from .sampler import Grid, Method, SeedPolicy, sample_fbm
-from .variations import SmoothMap, sin_map
+from .sampler import Grid, Path
+from .variations import SmoothMap
 from .quadrature import expect_gauss_pair
 
 # Asymptotic two-sample KS critical coefficient at alpha = 0.01:
@@ -138,23 +138,13 @@ def _reversed_values(values: np.ndarray) -> np.ndarray:
     return values[::-1] - values[-1]
 
 
-def moment_scaling(
-    estimator: Estimator,
-    n: int,
-    gaps,
-    replications: int,
-    seeds: SeedPolicy,
-    g: SmoothMap | None = None,
-    horizon: float | None = None,
-    method: Method = Method.CIRCULANT,
-) -> ScalingFit:
-    """Fit log E[window moment] against log(gap / n).
+def scaling_ladder(
+    n: int, gaps, replications: int, horizon: float | None = None
+) -> tuple[Grid, list[int]]:
+    """Validate a moment-scaling ladder; return its grid and its sorted gaps.
 
-    CUBIC_4TH averages |sum_{j in window} dB_j^3|^4 over all disjoint
-    windows of each path (the cubic sums are stationary in the anchor).
-    The weighted estimators use origin-anchored windows, where the moment
-    bounds are gap-tight for weights vanishing at zero, and average each
-    squared window sum with its time-reversed counterpart.
+    The horizon defaults to the largest gap, so the longest window spans
+    the whole grid.
     """
     gaps = sorted(int(gv) for gv in gaps)
     if len(set(gaps)) < 2:
@@ -168,27 +158,42 @@ def moment_scaling(
     grid = Grid(n, horizon)
     if max(gaps) > grid.m:
         raise DomainError(f"largest gap {max(gaps)} exceeds the grid ({grid.m} steps)")
-    if g is None:
-        g = sin_map()
+    return grid, gaps
 
-    acc = {gv: 0.0 for gv in gaps}
-    for rep in range(replications):
-        path = sample_fbm(grid, SeedPolicy(seeds.master_seed, seeds.stream_id + rep), method)
-        if estimator is Estimator.CUBIC_4TH:
-            cum = np.concatenate([[0.0], np.cumsum(path.increments() ** 3)])
-            for gv in gaps:
-                windows = np.diff(cum[:: gv])
-                acc[gv] += float(np.mean(windows**4))
-        else:
-            power = 5 if estimator is Estimator.QUINTIC_2ND else 3
-            for values in (path.values, _reversed_values(path.values)):
-                d = np.diff(values)
-                beta = 0.5 * (values[:-1] + values[1:])
-                cum = np.cumsum(np.asarray(g(beta)) * d**power)
-                for gv in gaps:
-                    acc[gv] += 0.5 * float(cum[gv - 1] ** 2)
-    moments = np.array([acc[gv] / replications for gv in gaps])
-    return fit_loglog(np.log(np.array(gaps) / n), np.log(moments))
+
+def window_moments(estimator: Estimator, path: Path, gaps, g: SmoothMap) -> np.ndarray:
+    """Window moments of one path, one column per gap of a validated ladder.
+
+    CUBIC_4TH returns one row: the mean of |sum_{j in window} dB_j^3|^4
+    over all disjoint windows of each gap (the cubic sums are stationary
+    in the anchor).  The weighted estimators use origin-anchored windows,
+    where the moment bounds are gap-tight for weights vanishing at zero,
+    and return two rows: half the squared window sum of the path, then of
+    its time reversal.
+    """
+    if estimator is Estimator.CUBIC_4TH:
+        cum = np.concatenate([[0.0], np.cumsum(path.increments() ** 3)])
+        return np.array([[np.mean(np.diff(cum[::gv]) ** 4) for gv in gaps]])
+    power = 5 if estimator is Estimator.QUINTIC_2ND else 3
+    rows = []
+    for values in (path.values, _reversed_values(path.values)):
+        d = np.diff(values)
+        beta = 0.5 * (values[:-1] + values[1:])
+        cum = np.cumsum(np.asarray(g(beta)) * d**power)
+        rows.append(0.5 * cum[np.asarray(gaps) - 1] ** 2)
+    return np.array(rows)
+
+
+def moment_scaling(n: int, gaps, moments: np.ndarray, replications: int) -> ScalingFit:
+    """Fit log E[window moment] against log(gap / n).
+
+    moments stacks the window_moments of every replication in replication
+    order; its rows are summed one after another in that order, so the fit
+    does not depend on how the replications were chunked.
+    """
+    rows = np.asarray(moments).reshape(-1, len(gaps))
+    means = np.cumsum(rows, axis=0)[-1] / replications
+    return fit_loglog(np.log(np.array(gaps) / n), np.log(means))
 
 
 class TaylorPieces(NamedTuple):

@@ -29,7 +29,7 @@ import platform
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -104,20 +104,7 @@ class ExperimentConfig:
             raise ConfigError("workers must be positive")
 
     def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "n_list": list(self.n_list),
-            "horizon": self.horizon,
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "integrand": self.integrand,
-            "method": self.method.value,
-            "refinement_factor": self.refinement_factor,
-            "truncation": self.truncation,
-            "output_dir": self.output_dir,
-            "check": self.check,
-            "workers": self.workers,
-        }
+        return {**asdict(self), "n_list": list(self.n_list), "method": self.method.value}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -149,43 +136,34 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
     if not command:
         raise ConfigError("no command given (flag or [section] in config)")
 
-    def pick(name, cast, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_values:
+    # omitted keys take the ExperimentConfig defaults
+    casts = {
+        "n_list": lambda text: tuple(int(part) for part in text.split(",") if part.strip()),
+        "horizon": float,
+        "replications": int,
+        "master_seed": int,
+        "integrand": str,
+        "method": lambda text: Method(text.lower()),
+        "refinement_factor": int,
+        "truncation": int,
+        "output_dir": str,
+        "check": lambda text: text.lower() in ("1", "true", "yes"),
+        "workers": int,
+    }
+    values = {}
+    for name, cast in casts.items():
+        value = getattr(args, name, None)
+        if value is None:
+            if name not in file_values:
+                continue
+            value = file_values[name]
+        if isinstance(value, str):  # argparse has already typed the other flags
             try:
-                return cast(file_values[name])
+                value = cast(value)
             except ValueError as exc:
-                raise ConfigError(f"bad config value for {name}") from exc
-        return default
-
-    def cast_n_list(text) -> tuple[int, ...]:
-        try:
-            return tuple(int(part) for part in str(text).split(",") if part.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad n_list {text!r}") from exc
-
-    def cast_method(text) -> Method:
-        try:
-            return Method(str(text).lower())
-        except ValueError as exc:
-            raise ConfigError(f"unknown method {text!r}") from exc
-
-    cfg = ExperimentConfig(
-        command=command,
-        n_list=cast_n_list(pick("n_list", str, "256,512,1024,2048,4096")),
-        horizon=pick("horizon", float, 1.0),
-        replications=pick("replications", int, 500),
-        master_seed=pick("master_seed", int, DEFAULT_MASTER_SEED),
-        integrand=pick("integrand", str, "sin"),
-        method=cast_method(pick("method", str, "circulant")),
-        refinement_factor=pick("refinement_factor", int, 4),
-        truncation=pick("truncation", int, DEFAULT_TRUNCATION),
-        output_dir=pick("output_dir", str, "out"),
-        check=bool(pick("check", lambda s: s.lower() in ("1", "true", "yes"), False)),
-        workers=pick("workers", int, os.cpu_count() or 1),
-    )
+                raise ConfigError(f"bad config value for {name}: {value!r}") from exc
+        values[name] = value
+    cfg = ExperimentConfig(command=command, **values)
     cfg.validate()
     return cfg
 
@@ -227,11 +205,11 @@ class Emitter:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.dir = os.path.join(cfg.output_dir, cfg.command)
-        os.makedirs(self.dir, exist_ok=True)
         self.hashes: dict[str, str] = {}
         self.started = time.time()
 
     def emit(self, name: str, data: bytes) -> None:
+        os.makedirs(self.dir, exist_ok=True)
         _write_atomic(os.path.join(self.dir, name), data)
         self.hashes[name] = hashlib.sha256(data).hexdigest()
 
@@ -256,9 +234,13 @@ class Emitter:
 
 
 # --- commands -------------------------------------------------------------------
+#
+# Each command takes the config and the run's Emitter (for its sample CSVs)
+# and returns its report and whether its acceptance checks hold; main writes
+# report.json and the manifest and chooses the exit code.
 
 
-def cmd_kappa(cfg: ExperimentConfig) -> int:
+def cmd_kappa(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
     kc = kappa_constant(cfg.truncation)
     payload = {
         "kappa": kc.kappa,
@@ -267,21 +249,15 @@ def cmd_kappa(cfg: ExperimentConfig) -> int:
         "tail_bound": kc.tail_bound,
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
-    emitter = Emitter(cfg)
     checks = {
         "kappa_sq_close": abs(kc.kappa_sq - KAPPA_SQ_REF) <= KAPPA_SQ_TOL,
         "kappa_close": abs(kc.kappa - KAPPA_REF) <= KAPPA_TOL,
     }
-    emitter.emit("report.json", _json_bytes({**payload, "checks": checks}))
-    emitter.finish()
-    if cfg.check and not all(checks.values()):
-        return 4
-    return 0
+    return {**payload, "checks": checks}, all(checks.values())
 
 
-def cmd_converge(cfg: ExperimentConfig) -> int:
+def cmd_converge(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
     integrands = parse_integrand_list(cfg.integrand)
-    emitter = Emitter(cfg)
     report = {"per_n": []}
     ok = True
     for n in cfg.n_list:
@@ -295,13 +271,8 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
             cfg.refinement_factor,
             cfg.workers,
         )
-        est_cols = {"B": result.est_b1, "cubic": result.est_cubic}
-        orc_cols = {"B": result.orc_b1, "cubic": result.orc_cubic}
-        for label in result.integrands:
-            est_cols[f"int_{label}"] = result.est_int[label]
-            orc_cols[f"int_{label}"] = result.orc_int[label]
-        emitter.emit(f"estimator_n{n}.csv", _samples_csv(est_cols, t=cfg.horizon))
-        emitter.emit(f"oracle_n{n}.csv", _samples_csv(orc_cols, t=cfg.horizon))
+        emitter.emit(f"estimator_n{n}.csv", _samples_csv(result.est, t=cfg.horizon))
+        emitter.emit(f"oracle_n{n}.csv", _samples_csv(result.orc, t=cfg.horizon))
         ks = {
             name: {
                 "statistic": res.statistic,
@@ -321,16 +292,13 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
             }
         )
     report["all_ks_accepted"] = ok
-    emitter.emit("report.json", _json_bytes(report))
-    emitter.finish()
-    return 0 if ok or not cfg.check else 4
+    return report, ok
 
 
-def cmd_variations(cfg: ExperimentConfig) -> int:
+def cmd_variations(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
     # identities are checked at every grid; the distributional checks
     # (variance near kappa^2, decorrelation from B) are asymptotic and
     # apply at the largest grid only
-    emitter = Emitter(cfg)
     kc = kappa_constant(cfg.truncation)
     n_top = max(cfg.n_list)
     report = {"per_n": []}
@@ -359,13 +327,10 @@ def cmd_variations(cfg: ExperimentConfig) -> int:
             }
         )
     report["all_ok"] = ok
-    emitter.emit("report.json", _json_bytes(report))
-    emitter.finish()
-    return 0 if ok or not cfg.check else 4
+    return report, ok
 
 
-def cmd_sextic(cfg: ExperimentConfig) -> int:
-    emitter = Emitter(cfg)
+def cmd_sextic(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
     result = sextic_experiment(
         cfg.n_list,
         cfg.horizon,
@@ -375,7 +340,6 @@ def cmd_sextic(cfg: ExperimentConfig) -> int:
         workers=cfg.workers,
     )
     mean_ok = abs(result.mean_value - result.mean_target) <= 3.0 * result.mean_se
-    ok = result.medians_decreasing and mean_ok
     report = {
         "n_list": result.n_list,
         "median_sup_deviation": result.medians,
@@ -386,20 +350,17 @@ def cmd_sextic(cfg: ExperimentConfig) -> int:
         "mean_target": result.mean_target,
         "mean_ok": mean_ok,
     }
-    emitter.emit("report.json", _json_bytes(report))
-    emitter.finish()
-    return 0 if ok or not cfg.check else 4
+    return report, result.medians_decreasing and mean_ok
 
 
 def _file_tag(label: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in label)
 
 
-def cmd_hermite(cfg: ExperimentConfig) -> int:
+def cmd_hermite(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
     # mean checks apply everywhere; the variance check is asymptotic and
     # applies at the largest grid only
     integrands = parse_integrand_list(cfg.integrand)
-    emitter = Emitter(cfg)
     n_top = max(cfg.n_list)
     report = {"per_integrand": []}
     ok = True
@@ -444,15 +405,16 @@ def cmd_hermite(cfg: ExperimentConfig) -> int:
                 }
             )
     report["all_ok"] = ok
-    emitter.emit("report.json", _json_bytes(report))
-    emitter.finish()
-    return 0 if ok or not cfg.check else 4
+    return report, ok
 
 
-def cmd_scaling(cfg: ExperimentConfig) -> int:
-    emitter = Emitter(cfg)
+def cmd_scaling(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
     result = scaling_experiment(
-        cfg.master_seed, cfg.replications, integrand=cfg.integrand, method=cfg.method
+        cfg.master_seed,
+        cfg.replications,
+        integrand=cfg.integrand,
+        method=cfg.method,
+        workers=cfg.workers,
     )
     report = {"per_estimator": [], "replications": cfg.replications}
     ok = True
@@ -476,23 +438,16 @@ def cmd_scaling(cfg: ExperimentConfig) -> int:
             }
         )
     report["all_ok"] = ok
-    emitter.emit("report.json", _json_bytes(report))
-    emitter.finish()
-    return 0 if ok or not cfg.check else 4
+    return report, ok
 
 
-def cmd_taylor(cfg: ExperimentConfig) -> int:
-    emitter = Emitter(cfg)
+def cmd_taylor(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
     result = taylor_experiment(cfg.master_seed, pairs=1000)
     ok = result.max_poly_r6 < TAYLOR_R6_TOL and result.gamma_exact
-    report = {**result.as_dict(), "ok": ok}
-    emitter.emit("report.json", _json_bytes(report))
-    emitter.finish()
-    return 0 if ok or not cfg.check else 4
+    return {**result.as_dict(), "ok": ok}, ok
 
 
-def cmd_audit(cfg: ExperimentConfig) -> int:
-    emitter = Emitter(cfg)
+def cmd_audit(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
     result = audit_experiment(cfg.n_list, cfg.horizon)
     top = max(row["n"] for row in result.anchor_sums)
     top_row = next(row for row in result.anchor_sums if row["n"] == top)
@@ -510,9 +465,7 @@ def cmd_audit(cfg: ExperimentConfig) -> int:
         "orthogonality_max_dev": result.orthogonality_max_dev,
         "ok": ok,
     }
-    emitter.emit("report.json", _json_bytes(report))
-    emitter.finish()
-    return 0 if ok or not cfg.check else 4
+    return report, ok
 
 
 _COMMANDS = {
@@ -560,15 +513,12 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         cfg = _config_from(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[cfg.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+        emitter = Emitter(cfg)
+        report, ok = _COMMANDS[cfg.command](cfg, emitter)
+        emitter.emit("report.json", _json_bytes(report))
+        emitter.finish()
+        return 0 if ok or not cfg.check else 4
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:

@@ -1,16 +1,24 @@
 """Batch Monte Carlo experiments behind the command-line harness.
 
-Every experiment maps a replication index r to its own seed stream
-(master_seed, r), so results are independent of chunking and of how many
-worker processes execute the chunks; aggregation always happens in
-replication order.  Oracle corpora use stream ids offset by the number of
-estimator replications, keeping the two-sample comparisons independent.
+Every Monte Carlo experiment is a set of per-path statistics of independent
+replications, and all of them run through one engine, run_replications.
+Replication r draws its path once from its own seed stream (master_seed, r)
+and every statistic is applied to that one path.  The engine splits the
+replication range into chunks and fans them out over a fork-only process
+pool; the draw and the statistics are left in a module-level slot before
+the pool starts, so forked workers inherit them and only (lo, hi) bounds
+cross the process boundary.  Columns come back concatenated in replication
+order, and every reduction over them (medians, means, ordered sums) runs in
+that order, so results are independent of chunking and of the worker
+count.  Oracle corpora use stream ids offset by the number of estimator
+replications, keeping the two-sample comparisons independent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -25,7 +33,9 @@ from .analysis import (
     ks_two_sample,
     moment_scaling,
     orthogonality_audit,
+    scaling_ladder,
     taylor_residual,
+    window_moments,
 )
 from .errors import DomainError
 from .kernel import (
@@ -72,42 +82,73 @@ def _chunks(replications: int, workers: int):
     return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
+# (draw, stats) of the running run_replications call; forked workers inherit it
+_TASK = None
+
+
+def _replicate(bounds):
+    draw, stats = _TASK
+    lo, hi = bounds
+    cols = {name: [] for name in stats}
+    for r in range(lo, hi):
+        path = draw(r)
+        for name, stat in stats.items():
+            cols[name].append(stat(path))
+        del path
+    return {name: np.array(values) for name, values in cols.items()}
+
+
+def run_replications(draw, stats: dict, replications: int, workers: int, offset: int = 0) -> dict:
+    """Named columns of per-path statistics over stream ids offset..offset+replications-1.
+
+    draw(stream_id) returns one path (or any per-replication sample); each
+    callable in stats maps it to a scalar or an array.  Column name holds
+    stats[name] of every replication, stacked along axis 0 in replication
+    order.
+    """
+    global _TASK
+    _TASK = (draw, stats)
+    try:
+        jobs = [(offset + lo, offset + hi) for lo, hi in _chunks(replications, workers)]
+        parts = _pmap(_replicate, jobs, workers)
+    finally:
+        _TASK = None
+    return {name: np.concatenate([part[name] for part in parts]) for name in stats}
+
+
+def fbm_draws(grid: Grid, master_seed: int, method: Method = Method.CIRCULANT):
+    """draw for run_replications: the fBm path of stream (master_seed, r)."""
+    return lambda r: sample_fbm(grid, SeedPolicy(master_seed, r), method)
+
+
+def estimator_stats(integrands) -> dict:
+    """B(T), V_n(B, T) and I_n(g, B, T) per integrand, of one fBm path."""
+    stats = {"B": lambda path: path.values[-1], "cubic": lambda path: signed_cubic(path).final}
+    for g in integrands:
+        stats[f"int_{g.label}"] = lambda path, g=g: riemann_strat(g, path).final
+    return stats
+
+
+def oracle_stats(integrands, kappa: float, horizon: float) -> dict:
+    """B(T), kappa W(T) and the limit integral per integrand, of one LimitSample."""
+    stats = {
+        "B": lambda sample: sample.b_path.values[-1],
+        "cubic": lambda sample: kappa * sample.w_path.values[-1],
+    }
+    for g in integrands:
+        stats[f"int_{g.label}"] = lambda sample, g=g: weak_strat_integral(g, sample, horizon)
+    return stats
+
+
+def hermite_stats(g: SmoothMap) -> dict:
+    """Left and right endpoint weighted third-Hermite variations at the horizon."""
+    return {
+        "left": lambda path: weighted_hermite(g, path, Endpoint.LEFT).final,
+        "right": lambda path: weighted_hermite(g, path, Endpoint.RIGHT).final,
+    }
+
+
 # --- converge: estimator vs oracle triples ---------------------------------
-
-
-def _converge_est_chunk(job):
-    n, horizon, master_seed, method_name, texts, lo, hi = job
-    grid = Grid(n, horizon)
-    method = Method[method_name]
-    gs = [parse_integrand(t) for t in texts]
-    b1 = np.empty(hi - lo)
-    vn = np.empty(hi - lo)
-    ints = np.empty((len(gs), hi - lo))
-    for r in range(lo, hi):
-        path = sample_fbm(grid, SeedPolicy(master_seed, r), method)
-        b1[r - lo] = path.values[-1]
-        vn[r - lo] = signed_cubic(path).final
-        for gi, g in enumerate(gs):
-            ints[gi, r - lo] = riemann_strat(g, path).final
-    return b1, vn, ints
-
-
-def _converge_orc_chunk(job):
-    refinement, horizon, master_seed, offset, method_name, texts, kappa, lo, hi = job
-    method = Method[method_name]
-    gs = [parse_integrand(t) for t in texts]
-    b1 = np.empty(hi - lo)
-    cubic = np.empty(hi - lo)
-    ints = np.empty((len(gs), hi - lo))
-    for r in range(lo, hi):
-        sample = LimitSample.draw(
-            refinement, SeedPolicy(master_seed, offset + r), kappa, horizon, method
-        )
-        b1[r - lo] = sample.b_path.values[-1]
-        cubic[r - lo] = kappa * sample.w_path.values[-1]
-        for gi, g in enumerate(gs):
-            ints[gi, r - lo] = weak_strat_integral(g, sample, horizon)
-    return b1, cubic, ints
 
 
 @dataclass
@@ -117,18 +158,12 @@ class ConvergeResult:
     replications: int
     refinement: int
     integrands: list[str]
-    est_b1: np.ndarray
-    est_cubic: np.ndarray
-    est_int: dict[str, np.ndarray]
-    orc_b1: np.ndarray
-    orc_cubic: np.ndarray
-    orc_int: dict[str, np.ndarray]
+    # columns B, cubic and int_<label> of the estimator and the oracle corpus
+    est: dict[str, np.ndarray]
+    orc: dict[str, np.ndarray]
     ks: dict[str, KsResult] = field(default_factory=dict)
     est_corr: np.ndarray | None = None
     orc_corr: np.ndarray | None = None
-
-    def worst_ks(self) -> float:
-        return max(r.statistic / r.critical_001 for r in self.ks.values())
 
 
 def converge_experiment(
@@ -149,89 +184,74 @@ def converge_experiment(
     """
     if refinement_factor not in (2, 4, 8):
         raise DomainError("refinement_factor must be one of 2, 4, 8")
-    texts = [g.label if isinstance(g, SmoothMap) else str(g) for g in integrands]
-    gs = [parse_integrand(t) for t in texts]
+    gs = [parse_integrand(g.label if isinstance(g, SmoothMap) else str(g)) for g in integrands]
+    texts = [g.label for g in gs]
+    names = ["B", "cubic", *(f"int_{t}" for t in texts)]
     kappa = kappa_constant(DEFAULT_TRUNCATION).kappa
-    jobs = [
-        (n, horizon, master_seed, method.name, texts, lo, hi)
-        for lo, hi in _chunks(replications, workers)
-    ]
-    parts = _pmap(_converge_est_chunk, jobs, workers)
-    est_b1 = np.concatenate([p[0] for p in parts])
-    est_vn = np.concatenate([p[1] for p in parts])
-    est_int = np.concatenate([p[2] for p in parts], axis=1)
-
+    est = run_replications(
+        fbm_draws(Grid(n, horizon), master_seed, method),
+        estimator_stats(gs),
+        replications,
+        workers,
+    )
     refinement = refinement_factor * n
-    jobs = [
-        (refinement, horizon, master_seed, replications, method.name, texts, kappa, lo, hi)
-        for lo, hi in _chunks(replications, workers)
-    ]
-    parts = _pmap(_converge_orc_chunk, jobs, workers)
-    orc_b1 = np.concatenate([p[0] for p in parts])
-    orc_cubic = np.concatenate([p[1] for p in parts])
-    orc_int = np.concatenate([p[2] for p in parts], axis=1)
-
+    orc = run_replications(
+        lambda r: LimitSample.draw(refinement, SeedPolicy(master_seed, r), kappa, horizon, method),
+        oracle_stats(gs, kappa, horizon),
+        replications,
+        workers,
+        offset=replications,
+    )
     result = ConvergeResult(
         n=n,
         horizon=horizon,
         replications=replications,
         refinement=refinement,
         integrands=texts,
-        est_b1=est_b1,
-        est_cubic=est_vn,
-        est_int={t: est_int[i] for i, t in enumerate(texts)},
-        orc_b1=orc_b1,
-        orc_cubic=orc_cubic,
-        orc_int={t: orc_int[i] for i, t in enumerate(texts)},
+        est=est,
+        orc=orc,
     )
-    result.ks["B"] = ks_two_sample(SampleSet(est_b1, "B(T) estimator"),
-                                   SampleSet(orc_b1, "B(T) oracle"))
-    result.ks["cubic"] = ks_two_sample(SampleSet(est_vn, "V_n(B,T)"),
-                                       SampleSet(orc_cubic, "kappa W(T)"))
-    for i, t in enumerate(texts):
+    result.ks["B"] = ks_two_sample(SampleSet(est["B"], "B(T) estimator"),
+                                   SampleSet(orc["B"], "B(T) oracle"))
+    result.ks["cubic"] = ks_two_sample(SampleSet(est["cubic"], "V_n(B,T)"),
+                                       SampleSet(orc["cubic"], "kappa W(T)"))
+    for t in texts:
         result.ks[f"int:{t}"] = ks_two_sample(
-            SampleSet(est_int[i], f"I_n({t})"), SampleSet(orc_int[i], f"limit({t})")
+            SampleSet(est[f"int_{t}"], f"I_n({t})"), SampleSet(orc[f"int_{t}"], f"limit({t})")
         )
-    result.est_corr = np.corrcoef(np.vstack([est_b1, est_vn, est_int]))
-    result.orc_corr = np.corrcoef(np.vstack([orc_b1, orc_cubic, orc_int]))
+    result.est_corr = np.corrcoef(np.vstack([est[name] for name in names]))
+    result.orc_corr = np.corrcoef(np.vstack([orc[name] for name in names]))
     return result
 
 
 # --- variations: exact identities plus the cubic-variation law -------------
 
 
-def _identity_chunk(job):
-    n, horizon, master_seed, method_name, lo, hi = job
-    grid = Grid(n, horizon)
-    method = Method[method_name]
-    const = parse_integrand("1")
-    lin = parse_integrand("x")
-    quad = parse_integrand("x^2")
-    worst = np.zeros(4)
-    b1 = np.empty(hi - lo)
-    vn = np.empty(hi - lo)
-    for r in range(lo, hi):
-        path = sample_fbm(grid, SeedPolicy(master_seed, r), method)
-        v = path.values
-        cubic = signed_cubic(path)
-        scale = max(1.0, float(np.max(np.abs(v))) ** 3)
-        res_c = np.max(np.abs(riemann_strat(const, path).partials - (v - v[0])))
-        res_l = np.max(np.abs(riemann_strat(lin, path).partials - 0.5 * (v**2 - v[0] ** 2)))
-        res_q = np.max(
-            np.abs(
-                riemann_strat(quad, path).partials
-                - (v**3 - v[0] ** 3) / 3.0
-                - cubic.partials / 6.0
-            )
+_IDENTITY_MAPS = tuple(parse_integrand(text) for text in ("1", "x", "x^2"))
+
+
+def _identity_row(path) -> np.ndarray:
+    """Relative residuals of the four pathwise identities, then B(T) and V_n(B, T)."""
+    const, lin, quad = _IDENTITY_MAPS
+    n = path.grid.n
+    v = path.values
+    cubic = signed_cubic(path)
+    scale = max(1.0, float(np.max(np.abs(v))) ** 3)
+    res_c = np.max(np.abs(riemann_strat(const, path).partials - (v - v[0])))
+    res_l = np.max(np.abs(riemann_strat(lin, path).partials - 0.5 * (v**2 - v[0] ** 2)))
+    res_q = np.max(
+        np.abs(
+            riemann_strat(quad, path).partials
+            - (v**3 - v[0] ** 3) / 3.0
+            - cubic.partials / 6.0
         )
-        hermite_one = weighted_hermite(const, path, Endpoint.LEFT)
-        res_y = np.max(
-            np.abs(cubic.partials - hermite_one.partials - 3.0 * n ** (-1.0 / 3.0) * v)
-        )
-        worst = np.maximum(worst, np.array([res_c, res_l, res_q, res_y]) / scale)
-        b1[r - lo] = v[-1]
-        vn[r - lo] = cubic.final
-    return worst, b1, vn
+    )
+    hermite_one = weighted_hermite(const, path, Endpoint.LEFT)
+    res_y = np.max(
+        np.abs(cubic.partials - hermite_one.partials - 3.0 * n ** (-1.0 / 3.0) * v)
+    )
+    residuals = np.array([res_c, res_l, res_q, res_y]) / scale
+    return np.append(residuals, [v[-1], cubic.final])
 
 
 @dataclass
@@ -260,12 +280,13 @@ def identity_experiment(
     workers: int = 1,
 ) -> IdentityResult:
     """Pathwise telescoping identities and the signed-cubic-variation law."""
-    jobs = [
-        (n, horizon, master_seed, method.name, lo, hi)
-        for lo, hi in _chunks(replications, workers)
-    ]
-    parts = _pmap(_identity_chunk, jobs, workers)
-    worst = np.max(np.vstack([p[0] for p in parts]), axis=0)
+    rows = run_replications(
+        fbm_draws(Grid(n, horizon), master_seed, method),
+        {"identity": _identity_row},
+        replications,
+        workers,
+    )["identity"]
+    worst = np.max(rows[:, :4], axis=0)
     return IdentityResult(
         n=n,
         replications=replications,
@@ -275,27 +296,12 @@ def identity_experiment(
             "riemann_quadratic": float(worst[2]),
             "hermite_rearrangement": float(worst[3]),
         },
-        b1=np.concatenate([p[1] for p in parts]),
-        vn=np.concatenate([p[2] for p in parts]),
+        b1=rows[:, 4].copy(),
+        vn=rows[:, 5].copy(),
     )
 
 
 # --- sextic variation -------------------------------------------------------
-
-
-def _sextic_chunk(job):
-    n, horizon, master_seed, method_name, lo, hi = job
-    grid = Grid(n, horizon)
-    method = Method[method_name]
-    t = grid.times()
-    sup = np.empty(hi - lo)
-    final = np.empty(hi - lo)
-    for r in range(lo, hi):
-        path = sample_fbm(grid, SeedPolicy(master_seed, r), method)
-        v6 = np.concatenate([[0.0], np.cumsum(path.increments() ** 6)])
-        sup[r - lo] = np.max(np.abs(v6 - 15.0 * t))
-        final[r - lo] = v6[-1]
-    return sup, final
 
 
 @dataclass
@@ -324,49 +330,36 @@ def sextic_experiment(
     """Median sup-deviation of V^6_n from 15t per grid level, plus the mean
     of V^6_n(B, T) at the finest level against 15 * floor(nT)/n."""
     n_list = sorted(int(n) for n in n_list)
-    medians = []
-    for n in n_list:
-        jobs = [
-            (n, horizon, master_seed, method.name, lo, hi)
-            for lo, hi in _chunks(replications, workers)
-        ]
-        parts = _pmap(_sextic_chunk, jobs, workers)
-        sup = np.concatenate([p[0] for p in parts])
-        medians.append(float(np.median(sup)))
     n_top = n_list[-1]
     m_reps = mean_replications or replications
-    jobs = [
-        (n_top, horizon, master_seed, method.name, lo, hi)
-        for lo, hi in _chunks(m_reps, workers)
-    ]
-    parts = _pmap(_sextic_chunk, jobs, workers)
-    final = np.concatenate([p[1] for p in parts])
-    grid = Grid(n_top, horizon)
+    medians = []
+    for n in n_list:
+        t = Grid(n, horizon).times()
+
+        def sextic(path):
+            v6 = np.concatenate([[0.0], np.cumsum(path.increments() ** 6)])
+            return np.max(np.abs(v6 - 15.0 * t)), v6[-1]
+
+        # the finest level serves the medians and the mean from one set of paths
+        rows = run_replications(
+            fbm_draws(Grid(n, horizon), master_seed, method),
+            {"sextic": sextic},
+            max(replications, m_reps) if n == n_top else replications,
+            workers,
+        )["sextic"]
+        medians.append(float(np.median(rows[:replications, 0])))
+    final = rows[:m_reps, 1].copy()
     return SexticResult(
         n_list=n_list,
         medians=medians,
         mean_n=n_top,
         mean_value=float(np.mean(final)),
         mean_se=float(np.std(final, ddof=1) / math.sqrt(len(final))),
-        mean_target=15.0 * grid.m / n_top,
+        mean_target=15.0 * Grid(n_top, horizon).m / n_top,
     )
 
 
 # --- weighted Hermite variations --------------------------------------------
-
-
-def _hermite_chunk(job):
-    n, horizon, master_seed, method_name, text, lo, hi = job
-    grid = Grid(n, horizon)
-    method = Method[method_name]
-    g = parse_integrand(text)
-    left = np.empty(hi - lo)
-    right = np.empty(hi - lo)
-    for r in range(lo, hi):
-        path = sample_fbm(grid, SeedPolicy(master_seed, r), method)
-        left[r - lo] = weighted_hermite(g, path, Endpoint.LEFT).final
-        right[r - lo] = weighted_hermite(g, path, Endpoint.RIGHT).final
-    return left, right
 
 
 @dataclass
@@ -406,19 +399,17 @@ def hermite_experiment(
     """Left/right endpoint weighted third-Hermite variations at t = horizon,
     with the quadrature limits for the left-endpoint mean and variance."""
     g = integrand if isinstance(integrand, SmoothMap) else parse_integrand(integrand)
-    jobs = [
-        (n, horizon, master_seed, method.name, g.label, lo, hi)
-        for lo, hi in _chunks(replications, workers)
-    ]
-    parts = _pmap(_hermite_chunk, jobs, workers)
+    cols = run_replications(
+        fbm_draws(Grid(n, horizon), master_seed, method), hermite_stats(g), replications, workers
+    )
     kappa_sq = kappa_constant(DEFAULT_TRUNCATION).kappa_sq
     return HermiteResult(
         n=n,
         replications=replications,
         integrand=g.label,
         bounded=g.is_bounded,
-        left=np.concatenate([p[0] for p in parts]),
-        right=np.concatenate([p[1] for p in parts]),
+        left=cols["left"],
+        right=cols["right"],
         mean_limit=hermite_mean_limit(g, horizon),
         variance_limit=hermite_variance_limit(g, horizon, kappa_sq),
     )
@@ -462,22 +453,27 @@ def scaling_experiment(
     specs: dict[Estimator, dict] | None = None,
     integrand="sin",
     method: Method = Method.CIRCULANT,
+    workers: int = 1,
 ) -> ScalingResult:
+    """Moment-bound scaling fits; estimators on the same grid share one set of paths."""
     g = integrand if isinstance(integrand, SmoothMap) else parse_integrand(integrand)
     specs = specs or DEFAULT_SCALING_SPECS
+    ladders = {
+        estimator: scaling_ladder(spec["n"], spec["gaps"], replications, spec.get("horizon"))
+        for estimator, spec in specs.items()
+    }
     fits = {}
-    for estimator, spec in specs.items():
-        fits[estimator] = moment_scaling(
-            estimator,
-            spec["n"],
-            spec["gaps"],
+    for grid in dict.fromkeys(grid for grid, _ in ladders.values()):
+        group = {e: gaps for e, (on, gaps) in ladders.items() if on == grid}
+        cols = run_replications(
+            fbm_draws(grid, master_seed, method),
+            {e: partial(window_moments, e, gaps=gaps, g=g) for e, gaps in group.items()},
             replications,
-            SeedPolicy(master_seed, 0),
-            g=g,
-            horizon=spec.get("horizon"),
-            method=method,
+            workers,
         )
-    return ScalingResult(replications=replications, fits=fits, specs=specs)
+        for e, gaps in group.items():
+            fits[e] = moment_scaling(grid.n, gaps, cols[e], replications)
+    return ScalingResult(replications=replications, fits={e: fits[e] for e in specs}, specs=specs)
 
 
 # --- symmetric Taylor corpus -------------------------------------------------
@@ -585,18 +581,6 @@ class SamplerResult:
     var_b1_z: float
     bw_corr: float
 
-    def as_dict(self) -> dict:
-        return {
-            "gram_n": self.gram_n,
-            "gram_replications": self.gram_replications,
-            "gram_max_z": self.gram_max_z,
-            "method_ks_stat": self.method_ks.statistic,
-            "method_ks_critical": self.method_ks.critical_001,
-            "var_b1": self.var_b1,
-            "var_b1_z": self.var_b1_z,
-            "bw_corr": self.bw_corr,
-        }
-
 
 def sampler_experiment(
     master_seed: int,
@@ -604,22 +588,26 @@ def sampler_experiment(
     gram_replications: int = 2000,
     ks_replications: int = 1000,
     probe_indices=(64, 128, 256, 512),
-    workers: int = 1,
 ) -> SamplerResult:
     """Empirical Gram matrix against cov_r (entrywise z scores), a
     CHOLESKY/CIRCULANT two-sample KS on B(1), Var(B(1)), and the B-W
-    correlation of paired draws."""
+    correlation of paired draws.  The circulant B(1) of the KS comes from
+    the same paths as the Gram matrix."""
     grid = Grid(gram_n, 1.0)
     probes = np.array(probe_indices)
-    vals = np.empty((gram_replications, len(probes)))
-    b1 = np.empty(gram_replications)
-    w1 = np.empty(gram_replications)
-    for r in range(gram_replications):
-        seeds = SeedPolicy(master_seed, r)
-        path = sample_fbm(grid, seeds)
-        vals[r] = path.values[probes]
-        b1[r] = path.values[-1]
-        w1[r] = sample_bm(grid, seeds).values[-1]
+    cols = run_replications(
+        fbm_draws(grid, master_seed),
+        {
+            "probes": lambda path: path.values[probes],
+            "b1": lambda path: path.values[-1],
+            "w1": lambda path: sample_bm(grid, path.seeds).values[-1],
+        },
+        max(gram_replications, ks_replications),
+        workers=1,
+    )
+    vals = cols["probes"][:gram_replications]
+    b1 = cols["b1"][:gram_replications]
+    w1 = cols["w1"][:gram_replications]
     target = gram_matrix(probes / gram_n)
     prods = vals[:, :, None] * vals[:, None, :]
     emp = prods.mean(axis=0)
@@ -627,12 +615,13 @@ def sampler_experiment(
     gram_max_z = float(np.max(np.abs(emp - target) / se))
     var_b1 = float(np.var(b1, ddof=1))
     var_se = var_b1 * math.sqrt(2.0 / (gram_replications - 1))
-    chol = np.empty(ks_replications)
-    circ = np.empty(ks_replications)
-    for r in range(ks_replications):
-        seeds = SeedPolicy(master_seed, r)
-        chol[r] = sample_fbm(grid, seeds, Method.CHOLESKY).values[-1]
-        circ[r] = sample_fbm(grid, seeds, Method.CIRCULANT).values[-1]
+    chol = run_replications(
+        fbm_draws(grid, master_seed, Method.CHOLESKY),
+        {"b1": lambda path: path.values[-1]},
+        ks_replications,
+        workers=1,
+    )["b1"]
+    circ = cols["b1"][:ks_replications]
     return SamplerResult(
         gram_n=gram_n,
         gram_replications=gram_replications,

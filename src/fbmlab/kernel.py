@@ -122,25 +122,6 @@ def kappa_constant(truncation_radius: int = 10_000) -> KernelConstants:
     )
 
 
-@dataclass(frozen=True)
-class LagSequence:
-    """Tabulated rho(r) for |r| <= radius."""
-
-    radius: int
-    values: dict[int, float]
-
-    @classmethod
-    def compute(cls, radius: int) -> "LagSequence":
-        if radius < 0:
-            raise DomainError("radius must be nonnegative")
-        lags = np.arange(-radius, radius + 1)
-        vals = rho(lags)
-        return cls(radius=radius, values={int(r): float(v) for r, v in zip(lags, vals)})
-
-    def abs_sum(self) -> float:
-        return float(sum(abs(v) for v in self.values.values()))
-
-
 def hermite(order: int, x):
     """Probabilists' Hermite polynomial h_order(x) by the three-term recurrence.
 
@@ -159,33 +140,6 @@ def hermite(order: int, x):
     for k in range(1, order):
         prev, cur = cur, x * cur - k * prev
     return cur if cur.ndim else float(cur)
-
-
-@dataclass(frozen=True)
-class HermiteEval:
-    """Monomial-basis coefficients (ascending) of one Hermite polynomial."""
-
-    order: int
-    coefficients: tuple[float, ...]
-
-    @classmethod
-    def of_order(cls, order: int) -> "HermiteEval":
-        if order < 0:
-            raise DomainError("Hermite order must be nonnegative")
-        if order > HERMITE_MAX_ORDER:
-            raise CapabilityError(f"Hermite evaluation limited to order {HERMITE_MAX_ORDER}")
-        prev = np.array([1.0])
-        if order == 0:
-            return cls(order=0, coefficients=(1.0,))
-        cur = np.array([0.0, 1.0])
-        for k in range(1, order):
-            shifted = np.concatenate([[0.0], cur])          # x * h_k
-            lowered = np.concatenate([k * prev, [0.0, 0.0]])  # k * h_{k-1}
-            prev, cur = cur, shifted - lowered[: len(shifted)]
-        return cls(order=order, coefficients=tuple(float(c) for c in cur))
-
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coefficients)
 
 
 def increment_cov(n: int, i: int, j: int) -> float:

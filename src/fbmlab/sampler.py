@@ -18,7 +18,6 @@ identical (grid, seeds, method) reproduce byte-identical arrays.
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,9 +91,6 @@ class Grid:
 
     def times(self) -> np.ndarray:
         return np.arange(self.m + 1) / self.n
-
-    def time_of(self, j: int) -> float:
-        return j / self.n
 
     def index_of(self, t: float) -> int:
         """floor(n t), clipped to the grid (tiny fuzz guards float input)."""
@@ -225,72 +221,3 @@ def sample_bm(grid: Grid, seeds: SeedPolicy) -> Path:
     """
     z = seeds.normals(grid.m, "bm")
     return _assemble(grid, np.sqrt(grid.dt) * z, PathKind.BM, seeds, None)
-
-
-def restrict(path: Path, coarse_n: int) -> Path:
-    """Exact subsampling of a path onto the coarser grid with coarse_n per unit.
-
-    coarse_n must divide the path's grid size; no interpolation happens.
-    """
-    n = path.grid.n
-    if coarse_n < 1 or n % coarse_n != 0:
-        raise DomainError(f"coarse_n = {coarse_n} does not divide n = {n}")
-    stride = n // coarse_n
-    coarse = Grid(coarse_n, path.grid.horizon)
-    return Path(
-        grid=coarse,
-        values=path.values[::stride].copy(),
-        kind=path.kind,
-        seeds=path.seeds,
-        method=path.method,
-    )
-
-
-# --- persistence ------------------------------------------------------------
-
-_MAGIC = b"FBL1"
-_KIND_CODE = {PathKind.FBM_H16: 1, PathKind.BM: 2}
-_METHOD_CODE = {None: 0, Method.CHOLESKY: 1, Method.CIRCULANT: 2}
-
-
-def write_csv(path: Path, stream) -> None:
-    """Columns j, t_j, value with full-precision decimal floats."""
-    stream.write("j,t,value\n")
-    for j, (t, v) in enumerate(zip(path.grid.times(), path.values)):
-        stream.write(f"{j},{float(t)!r},{float(v)!r}\n")
-
-
-def write_binary(path: Path, stream) -> None:
-    """Compact dump: header (kind, method, n, horizon, seeds) + LE float64 body."""
-    header = struct.pack(
-        "<4sBBQdQQ",
-        _MAGIC,
-        _KIND_CODE[path.kind],
-        _METHOD_CODE[path.method],
-        path.grid.n,
-        path.grid.horizon,
-        path.seeds.master_seed & _MASK64,
-        path.seeds.stream_id & _MASK64,
-    )
-    stream.write(header)
-    stream.write(path.values.astype("<f8").tobytes())
-
-
-def read_binary(stream) -> Path:
-    header = stream.read(struct.calcsize("<4sBBQdQQ"))
-    magic, kind_c, method_c, n, horizon, master, stream_id = struct.unpack(
-        "<4sBBQdQQ", header
-    )
-    if magic != _MAGIC:
-        raise DomainError("not a path dump")
-    grid = Grid(int(n), float(horizon))
-    values = np.frombuffer(stream.read(8 * (grid.m + 1)), dtype="<f8").astype(float)
-    kind = {v: k for k, v in _KIND_CODE.items()}[kind_c]
-    method = {v: k for k, v in _METHOD_CODE.items()}[method_c]
-    return Path(
-        grid=grid,
-        values=values,
-        kind=kind,
-        seeds=SeedPolicy(int(master), int(stream_id)),
-        method=method,
-    )

@@ -50,12 +50,6 @@ class StepProcess:
     def final(self) -> float:
         return float(self.partials[-1])
 
-    def write_csv(self, stream) -> None:
-        stream.write("j,t,value\n")
-        for j, (t, v) in enumerate(zip(self.grid.times(), self.partials)):
-            stream.write(f"{j},{float(t)!r},{float(v)!r}\n")
-
-
 class Family(enum.Enum):
     POLYNOMIAL = "polynomial"
     TRIG = "trig"
@@ -145,15 +139,6 @@ class SmoothMap:
             return all(c == 0.0 for c in self.params[1:])
         return False
 
-    def growth_constants(self) -> tuple[float, float]:
-        """(K, r) with |g(x)| <= K (1 + |x|^r)."""
-        if self.family is Family.POLYNOMIAL:
-            return (max(sum(abs(c) for c in self.params), 1.0), float(len(self.params) - 1))
-        if self.family is Family.TRIG:
-            return (abs(self.params[0]), 0.0)
-        raise DomainError("exp family has no polynomial growth bound")
-
-
 def constant_map(c: float) -> SmoothMap:
     return SmoothMap(Family.POLYNOMIAL, (float(c),), repr(float(c)))
 
@@ -216,7 +201,6 @@ def parse_integrand(text: str) -> SmoothMap:
 class Endpoint(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
-    AVG = "avg"
 
 
 def _prefix(grid: Grid, terms: np.ndarray, label: str) -> StepProcess:
@@ -258,15 +242,8 @@ def riemann_strat(g: SmoothMap, path: Path) -> StepProcess:
 def weighted_hermite(g: SmoothMap, path: Path, endpoint: Endpoint = Endpoint.LEFT) -> StepProcess:
     """n^{-1/2} sum_{j <= nt} w_j h_3(n^{1/6} dX_j) with endpoint weights w_j.
 
-    LEFT uses g(X(t_{j-1})), RIGHT uses g(X(t_j)); AVG is defined as the
-    pointwise mean of the LEFT and RIGHT processes (exactly, not via the
-    averaged weight, so AVG == (LEFT + RIGHT) / 2 holds bitwise).
+    LEFT uses g(X(t_{j-1})), RIGHT uses g(X(t_j)).
     """
-    if endpoint is Endpoint.AVG:
-        left = weighted_hermite(g, path, Endpoint.LEFT)
-        right = weighted_hermite(g, path, Endpoint.RIGHT)
-        partials = 0.5 * (left.partials + right.partials)
-        return StepProcess(grid=path.grid, partials=partials, label=f"G_n~({g.label})")
     n = path.grid.n
     d = path.increments()
     h3 = np.asarray(hermite(3, n ** (1.0 / 6.0) * d))

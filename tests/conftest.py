@@ -1,20 +1,15 @@
 import time
 
-import numpy as np
 import pytest
 
-from fbmlab import (
-    Endpoint,
-    Grid,
-    SeedPolicy,
-    kappa_constant,
-    parse_integrand,
-    riemann_strat,
-    sample_fbm,
-    signed_cubic,
-    weighted_hermite,
+from fbmlab import Grid, LimitSample, SeedPolicy, kappa_constant, parse_integrand
+from fbmlab.experiments import (
+    estimator_stats,
+    fbm_draws,
+    hermite_stats,
+    oracle_stats,
+    run_replications,
 )
-from fbmlab.experiments import _converge_orc_chunk
 
 # default master seed of the shipped configuration; fixed up front so the
 # acceptance outcomes are a deterministic property of the artifact
@@ -37,49 +32,37 @@ def estimator_corpus():
     trapezoid sums for the four reference integrands, and the left/right
     sin-weighted third-Hermite variations."""
     started = time.perf_counter()
-    grid = Grid(ACCEPT_N, 1.0)
     gs = [parse_integrand(t) for t in INTEGRANDS]
-    sin_g = parse_integrand("sin")
-    out = {
-        "b1": np.empty(ACCEPT_REPLICATIONS),
-        "vn": np.empty(ACCEPT_REPLICATIONS),
-        "left": np.empty(ACCEPT_REPLICATIONS),
-        "right": np.empty(ACCEPT_REPLICATIONS),
+    cols = run_replications(
+        fbm_draws(Grid(ACCEPT_N, 1.0), MASTER_SEED),
+        {**estimator_stats(gs), **hermite_stats(parse_integrand("sin"))},
+        ACCEPT_REPLICATIONS,
+        workers=1,
+    )
+    return {
+        "b1": cols["B"],
+        "vn": cols["cubic"],
+        "left": cols["left"],
+        "right": cols["right"],
+        "int": {t: cols[f"int_{t}"] for t in INTEGRANDS},
+        "build_seconds": time.perf_counter() - started,
     }
-    ints = {t: np.empty(ACCEPT_REPLICATIONS) for t in INTEGRANDS}
-    for r in range(ACCEPT_REPLICATIONS):
-        path = sample_fbm(grid, SeedPolicy(MASTER_SEED, r))
-        out["b1"][r] = path.values[-1]
-        out["vn"][r] = signed_cubic(path).final
-        out["left"][r] = weighted_hermite(sin_g, path, Endpoint.LEFT).final
-        out["right"][r] = weighted_hermite(sin_g, path, Endpoint.RIGHT).final
-        for t, g in zip(INTEGRANDS, gs):
-            ints[t][r] = riemann_strat(g, path).final
-    out["int"] = ints
-    out["build_seconds"] = time.perf_counter() - started
-    return out
 
 
 @pytest.fixture(scope="session")
 def oracle_corpus(constants):
     """2000 limit-law samples at refinement 2^14 on disjoint seed streams."""
     started = time.perf_counter()
-    b1, cubic, ints = _converge_orc_chunk(
-        (
-            ORACLE_REFINEMENT,
-            1.0,
-            MASTER_SEED,
-            ACCEPT_REPLICATIONS,
-            "CIRCULANT",
-            list(INTEGRANDS),
-            constants.kappa,
-            0,
-            ACCEPT_REPLICATIONS,
-        )
+    cols = run_replications(
+        lambda r: LimitSample.draw(ORACLE_REFINEMENT, SeedPolicy(MASTER_SEED, r), constants.kappa),
+        oracle_stats([parse_integrand(t) for t in INTEGRANDS], constants.kappa, 1.0),
+        ACCEPT_REPLICATIONS,
+        workers=1,
+        offset=ACCEPT_REPLICATIONS,
     )
     return {
-        "b1": b1,
-        "cubic": cubic,
-        "int": {t: ints[i] for i, t in enumerate(INTEGRANDS)},
+        "b1": cols["B"],
+        "cubic": cols["cubic"],
+        "int": {t: cols[f"int_{t}"] for t in INTEGRANDS},
         "build_seconds": time.perf_counter() - started,
     }

@@ -19,10 +19,11 @@ from fbmlab import (
     monomial_map,
     orthogonality_audit,
     parse_integrand,
+    sample_fbm,
     sin_map,
     taylor_residual,
 )
-from fbmlab.analysis import fit_loglog
+from fbmlab.analysis import fit_loglog, scaling_ladder, window_moments
 
 
 class TestSampleSet:
@@ -130,26 +131,32 @@ class TestScalingFit:
 
 class TestMomentScaling:
     def test_validation(self):
-        seeds = SeedPolicy(0, 0)
         with pytest.raises(DomainError):
-            moment_scaling(Estimator.CUBIC_4TH, 64, [8, 8], 200, seeds)
+            scaling_ladder(64, [8, 8], 200)
         with pytest.raises(DomainError):
-            moment_scaling(Estimator.CUBIC_4TH, 64, [8, 16], 100, seeds)
+            scaling_ladder(64, [0, 8], 200)
         with pytest.raises(DomainError):
-            moment_scaling(Estimator.CUBIC_4TH, 64, [8, 128], 200, seeds, horizon=1.0)
+            scaling_ladder(64, [8, 16], 100)
+        with pytest.raises(DomainError):
+            scaling_ladder(64, [8, 128], 200, horizon=1.0)
 
     def test_cubic_smoke_slope(self):
-        fit = moment_scaling(
-            Estimator.CUBIC_4TH, 1024, [128, 256, 512, 1024], 200, SeedPolicy(5, 0), horizon=1.0
-        )
+        fit = _fit(Estimator.CUBIC_4TH, 1024, [128, 256, 512, 1024], 5, horizon=1.0)
         assert 1.2 < fit.slope < 2.5
         assert fit.r_squared > 0.9
 
     def test_weighted_smoke_slope(self):
-        fit = moment_scaling(
-            Estimator.WEIGHTED_CUBIC_2ND, 2048, [32, 64, 128, 256], 200, SeedPolicy(6, 0)
-        )
+        fit = _fit(Estimator.WEIGHTED_CUBIC_2ND, 2048, [32, 64, 128, 256], 6)
         assert 0.7 < fit.slope < 1.8
+
+
+def _fit(estimator, n, gaps, master_seed, horizon=None, replications=200):
+    grid, gaps = scaling_ladder(n, gaps, replications, horizon)
+    rows = [
+        window_moments(estimator, sample_fbm(grid, SeedPolicy(master_seed, r)), gaps, sin_map())
+        for r in range(replications)
+    ]
+    return moment_scaling(n, gaps, np.array(rows), replications)
 
 
 class TestTaylor:

@@ -7,6 +7,17 @@ import pytest
 from fbmlab.cli import main
 
 
+# small runs of every Monte Carlo command
+MONTE_CARLO_RUNS = (
+    ("converge", "--n-list", "32", "--replications", "60", "--integrand", "1; x",
+     "--refinement-factor", "2"),
+    ("variations", "--n-list", "64", "--replications", "40"),
+    ("sextic", "--n-list", "32,64", "--replications", "30"),
+    ("hermite", "--n-list", "64", "--replications", "60"),
+    ("scaling", "--replications", "200"),
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -121,18 +132,21 @@ class TestReportsAndManifest:
         assert manifest["config"]["command"] == "converge"
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
-        args = (
-            "sextic", "--n-list", "32,64", "--replications", "30",
-            "--master-seed", "11",
-        )
-        run(capsys, *args, "--output-dir", str(tmp_path / "a"))
-        run(capsys, *args, "--output-dir", str(tmp_path / "b"))
-        rep_a = (tmp_path / "a" / "sextic" / "report.json").read_bytes()
-        rep_b = (tmp_path / "b" / "sextic" / "report.json").read_bytes()
-        assert rep_a == rep_b
-        man_a = json.loads((tmp_path / "a" / "sextic" / "manifest.json").read_text())
-        man_b = json.loads((tmp_path / "b" / "sextic" / "manifest.json").read_text())
-        assert man_a["manifest_hash"] == man_b["manifest_hash"]
+        # every Monte Carlo command writes the same bytes whatever the worker
+        # count; scaling reduces its window moments in replication order
+        for argv in MONTE_CARLO_RUNS:
+            outputs = {}
+            for workers in ("1", "2"):
+                out = tmp_path / f"{argv[0]}-w{workers}"
+                code, *_ = run(capsys, *argv, "--master-seed", "11",
+                               "--workers", workers, "--output-dir", str(out))
+                assert code == 0, argv[0]
+                base = out / argv[0]
+                manifest = json.loads((base / "manifest.json").read_text())
+                files = {name: (base / name).read_bytes() for name in manifest["files"]}
+                outputs[workers] = (files, manifest["manifest_hash"])
+            assert "report.json" in outputs["1"][0]
+            assert outputs["1"] == outputs["2"], argv[0]
 
     def test_no_partial_files_on_success(self, capsys, tmp_path):
         run(capsys, "taylor", "--output-dir", str(tmp_path), "--master-seed", "3")

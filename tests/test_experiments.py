@@ -37,28 +37,28 @@ class TestIntegrandList:
 class TestConverge:
     def test_trivial_integrand_collapses_to_endpoint(self):
         res = converge_experiment(64, 1.0, 60, 101, ["1"], refinement_factor=2)
-        assert np.allclose(res.est_int["1"], res.est_b1, atol=1e-12)
-        assert np.allclose(res.orc_int["1"], res.orc_b1, atol=1e-12)
+        assert np.allclose(res.est["int_1"], res.est["B"], atol=1e-12)
+        assert np.allclose(res.orc["int_1"], res.orc["B"], atol=1e-12)
         assert res.ks["int:1"].statistic == pytest.approx(res.ks["B"].statistic)
 
     def test_shapes_and_determinism(self):
         a = converge_experiment(32, 1.0, 60, 7, ["x"], refinement_factor=4)
         b = converge_experiment(32, 1.0, 60, 7, ["x"], refinement_factor=4)
         assert a.refinement == 128
-        assert np.array_equal(a.est_cubic, b.est_cubic)
-        assert np.array_equal(a.orc_int["x"], b.orc_int["x"])
+        assert np.array_equal(a.est["cubic"], b.est["cubic"])
+        assert np.array_equal(a.orc["int_x"], b.orc["int_x"])
 
     def test_worker_count_does_not_change_results(self):
         a = converge_experiment(32, 1.0, 64, 7, ["sin"], workers=1)
         b = converge_experiment(32, 1.0, 64, 7, ["sin"], workers=2)
-        assert np.array_equal(a.est_int["sin"], b.est_int["sin"])
-        assert np.array_equal(a.orc_b1, b.orc_b1)
+        assert np.array_equal(a.est["int_sin"], b.est["int_sin"])
+        assert np.array_equal(a.orc["B"], b.orc["B"])
 
     def test_estimator_oracle_streams_disjoint(self):
         res = converge_experiment(32, 1.0, 60, 7, ["x"])
         # oracle uses stream ids offset by the replication count, so the
         # B(1) samples must differ from the estimator draws
-        assert not np.allclose(res.est_b1, res.orc_b1)
+        assert not np.allclose(res.est["B"], res.orc["B"])
 
     def test_refinement_factor_validated(self):
         with pytest.raises(DomainError):
@@ -84,6 +84,13 @@ class TestSextic:
         assert len(res.medians) == 2
         assert res.mean_n == 128
         assert res.mean_se > 0
+
+    def test_mean_replications_leave_the_medians(self):
+        # the finest level draws its extra mean paths after the median ones
+        more = sextic_experiment([64, 128], 1.0, 40, 17, mean_replications=60)
+        plain = sextic_experiment([64, 128], 1.0, 40, 17)
+        assert more.medians == plain.medians
+        assert more.mean_value != plain.mean_value
 
 
 class TestHermite:

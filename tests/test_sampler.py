@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -11,19 +9,12 @@ from fbmlab import (
     PathKind,
     SeedPolicy,
     gram_matrix,
-    restrict,
     sample_bm,
     sample_fbm,
 )
 from fbmlab.analysis import ks_statistic, KS_COEFF_001
 from fbmlab.kernel import rho
-from fbmlab.sampler import (
-    _cholesky_factor,
-    _circulant_sqrt_eigs,
-    read_binary,
-    write_binary,
-    write_csv,
-)
+from fbmlab.sampler import _cholesky_factor, _circulant_sqrt_eigs
 
 
 class TestGrid:
@@ -31,7 +22,6 @@ class TestGrid:
         grid = Grid(8, 2.0)
         assert grid.m == 16
         assert grid.dt == 0.125
-        assert grid.time_of(3) == 3 / 8
         assert np.allclose(grid.times(), np.arange(17) / 8)
         assert grid.index_of(0.0) == 0
         assert grid.index_of(0.3) == 2
@@ -200,29 +190,14 @@ class TestBmSampler:
 
 
 class TestRestrict:
-    def test_same_grid_identity(self):
-        path = sample_fbm(Grid(32), SeedPolicy(1, 0))
-        assert np.array_equal(restrict(path, 32).values, path.values)
-
-    def test_every_second_value(self):
-        path = sample_fbm(Grid(8), SeedPolicy(1, 0))
-        coarse = restrict(path, 4)
-        assert np.array_equal(coarse.values, path.values[::2])
-        assert coarse.grid.n == 4
-
-    def test_non_divisor_rejected(self):
-        path = sample_fbm(Grid(8), SeedPolicy(1, 0))
-        with pytest.raises(DomainError):
-            restrict(path, 3)
-
     def test_restricted_increment_variance(self):
-        # subsampled fBm keeps the exact law: Var(dB) = (1/coarse_n)^{1/3}
+        # every fourth point of an fBm path on Grid(64) is an exact fBm path
+        # on Grid(16): Var(dB) = (1/16)^{1/3}
         reps = 800
         acc = 0.0
         count = 0
         for r in range(reps):
-            coarse = restrict(sample_fbm(Grid(64), SeedPolicy(37, r)), 16)
-            d = coarse.increments()
+            d = np.diff(sample_fbm(Grid(64), SeedPolicy(37, r)).values[::4])
             acc += np.sum(d**2)
             count += len(d)
         mean_sq = acc / count
@@ -230,37 +205,6 @@ class TestRestrict:
         # each path contributes correlated increments; conservative se
         se = target * np.sqrt(2.0 / reps)
         assert abs(mean_sq - target) <= 4 * se
-
-
-class TestPersistence:
-    def test_csv_headers_and_length(self):
-        path = sample_fbm(Grid(4), SeedPolicy(0, 0))
-        buf = io.StringIO()
-        write_csv(path, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "j,t,value"
-        assert len(lines) == 6
-        assert float(lines[1].split(",")[2]) == 0.0
-
-    def test_binary_roundtrip(self):
-        for maker, method in (
-            (lambda g, s: sample_fbm(g, s, Method.CIRCULANT), Method.CIRCULANT),
-            (lambda g, s: sample_bm(g, s), None),
-        ):
-            path = maker(Grid(16, 2.0), SeedPolicy(99, 4))
-            buf = io.BytesIO()
-            write_binary(path, buf)
-            buf.seek(0)
-            loaded = read_binary(buf)
-            assert loaded.kind is path.kind
-            assert loaded.method is method
-            assert loaded.grid == path.grid
-            assert loaded.seeds == path.seeds
-            assert np.array_equal(loaded.values, path.values)
-
-    def test_binary_rejects_garbage(self):
-        with pytest.raises(DomainError):
-            read_binary(io.BytesIO(b"nope" + b"\x00" * 64))
 
 
 class TestEmbeddingGuard:

@@ -175,14 +175,6 @@ class TestWeightedHermite:
         scale = max(1.0, float(np.max(np.abs(cubic))))
         assert np.max(np.abs(cubic - recon)) / scale < 1e-10
 
-    def test_avg_is_exact_mean(self):
-        path = sample_fbm(Grid(128), SeedPolicy(17, 0))
-        g = sin_map()
-        left = weighted_hermite(g, path, Endpoint.LEFT).partials
-        right = weighted_hermite(g, path, Endpoint.RIGHT).partials
-        avg = weighted_hermite(g, path, Endpoint.AVG).partials
-        assert np.array_equal(avg, 0.5 * (left + right))
-
 
 class TestSmoothMap:
     @pytest.mark.parametrize(
@@ -227,12 +219,6 @@ class TestSmoothMap:
         assert not monomial_map(2).is_bounded
         assert not parse_integrand("exp").is_bounded
 
-    def test_growth_constants(self):
-        k, r = parse_integrand("poly:1,0,2").growth_constants()
-        assert k >= 3.0 and r == 2.0
-        with pytest.raises(DomainError):
-            parse_integrand("exp").growth_constants()
-
     def test_zero_frequency_rejected(self):
         with pytest.raises(DomainError):
             SmoothMap(Family.TRIG, (1.0, 0.0, 0.0))
@@ -265,19 +251,3 @@ class TestParser:
     def test_rejects(self, bad):
         with pytest.raises(DomainError):
             parse_integrand(bad)
-
-
-class TestStepCsv:
-    def test_header_and_values(self):
-        import io
-
-        path = sample_fbm(Grid(4), SeedPolicy(2, 0))
-        step = signed_cubic(path)
-        buf = io.StringIO()
-        step.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "j,t,value"
-        assert len(lines) == 6
-        last = lines[-1].split(",")
-        assert float(last[1]) == 1.0
-        assert float(last[2]) == step.final
