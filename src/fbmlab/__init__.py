@@ -44,13 +44,7 @@ from .variations import (
     sin_map,
     weighted_hermite,
 )
-from .oracle import (
-    LimitSample,
-    change_of_variable_residual,
-    ito_left_sum,
-    signed_cubic_limit,
-    weak_strat_integral,
-)
+from .oracle import LimitSample, weak_strat_integral
 from .analysis import (
     CovarAudit,
     Estimator,

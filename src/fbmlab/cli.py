@@ -48,7 +48,7 @@ from .experiments import (
     taylor_experiment,
 )
 from .kernel import kappa_constant
-from .sampler import Method
+from .sampler import RNG_STREAM_VERSION, Method
 
 DEFAULT_MASTER_SEED = 2
 DEFAULT_N_LIST = (256, 512, 1024, 2048, 4096)
@@ -220,6 +220,7 @@ class Emitter:
         manifest = {
             "config": self.cfg.echo(),
             "artifact_version": __version__,
+            "rng_stream_version": RNG_STREAM_VERSION,
             "platform": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
@@ -277,6 +278,7 @@ def cmd_converge(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
             name: {
                 "statistic": res.statistic,
                 "critical_001": res.critical_001,
+                "margin": res.critical_001 - res.statistic,
                 "rejects": res.rejects_at_1pct,
             }
             for name, res in result.ks.items()

@@ -129,14 +129,11 @@ def estimator_stats(integrands) -> dict:
     return stats
 
 
-def oracle_stats(integrands, kappa: float, horizon: float) -> dict:
+def oracle_stats(integrands) -> dict:
     """B(T), kappa W(T) and the limit integral per integrand, of one LimitSample."""
-    stats = {
-        "B": lambda sample: sample.b_path.values[-1],
-        "cubic": lambda sample: kappa * sample.w_path.values[-1],
-    }
+    stats = {"B": lambda sample: sample.b_path.values[-1], "cubic": lambda sample: sample.kappa_w}
     for g in integrands:
-        stats[f"int_{g.label}"] = lambda sample, g=g: weak_strat_integral(g, sample, horizon)
+        stats[f"int_{g.label}"] = lambda sample, g=g: weak_strat_integral(g, sample)
     return stats
 
 
@@ -196,8 +193,8 @@ def converge_experiment(
     )
     refinement = refinement_factor * n
     orc = run_replications(
-        lambda r: LimitSample.draw(refinement, SeedPolicy(master_seed, r), kappa, horizon, method),
-        oracle_stats(gs, kappa, horizon),
+        lambda r: LimitSample.draw(refinement, SeedPolicy(master_seed, r), kappa, gs, horizon, method),
+        oracle_stats(gs),
         replications,
         workers,
         offset=replications,

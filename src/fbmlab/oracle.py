@@ -1,73 +1,49 @@
 """Sampling the limit law of the trapezoid Riemann sums.
 
-The weak limit of I_n(g, B, .) is defined through an antiderivative G of g
-and an ordinary Ito correction driven by a Brownian motion W independent
-of B:
+The weak limit of I_n(g, B, .) at the horizon T is defined through an
+antiderivative G of g and an ordinary Ito correction driven by a Brownian
+motion W independent of B:
 
-    int_0^t g(B) dB = G(B(t)) - G(B(0)) + (1/12) int_0^t G'''(B) d<<B>>,
+    int_0^T g(B) dB = G(B(T)) - G(B(0)) + (1/12) int_0^T g''(B) d<<B>>,
     <<B>>_t = kappa W(t).
 
-The correction integral is an Ito integral of a continuous adapted
-integrand, realized here as a left-endpoint sum on a refinement grid with
-B held at its step approximation.  One LimitSample carries (B, W) drawn on
-the finest grid; evaluations restrict both to any divisor grid, so
-refinement comparisons reuse identical randomness.
+The correction is the left-endpoint Ito sum (kappa/12) sum g''(B_{k-1}) dW_k
+on a refinement grid.  W is independent of B, so given B the vector of
+kappa W(T) and the corrections of all integrands is centred Gaussian with
+Gram matrix kappa^2 dt F^T F, where F has the columns f_0 = 1 and
+f_i = g_i''(B_{k-1}) / 12.  A LimitSample draws B on the refinement grid and
+then that vector directly, from one Gaussian per column: no W path is
+sampled, and the law is exactly that of the left sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-from .sampler import Grid, Method, Path, PathKind, SeedPolicy, sample_bm, sample_fbm
-from .variations import SmoothMap, StepProcess
+from .sampler import Grid, Method, Path, SeedPolicy, sample_fbm
+from .variations import Family, SmoothMap
 
 
-def signed_cubic_limit(w_path: Path, kappa: float) -> StepProcess:
-    """The limit process of the signed cubic variation: t -> kappa W(t)."""
-    if w_path.kind is not PathKind.BM:
-        raise DomainError("signed_cubic_limit needs a BM path")
-    return StepProcess(
-        grid=w_path.grid, partials=kappa * w_path.values, label="kappa*W"
-    )
+@lru_cache(maxsize=64)
+def _parts(g: SmoothMap) -> tuple[SmoothMap, SmoothMap | float]:
+    """G and g'' of one integrand, g'' as a float where it is constant."""
+    g2 = g.derivative(2)
+    if g2.family is Family.POLYNOMIAL and all(c == 0.0 for c in g2.params[1:]):
+        return g.antiderivative(), g2.params[0]
+    return g.antiderivative(), g2
 
 
-def ito_left_sum(integrand_values, w_path: Path) -> StepProcess:
-    """Left-endpoint Ito sum sum_{k <= j} f(t_{k-1}) dW_k.
-
-    integrand_values holds f at every grid point of w_path (m + 1 entries).
-    """
-    if w_path.kind is not PathKind.BM:
-        raise DomainError("ito_left_sum integrates against a BM path")
-    f = np.asarray(integrand_values, dtype=float)
-    if f.shape != (w_path.grid.m + 1,):
-        raise DomainError(
-            f"integrand has {f.shape} values, expected {w_path.grid.m + 1}"
-        )
-    terms = f[:-1] * w_path.increments()
-    partials = np.concatenate([[0.0], np.cumsum(terms)])
-    return StepProcess(grid=w_path.grid, partials=partials, label="ito_left")
-
-
-@dataclass
+@dataclass(frozen=True)
 class LimitSample:
-    """One draw of (B, W) on a fine grid plus cached limit evaluations."""
+    """B on the refinement grid, kappa W(T) and the Ito correction of each integrand."""
 
     b_path: Path
-    w_path: Path
-    kappa: float
-    refinement: int
-    values: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.b_path.kind is not PathKind.FBM_H16 or self.w_path.kind is not PathKind.BM:
-            raise DomainError("LimitSample needs (fBm, BM) paths")
-        if self.b_path.grid.horizon != self.w_path.grid.horizon:
-            raise DomainError("B and W must share the horizon")
-        if self.w_path.grid.n != self.refinement or self.refinement < self.b_path.grid.n:
-            raise DomainError("w grid must equal the refinement, >= the b grid")
+    kappa_w: float
+    corrections: dict[SmoothMap, float]
 
     @classmethod
     def draw(
@@ -75,69 +51,41 @@ class LimitSample:
         refinement: int,
         seeds: SeedPolicy,
         kappa: float,
+        integrands,
         horizon: float = 1.0,
         method: Method = Method.CIRCULANT,
     ) -> "LimitSample":
-        grid = Grid(refinement, horizon)
-        return cls(
-            b_path=sample_fbm(grid, seeds, method),
-            w_path=sample_bm(grid, seeds),
-            kappa=kappa,
-            refinement=refinement,
+        """Draw B, then kappa W(T) and the corrections given B.
+
+        A constant g'' = c makes the correction exactly (c/12) kappa W(T)
+        (zero when c = 0); only kappa W(T) and the other columns are drawn,
+        through eigh of their Gram matrix with negative eigenvalues clipped
+        to 0, so repeated or dependent columns are allowed.
+        """
+        b_path = sample_fbm(Grid(refinement, horizon), seeds, method)
+        second = [_parts(g)[1] for g in integrands]
+        left = b_path.values[:-1]
+        cols = np.vstack(
+            [np.ones_like(left)]
+            + [np.asarray(g2(left)) / 12.0 for g2 in second if isinstance(g2, SmoothMap)]
         )
-
-    def _strides(self, eval_n: int | None) -> tuple[int, int]:
-        eval_n = self.refinement if eval_n is None else eval_n
-        if eval_n < 1 or self.refinement % eval_n != 0:
-            raise DomainError(f"evaluation grid {eval_n} must divide {self.refinement}")
-        return eval_n, self.refinement // eval_n
-
-
-def _correction_sum(f3: SmoothMap, sample: LimitSample, t: float, eval_n: int | None) -> float:
-    """Left sum sum_{k <= floor(nt)} f3(B(t_{k-1})) kappa dW_k on the eval grid."""
-    eval_n, stride = sample._strides(eval_n)
-    grid = Grid(eval_n, sample.b_path.grid.horizon)
-    j = grid.index_of(t)
-    if j == 0:
-        return 0.0
-    b = sample.b_path.values[::stride]
-    w = sample.w_path.values[::stride]
-    terms = np.asarray(f3(b[:j])) * np.diff(w[: j + 1])
-    return sample.kappa * float(np.sum(terms))
+        gram = kappa**2 * b_path.grid.dt * (cols[:, None] * cols[None]).sum(axis=-1)
+        eigval, eigvec = np.linalg.eigh(gram)
+        z = seeds.normals(len(cols), "oracle:w")
+        x = eigvec @ (np.sqrt(np.clip(eigval, 0.0, None)) * z)
+        kappa_w = float(x[0])
+        drawn = iter(x[1:])
+        corrections = {
+            g: float(next(drawn)) if isinstance(g2, SmoothMap) else g2 / 12.0 * kappa_w
+            for g, g2 in zip(integrands, second)
+        }
+        return cls(b_path=b_path, kappa_w=kappa_w, corrections=corrections)
 
 
-def weak_strat_integral(
-    g: SmoothMap, sample: LimitSample, t: float, eval_n: int | None = None
-) -> float:
-    """int_0^t g(B) dB = G(B(t)) - G(B(0)) + (1/12) * left-sum of kappa g''(B) dW.
-
-    B enters the endpoint evaluation and the correction integrand through
-    its step approximation on the evaluation grid.
-    """
-    eval_res, stride = sample._strides(eval_n)
-    grid = Grid(eval_res, sample.b_path.grid.horizon)
-    anti = g.antiderivative()
-    b = sample.b_path.values[::stride]
-    b_t = float(b[grid.index_of(t)])
-    correction = _correction_sum(g.derivative(2), sample, t, eval_n)
-    value = float(anti(b_t)) - float(anti(b[0])) + correction / 12.0
-    sample.values[(g.label, float(t), eval_res)] = value
-    return value
-
-
-def change_of_variable_residual(
-    g: SmoothMap, sample: LimitSample, t: float, eval_n: int | None = None
-) -> float:
-    """Defect of g(B(t)) = g(B(0)) + int g'(B) dB - (1/12) int g'''(B) d<<B>>.
-
-    The two Ito correction sums are evaluated on the same grid from the
-    same increments, so they cancel exactly and only antiderivative
-    round-off remains; the residual is zero to round-off by construction.
-    """
-    eval_res, stride = sample._strides(eval_n)
-    grid = Grid(eval_res, sample.b_path.grid.horizon)
-    b = sample.b_path.values[::stride]
-    b_t = float(b[grid.index_of(t)])
-    integral = weak_strat_integral(g.derivative(1), sample, t, eval_n)
-    correction = _correction_sum(g.derivative(3), sample, t, eval_n)
-    return float(g(b_t)) - float(g(b[0])) - integral + correction / 12.0
+def weak_strat_integral(g: SmoothMap, sample: LimitSample) -> float:
+    """int_0^T g(B) dB = G(B(T)) - G(B(0)) + the Ito correction of g in sample."""
+    if g not in sample.corrections:
+        raise DomainError(f"integrand {g.label!r} was not drawn with this sample")
+    b = sample.b_path.values
+    anti = _parts(g)[0]
+    return float(anti(b[-1])) - float(anti(b[0])) + sample.corrections[g]

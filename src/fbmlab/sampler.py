@@ -27,6 +27,11 @@ from scipy.special import ndtri
 from .errors import CapabilityError, DomainError, EmbeddingError
 from .kernel import INCREMENT_EXPONENT, rho
 
+# Version of the random streams: bumped whenever a release draws different
+# numbers for the same (grid, seeds, method).  2: the oracle draws its Ito
+# correction from the "oracle:w" tag instead of a Brownian path on "bm".
+RNG_STREAM_VERSION = 2
+
 CHOLESKY_MAX_STEPS = 4096
 
 # Relative floor for circulant eigenvalues: fGn embeddings are nonnegative

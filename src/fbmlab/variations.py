@@ -234,8 +234,8 @@ def midpoints(path: Path) -> np.ndarray:
 
 def riemann_strat(g: SmoothMap, path: Path) -> StepProcess:
     """Trapezoid Riemann sum I_n(g, X, t)."""
-    v = path.values
-    w = 0.5 * (np.asarray(g(v[:-1])) + np.asarray(g(v[1:])))
+    gv = np.asarray(g(path.values))
+    w = 0.5 * (gv[:-1] + gv[1:])
     return _prefix(path.grid, w * path.increments(), f"I_n({g.label})")
 
 

@@ -53,9 +53,10 @@ def estimator_corpus():
 def oracle_corpus(constants):
     """2000 limit-law samples at refinement 2^14 on disjoint seed streams."""
     started = time.perf_counter()
+    gs = [parse_integrand(t) for t in INTEGRANDS]
     cols = run_replications(
-        lambda r: LimitSample.draw(ORACLE_REFINEMENT, SeedPolicy(MASTER_SEED, r), constants.kappa),
-        oracle_stats([parse_integrand(t) for t in INTEGRANDS], constants.kappa, 1.0),
+        lambda r: LimitSample.draw(ORACLE_REFINEMENT, SeedPolicy(MASTER_SEED, r), constants.kappa, gs),
+        oracle_stats(gs),
         ACCEPT_REPLICATIONS,
         workers=1,
         offset=ACCEPT_REPLICATIONS,

@@ -5,11 +5,12 @@ import os
 import pytest
 
 from fbmlab.cli import main
+from fbmlab.sampler import RNG_STREAM_VERSION
 
 
 # small runs of every Monte Carlo command
 MONTE_CARLO_RUNS = (
-    ("converge", "--n-list", "32", "--replications", "60", "--integrand", "1; x",
+    ("converge", "--n-list", "32", "--replications", "60", "--integrand", "1; x; x^2; sin",
      "--refinement-factor", "2"),
     ("variations", "--n-list", "64", "--replications", "40"),
     ("sextic", "--n-list", "32,64", "--replications", "30"),
@@ -125,6 +126,8 @@ class TestReportsAndManifest:
         report = json.loads((base / "report.json").read_text())
         assert report["per_n"][0]["n"] == 32
         assert "int:1" in report["per_n"][0]["ks"]
+        row = report["per_n"][0]["ks"]["int:1"]
+        assert row["margin"] == row["critical_001"] - row["statistic"]
         manifest = json.loads((base / "manifest.json").read_text())
         for name, digest in manifest["files"].items():
             data = (base / name).read_bytes()
@@ -143,6 +146,7 @@ class TestReportsAndManifest:
                 assert code == 0, argv[0]
                 base = out / argv[0]
                 manifest = json.loads((base / "manifest.json").read_text())
+                assert manifest["rng_stream_version"] == RNG_STREAM_VERSION
                 files = {name: (base / name).read_bytes() for name in manifest["files"]}
                 outputs[workers] = (files, manifest["manifest_hash"])
             assert "report.json" in outputs["1"][0]

@@ -7,167 +7,197 @@ from fbmlab import (
     DomainError,
     Grid,
     LimitSample,
+    SampleSet,
     SeedPolicy,
-    change_of_variable_residual,
     constant_map,
-    ito_left_sum,
     kappa_constant,
+    ks_two_sample,
     monomial_map,
     parse_integrand,
     sample_bm,
     sample_fbm,
-    signed_cubic_limit,
     sin_map,
     weak_strat_integral,
 )
+from fbmlab import oracle
 
 KAPPA = kappa_constant(10_000).kappa
 
 
+def draw(refinement, master_seed, stream_id, integrands=(), kappa=KAPPA, horizon=1.0):
+    return LimitSample.draw(
+        refinement, SeedPolicy(master_seed, stream_id), kappa, list(integrands), horizon
+    )
+
+
 class TestSignedCubicLimit:
+    """kappa W(T), the limit of the signed cubic variation."""
+
     def test_zero_scale(self):
-        w = sample_bm(Grid(32), SeedPolicy(1, 0))
-        assert np.all(signed_cubic_limit(w, 0.0).partials == 0.0)
+        g = sin_map()
+        sample = draw(32, 1, 0, [g], kappa=0.0)
+        assert sample.kappa_w == 0.0
+        assert sample.corrections[g] == 0.0
+        assert weak_strat_integral(g, sample) == 1.0 - math.cos(sample.b_path.values[-1])
 
     def test_scaling_is_exact(self):
-        w = sample_bm(Grid(32), SeedPolicy(1, 0))
-        one = signed_cubic_limit(w, 1.3)
-        two = signed_cubic_limit(w, 2.6)
-        assert np.array_equal(two.partials, 2.0 * one.partials)
-
-    def test_kind_check(self):
-        b = sample_fbm(Grid(32), SeedPolicy(1, 0))
-        with pytest.raises(DomainError):
-            signed_cubic_limit(b, KAPPA)
+        gs = [monomial_map(2), sin_map()]
+        one = draw(32, 1, 0, gs, kappa=1.3)
+        two = draw(32, 1, 0, gs, kappa=2.6)
+        assert two.kappa_w == 2.0 * one.kappa_w
+        for g in gs:
+            assert two.corrections[g] == 2.0 * one.corrections[g]
 
     def test_variance_at_unit_time(self):
-        grid = Grid(64)
         reps = 2000
-        finals = np.array(
-            [signed_cubic_limit(sample_bm(grid, SeedPolicy(2, r)), KAPPA).final for r in range(reps)]
-        )
+        finals = np.array([draw(64, 2, r).kappa_w for r in range(reps)])
         assert abs(finals.var(ddof=1) - KAPPA**2) <= 0.1 * KAPPA**2
 
 
 class TestItoLeftSum:
+    """The corrections (kappa/12) sum g''(B_{k-1}) dW_k, drawn given B."""
+
     def test_unit_integrand(self):
-        w = sample_bm(Grid(64), SeedPolicy(3, 0))
-        step = ito_left_sum(np.ones(65), w)
-        assert np.max(np.abs(step.partials - w.values)) < 1e-14
+        # g'' = 1: the correction is kappa W(T) / 12
+        g = parse_integrand("poly:0,0,0.5")
+        sample = draw(64, 3, 0, [g])
+        assert sample.corrections[g] == pytest.approx(sample.kappa_w / 12.0, rel=1e-15)
 
     def test_constant_scales(self):
-        w = sample_bm(Grid(64), SeedPolicy(3, 1))
-        step = ito_left_sum(np.full(65, 2.5), w)
-        assert np.max(np.abs(step.partials - 2.5 * w.values)) < 1e-13
+        g, lin = parse_integrand("poly:0,0,1.25"), monomial_map(1)
+        sample = draw(64, 3, 1, [g, lin])
+        assert sample.corrections[g] == pytest.approx(2.5 * sample.kappa_w / 12.0, rel=1e-15)
+        assert sample.corrections[lin] == 0.0
 
-    def test_length_mismatch(self):
-        w = sample_bm(Grid(64), SeedPolicy(3, 2))
-        with pytest.raises(DomainError):
-            ito_left_sum(np.ones(64), w)
-
-    def test_kind_check(self):
-        b = sample_fbm(Grid(16), SeedPolicy(3, 3))
-        with pytest.raises(DomainError):
-            ito_left_sum(np.ones(17), b)
-
-    def test_isometry(self):
-        # E[(int_0^1 s dW)^2] = int_0^1 s^2 ds = 1/3
+    def test_isometry(self, monkeypatch):
+        # for one fixed B, Cov(kappa W(T), corrections) = kappa^2 dt F^T F
         grid = Grid(256)
-        reps = 2000
-        t = grid.times()
-        vals = np.array(
-            [ito_left_sum(t, sample_bm(grid, SeedPolicy(4, r))).final for r in range(reps)]
+        path = sample_fbm(grid, SeedPolicy(12, 0))
+        monkeypatch.setattr(oracle, "sample_fbm", lambda *args: path)
+        gs = [monomial_map(2), sin_map(), parse_integrand("cos")]
+        reps = 4000
+        x = np.array(
+            [
+                [s.kappa_w, *(s.corrections[g] for g in gs)]
+                for s in (draw(256, 13, r, gs) for r in range(reps))
+            ]
         )
-        sq = vals**2
-        se = sq.std(ddof=1) / math.sqrt(reps)
-        assert abs(sq.mean() - 1.0 / 3.0) <= 4 * se
+        left = path.values[:-1]
+        f = np.vstack([np.ones_like(left), np.full_like(left, 2.0 / 12.0),
+                       -np.sin(left) / 12.0, -np.cos(left) / 12.0])
+        target = KAPPA**2 * grid.dt * (f @ f.T)
+        for a in range(len(f)):
+            for b in range(a, len(f)):
+                prod = x[:, a] * x[:, b]
+                se = prod.std(ddof=1) / math.sqrt(reps)
+                assert abs(prod.mean() - target[a, b]) <= 4 * se, (a, b)
+
+
+class TestLimitLaw:
+    def test_matches_w_path_left_sum(self):
+        # reference: B and a Brownian path W on the same grid, and the
+        # left-endpoint Ito sum of g'' = -sin against kappa dW
+        grid, reps = Grid(256), 2000
+        g = sin_map()
+        samples = [draw(256, 41, r, [g]) for r in range(reps)]
+        ref_cubic, ref_sin = [], []
+        for r in range(reps):
+            b = sample_fbm(grid, SeedPolicy(42, r)).values
+            w = sample_bm(grid, SeedPolicy(42, r)).values
+            ref_cubic.append(KAPPA * w[-1])
+            ref_sin.append(1.0 - math.cos(b[-1]) - KAPPA / 12.0 * np.sum(np.sin(b[:-1]) * np.diff(w)))
+        pairs = {
+            "cubic": ([s.kappa_w for s in samples], ref_cubic),
+            "int_sin": ([weak_strat_integral(g, s) for s in samples], ref_sin),
+        }
+        for name, (new, ref) in pairs.items():
+            res = ks_two_sample(SampleSet(np.array(new), name), SampleSet(np.array(ref), "ref"))
+            assert not res.rejects_at_1pct, (name, res.statistic, res.critical_001)
 
 
 class TestLimitSample:
     def test_draw_shapes(self):
-        sample = LimitSample.draw(128, SeedPolicy(5, 0), KAPPA)
+        gs = [monomial_map(2), sin_map()]
+        sample = draw(128, 5, 0, gs)
         assert sample.b_path.grid.n == 128
-        assert sample.w_path.grid.n == 128
-        assert sample.refinement == 128
+        assert isinstance(sample.kappa_w, float)
+        assert set(sample.corrections) == set(gs)
 
     def test_invalid_refinement(self):
-        sample = LimitSample.draw(128, SeedPolicy(5, 0), KAPPA)
-        with pytest.raises(DomainError):
-            weak_strat_integral(sin_map(), sample, 1.0, eval_n=96)
+        for refinement, horizon in ((0, 1.0), (10, 0.35)):
+            with pytest.raises(DomainError):
+                draw(refinement, 5, 0, [sin_map()], horizon=horizon)
 
     def test_mismatched_paths_rejected(self):
-        b = sample_fbm(Grid(64), SeedPolicy(5, 1))
-        w = sample_bm(Grid(32), SeedPolicy(5, 1))
+        # an integrand whose correction was not drawn has no limit value
+        sample = draw(64, 5, 1, [sin_map()])
         with pytest.raises(DomainError):
-            LimitSample(b_path=b, w_path=w, kappa=KAPPA, refinement=64)
+            weak_strat_integral(parse_integrand("cos"), sample)
+
+    def test_rank_deficient_columns(self):
+        gs = [parse_integrand(t) for t in ("x^2", "poly:0,0,3", "sin", "sin", "sin:1,1,0")]
+        sample = draw(128, 5, 2, gs)
+        assert all(math.isfinite(v) for v in sample.corrections.values())
+        x2, p3, sin, sin_again = gs[0], gs[1], gs[2], gs[4]
+        assert sample.corrections[p3] == pytest.approx(3.0 * sample.corrections[x2], rel=1e-15)
+        assert sample.corrections[sin_again] == pytest.approx(sample.corrections[sin], abs=1e-12)
 
     def test_independence_of_b_and_w(self):
         reps = 2000
         pairs = np.array(
-            [
-                (
-                    s.b_path.values[-1],
-                    s.w_path.values[-1],
-                )
-                for s in (LimitSample.draw(64, SeedPolicy(6, r), KAPPA) for r in range(reps))
-            ]
+            [(s.b_path.values[-1], s.kappa_w) for s in (draw(64, 6, r) for r in range(reps))]
         )
         assert abs(np.corrcoef(pairs.T)[0, 1]) < 4.0 / math.sqrt(reps)
 
 
 class TestWeakStratIntegral:
     def test_constant_integrand(self):
-        sample = LimitSample.draw(256, SeedPolicy(7, 0), KAPPA)
-        value = weak_strat_integral(constant_map(1.0), sample, 1.0)
-        assert value == pytest.approx(sample.b_path.values[-1], abs=1e-12)
+        g = constant_map(1.0)
+        sample = draw(256, 7, 0, [g])
+        assert weak_strat_integral(g, sample) == sample.b_path.values[-1]
 
     def test_linear_integrand(self):
-        sample = LimitSample.draw(256, SeedPolicy(7, 1), KAPPA)
-        value = weak_strat_integral(monomial_map(1), sample, 0.75)
-        b_t = sample.b_path.value_at(0.75)
-        assert value == pytest.approx(0.5 * b_t**2, abs=1e-12)
+        g = monomial_map(1)
+        sample = draw(256, 7, 1, [g], horizon=0.75)
+        assert weak_strat_integral(g, sample) == sample.b_path.values[-1] ** 2 / 2.0
 
     def test_quadratic_integrand_closed_form(self):
-        # G''' = 2, so the correction is exactly (kappa/6) W(t)
-        sample = LimitSample.draw(512, SeedPolicy(7, 2), KAPPA)
-        value = weak_strat_integral(monomial_map(2), sample, 1.0)
-        target = sample.b_path.values[-1] ** 3 / 3.0 + KAPPA * sample.w_path.values[-1] / 6.0
-        assert value == pytest.approx(target, abs=1e-12)
-
-    def test_cached_values(self):
-        sample = LimitSample.draw(64, SeedPolicy(7, 3), KAPPA)
-        value = weak_strat_integral(sin_map(), sample, 1.0)
-        assert sample.values[("sin", 1.0, 64)] == value
+        # g'' = 2, so the correction is exactly (1/6) kappa W(T)
+        g = monomial_map(2)
+        sample = draw(512, 7, 2, [g])
+        target = sample.b_path.values[-1] ** 3 / 3.0 + sample.kappa_w / 6.0
+        assert abs(weak_strat_integral(g, sample) - target) <= 1e-12
 
     def test_refinement_stability(self):
-        # same randomness, coarser evaluation: consecutive refinement
-        # differences shrink in RMS (left sums converge in mean square)
-        reps = 300
-        fine = 4096
-        diffs = {1024: [], 2048: [], 4096: []}
-        g = sin_map()
-        for r in range(reps):
-            sample = LimitSample.draw(fine, SeedPolicy(8, r), KAPPA)
-            v = {k: weak_strat_integral(g, sample, 1.0, eval_n=k) for k in (512, 1024, 2048, 4096)}
-            diffs[1024].append(v[1024] - v[512])
-            diffs[2048].append(v[2048] - v[1024])
-            diffs[4096].append(v[4096] - v[2048])
-        rms = {k: float(np.sqrt(np.mean(np.square(d)))) for k, d in diffs.items()}
-        assert rms[2048] < math.sqrt(2.0) * rms[1024]
-        assert rms[4096] < math.sqrt(2.0) * rms[2048]
+        # the limit law does not depend on the refinement grid
+        g, reps = sin_map(), 1000
+        coarse = [weak_strat_integral(g, draw(256, 8, r, [g])) for r in range(reps)]
+        fine = [weak_strat_integral(g, draw(2048, 8, reps + r, [g])) for r in range(reps)]
+        res = ks_two_sample(SampleSet(np.array(coarse), "256"), SampleSet(np.array(fine), "2048"))
+        assert not res.rejects_at_1pct
 
     def test_out_of_range_time(self):
-        sample = LimitSample.draw(64, SeedPolicy(7, 4), KAPPA)
-        with pytest.raises(DomainError):
-            weak_strat_integral(sin_map(), sample, 1.5)
+        for horizon in (0.0, -0.5):
+            with pytest.raises(DomainError):
+                draw(64, 7, 4, [sin_map()], horizon=horizon)
+
+
+def residual(g, sample) -> float:
+    """g(B(T)) - g(B(0)) - (int g'(B) dB - (1/12) int g'''(B) d<<B>>).
+
+    The last integral is the correction drawn for g', so this checks that
+    the limit integral is G(B(T)) - G(B(0)) plus that correction.
+    """
+    b = sample.b_path.values
+    dg = g.derivative(1)
+    return float(g(b[-1])) - float(g(b[0])) - weak_strat_integral(dg, sample) + sample.corrections[dg]
 
 
 class TestChangeOfVariable:
     def test_constant_map_residual(self):
-        sample = LimitSample.draw(128, SeedPolicy(9, 0), KAPPA)
-        assert change_of_variable_residual(constant_map(4.0), sample, 1.0) == pytest.approx(
-            0.0, abs=1e-14
-        )
+        g = constant_map(4.0)
+        sample = draw(128, 9, 0, [g.derivative(1)])
+        assert residual(g, sample) == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize(
         "g",
@@ -180,11 +210,12 @@ class TestChangeOfVariable:
         ],
     )
     def test_residual_is_round_off(self, g):
-        sample = LimitSample.draw(512, SeedPolicy(9, 1), KAPPA)
-        for t in (0.25, 1.0):
-            assert abs(change_of_variable_residual(g, sample, t)) < 1e-9
+        for horizon in (0.25, 1.0):
+            sample = draw(512, 9, 1, [g.derivative(1)], horizon=horizon)
+            assert abs(residual(g, sample)) < 1e-9
 
     def test_residual_all_refinements(self):
-        sample = LimitSample.draw(256, SeedPolicy(9, 2), KAPPA)
-        for eval_n in (64, 128, 256):
-            assert abs(change_of_variable_residual(sin_map(), sample, 1.0, eval_n)) < 1e-10
+        g = sin_map()
+        for refinement in (64, 128, 256):
+            sample = draw(refinement, 9, 2, [g.derivative(1)])
+            assert abs(residual(g, sample)) < 1e-10
