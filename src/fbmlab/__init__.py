@@ -12,8 +12,6 @@ from .kernel import (
     endpoint_increment_cov,
     gram_matrix,
     hermite,
-    increment_cov,
-    increment_var,
     kappa_constant,
     left_anchor_cube_sum,
     rho,
@@ -35,7 +33,6 @@ from .variations import (
     SmoothMap,
     StepProcess,
     constant_map,
-    midpoints,
     monomial_map,
     parse_integrand,
     power_variation,
@@ -55,7 +52,6 @@ from .analysis import (
     covar_bound_audit,
     ks_statistic,
     ks_two_sample,
-    mc_moment,
     moment_scaling,
     orthogonality_audit,
     taylor_residual,

@@ -1,9 +1,8 @@
 """Statistical verification harness.
 
-Distribution-free two-sample Kolmogorov-Smirnov distances, plug-in moment
-estimators with jackknife standard errors, log-log scaling fits for the
-windowed moment bounds, the symmetric Taylor decomposition behind the
-trapezoid correction, and exact covariance-envelope audits.
+Distribution-free two-sample Kolmogorov-Smirnov distances, log-log scaling
+fits for the windowed moment bounds, the symmetric Taylor decomposition
+behind the trapezoid correction, and exact covariance-envelope audits.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .kernel import cov_r, hermite, rho
+from .kernel import endpoint_increment_cov, hermite, rho
 from .sampler import Grid, Path
 from .variations import SmoothMap
 from .quadrature import expect_gauss_pair
@@ -26,10 +25,10 @@ from .quadrature import expect_gauss_pair
 KS_COEFF_001 = 1.628
 
 KS_MIN_SAMPLES = 50
-MOMENT_MAX_ORDER = 8
-MOMENT_MIN_SAMPLES = 100
 SCALING_MIN_REPLICATIONS = 200
 AUDIT_MAX_STEPS = 4096
+# endpoint rows per block of covar_bound_audit; bounds its peak memory
+AUDIT_BLOCK_ROWS = 512
 
 # Symmetric Taylor constant gamma = (5! 2^4)^{-1} - (4! 2^4)^{-1} = -1/480.
 TAYLOR_GAMMA = 1.0 / 1920.0 - 1.0 / 384.0
@@ -85,20 +84,6 @@ def ks_two_sample(a: SampleSet, b: SampleSet) -> KsResult:
         critical_001=KS_COEFF_001 * float(np.sqrt((m1 + m2) / (m1 * m2))),
         sample_sizes=(m1, m2),
     )
-
-
-def mc_moment(samples: SampleSet, order: int) -> tuple[float, float]:
-    """Plug-in raw moment mean(x^order) with jackknife standard error."""
-    if order < 1 or order > MOMENT_MAX_ORDER:
-        raise DomainError(f"moment order must be in 1..{MOMENT_MAX_ORDER}")
-    if len(samples) < MOMENT_MIN_SAMPLES:
-        raise DomainError(f"need at least {MOMENT_MIN_SAMPLES} samples")
-    y = samples.values**order
-    m = len(y)
-    estimate = float(np.mean(y))
-    loo = (np.sum(y) - y) / (m - 1)
-    se = float(np.sqrt((m - 1) / m * np.sum((loo - np.mean(loo)) ** 2)))
-    return estimate, se
 
 
 class Estimator(enum.Enum):
@@ -197,12 +182,12 @@ def moment_scaling(n: int, gaps, moments: np.ndarray, replications: int) -> Scal
 
 
 class TaylorPieces(NamedTuple):
-    trapezoid_defect: float
-    gamma_term: float
-    r6: float
+    trapezoid_defect: float | np.ndarray
+    gamma_term: float | np.ndarray
+    r6: float | np.ndarray
 
 
-def taylor_residual(g: SmoothMap, a: float, b: float) -> TaylorPieces:
+def taylor_residual(g: SmoothMap, a, b) -> TaylorPieces:
     """Pieces of the symmetric expansion around the midpoint x = (a+b)/2:
 
     g(b) - g(a) = (g'(a) + g'(b))/2 (b-a) - (1/12) g'''(x) (b-a)^3
@@ -210,14 +195,14 @@ def taylor_residual(g: SmoothMap, a: float, b: float) -> TaylorPieces:
 
     with gamma = -1/480.  Returned are the trapezoid defect
     g(b) - g(a) - (g'(a)+g'(b))/2 (b-a), the gamma term, and R6; R6
-    vanishes for polynomials of degree <= 5.
+    vanishes for polynomials of degree <= 5.  Elementwise over arrays a, b.
     """
     x = 0.5 * (a + b)
     d = b - a
     g1 = g.derivative(1)
-    defect = float(g(b)) - float(g(a)) - 0.5 * (float(g1(a)) + float(g1(b))) * d
-    gamma_term = TAYLOR_GAMMA * float(g.derivative(5)(x)) * d**5
-    r6 = defect + float(g.derivative(3)(x)) * d**3 / 12.0 - gamma_term
+    defect = g(b) - g(a) - 0.5 * (g1(a) + g1(b)) * d
+    gamma_term = TAYLOR_GAMMA * g.derivative(5)(x) * d**5
+    r6 = defect + g.derivative(3)(x) * d**3 / 12.0 - gamma_term
     return TaylorPieces(trapezoid_defect=defect, gamma_term=gamma_term, r6=r6)
 
 
@@ -255,80 +240,50 @@ class CovarAudit:
         }
 
 
-def _pos_clip(r):
-    return np.maximum(np.abs(r), 1.0)
+def covar_bound_audit(n: int, horizon: float = 1.0) -> CovarAudit:
+    """Exact covariance quantities against the envelopes.
 
-
-def covar_bound_audit(n: int, horizon: float = 1.0, block: int = 512) -> CovarAudit:
-    """Exact covariance quantities against the envelopes, blockwise in memory."""
+    (i) and (v) depend on the lag |j - i| alone and are reduced over lags;
+    (ii) and (iii) run over blocks of AUDIT_BLOCK_ROWS endpoint rows.
+    """
     grid = Grid(n, horizon)
     m = grid.m
     if m > AUDIT_MAX_STEPS:
         raise CapabilityError(f"audit limited to n * horizon <= {AUDIT_MAX_STEPS}")
     dt13 = grid.dt ** (1.0 / 3.0)
     j = np.arange(1, m + 1)
-    tj = j / n
-    tj_prev = (j - 1) / n
+    lag = np.arange(0, m + 1)
+    lag_pos = np.maximum(lag, 1)  # |j - i|_+
 
-    # (i) stationary, reduce over lags
-    lag = np.arange(0, m)
-    ratio_i = float(np.max(np.abs(np.asarray(rho(lag))) * _pos_clip(lag) ** (5.0 / 3.0)))
+    # (i) stationary: E[dB_i dB_j] = Dt^{1/3} rho(j - i)
+    ratio_i = float(np.max(np.abs(rho(lag[:-1])) * lag_pos[:-1] ** (5.0 / 3.0)))
 
     # (iv) diagonal midpoint coupling: E[beta_j dB_j] = (t_j^{1/3} - t_{j-1}^{1/3}) / 2
-    diag = 0.5 * (np.cbrt(tj) - np.cbrt(tj_prev))
+    diag = 0.5 * (np.cbrt(j / n) - np.cbrt((j - 1) / n))
     ratio_iv = float(np.max(np.abs(diag) / (dt13 * j ** (-2.0 / 3.0))))
 
+    # (v) stationary increments: at lag d = |j - i| >= 1,
+    # E|beta_j - beta_i|^2 / |t_j - t_i|^{1/3}
+    #   = (2 d^{1/3} + (d-1)^{1/3} + (d+1)^{1/3} - 2) / (4 d^{1/3})
+    d13 = np.cbrt(lag[1:-1])
+    gap = (2.0 * d13 + np.cbrt(lag[:-2]) + np.cbrt(lag[2:]) - 2.0) / (4.0 * d13)
+
+    # (ii) rows i = 0..m of E[B(t_i) dB_j]; (iii) midpoint row i >= 1 is the
+    # mean of endpoint rows i - 1 and i, so each block carries its last row
     ratio_ii = 0.0
     ratio_iii = 0.0
-    ratio_v_max = 0.0
-    ratio_v_min = np.inf
-
-    def env_ij(idx):
-        return dt13 * (
-            j[None, :] ** (-2.0 / 3.0)
-            + _pos_clip(j[None, :] - idx[:, None]) ** (-2.0 / 3.0)
-        )
-
-    for lo in range(0, m + 1, block):
-        hi = min(lo + block, m + 1)
-        ti = np.arange(lo, hi) / n  # endpoint times t_i, i = lo..hi-1
-        # E[B(t_i) dB_j] = R(t_i, t_j) - R(t_i, t_{j-1})
-        eb = np.asarray(cov_r(ti[:, None], tj[None, :])) - np.asarray(
-            cov_r(ti[:, None], tj_prev[None, :])
-        )
-        ratio_ii = max(ratio_ii, float(np.max(np.abs(eb) / env_ij(np.arange(lo, hi)))))
-        # midpoint rows need i >= 1: E[beta_i dB_j] = (E[B(t_{i-1}) dB_j] + E[B(t_i) dB_j]) / 2
-        ilo = max(lo, 1)
-        if ilo < hi:
-            ti_prev = (np.arange(ilo, hi) - 1) / n
-            eb_prev = np.asarray(cov_r(ti_prev[:, None], tj[None, :])) - np.asarray(
-                cov_r(ti_prev[:, None], tj_prev[None, :])
-            )
-            emid = 0.5 * (eb[ilo - lo :, :] + eb_prev)
-            ratio_iii = max(
-                ratio_iii, float(np.max(np.abs(emid) / env_ij(np.arange(ilo, hi))))
-            )
-            # (v) E|beta_j - beta_i|^2 over the strict upper triangle of this block
-            ii = np.arange(ilo, hi)
-            var_i = 0.25 * (
-                np.cbrt(ti_prev)
-                + np.cbrt(ii / n)
-                + 2.0 * np.asarray(cov_r(ti_prev, ii / n))
-            )
-            var_j = 0.25 * (np.cbrt(tj_prev) + np.cbrt(tj) + 2.0 * np.asarray(cov_r(tj_prev, tj)))
-            cross = 0.25 * (
-                np.asarray(cov_r(ti_prev[:, None], tj_prev[None, :]))
-                + np.asarray(cov_r(ti_prev[:, None], tj[None, :]))
-                + np.asarray(cov_r((ii / n)[:, None], tj_prev[None, :]))
-                + np.asarray(cov_r((ii / n)[:, None], tj[None, :]))
-            )
-            gap2 = var_i[:, None] + var_j[None, :] - 2.0 * cross
-            denom = np.cbrt(np.abs(tj[None, :] - (ii / n)[:, None]))
-            off = ii[:, None] != j[None, :]
-            ratios = gap2[off] / denom[off]
-            if ratios.size:
-                ratio_v_max = max(ratio_v_max, float(np.max(ratios)))
-                ratio_v_min = min(ratio_v_min, float(np.min(ratios)))
+    carry = np.empty((0, m))
+    j_env = j ** (-2.0 / 3.0)
+    lag_env = lag_pos ** (-2.0 / 3.0)  # gathered by lag instead of one power per entry
+    for lo in range(0, m + 1, AUDIT_BLOCK_ROWS):
+        i = np.arange(lo, min(lo + AUDIT_BLOCK_ROWS, m + 1))[:, None]
+        env = dt13 * (j_env + lag_env[np.abs(j - i)])
+        eb = endpoint_increment_cov(n, i, j)
+        ratio_ii = max(ratio_ii, float(np.max(np.abs(eb) / env)))
+        rows = np.concatenate([carry, eb])
+        mid = 0.5 * (rows[:-1] + rows[1:])  # rows max(lo, 1)..: the last len(mid) of env
+        ratio_iii = max(ratio_iii, float(np.max(np.abs(mid) / env[-len(mid) :])))
+        carry = eb[-1:]
 
     return CovarAudit(
         n=n,
@@ -337,8 +292,8 @@ def covar_bound_audit(n: int, horizon: float = 1.0, block: int = 512) -> CovarAu
         endpoint_ratio_max=ratio_ii,
         midpoint_ratio_max=ratio_iii,
         diagonal_ratio_max=ratio_iv,
-        midpoint_gap_ratio_max=ratio_v_max,
-        midpoint_gap_ratio_min=ratio_v_min,
+        midpoint_gap_ratio_max=float(np.max(gap, initial=0.0)),
+        midpoint_gap_ratio_min=float(np.min(gap, initial=np.inf)),
     )
 
 

@@ -24,6 +24,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .analysis import (
+    AUDIT_MAX_STEPS,
     Estimator,
     KsResult,
     SampleSet,
@@ -485,41 +486,26 @@ class TaylorResult:
     gamma_exact: bool
     sin_max_r6: float
 
-    def as_dict(self) -> dict:
-        return {
-            "pairs": self.pairs,
-            "poly_count": self.poly_count,
-            "max_poly_r6": self.max_poly_r6,
-            "gamma": self.gamma,
-            "gamma_exact": self.gamma_exact,
-            "sin_max_r6": self.sin_max_r6,
-        }
-
 
 def taylor_experiment(master_seed: int, pairs: int = 1000, poly_count: int = 25) -> TaylorResult:
     """R6 over a random corpus of degree <= 5 polynomials (must vanish) and
     the sin map (must stay below the sixth-derivative envelope)."""
     rng = np.random.default_rng(master_seed)
-    ab = rng.uniform(-1.0, 1.0, size=(pairs, 2))
+    a, b = rng.uniform(-1.0, 1.0, size=(pairs, 2)).T
     max_poly = 0.0
     for _ in range(poly_count):
         degree = int(rng.integers(0, 6))
         coeffs = tuple(rng.uniform(-1.0, 1.0, size=degree + 1))
         g = SmoothMap(Family.POLYNOMIAL, coeffs, "poly")
-        for a, b in ab:
-            max_poly = max(max_poly, abs(taylor_residual(g, a, b).r6))
-    from fractions import Fraction
-
-    gamma_exact = Fraction(1, 1920) - Fraction(1, 384) == Fraction(-1, 480)
-    sin_g = parse_integrand("sin")
-    sin_max = max(abs(taylor_residual(sin_g, a, b).r6) for a, b in ab)
+        max_poly = max(max_poly, float(np.max(np.abs(taylor_residual(g, a, b).r6))))
+    sin_r6 = taylor_residual(parse_integrand("sin"), a, b).r6
     return TaylorResult(
         pairs=pairs,
         poly_count=poly_count,
         max_poly_r6=max_poly,
         gamma=TAYLOR_GAMMA,
-        gamma_exact=gamma_exact,
-        sin_max_r6=sin_max,
+        gamma_exact=TAYLOR_GAMMA == -1.0 / 480.0,
+        sin_max_r6=float(np.max(np.abs(sin_r6))),
     )
 
 
@@ -547,7 +533,7 @@ def audit_experiment(n_list, horizon: float = 1.0) -> AuditResult:
     covar = [
         covar_bound_audit(n, horizon).as_dict()
         for n in n_list
-        if n * horizon <= 4096
+        if n * horizon <= AUDIT_MAX_STEPS
     ]
     anchor = [
         {

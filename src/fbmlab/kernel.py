@@ -55,16 +55,6 @@ def cov_r(s, t):
     return out if out.ndim else float(out)
 
 
-def increment_var(s, t):
-    """E|B(t) - B(s)|^2 = |t - s|^{1/3}."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(s < 0) or np.any(t < 0):
-        raise DomainError("increment_var requires nonnegative times")
-    out = _cbrt_abs(t - s)
-    return out if out.ndim else float(out)
-
-
 def rho(r):
     """Normalized lag-r increment correlation of the grid noise.
 
@@ -142,31 +132,26 @@ def hermite(order: int, x):
     return cur if cur.ndim else float(cur)
 
 
-def increment_cov(n: int, i: int, j: int) -> float:
-    """E[dB_i dB_j] = n^{-1/3} rho(i - j) on the grid with step 1/n."""
-    if n < 1 or i < 1 or j < 1:
-        raise DomainError("increment_cov requires n, i, j >= 1")
-    return float(n ** (-INCREMENT_EXPONENT) * rho(i - j))
+def endpoint_increment_cov(n: int, i, k):
+    """E[B(t_i) dB_k] in closed form, for the grid point t_i = i/n.
 
-
-def endpoint_increment_cov(n: int, s, k):
-    """E[B(s) dB_k] in closed form.
-
-    E[B(s) dB_k] = (2 n^{1/3})^{-1} (k^{1/3} - (k-1)^{1/3}
-                                     - |k - ns|^{1/3} + |k - ns - 1|^{1/3}),
-    which equals cov_r(s, k/n) - cov_r(s, (k-1)/n).  Vectorized in k.
+    E[B(t_i) dB_k] = (2 n^{1/3})^{-1} (k^{1/3} - (k-1)^{1/3}
+                                       - |k - i|^{1/3} + |k - i - 1|^{1/3}),
+    which equals cov_r(i/n, k/n) - cov_r(i/n, (k-1)/n).  The anchor is given
+    by its integer index, so the lag k - i is exact: the 1/3-Hoelder kernel
+    would amplify the rounding of n * (i/n) near the diagonal.  Broadcasts
+    over i and k.
     """
     if n < 1:
         raise DomainError("endpoint_increment_cov requires n >= 1")
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise DomainError("endpoint_increment_cov requires s >= 0")
+    i = np.asarray(i, dtype=float)
+    if np.any(i < 0):
+        raise DomainError("endpoint_increment_cov requires i >= 0")
     k = np.asarray(k, dtype=float)
     if np.any(k < 1):
         raise DomainError("endpoint_increment_cov requires k >= 1")
-    ns = n * s
     out = (
-        _cbrt_abs(k) - _cbrt_abs(k - 1) - _cbrt_abs(k - ns) + _cbrt_abs(k - ns - 1)
+        _cbrt_abs(k) - _cbrt_abs(k - 1) - _cbrt_abs(k - i) + _cbrt_abs(k - i - 1)
     ) / (2.0 * np.cbrt(float(n)))
     return out if out.ndim else float(out)
 

@@ -109,7 +109,7 @@ def hermite_mean_exact(g: SmoothMap, n: int, t: float) -> float:
         return 0.0
     g3 = g.derivative(3)
     k = np.arange(1, j + 1)
-    e = np.asarray(endpoint_increment_cov(n, (k - 1) / n, k))
+    e = np.asarray(endpoint_increment_cov(n, k - 1, k))
     means = np.array(
         [expect_gauss(g3, ((kk - 1) / n) ** (1.0 / 3.0)) for kk in k]
     )

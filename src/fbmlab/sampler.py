@@ -97,12 +97,6 @@ class Grid:
     def times(self) -> np.ndarray:
         return np.arange(self.m + 1) / self.n
 
-    def index_of(self, t: float) -> int:
-        """floor(n t), clipped to the grid (tiny fuzz guards float input)."""
-        if t < 0 or t > self.horizon * (1 + 1e-12):
-            raise DomainError(f"time {t} outside [0, {self.horizon}]")
-        return min(int(np.floor(self.n * t + 1e-9)), self.m)
-
 
 @dataclass(frozen=True)
 class SeedPolicy:
@@ -149,10 +143,6 @@ class Path:
 
     def increments(self) -> np.ndarray:
         return np.diff(self.values)
-
-    def value_at(self, t: float) -> float:
-        """Step-rule evaluation B(floor(nt)/n)."""
-        return float(self.values[self.grid.index_of(t)])
 
 
 @lru_cache(maxsize=8)

@@ -5,7 +5,6 @@ For a path X on the grid t_j = j/n these produce cadlag step processes
 
 * power variations  V_n^p(X, t) = sum_{j <= nt} |dX_j|^p  (optionally signed),
   the signed cubic case V_n = V_n^{3+-} being the central object;
-* midpoints beta_j = (X(t_{j-1}) + X(t_j)) / 2;
 * trapezoid Riemann sums I_n(g, X, t) = sum (g(X_{j-1}) + g(X_j))/2 dX_j;
 * weighted third-Hermite variations
   n^{-1/2} sum g(X at an endpoint) h_3(n^{1/6} dX_j).
@@ -42,9 +41,6 @@ class StepProcess:
         if len(self.partials) != self.grid.m + 1:
             raise DomainError("partials must have one entry per grid point")
         self.partials.setflags(write=False)
-
-    def value_at(self, t: float) -> float:
-        return float(self.partials[self.grid.index_of(t)])
 
     @property
     def final(self) -> float:
@@ -224,12 +220,6 @@ def signed_cubic(path: Path) -> StepProcess:
     """V_n(X, t) = sum dX_j^3; identical to power_variation(path, 3, signed)."""
     out = power_variation(path, 3.0, signed=True)
     return StepProcess(grid=out.grid, partials=out.partials.copy(), label="V_n")
-
-
-def midpoints(path: Path) -> np.ndarray:
-    """beta_j = (X(t_{j-1}) + X(t_j)) / 2 for j = 1..m."""
-    v = path.values
-    return 0.5 * (v[:-1] + v[1:])
 
 
 def riemann_strat(g: SmoothMap, path: Path) -> StepProcess:

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from fbmlab import (
-    Estimator,
     TAYLOR_GAMMA,
     kappa_constant,
     ks_statistic,
@@ -25,6 +24,21 @@ from fbmlab import (
     taylor_residual,
 )
 from fbmlab.analysis import KS_COEFF_001
+from fbmlab.cli import (
+    ANCHOR_SUM_MAX,
+    CUBIC_CORR_MAX,
+    CUBIC_VAR_RTOL,
+    HERMITE_VAR_RTOL,
+    IDENTITY_TOL,
+    KAPPA_REF,
+    KAPPA_SQ_REF,
+    KAPPA_SQ_TOL,
+    KAPPA_TOL,
+    MEAN_SE_MULT,
+    SLOPE_FLOORS,
+    SLOPE_R2_MIN,
+    TAYLOR_R6_TOL,
+)
 from fbmlab.experiments import (
     identity_experiment,
     sampler_experiment,
@@ -44,17 +58,18 @@ def test_c01_kappa_constants():
     start = time.perf_counter()
     kc = kappa_constant(10_000)
     elapsed = time.perf_counter() - start
-    ok_sq = abs(kc.kappa_sq - 5.391) <= 1e-3
-    ok_k = abs(kc.kappa - 2.322) <= 5e-3
+    ok_sq = abs(kc.kappa_sq - KAPPA_SQ_REF) <= KAPPA_SQ_TOL
+    ok_k = abs(kc.kappa - KAPPA_REF) <= KAPPA_TOL
     ok_time = elapsed < 1.0
     report(
         1,
         ok_sq and ok_k and ok_time,
-        f"kappa_sq={kc.kappa_sq:.6f} (5.391 +- 1e-3), kappa={kc.kappa:.6f} "
-        f"(2.322 +- 5e-3), tail={kc.tail_bound:.2e}, {elapsed*1e3:.1f} ms",
+        f"kappa_sq={kc.kappa_sq:.6f} ({KAPPA_SQ_REF} +- {KAPPA_SQ_TOL:.0e}), "
+        f"kappa={kc.kappa:.6f} ({KAPPA_REF} +- {KAPPA_TOL:.0e}), "
+        f"tail={kc.tail_bound:.2e}, {elapsed*1e3:.1f} ms",
     )
-    assert ok_sq, f"kappa_sq={kc.kappa_sq} not within 1e-3 of 5.391"
-    assert ok_k, f"kappa={kc.kappa} not within 5e-3 of 2.322"
+    assert ok_sq, f"kappa_sq={kc.kappa_sq} not within {KAPPA_SQ_TOL} of {KAPPA_SQ_REF}"
+    assert ok_k, f"kappa={kc.kappa} not within {KAPPA_TOL} of {KAPPA_REF}"
     assert ok_time, f"runtime {elapsed:.2f}s exceeds 1s"
 
 
@@ -69,22 +84,22 @@ def identity_result():
 def test_c02_exact_riemann_identities(identity_result):
     res = identity_result.max_rel_residuals
     worst = max(res["riemann_const"], res["riemann_linear"], res["riemann_quadratic"])
-    ok = worst <= 1e-10 and identity_result.elapsed < 5.0
+    ok = worst <= IDENTITY_TOL and identity_result.elapsed < 5.0
     report(
         2,
         ok,
         f"riemann identity residuals (1, x, x^2) <= {worst:.2e} on 100 paths "
         f"at n=2^10, {identity_result.elapsed:.2f}s",
     )
-    assert worst <= 1e-10
+    assert worst <= IDENTITY_TOL
     assert identity_result.elapsed < 5.0
 
 
 def test_c03_hermite_rearrangement_identity(identity_result):
     worst = identity_result.max_rel_residuals["hermite_rearrangement"]
-    ok = worst <= 1e-10
+    ok = worst <= IDENTITY_TOL
     report(3, ok, f"cubic = hermite + 3 n^(-1/3) B identity residual <= {worst:.2e}")
-    assert worst <= 1e-10
+    assert worst <= IDENTITY_TOL
 
 
 def test_c04_sextic_variation():
@@ -93,16 +108,17 @@ def test_c04_sextic_variation():
         [256, 512, 1024, 2048, 4096], 1.0, 200, MASTER_SEED, mean_replications=500
     )
     elapsed = time.perf_counter() - start
-    mean_ok = abs(result.mean_value - result.mean_target) <= 3 * result.mean_se
+    tol = MEAN_SE_MULT * result.mean_se
+    mean_ok = abs(result.mean_value - result.mean_target) <= tol
     ok = mean_ok and result.medians_decreasing and elapsed < 120.0
     meds = ", ".join(f"{m:.3f}" for m in result.medians)
     report(
         4,
         ok,
-        f"mean V^6={result.mean_value:.4f} (15 +- {3*result.mean_se:.4f}), "
+        f"mean V^6={result.mean_value:.4f} (15 +- {tol:.4f}), "
         f"medians [{meds}] decreasing={result.medians_decreasing}, {elapsed:.1f}s",
     )
-    assert mean_ok, f"{result.mean_value} vs 15 +- {3*result.mean_se}"
+    assert mean_ok, f"{result.mean_value} vs 15 +- {tol}"
     assert result.medians_decreasing, f"medians not decreasing: {result.medians}"
     assert elapsed < 120.0
 
@@ -112,16 +128,16 @@ def test_c05_signed_cubic_variation(estimator_corpus, constants):
     var = float(np.var(estimator_corpus["vn"], ddof=1))
     corr = float(np.corrcoef(estimator_corpus["vn"], estimator_corpus["b1"])[0, 1])
     elapsed = time.perf_counter() - start
-    var_ok = abs(var - constants.kappa_sq) <= 0.10 * constants.kappa_sq
-    corr_ok = abs(corr) < 0.08
+    var_ok = abs(var - constants.kappa_sq) <= CUBIC_VAR_RTOL * constants.kappa_sq
+    corr_ok = abs(corr) < CUBIC_CORR_MAX
     report(
         5,
         var_ok and corr_ok,
-        f"Var(V_n)={var:.4f} (kappa^2={constants.kappa_sq:.4f} +-10%), "
-        f"|corr(V_n,B(1))|={abs(corr):.4f} < 0.08, n=2^12 M=2000 ({elapsed:.2f}s)",
+        f"Var(V_n)={var:.4f} (kappa^2={constants.kappa_sq:.4f} +-{CUBIC_VAR_RTOL:.0%}), "
+        f"|corr(V_n,B(1))|={abs(corr):.4f} < {CUBIC_CORR_MAX}, n=2^12 M=2000 ({elapsed:.2f}s)",
     )
-    assert var_ok, f"Var(V_n)={var} outside 10% of {constants.kappa_sq}"
-    assert corr_ok, f"|corr|={abs(corr)} not below 0.08"
+    assert var_ok, f"Var(V_n)={var} outside {CUBIC_VAR_RTOL:.0%} of {constants.kappa_sq}"
+    assert corr_ok, f"|corr|={abs(corr)} not below {CUBIC_CORR_MAX}"
 
 
 def test_c06_weak_stratonovich_convergence(estimator_corpus, oracle_corpus):
@@ -154,54 +170,53 @@ def test_c07_hermite_mean_limits(estimator_corpus):
     limit = hermite_mean_limit(g, 1.0)
     left = estimator_corpus["left"]
     right = estimator_corpus["right"]
-    se_l = left.std(ddof=1) / math.sqrt(len(left))
-    se_r = right.std(ddof=1) / math.sqrt(len(right))
-    left_ok = abs(left.mean() - limit) <= 3 * se_l
-    right_ok = abs(right.mean() + limit) <= 3 * se_r
+    tol_l = MEAN_SE_MULT * (left.std(ddof=1) / math.sqrt(len(left)))
+    tol_r = MEAN_SE_MULT * (right.std(ddof=1) / math.sqrt(len(right)))
+    left_ok = abs(left.mean() - limit) <= tol_l
+    right_ok = abs(right.mean() + limit) <= tol_r
     report(
         7,
         left_ok and right_ok,
-        f"left mean {left.mean():+.4f} vs {limit:+.4f} (+-{3*se_l:.4f}), "
-        f"right mean {right.mean():+.4f} vs {-limit:+.4f} (+-{3*se_r:.4f})",
+        f"left mean {left.mean():+.4f} vs {limit:+.4f} (+-{tol_l:.4f}), "
+        f"right mean {right.mean():+.4f} vs {-limit:+.4f} (+-{tol_r:.4f})",
     )
-    assert left_ok, f"left mean {left.mean()} vs limit {limit} +- {3*se_l}"
-    assert right_ok, f"right mean {right.mean()} vs limit {-limit} +- {3*se_r}"
+    assert left_ok, f"left mean {left.mean()} vs limit {limit} +- {tol_l}"
+    assert right_ok, f"right mean {right.mean()} vs limit {-limit} +- {tol_r}"
 
 
 def test_c08_hermite_variance_limit(estimator_corpus, constants):
     limit = hermite_variance_limit(sin_map(), 1.0, constants.kappa_sq)
     var = float(np.var(estimator_corpus["left"], ddof=1))
-    ok = abs(var - limit) <= 0.10 * limit
+    ok = abs(var - limit) <= HERMITE_VAR_RTOL * limit
     report(
         8,
         ok,
-        f"Var(G_n^-)={var:.4f} vs quadrature limit {limit:.4f} +-10% "
+        f"Var(G_n^-)={var:.4f} vs quadrature limit {limit:.4f} +-{HERMITE_VAR_RTOL:.0%} "
         f"(ratio {var/limit:.4f}), n=2^12 M=2000",
     )
-    assert ok, f"variance {var} outside 10% of {limit} (ratio {var/limit:.4f})"
+    assert ok, (
+        f"variance {var} outside {HERMITE_VAR_RTOL:.0%} of {limit} (ratio {var/limit:.4f})"
+    )
 
 
 def test_c09_moment_bound_scaling():
     start = time.perf_counter()
     result = scaling_experiment(MASTER_SEED, replications=500)
     elapsed = time.perf_counter() - start
-    floors = {
-        Estimator.CUBIC_4TH: 1.8,
-        Estimator.QUINTIC_2ND: 1.2,
-        Estimator.WEIGHTED_CUBIC_2ND: 0.9,
-    }
     ok = elapsed < 120.0
     lines = []
-    for estimator, floor in floors.items():
+    for estimator, floor in SLOPE_FLOORS.items():
         fit = result.fits[estimator]
-        good = fit.slope >= floor and fit.r_squared >= 0.95
+        good = fit.slope >= floor and fit.r_squared >= SLOPE_R2_MIN
         ok = ok and good
         lines.append(f"{estimator.value}: slope={fit.slope:.3f}>={floor} r2={fit.r_squared:.3f}")
     report(9, ok, "; ".join(lines) + f" (M=500, {elapsed:.1f}s)")
-    for estimator, floor in floors.items():
+    for estimator, floor in SLOPE_FLOORS.items():
         fit = result.fits[estimator]
         assert fit.slope >= floor, f"{estimator.value} slope {fit.slope} < {floor}"
-        assert fit.r_squared >= 0.95, f"{estimator.value} r2 {fit.r_squared} < 0.95"
+        assert fit.r_squared >= SLOPE_R2_MIN, (
+            f"{estimator.value} r2 {fit.r_squared} < {SLOPE_R2_MIN}"
+        )
     assert elapsed < 120.0
 
 
@@ -215,14 +230,14 @@ def test_c10_taylor_identity():
             worst = max(worst, abs(taylor_residual(g, float(a), float(b)).r6))
     gamma_ok = Fraction(1, 1920) - Fraction(1, 384) == Fraction(-1, 480)
     gamma_ok = gamma_ok and TAYLOR_GAMMA == -1.0 / 480.0
-    ok = worst < 1e-9 and gamma_ok
+    ok = worst < TAYLOR_R6_TOL and gamma_ok
     report(
         10,
         ok,
         f"max |R6| = {worst:.2e} over 1000 pairs x degree<=5 corpus, "
         f"gamma = {TAYLOR_GAMMA} = -1/480 exactly: {gamma_ok}",
     )
-    assert worst < 1e-9
+    assert worst < TAYLOR_R6_TOL
     assert gamma_ok
 
 
@@ -230,14 +245,14 @@ def test_c11_anchored_cube_sums():
     ladder = [256, 512, 1024, 2048, 4096]
     lefts = [left_anchor_cube_sum(n, 1.0) for n in ladder]
     rights = [right_anchor_cube_sum(n, 1.0) for n in ladder]
-    small = lefts[-1] < 0.01 and rights[-1] < 0.01
+    small = lefts[-1] < ANCHOR_SUM_MAX and rights[-1] < ANCHOR_SUM_MAX
     decreasing = all(a > b for a, b in zip(lefts, lefts[1:])) and all(
         a > b for a, b in zip(rights, rights[1:])
     )
     report(
         11,
         small and decreasing,
-        f"left(4096)={lefts[-1]:.5f}, right(4096)={rights[-1]:.5f} < 0.01, "
+        f"left(4096)={lefts[-1]:.5f}, right(4096)={rights[-1]:.5f} < {ANCHOR_SUM_MAX}, "
         f"monotone over ladder: {decreasing}",
     )
     assert small

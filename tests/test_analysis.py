@@ -11,10 +11,10 @@ from fbmlab import (
     SampleSet,
     SeedPolicy,
     TAYLOR_GAMMA,
+    cov_r,
     covar_bound_audit,
     ks_statistic,
     ks_two_sample,
-    mc_moment,
     moment_scaling,
     monomial_map,
     orthogonality_audit,
@@ -23,6 +23,7 @@ from fbmlab import (
     sin_map,
     taylor_residual,
 )
+from fbmlab import analysis
 from fbmlab.analysis import fit_loglog, scaling_ladder, window_moments
 
 
@@ -75,44 +76,6 @@ class TestKs:
     def test_min_sizes(self):
         with pytest.raises(DomainError):
             ks_two_sample(SampleSet(np.ones(10)), SampleSet(np.zeros(100)))
-
-
-class TestMcMoment:
-    def test_constant_sample(self):
-        est, se = mc_moment(SampleSet(np.full(200, 3.25)), 1)
-        assert est == 3.25 and se == 0.0
-
-    def test_sign_flip_second_moment(self):
-        est, se = mc_moment(SampleSet(np.tile([-1.0, 1.0], 100)), 2)
-        assert est == 1.0 and se == 0.0
-
-    def test_gaussian_sixth_moment(self):
-        rng = np.random.default_rng(2)
-        est, se = mc_moment(SampleSet(rng.normal(size=5000)), 6)
-        assert abs(est - 15.0) <= 4 * se
-
-    def test_se_scaling(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=4000)
-        _, se_half = mc_moment(SampleSet(x[:2000]), 2)
-        _, se_full = mc_moment(SampleSet(x), 2)
-        assert 0.6 <= se_full / se_half <= 0.85
-
-    def test_domain_checks(self):
-        good = SampleSet(np.ones(200))
-        with pytest.raises(DomainError):
-            mc_moment(good, 9)
-        with pytest.raises(DomainError):
-            mc_moment(good, 0)
-        with pytest.raises(DomainError):
-            mc_moment(SampleSet(np.ones(50)), 2)
-
-    def test_jackknife_matches_classic_se_for_mean(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=500)
-        est, se = mc_moment(SampleSet(x), 1)
-        assert est == pytest.approx(x.mean())
-        assert se == pytest.approx(x.std(ddof=1) / math.sqrt(len(x)), rel=1e-10)
 
 
 class TestScalingFit:
@@ -198,6 +161,17 @@ class TestTaylor:
         assert pieces.r6 == pytest.approx(direct, abs=1e-15)
         assert abs(pieces.r6) <= 1e-7
 
+    def test_arrays_match_scalar_calls(self):
+        # numpy's array power may differ from the scalar one in the last ulp
+        rng = np.random.default_rng(8)
+        a, b = rng.uniform(-1, 1, size=(2, 64))
+        for g in (parse_integrand("poly:0.3,-0.2,0.9,0.1,-0.7,0.4"), monomial_map(6), sin_map()):
+            pieces = taylor_residual(g, a, b)
+            for field, values in zip(pieces._fields, pieces):
+                scalar = [getattr(taylor_residual(g, x, y), field) for x, y in zip(a, b)]
+                assert values.shape == (64,)
+                np.testing.assert_allclose(values, scalar, rtol=1e-14, atol=1e-15)
+
     def test_sixth_degree_residual_sign(self):
         # degree 6 monomial has constant g^(6); R6 must scale like d^6
         g = monomial_map(6)
@@ -206,7 +180,47 @@ class TestTaylor:
         assert large > 30 * small  # ~2^6 with round-off slack
 
 
+def reference_audit(n, horizon=1.0):
+    """The six audit ratios straight from cov_r on the grid times index/n, O(m^2)."""
+    m = round(n * horizon)
+    idx = np.arange(m + 1)
+    t = idx / n
+    cov = cov_r(t[:, None], t[None, :])
+    dt13 = (1.0 / n) ** (1.0 / 3.0)
+    j = idx[1:]
+    lag = np.maximum(np.abs(j[None, :] - idx[:, None]), 1)
+    env = dt13 * (j[None, :] ** (-2.0 / 3.0) + lag ** (-2.0 / 3.0))
+    # E[dB_i dB_j], E[B(t_i) dB_j] for i = 0..m, E[beta_i dB_j] for i = 1..m
+    incr = cov[1:, 1:] - cov[1:, :-1] - cov[:-1, 1:] + cov[:-1, :-1]
+    endpoint = cov[:, 1:] - cov[:, :-1]
+    midpoint = 0.5 * (endpoint[:-1] + endpoint[1:])
+    # E[beta_i beta_j] and the gaps E|beta_j - beta_i|^2 for i != j
+    beta = 0.25 * (cov[:-1, :-1] + cov[:-1, 1:] + cov[1:, :-1] + cov[1:, 1:])
+    gap = np.diag(beta)[:, None] + np.diag(beta)[None, :] - 2.0 * beta
+    off = ~np.eye(m, dtype=bool)
+    gap_ratio = gap[off] / np.cbrt(np.abs(t[1:, None] - t[None, 1:]))[off]
+    return {
+        "i_increment_max": np.max(np.abs(incr) / (dt13 * lag[1:] ** (-5.0 / 3.0))),
+        "ii_endpoint_max": np.max(np.abs(endpoint) / env),
+        "iii_midpoint_max": np.max(np.abs(midpoint) / env[1:]),
+        "iv_diagonal_max": np.max(np.abs(np.diag(midpoint)) / (dt13 * j ** (-2.0 / 3.0))),
+        "v_gap_max": np.max(gap_ratio),
+        "v_gap_min": np.min(gap_ratio),
+    }
+
+
 class TestCovarAudit:
+    def test_matches_brute_force_reference(self, monkeypatch):
+        cases = ((3, 1.0), (64, 1.0), (100, 1.0), (257, 1.0), (64, 0.5))
+        expected = {case: reference_audit(*case) for case in cases}
+        # small row blocks make every block boundary carry a row
+        for rows in (analysis.AUDIT_BLOCK_ROWS, 7, 2):
+            monkeypatch.setattr(analysis, "AUDIT_BLOCK_ROWS", rows)
+            for case in cases:
+                audit = covar_bound_audit(*case).as_dict()
+                for key, value in expected[case].items():
+                    assert audit[key] == pytest.approx(value, rel=1e-12), (case, rows, key)
+
     def test_self_pair_ratio_is_one(self):
         audit = covar_bound_audit(128)
         assert audit.increment_ratio_max == pytest.approx(1.0, abs=1e-12)
@@ -222,6 +236,8 @@ class TestCovarAudit:
         assert 0.0 < audit.midpoint_gap_ratio_min < audit.midpoint_gap_ratio_max
         assert audit.midpoint_gap_ratio_max < 2.0
         assert 1.0 / audit.midpoint_gap_ratio_min < 10.0
+        # the smallest gap ratio sits at lag 1: (2 + 2^{1/3} - 2) / 4 on any grid
+        assert audit.midpoint_gap_ratio_min == pytest.approx(2.0 ** (1 / 3) / 4, rel=1e-15)
 
     def test_ratios_stable_in_n(self):
         a = covar_bound_audit(128).as_dict()

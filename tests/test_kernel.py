@@ -9,8 +9,6 @@ from fbmlab import (
     endpoint_increment_cov,
     gram_matrix,
     hermite,
-    increment_cov,
-    increment_var,
     kappa_constant,
     left_anchor_cube_sum,
     rho,
@@ -40,9 +38,13 @@ class TestCovariance:
         with pytest.raises(DomainError):
             cov_r(-0.1, 1.0)
         with pytest.raises(DomainError):
-            increment_var(1.0, -2.0)
+            cov_r(1.0, -2.0)
 
     def test_increment_var_values(self):
+        # E|B(t) - B(s)|^2 = R(t, t) + R(s, s) - 2 R(s, t) = |t - s|^{1/3}
+        def increment_var(s, t):
+            return cov_r(s, s) + cov_r(t, t) - 2 * cov_r(s, t)
+
         assert increment_var(0.0, 1.0) == 1.0
         assert increment_var(0.7, 0.7) == 0.0
         assert increment_var(0.25, 0.5) == pytest.approx(0.25 ** (1 / 3), abs=1e-14)
@@ -51,7 +53,7 @@ class TestCovariance:
         rng = np.random.default_rng(2)
         s, t = rng.uniform(0, 3, size=(2, 100))
         combo = cov_r(s, s) + cov_r(t, t) - 2 * np.asarray(cov_r(s, t))
-        assert np.max(np.abs(combo - increment_var(s, t))) < 1e-12
+        assert np.max(np.abs(combo - np.cbrt(np.abs(t - s)))) < 1e-12
 
     def test_gram_psd_up_to_2048(self):
         times = np.arange(1, 2049) / 2048.0
@@ -151,6 +153,11 @@ class TestHermite:
             assert np.allclose(hermite(k, x), expected, rtol=1e-12, atol=1e-9)
 
 
+def increment_cov(n, i, j):
+    """E[dB_i dB_j] = n^{-1/3} rho(i - j), the covariance the sampler draws."""
+    return n ** (-1 / 3) * rho(i - j)
+
+
 class TestIncrementCov:
     def test_diagonal(self):
         for n in (1, 8, 1000):
@@ -180,46 +187,48 @@ class TestIncrementCov:
             )
             assert increment_cov(n, i, j) == pytest.approx(double_diff, abs=1e-10)
 
-    def test_domain_errors(self):
-        for bad in ((0, 1, 1), (4, 0, 1), (4, 1, 0)):
-            with pytest.raises(DomainError):
-                increment_cov(*bad)
-
 
 class TestEndpointIncrementCov:
     def test_zero_start(self):
         for n, k in ((4, 1), (16, 5), (256, 100)):
-            assert endpoint_increment_cov(n, 0.0, k) == pytest.approx(0.0, abs=1e-15)
+            assert endpoint_increment_cov(n, 0, k) == pytest.approx(0.0, abs=1e-15)
 
     def test_first_step_variance(self):
         for n in (2, 8, 128):
-            assert endpoint_increment_cov(n, 1.0 / n, 1) == pytest.approx(
-                n ** (-1 / 3), abs=1e-14
-            )
+            assert endpoint_increment_cov(n, 1, 1) == pytest.approx(n ** (-1 / 3), abs=1e-14)
 
     def test_previous_endpoint_value(self):
-        # s = t_{k-1} reduces to the plain increment covariance of adjacent steps
-        value = endpoint_increment_cov(8, 1.0 / 8.0, 2)
+        # anchor t_{k-1}: E[B(t_1) dB_2] = E[dB_1 dB_2], adjacent steps
+        value = endpoint_increment_cov(8, 1, 2)
         assert value == pytest.approx((2.0 ** (1 / 3) - 2.0) / 4.0, abs=1e-14)
         assert value == pytest.approx(increment_cov(8, 1, 2), abs=1e-15)
         assert value < 0
 
     def test_matches_cov_r_difference(self):
+        # grid times formed as index/n, anchors on and past k, up to t = 2
         rng = np.random.default_rng(4)
         for _ in range(100):
             n = int(rng.integers(2, 256))
             k = int(rng.integers(1, 64))
-            s = float(rng.uniform(0, 2))
-            direct = cov_r(s, k / n) - cov_r(s, (k - 1) / n)
-            assert endpoint_increment_cov(n, s, k) == pytest.approx(direct, abs=1e-12)
+            i = int(rng.integers(0, 2 * n + 1))
+            direct = cov_r(i / n, k / n) - cov_r(i / n, (k - 1) / n)
+            assert endpoint_increment_cov(n, i, k) == pytest.approx(direct, abs=1e-12)
+
+    def test_exact_at_non_power_of_two_n(self):
+        # anchor t_{k-1}: |k - i - 1|^{1/3} is exactly 0, so the value is
+        # (k^{1/3} - (k-1)^{1/3} - 1) / (2 n^{1/3}) with no rounding of the lag
+        n = 3000
+        k = np.arange(1, n + 1)
+        exact = (np.cbrt(k) - np.cbrt(k - 1) - 1.0) / (2.0 * np.cbrt(float(n)))
+        assert np.max(np.abs(endpoint_increment_cov(n, k - 1, k) - exact)) <= 1e-15
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            endpoint_increment_cov(0, 0.5, 1)
+            endpoint_increment_cov(0, 1, 1)
         with pytest.raises(DomainError):
-            endpoint_increment_cov(4, -0.5, 1)
+            endpoint_increment_cov(4, -1, 1)
         with pytest.raises(DomainError):
-            endpoint_increment_cov(4, 0.5, 0)
+            endpoint_increment_cov(4, 1, 0)
 
 
 class TestAnchoredCubeSums:
@@ -227,8 +236,8 @@ class TestAnchoredCubeSums:
         # same sums assembled from the endpoint covariance itself
         for n in (16, 257):
             k = np.arange(1, n + 1)
-            e_left = np.asarray(endpoint_increment_cov(n, (k - 1) / n, k))
-            e_right = np.asarray(endpoint_increment_cov(n, k / n, k))
+            e_left = np.asarray(endpoint_increment_cov(n, k - 1, k))
+            e_right = np.asarray(endpoint_increment_cov(n, k, k))
             assert left_anchor_cube_sum(n, 1.0) == pytest.approx(
                 np.sum(np.abs(e_left**3 + 1.0 / (8 * n))), rel=1e-12
             )

@@ -126,9 +126,20 @@ class TestHermiteExactMean:
         # g = x^3: exact mean is 6 sum_j E[B(t_{j-1}) dB_j]^3
         n = 64
         k = np.arange(1, n + 1)
-        cubes = np.asarray(endpoint_increment_cov(n, (k - 1) / n, k)) ** 3
+        cubes = np.asarray(endpoint_increment_cov(n, k - 1, k)) ** 3
         assert hermite_mean_exact(monomial_map(3), n, 1.0) == pytest.approx(
             6.0 * float(np.sum(cubes)), rel=1e-12
+        )
+
+    def test_exact_at_non_power_of_two_n(self):
+        # the same reduction from the closed form E[B(t_{k-1}) dB_k]
+        # = (k^{1/3} - (k-1)^{1/3} - 1) / (2 n^{1/3}); a rounded anchor time
+        # n * ((k-1)/n) != k - 1 would move the mean by about 1e-5 here
+        n = 3000
+        k = np.arange(1, n + 1)
+        e = (np.cbrt(k) - np.cbrt(k - 1) - 1.0) / (2.0 * np.cbrt(float(n)))
+        assert hermite_mean_exact(monomial_map(3), n, 1.0) == pytest.approx(
+            6.0 * float(np.sum(e**3)), rel=1e-12
         )
 
     def test_exact_mean_converges_to_limit(self):

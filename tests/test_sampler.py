@@ -23,9 +23,6 @@ class TestGrid:
         assert grid.m == 16
         assert grid.dt == 0.125
         assert np.allclose(grid.times(), np.arange(17) / 8)
-        assert grid.index_of(0.0) == 0
-        assert grid.index_of(0.3) == 2
-        assert grid.index_of(2.0) == 16
 
     def test_non_integral_rejected(self):
         with pytest.raises(DomainError):
@@ -34,18 +31,6 @@ class TestGrid:
             Grid(0, 1.0)
         with pytest.raises(DomainError):
             Grid(8, -1.0)
-
-    def test_index_floor_is_fuzz_safe(self):
-        grid = Grid(10, 1.0)
-        # 10 * 0.3 = 2.9999999999999996 in floats; floor must still be 3
-        assert grid.index_of(0.3) == 3
-
-    def test_out_of_range(self):
-        grid = Grid(4, 1.0)
-        with pytest.raises(DomainError):
-            grid.index_of(1.5)
-        with pytest.raises(DomainError):
-            grid.index_of(-0.1)
 
 
 class TestSeeding:

@@ -13,7 +13,6 @@ from fbmlab import (
     SeedPolicy,
     SmoothMap,
     constant_map,
-    midpoints,
     monomial_map,
     parse_integrand,
     power_variation,
@@ -37,9 +36,8 @@ class TestStepProcess:
     def test_step_rule_and_final(self):
         step = signed_cubic(make_path([0.0, 1.0, 1.0, 3.0, 3.0]))
         assert step.partials[0] == 0.0
-        assert step.value_at(0.0) == 0.0
-        assert step.value_at(0.3) == step.partials[1]
-        assert step.value_at(1.0) == step.final
+        assert step.partials.tolist() == [0.0, 1.0, 1.0, 9.0, 9.0]
+        assert step.final == step.partials[-1]
 
     def test_prefix_consistency(self):
         path = sample_fbm(Grid(256), SeedPolicy(8, 0))
@@ -88,12 +86,6 @@ class TestPowerVariation:
 
 
 class TestMidpoints:
-    def test_flat_path(self):
-        assert np.all(midpoints(make_path(np.full(5, 0.0))) == 0.0)
-
-    def test_single_step(self):
-        assert midpoints(make_path([0.0, 2.0])) == pytest.approx([1.0])
-
     def test_midpoint_gap_two_sided_bound(self):
         # exact Gaussian algebra: E|beta_j - beta_i|^2 compares two sided
         # with |t_j - t_i|^{1/3} at a bounded fitted ratio
