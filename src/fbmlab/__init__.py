@@ -22,7 +22,6 @@ from .sampler import (
     Grid,
     Method,
     Path,
-    PathKind,
     SeedPolicy,
     sample_bm,
     sample_fbm,
@@ -31,11 +30,9 @@ from .variations import (
     Endpoint,
     Family,
     SmoothMap,
-    StepProcess,
     constant_map,
     monomial_map,
     parse_integrand,
-    power_variation,
     riemann_strat,
     signed_cubic,
     sin_map,
@@ -43,10 +40,8 @@ from .variations import (
 )
 from .oracle import LimitSample, weak_strat_integral
 from .analysis import (
-    CovarAudit,
     Estimator,
     KsResult,
-    SampleSet,
     ScalingFit,
     TAYLOR_GAMMA,
     covar_bound_audit,

@@ -35,29 +35,9 @@ TAYLOR_GAMMA = 1.0 / 1920.0 - 1.0 / 384.0
 
 
 @dataclass(frozen=True)
-class SampleSet:
-    """A vector of scalar Monte Carlo outputs plus provenance."""
-
-    values: np.ndarray
-    descriptor: str = ""
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.size == 0:
-            raise DomainError("empty sample set")
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("sample set contains non-finite values")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class KsResult:
     statistic: float
     critical_001: float
-    sample_sizes: tuple[int, int]
 
     @property
     def rejects_at_1pct(self) -> bool:
@@ -75,14 +55,18 @@ def ks_statistic(a, b) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def ks_two_sample(a: SampleSet, b: SampleSet) -> KsResult:
+def ks_two_sample(a, b) -> KsResult:
+    """KS statistic of two finite samples with its 1 % critical value."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise DomainError("KS samples contain non-finite values")
     m1, m2 = len(a), len(b)
-    if m1 < KS_MIN_SAMPLES or m2 < KS_MIN_SAMPLES:
+    if m1 < KS_MIN_SAMPLES or m2 < KS_MIN_SAMPLES:  # rejects empty samples too
         raise DomainError(f"KS needs both samples >= {KS_MIN_SAMPLES}")
     return KsResult(
-        statistic=ks_statistic(a.values, b.values),
+        statistic=ks_statistic(a, b),
         critical_001=KS_COEFF_001 * float(np.sqrt((m1 + m2) / (m1 * m2))),
-        sample_sizes=(m1, m2),
     )
 
 
@@ -206,8 +190,7 @@ def taylor_residual(g: SmoothMap, a, b) -> TaylorPieces:
     return TaylorPieces(trapezoid_defect=defect, gamma_term=gamma_term, r6=r6)
 
 
-@dataclass(frozen=True)
-class CovarAudit:
+def covar_bound_audit(n: int, horizon: float = 1.0) -> dict:
     """Max ratios of exact Gaussian quantities to their decay envelopes.
 
     Envelopes (Dt = 1/n, q_+ = max(q, 1)):
@@ -216,35 +199,10 @@ class CovarAudit:
       (iii) |E beta_i dB_j|      vs the same envelope
       (iv)  |E beta_j dB_j|      vs Dt^{1/3} j^{-2/3}
       (v)   E|beta_j - beta_i|^2 vs |t_j - t_i|^{1/3}, two sided.
-    """
-
-    n: int
-    horizon: float
-    increment_ratio_max: float
-    endpoint_ratio_max: float
-    midpoint_ratio_max: float
-    diagonal_ratio_max: float
-    midpoint_gap_ratio_max: float
-    midpoint_gap_ratio_min: float
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "horizon": self.horizon,
-            "i_increment_max": self.increment_ratio_max,
-            "ii_endpoint_max": self.endpoint_ratio_max,
-            "iii_midpoint_max": self.midpoint_ratio_max,
-            "iv_diagonal_max": self.diagonal_ratio_max,
-            "v_gap_max": self.midpoint_gap_ratio_max,
-            "v_gap_min": self.midpoint_gap_ratio_min,
-        }
-
-
-def covar_bound_audit(n: int, horizon: float = 1.0) -> CovarAudit:
-    """Exact covariance quantities against the envelopes.
 
     (i) and (v) depend on the lag |j - i| alone and are reduced over lags;
     (ii) and (iii) run over blocks of AUDIT_BLOCK_ROWS endpoint rows.
+    The report holds the max ratio of each, and the min ratio of (v).
     """
     grid = Grid(n, horizon)
     m = grid.m
@@ -285,16 +243,16 @@ def covar_bound_audit(n: int, horizon: float = 1.0) -> CovarAudit:
         ratio_iii = max(ratio_iii, float(np.max(np.abs(mid) / env[-len(mid) :])))
         carry = eb[-1:]
 
-    return CovarAudit(
-        n=n,
-        horizon=horizon,
-        increment_ratio_max=ratio_i,
-        endpoint_ratio_max=ratio_ii,
-        midpoint_ratio_max=ratio_iii,
-        diagonal_ratio_max=ratio_iv,
-        midpoint_gap_ratio_max=float(np.max(gap, initial=0.0)),
-        midpoint_gap_ratio_min=float(np.min(gap, initial=np.inf)),
-    )
+    return {
+        "n": n,
+        "horizon": horizon,
+        "i_increment_max": ratio_i,
+        "ii_endpoint_max": ratio_ii,
+        "iii_midpoint_max": ratio_iii,
+        "iv_diagonal_max": ratio_iv,
+        "v_gap_max": float(np.max(gap, initial=0.0)),
+        "v_gap_min": float(np.min(gap, initial=np.inf)),
+    }
 
 
 def orthogonality_audit(p: int, q: int, correlation: float, nodes: int = 48) -> float:

@@ -10,7 +10,8 @@ identical reports and manifest hashes on one platform.
 Exit codes: 0 success, 2 configuration error, 3 capability limit,
 4 acceptance-check failure under --check.
 
-Config files are plain text key=value lines under a [command] header:
+Config files are plain text key=value lines under a [command] header; the
+keys are the flag names with "_" for "-", and any other key is an error:
 
     [converge]
     n_list = 1024,2048
@@ -49,6 +50,7 @@ from .experiments import (
 )
 from .kernel import kappa_constant
 from .sampler import RNG_STREAM_VERSION, Method
+from .variations import parse_integrand
 
 DEFAULT_MASTER_SEED = 2
 DEFAULT_N_LIST = (256, 512, 1024, 2048, 4096)
@@ -137,6 +139,8 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
     command = args.command or file_values.get("command")
     if not command:
         raise ConfigError("no command given (flag or [section] in config)")
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
 
     # omitted keys take the ExperimentConfig defaults
     casts = {
@@ -152,6 +156,9 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
         "check": lambda text: text.lower() in ("1", "true", "yes"),
         "workers": int,
     }
+    unknown = sorted(set(file_values) - set(casts) - {"command"})
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     values = {}
     for name, cast in casts.items():
         value = getattr(args, name, None)
@@ -269,7 +276,7 @@ def cmd_converge(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
             cfg.horizon,
             cfg.replications,
             cfg.master_seed,
-            [g.label for g in integrands],
+            integrands,
             cfg.method,
             cfg.refinement_factor,
             cfg.workers,
@@ -420,7 +427,7 @@ def cmd_scaling(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
     result = scaling_experiment(
         cfg.master_seed,
         cfg.replications,
-        integrand=cfg.integrand,
+        integrand=parse_integrand(cfg.integrand),
         method=cfg.method,
         workers=cfg.workers,
     )

@@ -24,10 +24,8 @@ from multiprocessing import get_context
 import numpy as np
 
 from .analysis import (
-    AUDIT_MAX_STEPS,
     Estimator,
     KsResult,
-    SampleSet,
     ScalingFit,
     TAYLOR_GAMMA,
     covar_bound_audit,
@@ -56,6 +54,7 @@ from .variations import (
     parse_integrand,
     riemann_strat,
     signed_cubic,
+    sin_map,
     weighted_hermite,
 )
 
@@ -124,9 +123,9 @@ def fbm_draws(grid: Grid, master_seed: int, method: Method = Method.CIRCULANT):
 
 def estimator_stats(integrands) -> dict:
     """B(T), V_n(B, T) and I_n(g, B, T) per integrand, of one fBm path."""
-    stats = {"B": lambda path: path.values[-1], "cubic": lambda path: signed_cubic(path).final}
+    stats = {"B": lambda path: path.values[-1], "cubic": lambda path: signed_cubic(path)[-1]}
     for g in integrands:
-        stats[f"int_{g.label}"] = lambda path, g=g: riemann_strat(g, path).final
+        stats[f"int_{g.label}"] = lambda path, g=g: riemann_strat(g, path)[-1]
     return stats
 
 
@@ -141,8 +140,8 @@ def oracle_stats(integrands) -> dict:
 def hermite_stats(g: SmoothMap) -> dict:
     """Left and right endpoint weighted third-Hermite variations at the horizon."""
     return {
-        "left": lambda path: weighted_hermite(g, path, Endpoint.LEFT).final,
-        "right": lambda path: weighted_hermite(g, path, Endpoint.RIGHT).final,
+        "left": lambda path: weighted_hermite(g, path, Endpoint.LEFT)[-1],
+        "right": lambda path: weighted_hermite(g, path, Endpoint.RIGHT)[-1],
     }
 
 
@@ -151,11 +150,7 @@ def hermite_stats(g: SmoothMap) -> dict:
 
 @dataclass
 class ConvergeResult:
-    n: int
-    horizon: float
-    replications: int
     refinement: int
-    integrands: list[str]
     # columns B, cubic and int_<label> of the estimator and the oracle corpus
     est: dict[str, np.ndarray]
     orc: dict[str, np.ndarray]
@@ -169,7 +164,7 @@ def converge_experiment(
     horizon: float,
     replications: int,
     master_seed: int,
-    integrands,
+    integrands: list[SmoothMap],
     method: Method = Method.CIRCULANT,
     refinement_factor: int = 4,
     workers: int = 1,
@@ -182,41 +177,30 @@ def converge_experiment(
     """
     if refinement_factor not in (2, 4, 8):
         raise DomainError("refinement_factor must be one of 2, 4, 8")
-    gs = [parse_integrand(g.label if isinstance(g, SmoothMap) else str(g)) for g in integrands]
-    texts = [g.label for g in gs]
+    texts = [g.label for g in integrands]
     names = ["B", "cubic", *(f"int_{t}" for t in texts)]
     kappa = kappa_constant(DEFAULT_TRUNCATION).kappa
     est = run_replications(
         fbm_draws(Grid(n, horizon), master_seed, method),
-        estimator_stats(gs),
+        estimator_stats(integrands),
         replications,
         workers,
     )
     refinement = refinement_factor * n
     orc = run_replications(
-        lambda r: LimitSample.draw(refinement, SeedPolicy(master_seed, r), kappa, gs, horizon, method),
-        oracle_stats(gs),
+        lambda r: LimitSample.draw(
+            refinement, SeedPolicy(master_seed, r), kappa, integrands, horizon, method
+        ),
+        oracle_stats(integrands),
         replications,
         workers,
         offset=replications,
     )
-    result = ConvergeResult(
-        n=n,
-        horizon=horizon,
-        replications=replications,
-        refinement=refinement,
-        integrands=texts,
-        est=est,
-        orc=orc,
-    )
-    result.ks["B"] = ks_two_sample(SampleSet(est["B"], "B(T) estimator"),
-                                   SampleSet(orc["B"], "B(T) oracle"))
-    result.ks["cubic"] = ks_two_sample(SampleSet(est["cubic"], "V_n(B,T)"),
-                                       SampleSet(orc["cubic"], "kappa W(T)"))
+    result = ConvergeResult(refinement=refinement, est=est, orc=orc)
+    result.ks["B"] = ks_two_sample(est["B"], orc["B"])
+    result.ks["cubic"] = ks_two_sample(est["cubic"], orc["cubic"])
     for t in texts:
-        result.ks[f"int:{t}"] = ks_two_sample(
-            SampleSet(est[f"int_{t}"], f"I_n({t})"), SampleSet(orc[f"int_{t}"], f"limit({t})")
-        )
+        result.ks[f"int:{t}"] = ks_two_sample(est[f"int_{t}"], orc[f"int_{t}"])
     result.est_corr = np.corrcoef(np.vstack([est[name] for name in names]))
     result.orc_corr = np.corrcoef(np.vstack([orc[name] for name in names]))
     return result
@@ -235,21 +219,15 @@ def _identity_row(path) -> np.ndarray:
     v = path.values
     cubic = signed_cubic(path)
     scale = max(1.0, float(np.max(np.abs(v))) ** 3)
-    res_c = np.max(np.abs(riemann_strat(const, path).partials - (v - v[0])))
-    res_l = np.max(np.abs(riemann_strat(lin, path).partials - 0.5 * (v**2 - v[0] ** 2)))
+    res_c = np.max(np.abs(riemann_strat(const, path) - (v - v[0])))
+    res_l = np.max(np.abs(riemann_strat(lin, path) - 0.5 * (v**2 - v[0] ** 2)))
     res_q = np.max(
-        np.abs(
-            riemann_strat(quad, path).partials
-            - (v**3 - v[0] ** 3) / 3.0
-            - cubic.partials / 6.0
-        )
+        np.abs(riemann_strat(quad, path) - (v**3 - v[0] ** 3) / 3.0 - cubic / 6.0)
     )
     hermite_one = weighted_hermite(const, path, Endpoint.LEFT)
-    res_y = np.max(
-        np.abs(cubic.partials - hermite_one.partials - 3.0 * n ** (-1.0 / 3.0) * v)
-    )
+    res_y = np.max(np.abs(cubic - hermite_one - 3.0 * n ** (-1.0 / 3.0) * v))
     residuals = np.array([res_c, res_l, res_q, res_y]) / scale
-    return np.append(residuals, [v[-1], cubic.final])
+    return np.append(residuals, [v[-1], cubic[-1]])
 
 
 @dataclass
@@ -390,26 +368,28 @@ def hermite_experiment(
     horizon: float,
     replications: int,
     master_seed: int,
-    integrand="sin",
+    integrand: SmoothMap = sin_map(),
     method: Method = Method.CIRCULANT,
     workers: int = 1,
 ) -> HermiteResult:
     """Left/right endpoint weighted third-Hermite variations at t = horizon,
     with the quadrature limits for the left-endpoint mean and variance."""
-    g = integrand if isinstance(integrand, SmoothMap) else parse_integrand(integrand)
     cols = run_replications(
-        fbm_draws(Grid(n, horizon), master_seed, method), hermite_stats(g), replications, workers
+        fbm_draws(Grid(n, horizon), master_seed, method),
+        hermite_stats(integrand),
+        replications,
+        workers,
     )
     kappa_sq = kappa_constant(DEFAULT_TRUNCATION).kappa_sq
     return HermiteResult(
         n=n,
         replications=replications,
-        integrand=g.label,
-        bounded=g.is_bounded,
+        integrand=integrand.label,
+        bounded=integrand.is_bounded,
         left=cols["left"],
         right=cols["right"],
-        mean_limit=hermite_mean_limit(g, horizon),
-        variance_limit=hermite_variance_limit(g, horizon, kappa_sq),
+        mean_limit=hermite_mean_limit(integrand, horizon),
+        variance_limit=hermite_variance_limit(integrand, horizon, kappa_sq),
     )
 
 
@@ -449,12 +429,11 @@ def scaling_experiment(
     master_seed: int,
     replications: int = 500,
     specs: dict[Estimator, dict] | None = None,
-    integrand="sin",
+    integrand: SmoothMap = sin_map(),
     method: Method = Method.CIRCULANT,
     workers: int = 1,
 ) -> ScalingResult:
     """Moment-bound scaling fits; estimators on the same grid share one set of paths."""
-    g = integrand if isinstance(integrand, SmoothMap) else parse_integrand(integrand)
     specs = specs or DEFAULT_SCALING_SPECS
     ladders = {
         estimator: scaling_ladder(spec["n"], spec["gaps"], replications, spec.get("horizon"))
@@ -465,7 +444,7 @@ def scaling_experiment(
         group = {e: gaps for e, (on, gaps) in ladders.items() if on == grid}
         cols = run_replications(
             fbm_draws(grid, master_seed, method),
-            {e: partial(window_moments, e, gaps=gaps, g=g) for e, gaps in group.items()},
+            {e: partial(window_moments, e, gaps=gaps, g=integrand) for e, gaps in group.items()},
             replications,
             workers,
         )
@@ -498,7 +477,7 @@ def taylor_experiment(master_seed: int, pairs: int = 1000, poly_count: int = 25)
         coeffs = tuple(rng.uniform(-1.0, 1.0, size=degree + 1))
         g = SmoothMap(Family.POLYNOMIAL, coeffs, "poly")
         max_poly = max(max_poly, float(np.max(np.abs(taylor_residual(g, a, b).r6))))
-    sin_r6 = taylor_residual(parse_integrand("sin"), a, b).r6
+    sin_r6 = taylor_residual(sin_map(), a, b).r6
     return TaylorResult(
         pairs=pairs,
         poly_count=poly_count,
@@ -530,11 +509,7 @@ def audit_experiment(n_list, horizon: float = 1.0) -> AuditResult:
     """Covariance-envelope ratios, anchored cube sums over the grid ladder,
     and the Hermite orthogonality grid for orders up to 4."""
     n_list = sorted(int(n) for n in n_list)
-    covar = [
-        covar_bound_audit(n, horizon).as_dict()
-        for n in n_list
-        if n * horizon <= AUDIT_MAX_STEPS
-    ]
+    covar = [covar_bound_audit(n, horizon) for n in n_list]
     anchor = [
         {
             "n": n,
@@ -609,9 +584,7 @@ def sampler_experiment(
         gram_n=gram_n,
         gram_replications=gram_replications,
         gram_max_z=gram_max_z,
-        method_ks=ks_two_sample(
-            SampleSet(chol, "B(1) cholesky"), SampleSet(circ, "B(1) circulant")
-        ),
+        method_ks=ks_two_sample(chol, circ),
         var_b1=var_b1,
         var_b1_z=float(abs(var_b1 - cov_r(1.0, 1.0)) / var_se),
         bw_corr=float(np.corrcoef(b1, w1)[0, 1]),

@@ -56,11 +56,6 @@ def _tag_word(tag: str) -> int:
     return word
 
 
-class PathKind(enum.Enum):
-    FBM_H16 = "fbm_h16"
-    BM = "bm"
-
-
 class Method(enum.Enum):
     CHOLESKY = "cholesky"
     CIRCULANT = "circulant"
@@ -134,9 +129,7 @@ class Path:
 
     grid: Grid
     values: np.ndarray
-    kind: PathKind
     seeds: SeedPolicy
-    method: Method | None
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -186,9 +179,9 @@ def _fgn_circulant(grid: Grid, z: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spectrum, n=big)[:m]
 
 
-def _assemble(grid: Grid, increments: np.ndarray, kind, seeds, method) -> Path:
+def _assemble(grid: Grid, increments: np.ndarray, seeds: SeedPolicy) -> Path:
     values = np.concatenate([[0.0], np.cumsum(increments)])
-    return Path(grid=grid, values=values, kind=kind, seeds=seeds, method=method)
+    return Path(grid=grid, values=values, seeds=seeds)
 
 
 def sample_fbm(grid: Grid, seeds: SeedPolicy, method: Method = Method.CIRCULANT) -> Path:
@@ -205,7 +198,7 @@ def sample_fbm(grid: Grid, seeds: SeedPolicy, method: Method = Method.CIRCULANT)
         increments = _fgn_circulant(grid, z)
     else:
         raise DomainError(f"unknown sampling method {method!r}")
-    return _assemble(grid, increments, PathKind.FBM_H16, seeds, method)
+    return _assemble(grid, increments, seeds)
 
 
 def sample_bm(grid: Grid, seeds: SeedPolicy) -> Path:
@@ -215,4 +208,4 @@ def sample_bm(grid: Grid, seeds: SeedPolicy) -> Path:
     disjoint purpose tag, so paired (B, W) replications share a stream_id.
     """
     z = seeds.normals(grid.m, "bm")
-    return _assemble(grid, np.sqrt(grid.dt) * z, PathKind.BM, seeds, None)
+    return _assemble(grid, np.sqrt(grid.dt) * z, seeds)

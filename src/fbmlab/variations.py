@@ -1,10 +1,10 @@
 """Discrete functionals of a sampled path.
 
-For a path X on the grid t_j = j/n these produce cadlag step processes
-(prefix-sum arrays indexed by grid point):
+For a path X on the grid t_j = j/n each functional F returns its prefix
+sums as one array: entry k is F(X, t_k) = F(X, t) for t in [t_k, t_{k+1}),
+entry 0 is 0.0 and the last entry is the value at the horizon.
 
-* power variations  V_n^p(X, t) = sum_{j <= nt} |dX_j|^p  (optionally signed),
-  the signed cubic case V_n = V_n^{3+-} being the central object;
+* the signed cubic variation V_n(X, t) = sum_{j <= nt} dX_j^3;
 * trapezoid Riemann sums I_n(g, X, t) = sum (g(X_{j-1}) + g(X_j))/2 dX_j;
 * weighted third-Hermite variations
   n^{-1/2} sum g(X at an endpoint) h_3(n^{1/6} dX_j).
@@ -26,25 +26,8 @@ import numpy as np
 
 from .errors import DomainError
 from .kernel import hermite
-from .sampler import Grid, Path
+from .sampler import Path
 
-
-@dataclass(frozen=True)
-class StepProcess:
-    """t -> partials[floor(n t)], with partials[0] = 0."""
-
-    grid: Grid
-    partials: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        if len(self.partials) != self.grid.m + 1:
-            raise DomainError("partials must have one entry per grid point")
-        self.partials.setflags(write=False)
-
-    @property
-    def final(self) -> float:
-        return float(self.partials[-1])
 
 class Family(enum.Enum):
     POLYNOMIAL = "polynomial"
@@ -199,37 +182,25 @@ class Endpoint(enum.Enum):
     RIGHT = "right"
 
 
-def _prefix(grid: Grid, terms: np.ndarray, label: str) -> StepProcess:
-    partials = np.concatenate([[0.0], np.cumsum(terms)])
-    return StepProcess(grid=grid, partials=partials, label=label)
+def _prefix(terms: np.ndarray) -> np.ndarray:
+    return np.concatenate([[0.0], np.cumsum(terms)])
 
 
-def power_variation(path: Path, p: float, signed: bool = False) -> StepProcess:
-    """V_n^p(X, t), or the signed variant sum |dX|^p sgn(dX)."""
-    if not p > 0:
-        raise DomainError("power variation requires p > 0")
+def signed_cubic(path: Path) -> np.ndarray:
+    """V_n(X, t) = sum dX_j^3."""
     d = path.increments()
-    terms = np.abs(d) ** p
-    if signed:
-        terms = terms * np.sign(d)
-    tag = f"V^{p}{'+-' if signed else ''}"
-    return _prefix(path.grid, terms, tag)
+    # |d|^3 sgn(d) can differ from d**3 in the last bit; the reports keep the former
+    return _prefix(np.abs(d) ** 3.0 * np.sign(d))
 
 
-def signed_cubic(path: Path) -> StepProcess:
-    """V_n(X, t) = sum dX_j^3; identical to power_variation(path, 3, signed)."""
-    out = power_variation(path, 3.0, signed=True)
-    return StepProcess(grid=out.grid, partials=out.partials.copy(), label="V_n")
-
-
-def riemann_strat(g: SmoothMap, path: Path) -> StepProcess:
+def riemann_strat(g: SmoothMap, path: Path) -> np.ndarray:
     """Trapezoid Riemann sum I_n(g, X, t)."""
     gv = np.asarray(g(path.values))
     w = 0.5 * (gv[:-1] + gv[1:])
-    return _prefix(path.grid, w * path.increments(), f"I_n({g.label})")
+    return _prefix(w * path.increments())
 
 
-def weighted_hermite(g: SmoothMap, path: Path, endpoint: Endpoint = Endpoint.LEFT) -> StepProcess:
+def weighted_hermite(g: SmoothMap, path: Path, endpoint: Endpoint = Endpoint.LEFT) -> np.ndarray:
     """n^{-1/2} sum_{j <= nt} w_j h_3(n^{1/6} dX_j) with endpoint weights w_j.
 
     LEFT uses g(X(t_{j-1})), RIGHT uses g(X(t_j)).
@@ -239,5 +210,4 @@ def weighted_hermite(g: SmoothMap, path: Path, endpoint: Endpoint = Endpoint.LEF
     h3 = np.asarray(hermite(3, n ** (1.0 / 6.0) * d))
     v = path.values
     w = np.asarray(g(v[:-1])) if endpoint is Endpoint.LEFT else np.asarray(g(v[1:]))
-    sign = "-" if endpoint is Endpoint.LEFT else "+"
-    return _prefix(path.grid, (w * h3) / np.sqrt(n), f"G_n{sign}({g.label})")
+    return _prefix((w * h3) / np.sqrt(n))

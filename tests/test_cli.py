@@ -18,6 +18,18 @@ MONTE_CARLO_RUNS = (
     ("scaling", "--replications", "200"),
 )
 
+# each command's overall verdict, from the keys of its report.json
+VERDICTS = {
+    "kappa": lambda r: all(r["checks"].values()),
+    "converge": lambda r: r["all_ks_accepted"],
+    "variations": lambda r: r["all_ok"],
+    "sextic": lambda r: r["medians_decreasing"] and r["mean_ok"],
+    "hermite": lambda r: r["all_ok"],
+    "scaling": lambda r: r["all_ok"],
+    "taylor": lambda r: r["ok"],
+    "audit": lambda r: r["ok"],
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -112,6 +124,28 @@ class TestConfigHandling:
         code, *_ = run(capsys, "--config", str(cfg))
         assert code == 2
 
+    def test_unknown_config_key(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[kappa]\nreplicatons = 50\n")
+        code, _, err = run(capsys, "--config", str(cfg), "--output-dir", str(tmp_path))
+        assert code == 2
+        assert "replicatons" in err
+        assert not (tmp_path / "kappa").exists()
+
+    def test_unknown_command_section(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[kapa]\ntruncation = 5\n")
+        code, _, err = run(capsys, "--config", str(cfg), "--output-dir", str(tmp_path))
+        assert code == 2
+        assert "kapa" in err
+
+    def test_audit_above_cap_is_a_capability_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "audit", "--n-list", "8192", "--check",
+                           "--output-dir", str(tmp_path))
+        assert code == 3
+        assert "capability" in err
+        assert not (tmp_path / "audit" / "report.json").exists()
+
 
 class TestReportsAndManifest:
     def test_converge_outputs(self, capsys, tmp_path):
@@ -151,6 +185,20 @@ class TestReportsAndManifest:
                 outputs[workers] = (files, manifest["manifest_hash"])
             assert "report.json" in outputs["1"][0]
             assert outputs["1"] == outputs["2"], argv[0]
+
+    def test_check_exit_matches_report_verdict(self, capsys, tmp_path):
+        # under --check a command exits 0 exactly when its report's verdict holds
+        runs = (("kappa",), ("kappa", "--truncation", "0"), *MONTE_CARLO_RUNS,
+                ("taylor",), ("audit", "--n-list", "64,128"))
+        assert {argv[0] for argv in runs} == set(VERDICTS)
+        codes = []
+        for i, argv in enumerate(runs):
+            out = tmp_path / str(i)
+            code, *_ = run(capsys, *argv, "--check", "--workers", "1", "--output-dir", str(out))
+            report = json.loads((out / argv[0] / "report.json").read_text())
+            assert code == (0 if VERDICTS[argv[0]](report) else 4), argv
+            codes.append(code)
+        assert {0, 4} <= set(codes)
 
     def test_no_partial_files_on_success(self, capsys, tmp_path):
         run(capsys, "taylor", "--output-dir", str(tmp_path), "--master-seed", "3")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fbmlab import DomainError
+from fbmlab import CapabilityError, DomainError, parse_integrand
 from fbmlab.experiments import (
     DEFAULT_SCALING_SPECS,
     audit_experiment,
@@ -36,33 +36,33 @@ class TestIntegrandList:
 
 class TestConverge:
     def test_trivial_integrand_collapses_to_endpoint(self):
-        res = converge_experiment(64, 1.0, 60, 101, ["1"], refinement_factor=2)
+        res = converge_experiment(64, 1.0, 60, 101, [parse_integrand("1")], refinement_factor=2)
         assert np.allclose(res.est["int_1"], res.est["B"], atol=1e-12)
         assert np.allclose(res.orc["int_1"], res.orc["B"], atol=1e-12)
         assert res.ks["int:1"].statistic == pytest.approx(res.ks["B"].statistic)
 
     def test_shapes_and_determinism(self):
-        a = converge_experiment(32, 1.0, 60, 7, ["x"], refinement_factor=4)
-        b = converge_experiment(32, 1.0, 60, 7, ["x"], refinement_factor=4)
+        a = converge_experiment(32, 1.0, 60, 7, [parse_integrand("x")], refinement_factor=4)
+        b = converge_experiment(32, 1.0, 60, 7, [parse_integrand("x")], refinement_factor=4)
         assert a.refinement == 128
         assert np.array_equal(a.est["cubic"], b.est["cubic"])
         assert np.array_equal(a.orc["int_x"], b.orc["int_x"])
 
     def test_worker_count_does_not_change_results(self):
-        a = converge_experiment(32, 1.0, 64, 7, ["sin"], workers=1)
-        b = converge_experiment(32, 1.0, 64, 7, ["sin"], workers=2)
+        a = converge_experiment(32, 1.0, 64, 7, [sin_map()], workers=1)
+        b = converge_experiment(32, 1.0, 64, 7, [sin_map()], workers=2)
         assert np.array_equal(a.est["int_sin"], b.est["int_sin"])
         assert np.array_equal(a.orc["B"], b.orc["B"])
 
     def test_estimator_oracle_streams_disjoint(self):
-        res = converge_experiment(32, 1.0, 60, 7, ["x"])
+        res = converge_experiment(32, 1.0, 60, 7, [parse_integrand("x")])
         # oracle uses stream ids offset by the replication count, so the
         # B(1) samples must differ from the estimator draws
         assert not np.allclose(res.est["B"], res.orc["B"])
 
     def test_refinement_factor_validated(self):
         with pytest.raises(DomainError):
-            converge_experiment(32, 1.0, 60, 7, ["x"], refinement_factor=3)
+            converge_experiment(32, 1.0, 60, 7, [parse_integrand("x")], refinement_factor=3)
 
 
 class TestIdentity:
@@ -144,10 +144,10 @@ class TestAuditExperiment:
         assert res.orthogonality_max_dev < 1e-8
         assert len(res.covar) == 3
 
-    def test_large_n_skips_covar(self):
-        res = audit_experiment([2048, 8192])
-        assert [row["n"] for row in res.covar] == [2048]
-        assert len(res.anchor_sums) == 2
+    def test_large_n_is_a_capability_error(self):
+        # a grid above AUDIT_MAX_STEPS is refused, not dropped from the report
+        with pytest.raises(CapabilityError):
+            audit_experiment([64, 8192])
 
 
 class TestSamplerExperiment:

@@ -7,7 +7,6 @@ from fbmlab import (
     DomainError,
     Grid,
     LimitSample,
-    SampleSet,
     SeedPolicy,
     constant_map,
     kappa_constant,
@@ -111,7 +110,7 @@ class TestLimitLaw:
             "int_sin": ([weak_strat_integral(g, s) for s in samples], ref_sin),
         }
         for name, (new, ref) in pairs.items():
-            res = ks_two_sample(SampleSet(np.array(new), name), SampleSet(np.array(ref), "ref"))
+            res = ks_two_sample(new, ref)
             assert not res.rejects_at_1pct, (name, res.statistic, res.critical_001)
 
 
@@ -173,7 +172,7 @@ class TestWeakStratIntegral:
         g, reps = sin_map(), 1000
         coarse = [weak_strat_integral(g, draw(256, 8, r, [g])) for r in range(reps)]
         fine = [weak_strat_integral(g, draw(2048, 8, reps + r, [g])) for r in range(reps)]
-        res = ks_two_sample(SampleSet(np.array(coarse), "256"), SampleSet(np.array(fine), "2048"))
+        res = ks_two_sample(coarse, fine)
         assert not res.rejects_at_1pct
 
     def test_out_of_range_time(self):

@@ -9,13 +9,11 @@ from fbmlab import (
     Family,
     Grid,
     Path,
-    PathKind,
     SeedPolicy,
     SmoothMap,
     constant_map,
     monomial_map,
     parse_integrand,
-    power_variation,
     riemann_strat,
     sample_fbm,
     signed_cubic,
@@ -28,58 +26,46 @@ def make_path(values, horizon=None):
     values = np.asarray(values, dtype=float)
     n = len(values) - 1
     grid = Grid(n, horizon or 1.0)
-    return Path(grid=grid, values=values, kind=PathKind.FBM_H16,
-                seeds=SeedPolicy(0, 0), method=None)
+    return Path(grid=grid, values=values, seeds=SeedPolicy(0, 0))
 
 
 class TestStepProcess:
+    """A functional returns its prefix sums, one entry per grid point."""
+
     def test_step_rule_and_final(self):
         step = signed_cubic(make_path([0.0, 1.0, 1.0, 3.0, 3.0]))
-        assert step.partials[0] == 0.0
-        assert step.partials.tolist() == [0.0, 1.0, 1.0, 9.0, 9.0]
-        assert step.final == step.partials[-1]
+        assert step[0] == 0.0
+        assert step.tolist() == [0.0, 1.0, 1.0, 9.0, 9.0]
 
     def test_prefix_consistency(self):
         path = sample_fbm(Grid(256), SeedPolicy(8, 0))
-        step = power_variation(path, 2.5)
-        terms = np.abs(path.increments()) ** 2.5
-        assert np.max(np.abs(np.diff(step.partials) - terms)) < 1e-12
+        step = signed_cubic(path)
+        assert len(step) == path.grid.m + 1
+        assert np.max(np.abs(np.diff(step) - path.increments() ** 3)) < 1e-12
 
 
 class TestPowerVariation:
     def test_constant_path(self):
-        step = power_variation(make_path(np.zeros(9)), 4.0)
-        assert np.all(step.partials == 0.0)
-
-    def test_p_must_be_positive(self):
-        path = make_path([0.0, 1.0])
-        for bad in (0.0, -1.0):
-            with pytest.raises(DomainError):
-                power_variation(path, bad)
+        step = signed_cubic(make_path(np.zeros(9)))
+        assert np.all(step == 0.0)
 
     def test_signed_cancellation(self):
         a = 0.7
-        step = power_variation(make_path([0.0, a, 0.0]), 3.0, signed=True)
-        assert step.partials == pytest.approx([0.0, a**3, 0.0], abs=1e-15)
-
-    def test_signed_cubic_equals_power_variation(self):
-        path = sample_fbm(Grid(128), SeedPolicy(9, 0))
-        assert np.array_equal(
-            signed_cubic(path).partials, power_variation(path, 3.0, signed=True).partials
-        )
+        step = signed_cubic(make_path([0.0, a, 0.0]))
+        assert step == pytest.approx([0.0, a**3, 0.0], abs=1e-15)
 
     def test_linear_drift_cubes(self):
         c = 0.25
         path = make_path(np.arange(9) * c, horizon=1.0)
         step = signed_cubic(path)
-        assert np.allclose(step.partials, np.arange(9) * c**3, atol=1e-15)
+        assert np.allclose(step, np.arange(9) * c**3, atol=1e-15)
 
     def test_sextic_mean(self):
         # E|dB|^6 = 15 dt, so the total mean is 15 * m / n
         grid = Grid(256)
         reps = 300
         finals = np.array(
-            [power_variation(sample_fbm(grid, SeedPolicy(10, r)), 6.0).final for r in range(reps)]
+            [np.sum(sample_fbm(grid, SeedPolicy(10, r)).increments() ** 6) for r in range(reps)]
         )
         se = finals.std(ddof=1) / math.sqrt(reps)
         assert abs(finals.mean() - 15.0 * grid.m / grid.n) <= 4 * se
@@ -117,21 +103,21 @@ class TestRiemannSums:
     def test_constant_integrand_telescopes(self):
         path = sample_fbm(Grid(64), SeedPolicy(11, 0))
         step = riemann_strat(constant_map(1.0), path)
-        assert np.max(np.abs(step.partials - (path.values - path.values[0]))) < 1e-12
+        assert np.max(np.abs(step - (path.values - path.values[0]))) < 1e-12
 
     def test_linear_integrand_telescopes(self):
         path = sample_fbm(Grid(64), SeedPolicy(12, 0))
         step = riemann_strat(monomial_map(1), path)
         target = 0.5 * (path.values**2 - path.values[0] ** 2)
-        assert np.max(np.abs(step.partials - target)) < 1e-12
+        assert np.max(np.abs(step - target)) < 1e-12
 
     def test_quadratic_integrand_identity(self):
         # ((a^2+b^2)/2)(b-a) - (b^3-a^3)/3 = (b-a)^3/6 per step
         path = sample_fbm(Grid(1024), SeedPolicy(13, 0))
         step = riemann_strat(monomial_map(2), path)
-        target = (path.values**3 - path.values[0] ** 3) / 3.0 + signed_cubic(path).partials / 6.0
+        target = (path.values**3 - path.values[0] ** 3) / 3.0 + signed_cubic(path) / 6.0
         scale = max(1.0, float(np.max(np.abs(target))))
-        assert np.max(np.abs(step.partials - target)) / scale < 1e-10
+        assert np.max(np.abs(step - target)) / scale < 1e-10
 
     def test_linearity(self):
         # polynomials are closed under linear combinations, so the identity
@@ -146,8 +132,8 @@ class TestRiemannSums:
             tuple(a * cg + b * ch for cg, ch in zip(gc, h.params)),
             "a*g+b*h",
         )
-        lhs = riemann_strat(combined, path).partials
-        rhs = a * riemann_strat(g, path).partials + b * riemann_strat(h, path).partials
+        lhs = riemann_strat(combined, path)
+        rhs = a * riemann_strat(g, path) + b * riemann_strat(h, path)
         scale = max(1.0, float(np.max(np.abs(rhs))))
         assert np.max(np.abs(lhs - rhs)) / scale < 1e-10
 
@@ -156,13 +142,13 @@ class TestWeightedHermite:
     def test_zero_integrand(self):
         path = sample_fbm(Grid(32), SeedPolicy(15, 0))
         step = weighted_hermite(constant_map(0.0), path)
-        assert np.all(step.partials == 0.0)
+        assert np.all(step == 0.0)
 
     def test_unit_weight_rearrangement(self):
         # V_n(B,t) = G_n^-(1,B,t) + 3 n^{-1/3} B(floor(nt)/n)
         path = sample_fbm(Grid(512), SeedPolicy(16, 0))
-        cubic = signed_cubic(path).partials
-        left = weighted_hermite(constant_map(1.0), path, Endpoint.LEFT).partials
+        cubic = signed_cubic(path)
+        left = weighted_hermite(constant_map(1.0), path, Endpoint.LEFT)
         recon = left + 3.0 * 512 ** (-1 / 3) * path.values
         scale = max(1.0, float(np.max(np.abs(cubic))))
         assert np.max(np.abs(cubic - recon)) / scale < 1e-10
