@@ -190,6 +190,14 @@ def taylor_residual(g: SmoothMap, a, b) -> TaylorPieces:
     return TaylorPieces(trapezoid_defect=defect, gamma_term=gamma_term, r6=r6)
 
 
+def audit_grid(n: int, horizon: float = 1.0) -> Grid:
+    """The grid of covar_bound_audit; refuses m = n * horizon > AUDIT_MAX_STEPS."""
+    grid = Grid(n, horizon)
+    if grid.m > AUDIT_MAX_STEPS:
+        raise CapabilityError(f"audit limited to n * horizon <= {AUDIT_MAX_STEPS}")
+    return grid
+
+
 def covar_bound_audit(n: int, horizon: float = 1.0) -> dict:
     """Max ratios of exact Gaussian quantities to their decay envelopes.
 
@@ -204,10 +212,8 @@ def covar_bound_audit(n: int, horizon: float = 1.0) -> dict:
     (ii) and (iii) run over blocks of AUDIT_BLOCK_ROWS endpoint rows.
     The report holds the max ratio of each, and the min ratio of (v).
     """
-    grid = Grid(n, horizon)
+    grid = audit_grid(n, horizon)
     m = grid.m
-    if m > AUDIT_MAX_STEPS:
-        raise CapabilityError(f"audit limited to n * horizon <= {AUDIT_MAX_STEPS}")
     dt13 = grid.dt ** (1.0 / 3.0)
     j = np.arange(1, m + 1)
     lag = np.arange(0, m + 1)

@@ -134,6 +134,10 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
+# spellings of the boolean config values; any other value is a ConfigError
+_FLAG_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
     file_values = _parse_config_file(args.config) if args.config else {}
     command = args.command or file_values.get("command")
@@ -153,7 +157,7 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
         "refinement_factor": int,
         "truncation": int,
         "output_dir": str,
-        "check": lambda text: text.lower() in ("1", "true", "yes"),
+        "check": lambda text: _FLAG_WORDS[text.lower()],
         "workers": int,
     }
     unknown = sorted(set(file_values) - set(casts) - {"command"})
@@ -169,7 +173,7 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
         if isinstance(value, str):  # argparse has already typed the other flags
             try:
                 value = cast(value)
-            except ValueError as exc:
+            except (KeyError, ValueError) as exc:
                 raise ConfigError(f"bad config value for {name}: {value!r}") from exc
         values[name] = value
     cfg = ExperimentConfig(command=command, **values)

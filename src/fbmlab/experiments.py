@@ -28,6 +28,7 @@ from .analysis import (
     KsResult,
     ScalingFit,
     TAYLOR_GAMMA,
+    audit_grid,
     covar_bound_audit,
     ks_two_sample,
     moment_scaling,
@@ -46,7 +47,7 @@ from .kernel import (
 )
 from .oracle import LimitSample, weak_strat_integral
 from .quadrature import hermite_mean_limit, hermite_variance_limit
-from .sampler import Grid, Method, SeedPolicy, sample_bm, sample_fbm
+from .sampler import Grid, Method, SeedPolicy, load_ndtri, sample_bm, sample_fbm
 from .variations import (
     Endpoint,
     Family,
@@ -107,6 +108,7 @@ def run_replications(draw, stats: dict, replications: int, workers: int, offset:
     order.
     """
     global _TASK
+    load_ndtri()  # before the fork, so pool workers inherit scipy instead of importing it
     _TASK = (draw, stats)
     try:
         jobs = [(offset + lo, offset + hi) for lo, hi in _chunks(replications, workers)]
@@ -509,6 +511,8 @@ def audit_experiment(n_list, horizon: float = 1.0) -> AuditResult:
     """Covariance-envelope ratios, anchored cube sums over the grid ladder,
     and the Hermite orthogonality grid for orders up to 4."""
     n_list = sorted(int(n) for n in n_list)
+    for n in n_list:  # refuse an over-size grid before any audit runs
+        audit_grid(n, horizon)
     covar = [covar_bound_audit(n, horizon) for n in n_list]
     anchor = [
         {

@@ -139,20 +139,30 @@ def endpoint_increment_cov(n: int, i, k):
                                        - |k - i|^{1/3} + |k - i - 1|^{1/3}),
     which equals cov_r(i/n, k/n) - cov_r(i/n, (k-1)/n).  The anchor is given
     by its integer index, so the lag k - i is exact: the 1/3-Hoelder kernel
-    would amplify the rounding of n * (i/n) near the diagonal.  Broadcasts
-    over i and k.
+    would amplify the rounding of n * (i/n) near the diagonal.  Every cube
+    root is of an integer of magnitude at most max(i, k) + 1, so all four
+    are gathered from one table of those roots, mirrored so that the signed
+    lag indexes it directly.  Broadcasts over integer arrays i and k.
     """
     if n < 1:
         raise DomainError("endpoint_increment_cov requires n >= 1")
-    i = np.asarray(i, dtype=float)
+    i = np.asarray(i)
+    k = np.asarray(k)
+    if i.dtype.kind != "i" or k.dtype.kind != "i":
+        raise DomainError("endpoint_increment_cov requires signed integer grid indices")
     if np.any(i < 0):
         raise DomainError("endpoint_increment_cov requires i >= 0")
-    k = np.asarray(k, dtype=float)
     if np.any(k < 1):
         raise DomainError("endpoint_increment_cov requires k >= 1")
-    out = (
-        _cbrt_abs(k) - _cbrt_abs(k - 1) - _cbrt_abs(k - i) + _cbrt_abs(k - i - 1)
-    ) / (2.0 * np.cbrt(float(n)))
+    top = max(np.max(i, initial=0), np.max(k, initial=1)) + 1
+    root = np.cbrt(np.arange(top + 1.0))
+    mirror = np.concatenate([root[:0:-1], root])  # mirror[top + d] = |d|^{1/3}
+    lag = k - i
+    lag += top
+    out = root[k] - root[k - 1] - mirror.take(lag)
+    lag -= 1
+    out += mirror.take(lag)
+    out /= 2.0 * np.cbrt(float(n))
     return out if out.ndim else float(out)
 
 

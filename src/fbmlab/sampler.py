@@ -13,16 +13,19 @@ draws from a Philox stream keyed by (master_seed, stream_id, purpose tag),
 and Gaussians come from the inverse normal CDF applied to the raw counter
 output.  Replication-level parallelism therefore cannot reorder draws, and
 identical (grid, seeds, method) reproduce byte-identical arrays.
+
+The inverse normal CDF is scipy's ndtri, imported on the first draw (see
+load_ndtri): importing scipy.special takes longer than the whole of the
+commands that draw no random numbers, so they never import it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import CapabilityError, DomainError, EmbeddingError
 from .kernel import INCREMENT_EXPONENT, rho
@@ -40,6 +43,9 @@ EIGENVALUE_RTOL = 1e-8
 
 _MASK64 = (1 << 64) - 1
 
+# largest double below 1: the ceiling of the uniforms fed to ndtri
+_UNIFORM_MAX = 1.0 - 2.0**-53
+
 
 def _mix64(x: int) -> int:
     """splitmix64 finalizer; the standard avalanche for seed derivation."""
@@ -54,6 +60,29 @@ def _tag_word(tag: str) -> int:
     for b in tag.encode("utf-8"):
         word = _mix64(word ^ b)
     return word
+
+
+@cache
+def load_ndtri():
+    """scipy.special.ndtri, imported on the first call.
+
+    A process that forks workers calls this before the fork, so the workers
+    inherit the import instead of each importing scipy again.
+    """
+    from scipy.special import ndtri
+
+    return ndtri
+
+
+def _open_uniforms(raw: np.ndarray) -> np.ndarray:
+    """Raw 64-bit words -> uniforms strictly inside (0, 1).
+
+    The top 53 bits k give (k + 1/2) 2^-53.  For k = 2^53 - 1 that sum is a
+    tie that rounds to exactly 1.0, so the result is clamped to the largest
+    double below 1; every other k already lies below that ceiling.
+    """
+    u = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+    return np.minimum(u, _UNIFORM_MAX, out=u)
 
 
 class Method(enum.Enum):
@@ -117,10 +146,7 @@ class SeedPolicy:
     def normals(self, count: int, tag: str) -> np.ndarray:
         """Standard Gaussians by inverse CDF of the raw counter stream."""
         bitgen = np.random.Philox(key=self._key(tag))
-        raw = bitgen.random_raw(count)
-        # top 53 bits -> uniform on (0, 1), strictly inside the interval
-        u = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
-        return ndtri(u)
+        return load_ndtri()(_open_uniforms(bitgen.random_raw(count)))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import fbmlab
 from fbmlab import Grid, LimitSample, SeedPolicy, kappa_constant, parse_integrand
 from fbmlab.experiments import (
     estimator_stats,
@@ -19,6 +23,24 @@ ACCEPT_N = 4096
 ACCEPT_REPLICATIONS = 2000
 ORACLE_REFINEMENT = 2**14
 INTEGRANDS = ("1", "x", "x^2", "sin")
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run a Python snippet in a new interpreter that imports this fbmlab;
+    return its stdout.  For checks on what a process has imported."""
+    src = os.path.dirname(os.path.dirname(fbmlab.__file__))
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+    def run(code: str) -> str:
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -139,6 +139,21 @@ class TestConfigHandling:
         assert code == 2
         assert "kapa" in err
 
+    def test_check_value_spellings(self, capsys, tmp_path):
+        # truncation 0 fails the kappa checks, so the exit code shows the flag
+        cfg = tmp_path / "run.cfg"
+        for word, code in (("1", 4), ("True", 4), ("YES", 4), ("0", 0), ("false", 0), ("No", 0)):
+            cfg.write_text(f"[kappa]\ntruncation = 0\ncheck = {word}\n")
+            assert run(capsys, "--config", str(cfg), "--output-dir", str(tmp_path))[0] == code
+
+    def test_misspelt_check_value_is_a_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[kappa]\ntruncation = 0\ncheck = ture\n")
+        code, _, err = run(capsys, "--config", str(cfg), "--output-dir", str(tmp_path))
+        assert code == 2
+        assert "check" in err and "ture" in err
+        assert not (tmp_path / "kappa").exists()
+
     def test_audit_above_cap_is_a_capability_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "audit", "--n-list", "8192", "--check",
                            "--output-dir", str(tmp_path))
@@ -260,3 +275,17 @@ class TestMoreCommands:
         assert names == {"cubic_4th", "quintic_2nd", "weighted_cubic_2nd"}
         for row in report["per_estimator"]:
             assert len(row["points"]) == len(row["spec"]["gaps"])
+
+
+class TestImports:
+    def test_exact_commands_do_not_load_scipy(self, fresh_python, tmp_path):
+        # scipy.special is imported on the first random draw, not with the CLI
+        out = fresh_python(
+            "import sys\n"
+            "from fbmlab import cli\n"
+            "print('scipy.special' in sys.modules)\n"
+            f"code = cli.main(['kappa', '--check', '--output-dir', {str(tmp_path)!r}])\n"
+            "print(code, 'scipy.special' in sys.modules)\n"
+        )
+        lines = out.splitlines()  # kappa prints its JSON in between
+        assert (lines[0], lines[-1]) == ("False", "0 False")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fbmlab import CapabilityError, DomainError, parse_integrand
+from fbmlab import CapabilityError, DomainError, experiments, parse_integrand
 from fbmlab.experiments import (
     DEFAULT_SCALING_SPECS,
     audit_experiment,
@@ -148,6 +148,31 @@ class TestAuditExperiment:
         # a grid above AUDIT_MAX_STEPS is refused, not dropped from the report
         with pytest.raises(CapabilityError):
             audit_experiment([64, 8192])
+
+    def test_large_n_is_refused_before_any_audit(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "covar_bound_audit", lambda *args: calls.append(args))
+        with pytest.raises(CapabilityError):
+            audit_experiment([64, 8192])
+        assert calls == []
+
+
+class TestRunReplications:
+    def test_pool_workers_inherit_scipy(self, fresh_python):
+        # the parent imports scipy.special before the fork, so no worker does
+        out = fresh_python(
+            "import sys\n"
+            "from fbmlab import Grid, SeedPolicy, sample_fbm\n"
+            "from fbmlab.experiments import run_replications\n"
+            "def draw(r):\n"
+            "    loaded = 'scipy.special' in sys.modules\n"
+            "    sample_fbm(Grid(16), SeedPolicy(3, r))\n"
+            "    return loaded\n"
+            "print('scipy.special' in sys.modules)\n"
+            "cols = run_replications(draw, {'loaded': bool}, 8, workers=2)\n"
+            "print(cols['loaded'].tolist())\n"
+        )
+        assert out.splitlines() == ["False", str([True] * 8)]
 
 
 class TestSamplerExperiment:

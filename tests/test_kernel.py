@@ -222,9 +222,29 @@ class TestEndpointIncrementCov:
         exact = (np.cbrt(k) - np.cbrt(k - 1) - 1.0) / (2.0 * np.cbrt(float(n)))
         assert np.max(np.abs(endpoint_increment_cov(n, k - 1, k) - exact)) <= 1e-15
 
+    def test_cube_root_table_matches_direct_roots(self):
+        # bit for bit against one cube root per lag, as the formula reads
+        def direct(n, i, k):
+            i, k = np.asarray(i, dtype=float), np.asarray(k, dtype=float)
+            c = lambda x: np.cbrt(np.abs(x))
+            return (c(k) - c(k - 1) - c(k - i) + c(k - i - 1)) / (2.0 * np.cbrt(float(n)))
+
+        rng = np.random.default_rng(7)
+        for n in (3, 64, 3000):
+            for _ in range(5):
+                lo = int(rng.integers(0, n + 1))
+                i = np.arange(lo, min(lo + 64, n + 1))[:, None]
+                k = rng.integers(1, n + 1, size=200)
+                assert np.array_equal(endpoint_increment_cov(n, i, k), direct(n, i, k))
+            k = np.arange(1, n + 1)
+            assert np.array_equal(endpoint_increment_cov(n, k - 1, k), direct(n, k - 1, k))
+            assert endpoint_increment_cov(n, n, 1) == float(direct(n, n, 1))
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             endpoint_increment_cov(0, 1, 1)
+        with pytest.raises(DomainError):
+            endpoint_increment_cov(4, 1.0, 2)
         with pytest.raises(DomainError):
             endpoint_increment_cov(4, -1, 1)
         with pytest.raises(DomainError):

@@ -13,7 +13,7 @@ from fbmlab import (
 )
 from fbmlab.analysis import ks_statistic, KS_COEFF_001
 from fbmlab.kernel import rho
-from fbmlab.sampler import _cholesky_factor, _circulant_sqrt_eigs
+from fbmlab.sampler import _cholesky_factor, _circulant_sqrt_eigs, _open_uniforms, load_ndtri
 
 
 class TestGrid:
@@ -42,6 +42,18 @@ class TestSeeding:
         assert not np.array_equal(base, SeedPolicy(1, 1).normals(64, "t"))
         assert not np.array_equal(base, SeedPolicy(2, 0).normals(64, "t"))
         assert not np.array_equal(base, SeedPolicy(1, 0).normals(64, "u"))
+
+    def test_uniforms_stay_inside_the_unit_interval(self):
+        # the all-ones word would round to exactly 1.0, where ndtri is +inf
+        u = _open_uniforms(np.array([2**64 - 1, 0], dtype=np.uint64))
+        assert u[0] == np.nextafter(1.0, 0.0)
+        assert u[1] == 2.0**-54
+        assert np.all(np.isfinite(load_ndtri()(u)))
+
+    def test_uniforms_of_other_words_are_unclamped(self):
+        raw = np.random.Philox(5).random_raw(4096)
+        raw[:2] = [(2**53 - 2) << 11 | 2047, 2**11 - 1]  # next-to-top and bottom 53-bit values
+        assert np.array_equal(_open_uniforms(raw), (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54)
 
     def test_negative_stream_rejected(self):
         with pytest.raises(DomainError):
