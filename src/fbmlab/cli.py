@@ -38,6 +38,7 @@ from . import __version__
 from .analysis import Estimator
 from .errors import CapabilityError, ConfigError, DomainError
 from .experiments import (
+    DEFAULT_SCALING_SPECS,
     DEFAULT_TRUNCATION,
     audit_experiment,
     converge_experiment,
@@ -49,7 +50,7 @@ from .experiments import (
     taylor_experiment,
 )
 from .kernel import kappa_constant
-from .sampler import RNG_STREAM_VERSION, Method
+from .sampler import RNG_STREAM_VERSION
 from .variations import parse_integrand
 
 DEFAULT_MASTER_SEED = 2
@@ -83,7 +84,6 @@ class ExperimentConfig:
     replications: int = 500
     master_seed: int = DEFAULT_MASTER_SEED
     integrand: str = "sin"
-    method: Method = Method.CIRCULANT
     refinement_factor: int = 4
     truncation: int = DEFAULT_TRUNCATION
     output_dir: str = "out"
@@ -108,14 +108,15 @@ class ExperimentConfig:
             raise ConfigError("workers must be positive")
 
     def echo(self) -> dict:
-        return {**asdict(self), "n_list": list(self.n_list), "method": self.method.value}
+        return {**asdict(self), "n_list": list(self.n_list)}
 
 
 def _parse_config_file(path: str) -> dict:
     values: dict[str, str] = {}
     section = None
     try:
-        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for raw in lines:
@@ -153,7 +154,6 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
         "replications": int,
         "master_seed": int,
         "integrand": str,
-        "method": lambda text: Method(text.lower()),
         "refinement_factor": int,
         "truncation": int,
         "output_dir": str,
@@ -281,7 +281,6 @@ def cmd_converge(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
             cfg.replications,
             cfg.master_seed,
             integrands,
-            cfg.method,
             cfg.refinement_factor,
             cfg.workers,
         )
@@ -320,7 +319,7 @@ def cmd_variations(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]
     ok = True
     for n in cfg.n_list:
         result = identity_experiment(
-            n, cfg.horizon, cfg.replications, cfg.master_seed, cfg.method, cfg.workers
+            n, cfg.horizon, cfg.replications, cfg.master_seed, cfg.workers
         )
         identities_ok = all(v <= IDENTITY_TOL for v in result.max_rel_residuals.values())
         var_ok = abs(result.vn_variance - kc.kappa_sq) <= CUBIC_VAR_RTOL * kc.kappa_sq
@@ -351,7 +350,6 @@ def cmd_sextic(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
         cfg.horizon,
         cfg.replications,
         cfg.master_seed,
-        cfg.method,
         workers=cfg.workers,
     )
     mean_ok = abs(result.mean_value - result.mean_target) <= MEAN_SE_MULT * result.mean_se
@@ -393,7 +391,6 @@ def cmd_hermite(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
                 cfg.replications,
                 cfg.master_seed,
                 g,
-                cfg.method,
                 cfg.workers,
             )
             stats = result.summary()
@@ -428,16 +425,15 @@ def cmd_hermite(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
 
 
 def cmd_scaling(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
-    result = scaling_experiment(
+    fits = scaling_experiment(
         cfg.master_seed,
         cfg.replications,
         integrand=parse_integrand(cfg.integrand),
-        method=cfg.method,
         workers=cfg.workers,
     )
     report = {"per_estimator": [], "replications": cfg.replications}
     ok = True
-    for estimator, fit in result.fits.items():
+    for estimator, fit in fits.items():
         floor = SLOPE_FLOORS[estimator]
         est_ok = fit.slope >= floor and fit.r_squared >= SLOPE_R2_MIN
         ok = ok and est_ok
@@ -448,11 +444,7 @@ def cmd_scaling(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
                 "slope_floor": floor,
                 "r_squared": fit.r_squared,
                 "points": [list(p) for p in fit.points],
-                "spec": {
-                    "n": result.specs[estimator]["n"],
-                    "horizon": result.specs[estimator].get("horizon"),
-                    "gaps": list(result.specs[estimator]["gaps"]),
-                },
+                "spec": DEFAULT_SCALING_SPECS[estimator],  # gap tuples dump as JSON lists
                 "ok": est_ok,
             }
         )
@@ -514,7 +506,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--integrand", help="integrand spec, semicolon-separated for several"
     )
-    parser.add_argument("--method", choices=[m.value for m in Method])
     parser.add_argument("--refinement-factor", dest="refinement_factor", type=int)
     parser.add_argument("--truncation", type=int)
     parser.add_argument("--output-dir", dest="output_dir")

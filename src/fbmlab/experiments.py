@@ -39,7 +39,6 @@ from .analysis import (
 )
 from .errors import DomainError
 from .kernel import (
-    cov_r,
     gram_matrix,
     kappa_constant,
     left_anchor_cube_sum,
@@ -47,7 +46,7 @@ from .kernel import (
 )
 from .oracle import LimitSample, weak_strat_integral
 from .quadrature import hermite_mean_limit, hermite_variance_limit
-from .sampler import Grid, Method, SeedPolicy, load_ndtri, sample_bm, sample_fbm
+from .sampler import Grid, Method, SeedPolicy, load_ndtri, sample_fbm
 from .variations import (
     Endpoint,
     Family,
@@ -118,9 +117,9 @@ def run_replications(draw, stats: dict, replications: int, workers: int, offset:
     return {name: np.concatenate([part[name] for part in parts]) for name in stats}
 
 
-def fbm_draws(grid: Grid, master_seed: int, method: Method = Method.CIRCULANT):
-    """draw for run_replications: the fBm path of stream (master_seed, r)."""
-    return lambda r: sample_fbm(grid, SeedPolicy(master_seed, r), method)
+def fbm_draws(grid: Grid, master_seed: int):
+    """draw for run_replications: the circulant fBm path of stream (master_seed, r)."""
+    return lambda r: sample_fbm(grid, SeedPolicy(master_seed, r))
 
 
 def estimator_stats(integrands) -> dict:
@@ -167,7 +166,6 @@ def converge_experiment(
     replications: int,
     master_seed: int,
     integrands: list[SmoothMap],
-    method: Method = Method.CIRCULANT,
     refinement_factor: int = 4,
     workers: int = 1,
 ) -> ConvergeResult:
@@ -183,7 +181,7 @@ def converge_experiment(
     names = ["B", "cubic", *(f"int_{t}" for t in texts)]
     kappa = kappa_constant(DEFAULT_TRUNCATION).kappa
     est = run_replications(
-        fbm_draws(Grid(n, horizon), master_seed, method),
+        fbm_draws(Grid(n, horizon), master_seed),
         estimator_stats(integrands),
         replications,
         workers,
@@ -191,7 +189,7 @@ def converge_experiment(
     refinement = refinement_factor * n
     orc = run_replications(
         lambda r: LimitSample.draw(
-            refinement, SeedPolicy(master_seed, r), kappa, integrands, horizon, method
+            refinement, SeedPolicy(master_seed, r), kappa, integrands, horizon
         ),
         oracle_stats(integrands),
         replications,
@@ -234,8 +232,6 @@ def _identity_row(path) -> np.ndarray:
 
 @dataclass
 class IdentityResult:
-    n: int
-    replications: int
     max_rel_residuals: dict[str, float]
     b1: np.ndarray
     vn: np.ndarray
@@ -254,20 +250,17 @@ def identity_experiment(
     horizon: float,
     replications: int,
     master_seed: int,
-    method: Method = Method.CIRCULANT,
     workers: int = 1,
 ) -> IdentityResult:
     """Pathwise telescoping identities and the signed-cubic-variation law."""
     rows = run_replications(
-        fbm_draws(Grid(n, horizon), master_seed, method),
+        fbm_draws(Grid(n, horizon), master_seed),
         {"identity": _identity_row},
         replications,
         workers,
     )["identity"]
     worst = np.max(rows[:, :4], axis=0)
     return IdentityResult(
-        n=n,
-        replications=replications,
         max_rel_residuals={
             "riemann_const": float(worst[0]),
             "riemann_linear": float(worst[1]),
@@ -301,7 +294,6 @@ def sextic_experiment(
     horizon: float,
     replications: int,
     master_seed: int,
-    method: Method = Method.CIRCULANT,
     mean_replications: int | None = None,
     workers: int = 1,
 ) -> SexticResult:
@@ -320,7 +312,7 @@ def sextic_experiment(
 
         # the finest level serves the medians and the mean from one set of paths
         rows = run_replications(
-            fbm_draws(Grid(n, horizon), master_seed, method),
+            fbm_draws(Grid(n, horizon), master_seed),
             {"sextic": sextic},
             max(replications, m_reps) if n == n_top else replications,
             workers,
@@ -342,9 +334,6 @@ def sextic_experiment(
 
 @dataclass
 class HermiteResult:
-    n: int
-    replications: int
-    integrand: str
     bounded: bool
     left: np.ndarray
     right: np.ndarray
@@ -371,22 +360,18 @@ def hermite_experiment(
     replications: int,
     master_seed: int,
     integrand: SmoothMap = sin_map(),
-    method: Method = Method.CIRCULANT,
     workers: int = 1,
 ) -> HermiteResult:
     """Left/right endpoint weighted third-Hermite variations at t = horizon,
     with the quadrature limits for the left-endpoint mean and variance."""
     cols = run_replications(
-        fbm_draws(Grid(n, horizon), master_seed, method),
+        fbm_draws(Grid(n, horizon), master_seed),
         hermite_stats(integrand),
         replications,
         workers,
     )
     kappa_sq = kappa_constant(DEFAULT_TRUNCATION).kappa_sq
     return HermiteResult(
-        n=n,
-        replications=replications,
-        integrand=integrand.label,
         bounded=integrand.is_bounded,
         left=cols["left"],
         right=cols["right"],
@@ -420,39 +405,30 @@ DEFAULT_SCALING_SPECS: dict[Estimator, dict] = {
 }
 
 
-@dataclass
-class ScalingResult:
-    replications: int
-    fits: dict[Estimator, ScalingFit]
-    specs: dict[Estimator, dict]
-
-
 def scaling_experiment(
     master_seed: int,
     replications: int = 500,
-    specs: dict[Estimator, dict] | None = None,
     integrand: SmoothMap = sin_map(),
-    method: Method = Method.CIRCULANT,
     workers: int = 1,
-) -> ScalingResult:
-    """Moment-bound scaling fits; estimators on the same grid share one set of paths."""
-    specs = specs or DEFAULT_SCALING_SPECS
+) -> dict[Estimator, ScalingFit]:
+    """Moment-bound scaling fit of each estimator in DEFAULT_SCALING_SPECS;
+    estimators on the same grid share one set of paths."""
     ladders = {
         estimator: scaling_ladder(spec["n"], spec["gaps"], replications, spec.get("horizon"))
-        for estimator, spec in specs.items()
+        for estimator, spec in DEFAULT_SCALING_SPECS.items()
     }
     fits = {}
     for grid in dict.fromkeys(grid for grid, _ in ladders.values()):
         group = {e: gaps for e, (on, gaps) in ladders.items() if on == grid}
         cols = run_replications(
-            fbm_draws(grid, master_seed, method),
+            fbm_draws(grid, master_seed),
             {e: partial(window_moments, e, gaps=gaps, g=integrand) for e, gaps in group.items()},
             replications,
             workers,
         )
         for e, gaps in group.items():
             fits[e] = moment_scaling(grid.n, gaps, cols[e], replications)
-    return ScalingResult(replications=replications, fits={e: fits[e] for e in specs}, specs=specs)
+    return {e: fits[e] for e in DEFAULT_SCALING_SPECS}
 
 
 # --- symmetric Taylor corpus -------------------------------------------------
@@ -535,13 +511,8 @@ def audit_experiment(n_list, horizon: float = 1.0) -> AuditResult:
 
 @dataclass
 class SamplerResult:
-    gram_n: int
-    gram_replications: int
     gram_max_z: float
     method_ks: KsResult
-    var_b1: float
-    var_b1_z: float
-    bw_corr: float
 
 
 def sampler_experiment(
@@ -551,10 +522,9 @@ def sampler_experiment(
     ks_replications: int = 1000,
     probe_indices=(64, 128, 256, 512),
 ) -> SamplerResult:
-    """Empirical Gram matrix against cov_r (entrywise z scores), a
-    CHOLESKY/CIRCULANT two-sample KS on B(1), Var(B(1)), and the B-W
-    correlation of paired draws.  The circulant B(1) of the KS comes from
-    the same paths as the Gram matrix."""
+    """Empirical Gram matrix against cov_r (entrywise z scores) and a
+    CHOLESKY/CIRCULANT two-sample KS on B(1).  The circulant B(1) of the KS
+    comes from the same paths as the Gram matrix."""
     grid = Grid(gram_n, 1.0)
     probes = np.array(probe_indices)
     cols = run_replications(
@@ -562,34 +532,23 @@ def sampler_experiment(
         {
             "probes": lambda path: path.values[probes],
             "b1": lambda path: path.values[-1],
-            "w1": lambda path: sample_bm(grid, path.seeds).values[-1],
         },
         max(gram_replications, ks_replications),
         workers=1,
     )
     vals = cols["probes"][:gram_replications]
-    b1 = cols["b1"][:gram_replications]
-    w1 = cols["w1"][:gram_replications]
     target = gram_matrix(probes / gram_n)
     prods = vals[:, :, None] * vals[:, None, :]
     emp = prods.mean(axis=0)
     se = prods.std(axis=0, ddof=1) / math.sqrt(gram_replications)
-    gram_max_z = float(np.max(np.abs(emp - target) / se))
-    var_b1 = float(np.var(b1, ddof=1))
-    var_se = var_b1 * math.sqrt(2.0 / (gram_replications - 1))
     chol = run_replications(
-        fbm_draws(grid, master_seed, Method.CHOLESKY),
+        lambda r: sample_fbm(grid, SeedPolicy(master_seed, r), Method.CHOLESKY),
         {"b1": lambda path: path.values[-1]},
         ks_replications,
         workers=1,
     )["b1"]
     circ = cols["b1"][:ks_replications]
     return SamplerResult(
-        gram_n=gram_n,
-        gram_replications=gram_replications,
-        gram_max_z=gram_max_z,
+        gram_max_z=float(np.max(np.abs(emp - target) / se)),
         method_ks=ks_two_sample(chol, circ),
-        var_b1=var_b1,
-        var_b1_z=float(abs(var_b1 - cov_r(1.0, 1.0)) / var_se),
-        bw_corr=float(np.corrcoef(b1, w1)[0, 1]),
     )

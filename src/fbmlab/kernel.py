@@ -183,11 +183,8 @@ def left_anchor_cube_sum(n: int, t: float) -> float:
     """
     if n < 1 or t < 0:
         raise DomainError("left_anchor_cube_sum requires n >= 1 and t >= 0")
-    j = int(np.floor(n * t + 1e-9))
-    if j == 0:
-        return 0.0
-    k = np.arange(1, j + 1, dtype=float)
-    e = (np.cbrt(k) - np.cbrt(k - 1) - 1.0) / (2.0 * np.cbrt(float(n)))
+    k = np.arange(1, int(np.floor(n * t + 1e-9)) + 1)
+    e = endpoint_increment_cov(n, k - 1, k)
     return float(np.sum(np.abs(e**3 + 1.0 / (8.0 * n))))
 
 
@@ -195,9 +192,6 @@ def right_anchor_cube_sum(n: int, t: float) -> float:
     """sum_{k <= floor(nt)} | E[B(t_k) dB_k]^3 - 1/(8n) |, same decay."""
     if n < 1 or t < 0:
         raise DomainError("right_anchor_cube_sum requires n >= 1 and t >= 0")
-    j = int(np.floor(n * t + 1e-9))
-    if j == 0:
-        return 0.0
-    k = np.arange(1, j + 1, dtype=float)
-    e = (np.cbrt(k) - np.cbrt(k - 1) + 1.0) / (2.0 * np.cbrt(float(n)))
+    k = np.arange(1, int(np.floor(n * t + 1e-9)) + 1)
+    e = endpoint_increment_cov(n, k, k)
     return float(np.sum(np.abs(e**3 - 1.0 / (8.0 * n))))

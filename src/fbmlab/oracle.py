@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .sampler import Grid, Method, Path, SeedPolicy, sample_fbm
+from .sampler import Grid, Path, SeedPolicy, sample_fbm
 from .variations import Family, SmoothMap
 
 
@@ -53,7 +53,6 @@ class LimitSample:
         kappa: float,
         integrands,
         horizon: float = 1.0,
-        method: Method = Method.CIRCULANT,
     ) -> "LimitSample":
         """Draw B, then kappa W(T) and the corrections given B.
 
@@ -62,7 +61,7 @@ class LimitSample:
         through eigh of their Gram matrix with negative eigenvalues clipped
         to 0, so repeated or dependent columns are allowed.
         """
-        b_path = sample_fbm(Grid(refinement, horizon), seeds, method)
+        b_path = sample_fbm(Grid(refinement, horizon), seeds)
         second = [_parts(g)[1] for g in integrands]
         left = b_path.values[:-1]
         cols = np.vstack(

@@ -7,7 +7,7 @@ weighted third-Hermite variation with left endpoints,
 
     mean:      -(1/8) int_0^t E[g'''(B_s)] ds,
     variance:  kappa^2 int_0^t E[g^2(B_s)] ds
-               + (1/64) E[( int_0^t g'''(B_s) ds )^2],
+               + (1/64) E[( int_0^t g'''(B_s) ds )^2] - mean^2,
 
 where Var(B_s) = s^{1/3} and Cov(B_s, B_u) = R(s, u), plus the exact
 finite-n mean sum_j E[g'''(B(t_{j-1}))] E[B(t_{j-1}) dB_j]^3.
@@ -118,11 +118,13 @@ def hermite_mean_exact(g: SmoothMap, n: int, t: float) -> float:
 
 def hermite_variance_limit(g: SmoothMap, t: float, kappa_sq: float,
                            nodes: int = GL_NODES) -> float:
-    """Limit second moment of the left-endpoint variation at time t.
+    """Limit variance of the left-endpoint variation at time t.
 
-    kappa^2 int_0^t E[g^2] + (1/64) int int E[g'''(B_s) g'''(B_u)] ds du,
-    the double integral evaluated on a tensor Gauss-Legendre grid with the
-    exact covariance R(s, u) feeding a bivariate Gauss-Hermite rule.
+    The limit second moment kappa^2 int_0^t E[g^2]
+    + (1/64) int int E[g'''(B_s) g'''(B_u)] ds du less the squared limit
+    mean hermite_mean_limit(g, t); the double integral is evaluated on a
+    tensor Gauss-Legendre grid with the exact covariance R(s, u) feeding a
+    bivariate Gauss-Hermite rule.
     """
     if t < 0:
         raise DomainError("t must be nonnegative")
@@ -143,4 +145,4 @@ def hermite_variance_limit(g: SmoothMap, t: float, kappa_sq: float,
         )
         double += w[i] * np.dot(w, row)
     double *= t * t
-    return float(sq_term + double / 64.0)
+    return float(sq_term + double / 64.0 - hermite_mean_limit(g, t) ** 2)

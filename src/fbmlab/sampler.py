@@ -3,10 +3,12 @@
 Two exact samplers for the H = 1/6 fractional Brownian motion are provided:
 
 * CHOLESKY factors the m x m increment Gram matrix n^{-1/3} rho(i - j)
-  directly (reference method, limited to m <= 4096);
-* CIRCULANT embeds the increment autocovariance in a circulant of size 2m
-  (Davies-Harte), diagonalizes it with one real FFT, and synthesizes the
-  stationary noise from independent spectral Gaussians in O(m log m).
+  directly (limited to m <= 4096); it is the reference the sampler
+  validation compares CIRCULANT against;
+* CIRCULANT, which every experiment samples with, embeds the increment
+  autocovariance in a circulant of size 2m (Davies-Harte), diagonalizes it
+  with one real FFT, and synthesizes the stationary noise from independent
+  spectral Gaussians in O(m log m).
 
 Both target the same exact law.  Randomness is counter based: every path
 draws from a Philox stream keyed by (master_seed, stream_id, purpose tag),
@@ -155,7 +157,6 @@ class Path:
 
     grid: Grid
     values: np.ndarray
-    seeds: SeedPolicy
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -205,9 +206,9 @@ def _fgn_circulant(grid: Grid, z: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spectrum, n=big)[:m]
 
 
-def _assemble(grid: Grid, increments: np.ndarray, seeds: SeedPolicy) -> Path:
+def _assemble(grid: Grid, increments: np.ndarray) -> Path:
     values = np.concatenate([[0.0], np.cumsum(increments)])
-    return Path(grid=grid, values=values, seeds=seeds)
+    return Path(grid=grid, values=values)
 
 
 def sample_fbm(grid: Grid, seeds: SeedPolicy, method: Method = Method.CIRCULANT) -> Path:
@@ -224,7 +225,7 @@ def sample_fbm(grid: Grid, seeds: SeedPolicy, method: Method = Method.CIRCULANT)
         increments = _fgn_circulant(grid, z)
     else:
         raise DomainError(f"unknown sampling method {method!r}")
-    return _assemble(grid, increments, seeds)
+    return _assemble(grid, increments)
 
 
 def sample_bm(grid: Grid, seeds: SeedPolicy) -> Path:
@@ -234,4 +235,4 @@ def sample_bm(grid: Grid, seeds: SeedPolicy) -> Path:
     disjoint purpose tag, so paired (B, W) replications share a stream_id.
     """
     z = seeds.normals(grid.m, "bm")
-    return _assemble(grid, np.sqrt(grid.dt) * z, seeds)
+    return _assemble(grid, np.sqrt(grid.dt) * z)

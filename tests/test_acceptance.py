@@ -200,18 +200,18 @@ def test_c08_hermite_variance_limit(estimator_corpus, constants):
 
 def test_c09_moment_bound_scaling():
     start = time.perf_counter()
-    result = scaling_experiment(MASTER_SEED, replications=500)
+    fits = scaling_experiment(MASTER_SEED, replications=500)
     elapsed = time.perf_counter() - start
     ok = elapsed < 120.0
     lines = []
     for estimator, floor in SLOPE_FLOORS.items():
-        fit = result.fits[estimator]
+        fit = fits[estimator]
         good = fit.slope >= floor and fit.r_squared >= SLOPE_R2_MIN
         ok = ok and good
         lines.append(f"{estimator.value}: slope={fit.slope:.3f}>={floor} r2={fit.r_squared:.3f}")
     report(9, ok, "; ".join(lines) + f" (M=500, {elapsed:.1f}s)")
     for estimator, floor in SLOPE_FLOORS.items():
-        fit = result.fits[estimator]
+        fit = fits[estimator]
         assert fit.slope >= floor, f"{estimator.value} slope {fit.slope} < {floor}"
         assert fit.r_squared >= SLOPE_R2_MIN, (
             f"{estimator.value} r2 {fit.r_squared} < {SLOPE_R2_MIN}"

@@ -83,9 +83,12 @@ class TestConfigHandling:
         assert code == 2
 
     def test_bad_method(self, capsys, tmp_path):
-        code, *_ = run(capsys, "kappa", "--method", "chaos",
-                       "--output-dir", str(tmp_path))
+        # the sampling method is not a setting: every command samples CIRCULANT
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[kappa]\nmethod = circulant\n")
+        code, _, err = run(capsys, "--config", str(cfg), "--output-dir", str(tmp_path))
         assert code == 2
+        assert "method" in err
 
     def test_missing_command(self, capsys):
         code, *_ = run(capsys)
@@ -93,8 +96,7 @@ class TestConfigHandling:
 
     def test_capability_exit(self, capsys, tmp_path):
         code, _, err = run(
-            capsys, "variations", "--n-list", "8192", "--method", "cholesky",
-            "--replications", "1", "--output-dir", str(tmp_path),
+            capsys, "audit", "--n-list", "8192", "--output-dir", str(tmp_path),
         )
         assert code == 3
         assert "capability" in err

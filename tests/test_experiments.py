@@ -120,9 +120,9 @@ class TestHermite:
 class TestScaling:
     def test_default_specs_cover_all_estimators(self):
         assert set(DEFAULT_SCALING_SPECS) == {e for e in DEFAULT_SCALING_SPECS}
-        res = scaling_experiment(29, replications=200)
-        assert set(res.fits) == set(DEFAULT_SCALING_SPECS)
-        for fit in res.fits.values():
+        fits = scaling_experiment(29, replications=200)
+        assert set(fits) == set(DEFAULT_SCALING_SPECS)
+        for fit in fits.values():
             assert fit.r_squared > 0.9
 
 
@@ -183,5 +183,3 @@ class TestSamplerExperiment:
         )
         assert res.gram_max_z < 5.0
         assert not res.method_ks.rejects_at_1pct
-        assert res.var_b1_z < 5.0
-        assert abs(res.bw_corr) < 5.0 / math.sqrt(500)

@@ -115,7 +115,8 @@ class TestHermiteLimits:
 
         double, err = integrate.dblquad(cos_pair, 0, 1, 0, 1, epsabs=1e-10)
         sin_sq = 1 / 8 + (15 / 8) * math.exp(-2.0)
-        target = kappa_sq * sin_sq + double / 64.0
+        # the limit second moment less the squared limit mean 6 - 9.75 e^{-1/2}
+        target = kappa_sq * sin_sq + double / 64.0 - (6 - 9.75 * math.exp(-0.5)) ** 2
         value = hermite_variance_limit(sin_map(), 1.0, kappa_sq)
         assert value == pytest.approx(target, rel=1e-4)
         assert err < 1e-8

@@ -26,7 +26,7 @@ def make_path(values, horizon=None):
     values = np.asarray(values, dtype=float)
     n = len(values) - 1
     grid = Grid(n, horizon or 1.0)
-    return Path(grid=grid, values=values, seeds=SeedPolicy(0, 0))
+    return Path(grid=grid, values=values)
 
 
 class TestStepProcess:
