@@ -8,7 +8,8 @@ content hashes of every emitted file, so identical configurations produce
 identical reports and manifest hashes on one platform.
 
 Exit codes: 0 success, 2 configuration error, 3 capability limit,
-4 acceptance-check failure under --check.
+4 acceptance-check failure under --check, with one "check failed" line
+per failed check on stderr.
 
 Config files are plain text key=value lines under a [command] header; the
 keys are the flag names with "_" for "-", and any other key is an error:
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -39,7 +41,6 @@ from .analysis import Estimator
 from .errors import CapabilityError, ConfigError, DomainError
 from .experiments import (
     DEFAULT_SCALING_SPECS,
-    DEFAULT_TRUNCATION,
     audit_experiment,
     converge_experiment,
     hermite_experiment,
@@ -49,7 +50,7 @@ from .experiments import (
     sextic_experiment,
     taylor_experiment,
 )
-from .kernel import kappa_constant
+from .kernel import DEFAULT_TRUNCATION, kappa_constant
 from .sampler import RNG_STREAM_VERSION
 from .variations import parse_integrand
 
@@ -72,6 +73,8 @@ SLOPE_R2_MIN = 0.95
 TAYLOR_R6_TOL = 1e-9
 ANCHOR_SUM_MAX = 0.01
 ORTHOGONALITY_TOL = 1e-8
+# largest entrywise z score of the sampler's empirical Gram matrix
+GRAM_Z_MAX = 4.0
 # a Monte Carlo mean passes within this many standard errors of its target
 MEAN_SE_MULT = 3.0
 
@@ -93,13 +96,14 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ConfigError("n_list must hold positive grid sizes")
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:  # refuses nan too
+            raise ConfigError("horizon must be positive and finite")
         for n in self.n_list:
-            if abs(n * self.horizon - round(n * self.horizon)) > 1e-9:
-                raise ConfigError(f"n * horizon = {n * self.horizon} not integral")
-        if self.replications < 1:
-            raise ConfigError("replications must be positive")
+            steps = n * self.horizon
+            if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
+                raise ConfigError(f"n * horizon = {steps} not integral")
+        if self.replications < 2:  # a sample variance needs two paths
+            raise ConfigError("replications must be at least 2")
         if self.refinement_factor not in (2, 4, 8):
             raise ConfigError("refinement_factor must be 2, 4, or 8")
         if self.truncation < 0:
@@ -250,32 +254,33 @@ class Emitter:
 # --- commands -------------------------------------------------------------------
 #
 # Each command takes the config and the run's Emitter (for its sample CSVs)
-# and returns its report and whether its acceptance checks hold; main writes
-# report.json and the manifest and chooses the exit code.
+# and returns the report its experiments built, with the verdict keys added,
+# and the names of its gating checks that failed; main writes report.json
+# and the manifest, names the failures under --check and chooses the exit
+# code.
 
 
-def cmd_kappa(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
+def _failed(checks: dict, prefix: str = "", gating=None) -> list[str]:
+    """prefix + name of each check in gating (default: every check) that fails."""
+    return [prefix + name for name in (checks if gating is None else gating) if not checks[name]]
+
+
+def cmd_kappa(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
     kc = kappa_constant(cfg.truncation)
-    payload = {
-        "kappa": kc.kappa,
-        "kappa_sq": kc.kappa_sq,
-        "truncation_radius": kc.truncation_radius,
-        "tail_bound": kc.tail_bound,
-    }
+    payload = asdict(kc)
     print(json.dumps(payload, indent=2, sort_keys=True))
     checks = {
         "kappa_sq_close": abs(kc.kappa_sq - KAPPA_SQ_REF) <= KAPPA_SQ_TOL,
         "kappa_close": abs(kc.kappa - KAPPA_REF) <= KAPPA_TOL,
     }
-    return {**payload, "checks": checks}, all(checks.values())
+    return {**payload, "checks": checks}, _failed(checks)
 
 
-def cmd_converge(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
+def cmd_converge(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
     integrands = parse_integrand_list(cfg.integrand)
-    report = {"per_n": []}
-    ok = True
+    rows, failed = [], []
     for n in cfg.n_list:
-        result = converge_experiment(
+        row, est, orc = converge_experiment(
             n,
             cfg.horizon,
             cfg.replications,
@@ -284,99 +289,59 @@ def cmd_converge(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
             cfg.refinement_factor,
             cfg.workers,
         )
-        emitter.emit(f"estimator_n{n}.csv", _samples_csv(result.est, t=cfg.horizon))
-        emitter.emit(f"oracle_n{n}.csv", _samples_csv(result.orc, t=cfg.horizon))
-        ks = {
-            name: {
-                "statistic": res.statistic,
-                "critical_001": res.critical_001,
-                "margin": res.critical_001 - res.statistic,
-                "rejects": res.rejects_at_1pct,
-            }
-            for name, res in result.ks.items()
-        }
-        ok = ok and not any(entry["rejects"] for entry in ks.values())
-        report["per_n"].append(
-            {
-                "n": n,
-                "refinement": result.refinement,
-                "ks": ks,
-                "estimator_correlations": result.est_corr.tolist(),
-                "oracle_correlations": result.orc_corr.tolist(),
-            }
-        )
-    report["all_ks_accepted"] = ok
-    return report, ok
+        emitter.emit(f"estimator_n{n}.csv", _samples_csv(est, t=cfg.horizon))
+        emitter.emit(f"oracle_n{n}.csv", _samples_csv(orc, t=cfg.horizon))
+        failed += [f"n={n} ks {name}" for name, ks in row["ks"].items() if ks["rejects"]]
+        rows.append(row)
+    return {"per_n": rows, "all_ks_accepted": not failed}, failed
 
 
-def cmd_variations(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
+def cmd_variations(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
     # identities are checked at every grid; the distributional checks
     # (variance near kappa^2, decorrelation from B) are asymptotic and
     # apply at the largest grid only
-    kc = kappa_constant(cfg.truncation)
+    kappa_sq = kappa_constant(cfg.truncation).kappa_sq
     n_top = max(cfg.n_list)
-    report = {"per_n": []}
-    ok = True
+    rows, failed = [], []
     for n in cfg.n_list:
-        result = identity_experiment(
+        row, cols = identity_experiment(
             n, cfg.horizon, cfg.replications, cfg.master_seed, cfg.workers
         )
-        identities_ok = all(v <= IDENTITY_TOL for v in result.max_rel_residuals.values())
-        var_ok = abs(result.vn_variance - kc.kappa_sq) <= CUBIC_VAR_RTOL * kc.kappa_sq
-        corr_ok = abs(result.vn_b1_corr) < CUBIC_CORR_MAX
-        ok = ok and identities_ok and (n != n_top or (var_ok and corr_ok))
-        emitter.emit(
-            f"cubic_n{n}.csv", _samples_csv({"B": result.b1, "cubic": result.vn})
-        )
-        report["per_n"].append(
-            {
-                "n": n,
-                "max_rel_residuals": result.max_rel_residuals,
-                "cubic_variance": result.vn_variance,
-                "kappa_sq": kc.kappa_sq,
-                "cubic_b_corr": result.vn_b1_corr,
-                "identities_ok": identities_ok,
-                "variance_ok": var_ok,
-                "corr_ok": corr_ok,
-            }
-        )
-    report["all_ok"] = ok
-    return report, ok
+        emitter.emit(f"cubic_n{n}.csv", _samples_csv(cols))
+        checks = {
+            "identities_ok": all(v <= IDENTITY_TOL for v in row["max_rel_residuals"].values()),
+            "variance_ok": abs(row["cubic_variance"] - kappa_sq) <= CUBIC_VAR_RTOL * kappa_sq,
+            "corr_ok": abs(row["cubic_b_corr"]) < CUBIC_CORR_MAX,
+        }
+        failed += _failed(checks, f"n={n} ", None if n == n_top else ["identities_ok"])
+        rows.append({**row, "kappa_sq": kappa_sq, **checks})
+    return {"per_n": rows, "all_ok": not failed}, failed
 
 
-def cmd_sextic(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
-    result = sextic_experiment(
+def cmd_sextic(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
+    report = sextic_experiment(
         cfg.n_list,
         cfg.horizon,
         cfg.replications,
         cfg.master_seed,
         workers=cfg.workers,
     )
-    mean_ok = abs(result.mean_value - result.mean_target) <= MEAN_SE_MULT * result.mean_se
-    report = {
-        "n_list": result.n_list,
-        "median_sup_deviation": result.medians,
-        "medians_decreasing": result.medians_decreasing,
-        "mean_n": result.mean_n,
-        "mean_value": result.mean_value,
-        "mean_se": result.mean_se,
-        "mean_target": result.mean_target,
-        "mean_ok": mean_ok,
-    }
-    return report, result.medians_decreasing and mean_ok
+    report["mean_ok"] = (
+        abs(report["mean_value"] - report["mean_target"]) <= MEAN_SE_MULT * report["mean_se"]
+    )
+    return report, _failed(report, gating=["medians_decreasing", "mean_ok"])
 
 
 def _file_tag(label: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in label)
 
 
-def cmd_hermite(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
+def cmd_hermite(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
     # mean checks apply everywhere; the variance check is asymptotic and
     # applies at the largest grid only
     integrands = parse_integrand_list(cfg.integrand)
     n_top = max(cfg.n_list)
-    report = {"per_integrand": []}
-    ok = True
+    rows, failed = [], []
     for g in integrands:
         if not g.is_bounded:
             print(
@@ -385,7 +350,7 @@ def cmd_hermite(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
                 file=sys.stderr,
             )
         for n in cfg.n_list:
-            result = hermite_experiment(
+            row, cols = hermite_experiment(
                 n,
                 cfg.horizon,
                 cfg.replications,
@@ -393,51 +358,33 @@ def cmd_hermite(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
                 g,
                 cfg.workers,
             )
-            stats = result.summary()
-            mean_ok = (
-                abs(stats["left_mean"] - result.mean_limit) <= MEAN_SE_MULT * stats["left_se"]
-            )
-            right_ok = (
-                abs(stats["right_mean"] + result.mean_limit) <= MEAN_SE_MULT * stats["right_se"]
-            )
-            var_ok = (
-                abs(stats["left_variance"] - result.variance_limit)
-                <= HERMITE_VAR_RTOL * result.variance_limit
-            )
-            ok = ok and mean_ok and right_ok and (n != n_top or var_ok)
-            emitter.emit(
-                f"hermite_{_file_tag(g.label)}_n{n}.csv",
-                _samples_csv({"left": result.left, "right": result.right}),
-            )
-            report["per_integrand"].append(
-                {
-                    "integrand": g.label,
-                    "bounded": result.bounded,
-                    "n": n,
-                    **stats,
-                    "left_mean_ok": mean_ok,
-                    "right_mean_ok": right_ok,
-                    "variance_ok": var_ok,
-                }
-            )
-    report["all_ok"] = ok
-    return report, ok
+            emitter.emit(f"hermite_{_file_tag(g.label)}_n{n}.csv", _samples_csv(cols))
+            limit = row["mean_limit"]
+            checks = {
+                "left_mean_ok": abs(row["left_mean"] - limit) <= MEAN_SE_MULT * row["left_se"],
+                "right_mean_ok": abs(row["right_mean"] + limit) <= MEAN_SE_MULT * row["right_se"],
+                "variance_ok": abs(row["left_variance"] - row["variance_limit"])
+                <= HERMITE_VAR_RTOL * row["variance_limit"],
+            }
+            gating = None if n == n_top else ["left_mean_ok", "right_mean_ok"]
+            failed += _failed(checks, f"{g.label} n={n} ", gating)
+            rows.append({**row, **checks})
+    return {"per_integrand": rows, "all_ok": not failed}, failed
 
 
-def cmd_scaling(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
+def cmd_scaling(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
     fits = scaling_experiment(
         cfg.master_seed,
         cfg.replications,
         integrand=parse_integrand(cfg.integrand),
         workers=cfg.workers,
     )
-    report = {"per_estimator": [], "replications": cfg.replications}
-    ok = True
+    rows, failed = [], []
     for estimator, fit in fits.items():
         floor = SLOPE_FLOORS[estimator]
-        est_ok = fit.slope >= floor and fit.r_squared >= SLOPE_R2_MIN
-        ok = ok and est_ok
-        report["per_estimator"].append(
+        checks = {"ok": fit.slope >= floor and fit.r_squared >= SLOPE_R2_MIN}
+        failed += _failed(checks, f"{estimator.value} ")
+        rows.append(
             {
                 "estimator": estimator.value,
                 "slope": fit.slope,
@@ -445,38 +392,31 @@ def cmd_scaling(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
                 "r_squared": fit.r_squared,
                 "points": [list(p) for p in fit.points],
                 "spec": DEFAULT_SCALING_SPECS[estimator],  # gap tuples dump as JSON lists
-                "ok": est_ok,
+                **checks,
             }
         )
-    report["all_ok"] = ok
-    return report, ok
+    return {"per_estimator": rows, "replications": cfg.replications, "all_ok": not failed}, failed
 
 
-def cmd_taylor(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
-    result = taylor_experiment(cfg.master_seed, pairs=1000)
-    ok = result.max_poly_r6 < TAYLOR_R6_TOL and result.gamma_exact
-    return {**asdict(result), "ok": ok}, ok
-
-
-def cmd_audit(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, bool]:
-    result = audit_experiment(cfg.n_list, cfg.horizon)
-    top = max(row["n"] for row in result.anchor_sums)
-    top_row = next(row for row in result.anchor_sums if row["n"] == top)
-    sums_ok = (
-        result.anchor_sums_decreasing()
-        and top_row["left"] < ANCHOR_SUM_MAX
-        and top_row["right"] < ANCHOR_SUM_MAX
+def cmd_taylor(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
+    report = taylor_experiment(cfg.master_seed, pairs=1000)
+    failed = _failed(
+        {"max_poly_r6": report["max_poly_r6"] < TAYLOR_R6_TOL, "gamma_exact": report["gamma_exact"]}
     )
-    orth_ok = result.orthogonality_max_dev < ORTHOGONALITY_TOL
-    ok = sums_ok and orth_ok
-    report = {
-        "covariance_audits": result.covar,
-        "anchored_cube_sums": result.anchor_sums,
-        "anchored_sums_decreasing": result.anchor_sums_decreasing(),
-        "orthogonality_max_dev": result.orthogonality_max_dev,
-        "ok": ok,
-    }
-    return report, ok
+    return {**report, "ok": not failed}, failed
+
+
+def cmd_audit(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
+    report = audit_experiment(cfg.n_list, cfg.horizon)
+    top = report["anchored_cube_sums"][-1]  # the largest grid
+    failed = _failed(
+        {
+            "anchored_sums_decreasing": report["anchored_sums_decreasing"],
+            "anchored_sums_small": top["left"] < ANCHOR_SUM_MAX and top["right"] < ANCHOR_SUM_MAX,
+            "orthogonality_max_dev": report["orthogonality_max_dev"] < ORTHOGONALITY_TOL,
+        }
+    )
+    return {**report, "ok": not failed}, failed
 
 
 _COMMANDS = {
@@ -524,10 +464,14 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from(args)
         emitter = Emitter(cfg)
-        report, ok = _COMMANDS[cfg.command](cfg, emitter)
+        report, failed = _COMMANDS[cfg.command](cfg, emitter)
         emitter.emit("report.json", _json_bytes(report))
         emitter.finish()
-        return 0 if ok or not cfg.check else 4
+        if not cfg.check:
+            return 0
+        for name in failed:
+            print(f"check failed: {cfg.command} {name}", file=sys.stderr)
+        return 4 if failed else 0
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

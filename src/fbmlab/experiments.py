@@ -17,7 +17,6 @@ replications, keeping the two-sample comparisons independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import get_context
 
@@ -58,15 +57,16 @@ from .variations import (
     weighted_hermite,
 )
 
-DEFAULT_TRUNCATION = 10_000
-
-
 def parse_integrand_list(text: str) -> list[SmoothMap]:
     """Semicolon-separated integrand specs, e.g. "1; x; x^2; sin"."""
     items = [part.strip() for part in text.split(";") if part.strip()]
     if not items:
         raise DomainError("empty integrand list")
     return [parse_integrand(item) for item in items]
+
+
+def _decreasing(values) -> bool:
+    return all(a > b for a, b in zip(values, values[1:]))
 
 
 def _pmap(worker, jobs, workers: int):
@@ -149,17 +149,6 @@ def hermite_stats(g: SmoothMap) -> dict:
 # --- converge: estimator vs oracle triples ---------------------------------
 
 
-@dataclass
-class ConvergeResult:
-    refinement: int
-    # columns B, cubic and int_<label> of the estimator and the oracle corpus
-    est: dict[str, np.ndarray]
-    orc: dict[str, np.ndarray]
-    ks: dict[str, KsResult] = field(default_factory=dict)
-    est_corr: np.ndarray | None = None
-    orc_corr: np.ndarray | None = None
-
-
 def converge_experiment(
     n: int,
     horizon: float,
@@ -168,18 +157,20 @@ def converge_experiment(
     integrands: list[SmoothMap],
     refinement_factor: int = 4,
     workers: int = 1,
-) -> ConvergeResult:
+) -> tuple[dict, dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Paired estimator/oracle samples of (B(T), cubic variation, integral).
 
-    The estimator corpus holds (B(1), V_n(B,1), I_n(g,B,1)); the oracle
-    corpus holds (B(1), kappa W(1), the limit integral) on a grid refined
-    by refinement_factor.  One KS result per marginal and per integrand.
+    Returns the report row and the estimator and oracle columns B, cubic
+    and int_<label>.  The estimator corpus holds (B(1), V_n(B,1),
+    I_n(g,B,1)); the oracle corpus holds (B(1), kappa W(1), the limit
+    integral) on a grid refined by refinement_factor.  The row holds one KS
+    entry per marginal and per integrand, and both correlation matrices.
     """
     if refinement_factor not in (2, 4, 8):
         raise DomainError("refinement_factor must be one of 2, 4, 8")
     texts = [g.label for g in integrands]
     names = ["B", "cubic", *(f"int_{t}" for t in texts)]
-    kappa = kappa_constant(DEFAULT_TRUNCATION).kappa
+    kappa = kappa_constant().kappa
     est = run_replications(
         fbm_draws(Grid(n, horizon), master_seed),
         estimator_stats(integrands),
@@ -196,14 +187,23 @@ def converge_experiment(
         workers,
         offset=replications,
     )
-    result = ConvergeResult(refinement=refinement, est=est, orc=orc)
-    result.ks["B"] = ks_two_sample(est["B"], orc["B"])
-    result.ks["cubic"] = ks_two_sample(est["cubic"], orc["cubic"])
-    for t in texts:
-        result.ks[f"int:{t}"] = ks_two_sample(est[f"int_{t}"], orc[f"int_{t}"])
-    result.est_corr = np.corrcoef(np.vstack([est[name] for name in names]))
-    result.orc_corr = np.corrcoef(np.vstack([orc[name] for name in names]))
-    return result
+    ks = {}
+    for key, name in zip(["B", "cubic", *(f"int:{t}" for t in texts)], names):
+        res = ks_two_sample(est[name], orc[name])
+        ks[key] = {
+            "statistic": res.statistic,
+            "critical_001": res.critical_001,
+            "margin": res.critical_001 - res.statistic,
+            "rejects": res.rejects_at_1pct,
+        }
+    row = {
+        "n": n,
+        "refinement": refinement,
+        "ks": ks,
+        "estimator_correlations": np.corrcoef(np.vstack([est[k] for k in names])).tolist(),
+        "oracle_correlations": np.corrcoef(np.vstack([orc[k] for k in names])).tolist(),
+    }
+    return row, est, orc
 
 
 # --- variations: exact identities plus the cubic-variation law -------------
@@ -230,29 +230,18 @@ def _identity_row(path) -> np.ndarray:
     return np.append(residuals, [v[-1], cubic[-1]])
 
 
-@dataclass
-class IdentityResult:
-    max_rel_residuals: dict[str, float]
-    b1: np.ndarray
-    vn: np.ndarray
-
-    @property
-    def vn_variance(self) -> float:
-        return float(np.var(self.vn, ddof=1))
-
-    @property
-    def vn_b1_corr(self) -> float:
-        return float(np.corrcoef(self.vn, self.b1)[0, 1])
-
-
 def identity_experiment(
     n: int,
     horizon: float,
     replications: int,
     master_seed: int,
     workers: int = 1,
-) -> IdentityResult:
-    """Pathwise telescoping identities and the signed-cubic-variation law."""
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Pathwise telescoping identities and the signed-cubic-variation law.
+
+    Returns the report row (worst relative residual of each identity, and
+    the variance of V_n(B, T) and its correlation with B(T)) and the
+    columns B and cubic."""
     rows = run_replications(
         fbm_draws(Grid(n, horizon), master_seed),
         {"identity": _identity_row},
@@ -260,33 +249,22 @@ def identity_experiment(
         workers,
     )["identity"]
     worst = np.max(rows[:, :4], axis=0)
-    return IdentityResult(
-        max_rel_residuals={
+    b1, vn = rows[:, 4].copy(), rows[:, 5].copy()
+    row = {
+        "n": n,
+        "max_rel_residuals": {
             "riemann_const": float(worst[0]),
             "riemann_linear": float(worst[1]),
             "riemann_quadratic": float(worst[2]),
             "hermite_rearrangement": float(worst[3]),
         },
-        b1=rows[:, 4].copy(),
-        vn=rows[:, 5].copy(),
-    )
+        "cubic_variance": float(np.var(vn, ddof=1)),
+        "cubic_b_corr": float(np.corrcoef(vn, b1)[0, 1]),
+    }
+    return row, {"B": b1, "cubic": vn}
 
 
 # --- sextic variation -------------------------------------------------------
-
-
-@dataclass
-class SexticResult:
-    n_list: list[int]
-    medians: list[float]
-    mean_n: int
-    mean_value: float
-    mean_se: float
-    mean_target: float
-
-    @property
-    def medians_decreasing(self) -> bool:
-        return all(a > b for a, b in zip(self.medians, self.medians[1:]))
 
 
 def sextic_experiment(
@@ -296,9 +274,10 @@ def sextic_experiment(
     master_seed: int,
     mean_replications: int | None = None,
     workers: int = 1,
-) -> SexticResult:
+) -> dict:
     """Median sup-deviation of V^6_n from 15t per grid level, plus the mean
-    of V^6_n(B, T) at the finest level against 15 * floor(nT)/n."""
+    of V^6_n(B, T) at the finest level against 15 * floor(nT)/n, as the
+    report of the sextic command."""
     n_list = sorted(int(n) for n in n_list)
     n_top = n_list[-1]
     m_reps = mean_replications or replications
@@ -319,39 +298,18 @@ def sextic_experiment(
         )["sextic"]
         medians.append(float(np.median(rows[:replications, 0])))
     final = rows[:m_reps, 1].copy()
-    return SexticResult(
-        n_list=n_list,
-        medians=medians,
-        mean_n=n_top,
-        mean_value=float(np.mean(final)),
-        mean_se=float(np.std(final, ddof=1) / math.sqrt(len(final))),
-        mean_target=15.0 * Grid(n_top, horizon).m / n_top,
-    )
+    return {
+        "n_list": n_list,
+        "median_sup_deviation": medians,
+        "medians_decreasing": _decreasing(medians),
+        "mean_n": n_top,
+        "mean_value": float(np.mean(final)),
+        "mean_se": float(np.std(final, ddof=1) / math.sqrt(len(final))),
+        "mean_target": 15.0 * Grid(n_top, horizon).m / n_top,
+    }
 
 
 # --- weighted Hermite variations --------------------------------------------
-
-
-@dataclass
-class HermiteResult:
-    bounded: bool
-    left: np.ndarray
-    right: np.ndarray
-    mean_limit: float
-    variance_limit: float
-
-    def summary(self) -> dict:
-        se_l = float(np.std(self.left, ddof=1) / math.sqrt(len(self.left)))
-        se_r = float(np.std(self.right, ddof=1) / math.sqrt(len(self.right)))
-        return {
-            "left_mean": float(np.mean(self.left)),
-            "left_se": se_l,
-            "right_mean": float(np.mean(self.right)),
-            "right_se": se_r,
-            "left_variance": float(np.var(self.left, ddof=1)),
-            "mean_limit": self.mean_limit,
-            "variance_limit": self.variance_limit,
-        }
 
 
 def hermite_experiment(
@@ -361,23 +319,33 @@ def hermite_experiment(
     master_seed: int,
     integrand: SmoothMap = sin_map(),
     workers: int = 1,
-) -> HermiteResult:
-    """Left/right endpoint weighted third-Hermite variations at t = horizon,
-    with the quadrature limits for the left-endpoint mean and variance."""
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Left/right endpoint weighted third-Hermite variations at t = horizon.
+
+    Returns the report row (sample means, standard errors and left variance,
+    with the quadrature limits for the left-endpoint mean and variance) and
+    the columns left and right."""
     cols = run_replications(
         fbm_draws(Grid(n, horizon), master_seed),
         hermite_stats(integrand),
         replications,
         workers,
     )
-    kappa_sq = kappa_constant(DEFAULT_TRUNCATION).kappa_sq
-    return HermiteResult(
-        bounded=integrand.is_bounded,
-        left=cols["left"],
-        right=cols["right"],
-        mean_limit=hermite_mean_limit(integrand, horizon),
-        variance_limit=hermite_variance_limit(integrand, horizon, kappa_sq),
-    )
+    kappa_sq = kappa_constant().kappa_sq
+    left, right = cols["left"], cols["right"]
+    row = {
+        "integrand": integrand.label,
+        "bounded": integrand.is_bounded,
+        "n": n,
+        "left_mean": float(np.mean(left)),
+        "left_se": float(np.std(left, ddof=1) / math.sqrt(len(left))),
+        "right_mean": float(np.mean(right)),
+        "right_se": float(np.std(right, ddof=1) / math.sqrt(len(right))),
+        "left_variance": float(np.var(left, ddof=1)),
+        "mean_limit": hermite_mean_limit(integrand, horizon),
+        "variance_limit": hermite_variance_limit(integrand, horizon, kappa_sq),
+    }
+    return row, cols
 
 
 # --- moment-bound scaling ----------------------------------------------------
@@ -434,19 +402,10 @@ def scaling_experiment(
 # --- symmetric Taylor corpus -------------------------------------------------
 
 
-@dataclass
-class TaylorResult:
-    pairs: int
-    poly_count: int
-    max_poly_r6: float
-    gamma: float
-    gamma_exact: bool
-    sin_max_r6: float
-
-
-def taylor_experiment(master_seed: int, pairs: int = 1000, poly_count: int = 25) -> TaylorResult:
+def taylor_experiment(master_seed: int, pairs: int = 1000, poly_count: int = 25) -> dict:
     """R6 over a random corpus of degree <= 5 polynomials (must vanish) and
-    the sin map (must stay below the sixth-derivative envelope)."""
+    the sin map (must stay below the sixth-derivative envelope), as the
+    report of the taylor command."""
     rng = np.random.default_rng(master_seed)
     a, b = rng.uniform(-1.0, 1.0, size=(pairs, 2)).T
     max_poly = 0.0
@@ -456,36 +415,23 @@ def taylor_experiment(master_seed: int, pairs: int = 1000, poly_count: int = 25)
         g = SmoothMap(Family.POLYNOMIAL, coeffs, "poly")
         max_poly = max(max_poly, float(np.max(np.abs(taylor_residual(g, a, b).r6))))
     sin_r6 = taylor_residual(sin_map(), a, b).r6
-    return TaylorResult(
-        pairs=pairs,
-        poly_count=poly_count,
-        max_poly_r6=max_poly,
-        gamma=TAYLOR_GAMMA,
-        gamma_exact=TAYLOR_GAMMA == -1.0 / 480.0,
-        sin_max_r6=float(np.max(np.abs(sin_r6))),
-    )
+    return {
+        "pairs": pairs,
+        "poly_count": poly_count,
+        "max_poly_r6": max_poly,
+        "gamma": TAYLOR_GAMMA,
+        "gamma_exact": TAYLOR_GAMMA == -1.0 / 480.0,
+        "sin_max_r6": float(np.max(np.abs(sin_r6))),
+    }
 
 
 # --- covariance and orthogonality audits -------------------------------------
 
 
-@dataclass
-class AuditResult:
-    covar: list[dict]
-    anchor_sums: list[dict]
-    orthogonality_max_dev: float
-
-    def anchor_sums_decreasing(self) -> bool:
-        left = [row["left"] for row in self.anchor_sums]
-        right = [row["right"] for row in self.anchor_sums]
-        return all(a > b for a, b in zip(left, left[1:])) and all(
-            a > b for a, b in zip(right, right[1:])
-        )
-
-
-def audit_experiment(n_list, horizon: float = 1.0) -> AuditResult:
+def audit_experiment(n_list, horizon: float = 1.0) -> dict:
     """Covariance-envelope ratios, anchored cube sums over the grid ladder,
-    and the Hermite orthogonality grid for orders up to 4."""
+    and the Hermite orthogonality grid for orders up to 4, as the report of
+    the audit command."""
     n_list = sorted(int(n) for n in n_list)
     for n in n_list:  # refuse an over-size grid before any audit runs
         audit_grid(n, horizon)
@@ -503,16 +449,16 @@ def audit_experiment(n_list, horizon: float = 1.0) -> AuditResult:
         for q in range(5):
             for c in (-0.75, -0.3, 0.0, 0.5, 0.9):
                 max_dev = max(max_dev, abs(orthogonality_audit(p, q, c)))
-    return AuditResult(covar=covar, anchor_sums=anchor, orthogonality_max_dev=max_dev)
+    return {
+        "covariance_audits": covar,
+        "anchored_cube_sums": anchor,
+        "anchored_sums_decreasing": _decreasing([row["left"] for row in anchor])
+        and _decreasing([row["right"] for row in anchor]),
+        "orthogonality_max_dev": max_dev,
+    }
 
 
 # --- sampler validation -------------------------------------------------------
-
-
-@dataclass
-class SamplerResult:
-    gram_max_z: float
-    method_ks: KsResult
 
 
 def sampler_experiment(
@@ -521,9 +467,9 @@ def sampler_experiment(
     gram_replications: int = 2000,
     ks_replications: int = 1000,
     probe_indices=(64, 128, 256, 512),
-) -> SamplerResult:
-    """Empirical Gram matrix against cov_r (entrywise z scores) and a
-    CHOLESKY/CIRCULANT two-sample KS on B(1).  The circulant B(1) of the KS
+) -> tuple[float, KsResult]:
+    """Largest entrywise z score of the empirical Gram matrix against cov_r,
+    and a CHOLESKY/CIRCULANT two-sample KS on B(1).  The circulant B(1) of the KS
     comes from the same paths as the Gram matrix."""
     grid = Grid(gram_n, 1.0)
     probes = np.array(probe_indices)
@@ -548,7 +494,4 @@ def sampler_experiment(
         workers=1,
     )["b1"]
     circ = cols["b1"][:ks_replications]
-    return SamplerResult(
-        gram_max_z=float(np.max(np.abs(emp - target) / se)),
-        method_ks=ks_two_sample(chol, circ),
-    )
+    return float(np.max(np.abs(emp - target) / se)), ks_two_sample(chol, circ)

@@ -94,7 +94,11 @@ class KernelConstants:
     tail_bound: float
 
 
-def kappa_constant(truncation_radius: int = 10_000) -> KernelConstants:
+# default lag radius of the truncated kappa^2 sum
+DEFAULT_TRUNCATION = 10_000
+
+
+def kappa_constant(truncation_radius: int = DEFAULT_TRUNCATION) -> KernelConstants:
     """Truncated evaluation of the signed-cubic-variation scale constant.
 
     The summand decays like r^{-5}, so radius 10^4 determines kappa^2 far

@@ -45,7 +45,7 @@ def fresh_python():
 
 @pytest.fixture(scope="session")
 def constants():
-    return kappa_constant(10_000)
+    return kappa_constant()
 
 
 @pytest.fixture(scope="session")

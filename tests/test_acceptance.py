@@ -15,18 +15,18 @@ import pytest
 from fbmlab import (
     TAYLOR_GAMMA,
     kappa_constant,
-    ks_statistic,
+    ks_two_sample,
     left_anchor_cube_sum,
     parse_integrand,
     right_anchor_cube_sum,
     sin_map,
     taylor_residual,
 )
-from fbmlab.analysis import KS_COEFF_001
 from fbmlab.cli import (
     ANCHOR_SUM_MAX,
     CUBIC_CORR_MAX,
     CUBIC_VAR_RTOL,
+    GRAM_Z_MAX,
     HERMITE_VAR_RTOL,
     IDENTITY_TOL,
     KAPPA_REF,
@@ -46,7 +46,7 @@ from fbmlab.experiments import (
 )
 from fbmlab.quadrature import hermite_mean_limit, hermite_variance_limit
 
-from conftest import ACCEPT_REPLICATIONS, INTEGRANDS, MASTER_SEED
+from conftest import INTEGRANDS, MASTER_SEED
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -55,7 +55,7 @@ def report(number: int, passed: bool, detail: str) -> None:
 
 def test_c01_kappa_constants():
     start = time.perf_counter()
-    kc = kappa_constant(10_000)
+    kc = kappa_constant()
     elapsed = time.perf_counter() - start
     ok_sq = abs(kc.kappa_sq - KAPPA_SQ_REF) <= KAPPA_SQ_TOL
     ok_k = abs(kc.kappa - KAPPA_REF) <= KAPPA_TOL
@@ -75,27 +75,27 @@ def test_c01_kappa_constants():
 @pytest.fixture(scope="module")
 def identity_result():
     start = time.perf_counter()
-    result = identity_experiment(1024, 1.0, 100, MASTER_SEED)
-    result.elapsed = time.perf_counter() - start
-    return result
+    row, _ = identity_experiment(1024, 1.0, 100, MASTER_SEED)
+    return {**row, "elapsed": time.perf_counter() - start}
 
 
 def test_c02_exact_riemann_identities(identity_result):
-    res = identity_result.max_rel_residuals
+    res = identity_result["max_rel_residuals"]
+    elapsed = identity_result["elapsed"]
     worst = max(res["riemann_const"], res["riemann_linear"], res["riemann_quadratic"])
-    ok = worst <= IDENTITY_TOL and identity_result.elapsed < 5.0
+    ok = worst <= IDENTITY_TOL and elapsed < 5.0
     report(
         2,
         ok,
         f"riemann identity residuals (1, x, x^2) <= {worst:.2e} on 100 paths "
-        f"at n=2^10, {identity_result.elapsed:.2f}s",
+        f"at n=2^10, {elapsed:.2f}s",
     )
     assert worst <= IDENTITY_TOL
-    assert identity_result.elapsed < 5.0
+    assert elapsed < 5.0
 
 
 def test_c03_hermite_rearrangement_identity(identity_result):
-    worst = identity_result.max_rel_residuals["hermite_rearrangement"]
+    worst = identity_result["max_rel_residuals"]["hermite_rearrangement"]
     ok = worst <= IDENTITY_TOL
     report(3, ok, f"cubic = hermite + 3 n^(-1/3) B identity residual <= {worst:.2e}")
     assert worst <= IDENTITY_TOL
@@ -107,18 +107,20 @@ def test_c04_sextic_variation():
         [256, 512, 1024, 2048, 4096], 1.0, 200, MASTER_SEED, mean_replications=500
     )
     elapsed = time.perf_counter() - start
-    tol = MEAN_SE_MULT * result.mean_se
-    mean_ok = abs(result.mean_value - result.mean_target) <= tol
-    ok = mean_ok and result.medians_decreasing and elapsed < 120.0
-    meds = ", ".join(f"{m:.3f}" for m in result.medians)
+    tol = MEAN_SE_MULT * result["mean_se"]
+    mean_ok = abs(result["mean_value"] - result["mean_target"]) <= tol
+    decreasing = result["medians_decreasing"]
+    ok = mean_ok and decreasing and elapsed < 120.0
+    medians = result["median_sup_deviation"]
+    meds = ", ".join(f"{m:.3f}" for m in medians)
     report(
         4,
         ok,
-        f"mean V^6={result.mean_value:.4f} (15 +- {tol:.4f}), "
-        f"medians [{meds}] decreasing={result.medians_decreasing}, {elapsed:.1f}s",
+        f"mean V^6={result['mean_value']:.4f} (15 +- {tol:.4f}), "
+        f"medians [{meds}] decreasing={decreasing}, {elapsed:.1f}s",
     )
-    assert mean_ok, f"{result.mean_value} vs 15 +- {tol}"
-    assert result.medians_decreasing, f"medians not decreasing: {result.medians}"
+    assert mean_ok, f"{result['mean_value']} vs 15 +- {tol}"
+    assert decreasing, f"medians not decreasing: {medians}"
     assert elapsed < 120.0
 
 
@@ -140,27 +142,27 @@ def test_c05_signed_cubic_variation(estimator_corpus, constants):
 
 
 def test_c06_weak_stratonovich_convergence(estimator_corpus, oracle_corpus):
-    critical = KS_COEFF_001 * math.sqrt(2.0 / ACCEPT_REPLICATIONS)
-    stats = {}
+    results = {}
     start = time.perf_counter()
     for t in INTEGRANDS:
-        stats[t] = ks_statistic(estimator_corpus["int"][t], oracle_corpus["int"][t])
+        results[t] = ks_two_sample(estimator_corpus["int"][t], oracle_corpus["int"][t])
     elapsed = (
         time.perf_counter()
         - start
         + estimator_corpus["build_seconds"]
         + oracle_corpus["build_seconds"]
     )
-    ok = all(s < critical for s in stats.values()) and elapsed < 240.0
-    detail = ", ".join(f"{t}: {s:.4f}" for t, s in stats.items())
+    critical = results[INTEGRANDS[0]].critical_001  # equal samples share one critical value
+    ok = not any(r.rejects_at_1pct for r in results.values()) and elapsed < 240.0
+    detail = ", ".join(f"{t}: {r.statistic:.4f}" for t, r in results.items())
     report(
         6,
         ok,
         f"KS(I_n vs limit) {detail} all < {critical:.4f} "
         f"(n=2^12 vs 2^14, {elapsed:.1f}s incl. corpora)",
     )
-    for t, s in stats.items():
-        assert s < critical, f"KS for integrand {t}: {s} >= {critical}"
+    for t, r in results.items():
+        assert not r.rejects_at_1pct, f"KS for integrand {t}: {r.statistic} > {critical}"
     assert elapsed < 240.0
 
 
@@ -259,18 +261,18 @@ def test_c11_anchored_cube_sums():
 
 def test_c12_sampler_validity():
     start = time.perf_counter()
-    result = sampler_experiment(
+    gram_max_z, method_ks = sampler_experiment(
         MASTER_SEED, gram_n=512, gram_replications=2000, ks_replications=1000
     )
     elapsed = time.perf_counter() - start
-    gram_ok = result.gram_max_z < 4.0
-    ks_ok = not result.method_ks.rejects_at_1pct
+    gram_ok = gram_max_z < GRAM_Z_MAX
+    ks_ok = not method_ks.rejects_at_1pct
     report(
         12,
         gram_ok and ks_ok,
-        f"Gram max |z| = {result.gram_max_z:.2f} < 4 (m=512, M=2000); "
-        f"cholesky-vs-circulant KS {result.method_ks.statistic:.4f} < "
-        f"{result.method_ks.critical_001:.4f} ({elapsed:.1f}s)",
+        f"Gram max |z| = {gram_max_z:.2f} < {GRAM_Z_MAX:g} (m=512, M=2000); "
+        f"cholesky-vs-circulant KS {method_ks.statistic:.4f} < "
+        f"{method_ks.critical_001:.4f} ({elapsed:.1f}s)",
     )
-    assert gram_ok, f"gram z {result.gram_max_z}"
-    assert ks_ok, f"KS {result.method_ks.statistic} vs {result.method_ks.critical_001}"
+    assert gram_ok, f"gram z {gram_max_z}"
+    assert ks_ok, f"KS {method_ks.statistic} vs {method_ks.critical_001}"

@@ -31,6 +31,13 @@ VERDICTS = {
 }
 
 
+def strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -61,13 +68,19 @@ class TestKappaCommand:
         assert bounds[0] > bounds[1] > bounds[2]
 
     def test_check_passes(self, capsys, tmp_path):
-        code, *_ = run(capsys, "kappa", "--check", "--output-dir", str(tmp_path))
+        code, _, err = run(capsys, "kappa", "--check", "--output-dir", str(tmp_path))
         assert code == 0
+        assert "check failed" not in err
 
     def test_check_fails_with_tiny_truncation(self, capsys, tmp_path):
-        code, *_ = run(capsys, "kappa", "--check", "--truncation", "0",
-                       "--output-dir", str(tmp_path))
+        code, _, err = run(capsys, "kappa", "--check", "--truncation", "0",
+                           "--output-dir", str(tmp_path))
         assert code == 4
+        # stderr names each failed check; the values stay in report.json
+        assert err.splitlines() == [
+            "check failed: kappa kappa_sq_close",
+            "check failed: kappa kappa_close",
+        ]
 
 
 class TestConfigHandling:
@@ -81,6 +94,19 @@ class TestConfigHandling:
         code, *_ = run(capsys, "sextic", "--n-list", "10", "--horizon", "0.35",
                        "--output-dir", str(tmp_path))
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("kappa", "--horizon", "nan"),
+        ("kappa", "--horizon", "inf"),
+        ("sextic", "--n-list", "32", "--replications", "1"),
+    ])
+    def test_degenerate_values_are_config_errors(self, capsys, tmp_path, argv):
+        # a nan or infinite horizon has no grid, and one replication has no
+        # sample variance; both are refused before anything is written
+        code, _, err = run(capsys, *argv, "--check", "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert "config error" in err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_method(self, capsys, tmp_path):
         # the sampling method is not a setting: every command samples CIRCULANT
@@ -211,9 +237,13 @@ class TestReportsAndManifest:
         codes = []
         for i, argv in enumerate(runs):
             out = tmp_path / str(i)
-            code, *_ = run(capsys, *argv, "--check", "--workers", "1", "--output-dir", str(out))
-            report = json.loads((out / argv[0] / "report.json").read_text())
-            assert code == (0 if VERDICTS[argv[0]](report) else 4), argv
+            code, _, err = run(capsys, *argv, "--check", "--workers", "1",
+                               "--output-dir", str(out))
+            report = strict_json((out / argv[0] / "report.json").read_text())
+            verdict = VERDICTS[argv[0]](report)
+            assert verdict is True or verdict is False, argv
+            assert code == (0 if verdict else 4), argv
+            assert ("check failed" in err) == (code == 4), argv
             codes.append(code)
         assert {0, 4} <= set(codes)
 
