@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .kernel import endpoint_increment_cov, hermite, rho
+from .kernel import endpoint_increment_block, hermite, rho
 from .sampler import Grid, Path
 from .variations import SmoothMap
 from .quadrature import expect_gauss_pair
@@ -27,8 +27,8 @@ KS_COEFF_001 = 1.628
 KS_MIN_SAMPLES = 50
 SCALING_MIN_REPLICATIONS = 200
 AUDIT_MAX_STEPS = 4096
-# endpoint rows per block of covar_bound_audit; bounds its peak memory
-AUDIT_BLOCK_ROWS = 512
+# endpoint rows per block of covar_bound_audit: 64 x 4096 doubles are 2 MB
+AUDIT_BLOCK_ROWS = 64
 
 # Symmetric Taylor constant gamma = (5! 2^4)^{-1} - (4! 2^4)^{-1} = -1/480.
 TAYLOR_GAMMA = 1.0 / 1920.0 - 1.0 / 384.0
@@ -209,7 +209,7 @@ def covar_bound_audit(n: int, horizon: float = 1.0) -> dict:
       (v)   E|beta_j - beta_i|^2 vs |t_j - t_i|^{1/3}, two sided.
 
     (i) and (v) depend on the lag |j - i| alone and are reduced over lags;
-    (ii) and (iii) run over blocks of AUDIT_BLOCK_ROWS endpoint rows.
+    (ii) and (iii) run in place over blocks of AUDIT_BLOCK_ROWS endpoint rows.
     The report holds the max ratio of each, and the min ratio of (v).
     """
     grid = audit_grid(n, horizon)
@@ -233,21 +233,26 @@ def covar_bound_audit(n: int, horizon: float = 1.0) -> dict:
     gap = (2.0 * d13 + np.cbrt(lag[:-2]) + np.cbrt(lag[2:]) - 2.0) / (4.0 * d13)
 
     # (ii) rows i = 0..m of E[B(t_i) dB_j]; (iii) midpoint row i >= 1 is the
-    # mean of endpoint rows i - 1 and i, so each block carries its last row
-    ratio_ii = 0.0
-    ratio_iii = 0.0
-    carry = np.empty((0, m))
+    # mean of endpoint rows i - 1 and i, so each block carries its last row.
+    # The envelope's lag term of row i is a window of the mirrored lag_env.
+    ratio_ii = ratio_iii = 0.0
     j_env = j ** (-2.0 / 3.0)
-    lag_env = lag_pos ** (-2.0 / 3.0)  # gathered by lag instead of one power per entry
-    for lo in range(0, m + 1, AUDIT_BLOCK_ROWS):
-        i = np.arange(lo, min(lo + AUDIT_BLOCK_ROWS, m + 1))[:, None]
-        env = dt13 * (j_env + lag_env[np.abs(j - i)])
-        eb = endpoint_increment_cov(n, i, j)
-        ratio_ii = max(ratio_ii, float(np.max(np.abs(eb) / env)))
-        rows = np.concatenate([carry, eb])
-        mid = 0.5 * (rows[:-1] + rows[1:])  # rows max(lo, 1)..: the last len(mid) of env
-        ratio_iii = max(ratio_iii, float(np.max(np.abs(mid) / env[-len(mid) :])))
-        carry = eb[-1:]
+    lag_env = np.maximum(np.abs(np.arange(-m, m + 1)), 1) ** (-2.0 / 3.0)  # [m + d] = |d|_+^{-2/3}
+    env_lags = np.lib.stride_tricks.sliding_window_view(lag_env, m)
+    rows = min(AUDIT_BLOCK_ROWS, m + 1)
+    endpoint = np.zeros((rows + 1, m))  # row 0: the previous block's last row
+    env, work = np.empty((2, rows, m))
+    for lo in range(0, m + 1, rows):
+        h = min(rows, m + 1 - lo)
+        eb, v, w = endpoint_increment_block(n, m, lo, endpoint[1 : h + 1]), env[:h], work[:h]
+        np.add(j_env, env_lags[m + 2 - lo - h : m + 2 - lo][::-1], out=v)
+        v *= dt13  # v[r] = Dt^{1/3} (j^{-2/3} + |j - i|_+^{-2/3}) at i = lo + r
+        ratio_ii = float(np.max(np.divide(np.abs(eb, out=w), v, out=w), initial=ratio_ii))
+        np.add(endpoint[:h], eb, out=w)  # w[r]: midpoint row lo + r, none at i = 0
+        w *= 0.5
+        np.divide(np.abs(w, out=w), v, out=w)
+        ratio_iii = float(np.max(w[int(lo == 0) :], initial=ratio_iii))
+        endpoint[0] = eb[-1]
 
     return {
         "n": n,

@@ -437,11 +437,8 @@ def audit_experiment(n_list, horizon: float = 1.0) -> dict:
         audit_grid(n, horizon)
     covar = [covar_bound_audit(n, horizon) for n in n_list]
     anchor = [
-        {
-            "n": n,
-            "left": left_anchor_cube_sum(n, horizon),
-            "right": right_anchor_cube_sum(n, horizon),
-        }
+        {"n": n, "left": left_anchor_cube_sum(n, horizon),
+         "right": right_anchor_cube_sum(n, horizon)}
         for n in n_list
     ]
     max_dev = 0.0

@@ -136,6 +136,12 @@ def hermite(order: int, x):
     return cur if cur.ndim else float(cur)
 
 
+def _cube_root_tables(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """step[k - 1] = k^{1/3} - (k-1)^{1/3}, k <= top; mirror[top + d] = |d|^{1/3}, |d| <= top."""
+    root = np.cbrt(np.arange(top + 1.0))
+    return root[1:] - root[:-1], np.concatenate([root[:0:-1], root])
+
+
 def endpoint_increment_cov(n: int, i, k):
     """E[B(t_i) dB_k] in closed form, for the grid point t_i = i/n.
 
@@ -143,10 +149,8 @@ def endpoint_increment_cov(n: int, i, k):
                                        - |k - i|^{1/3} + |k - i - 1|^{1/3}),
     which equals cov_r(i/n, k/n) - cov_r(i/n, (k-1)/n).  The anchor is given
     by its integer index, so the lag k - i is exact: the 1/3-Hoelder kernel
-    would amplify the rounding of n * (i/n) near the diagonal.  Every cube
-    root is of an integer of magnitude at most max(i, k) + 1, so all four
-    are gathered from one table of those roots, mirrored so that the signed
-    lag indexes it directly.  Broadcasts over integer arrays i and k.
+    would amplify the rounding of n * (i/n) near the diagonal.  All four
+    roots are read from one table.  Broadcasts over integer arrays i and k.
     """
     if n < 1:
         raise DomainError("endpoint_increment_cov requires n >= 1")
@@ -159,15 +163,29 @@ def endpoint_increment_cov(n: int, i, k):
     if np.any(k < 1):
         raise DomainError("endpoint_increment_cov requires k >= 1")
     top = max(np.max(i, initial=0), np.max(k, initial=1)) + 1
-    root = np.cbrt(np.arange(top + 1.0))
-    mirror = np.concatenate([root[:0:-1], root])  # mirror[top + d] = |d|^{1/3}
+    step, mirror = _cube_root_tables(top)
     lag = k - i
     lag += top
-    out = root[k] - root[k - 1] - mirror.take(lag)
+    out = step[k - 1] - mirror.take(lag)
     lag -= 1
     out += mirror.take(lag)
     out /= 2.0 * np.cbrt(float(n))
     return out if out.ndim else float(out)
+
+
+def endpoint_increment_block(n: int, m: int, lo: int, out: np.ndarray) -> np.ndarray:
+    """Rows i = lo, lo + 1, ... of E[B(t_i) dB_k], k = 1..m, written into out, each
+    equal bit for bit to endpoint_increment_cov.  Both lag terms of row i are windows
+    of the mirrored root table, the second also row i + 1's first: no index array."""
+    if n < 1 or lo < 0 or lo + len(out) > m + 1 or out.shape[1:] != (m,):
+        raise DomainError("endpoint_increment_block requires n >= 1 and rows within i = 0..m")
+    step, mirror = _cube_root_tables(m + 1)
+    lags = np.lib.stride_tricks.sliding_window_view(mirror, m)  # lags[m + 2 - i]: |k - i|^{1/3}
+    win = lags[m + 2 - lo - len(out) : m + 3 - lo][::-1]  # win[r]: row lo + r
+    np.subtract(step[:m], win[:-1], out=out)
+    out += win[1:]
+    out /= 2.0 * np.cbrt(float(n))
+    return out
 
 
 def gram_matrix(times) -> np.ndarray:

@@ -135,14 +135,10 @@ def hermite_variance_limit(g: SmoothMap, t: float, kappa_sq: float,
     s, w = _gauss_legendre_01(nodes)
     s = t * s
     var = s ** (1.0 / 3.0)
+    cov = cov_r(s[:, None], s[None, :])
     double = 0.0
-    for i, si in enumerate(s):
-        row = np.array(
-            [
-                expect_gauss_pair(g3, g3, var[i], var[j], float(cov_r(si, s[j])))
-                for j in range(len(s))
-            ]
-        )
-        double += w[i] * np.dot(w, row)
+    for i in range(len(s)):
+        row = [expect_gauss_pair(g3, g3, var[i], var[j], float(cov[i, j])) for j in range(len(s))]
+        double += w[i] * np.dot(w, np.array(row))
     double *= t * t
     return float(sq_term + double / 64.0 - hermite_mean_limit(g, t) ** 2)

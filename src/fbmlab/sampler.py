@@ -57,6 +57,7 @@ def _mix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
+@cache
 def _tag_word(tag: str) -> int:
     word = 0x9AE16A3B2F90404F
     for b in tag.encode("utf-8"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from fbmlab import (
 )
 from fbmlab import analysis
 from fbmlab.analysis import fit_loglog, scaling_ladder, window_moments
+from fbmlab.kernel import endpoint_increment_cov
 
 
 class TestKs:
@@ -215,6 +217,35 @@ class TestCovarAudit:
                 audit = covar_bound_audit(*case)
                 for key, value in expected[case].items():
                     assert audit[key] == pytest.approx(value, rel=1e-12), (case, rows, key)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, analysis.AUDIT_BLOCK_ROWS])
+    def test_block_ratios_equal_full_matrix(self, monkeypatch, rows):
+        # (ii) and (iii) bit for bit against one endpoint_increment_cov matrix;
+        # the last two grids end a block exactly at row m and one row past it
+        monkeypatch.setattr(analysis, "AUDIT_BLOCK_ROWS", rows)
+        cases = ((3, 1.0), (64, 1.0), (100, 1.0), (257, 1.0), (64, 0.5),
+                 (3 * rows - 1, 1.0), (3 * rows, 1.0))
+        for n, horizon in cases:
+            m = round(n * horizon)
+            i = np.arange(m + 1)[:, None]
+            j = np.arange(1, m + 1)
+            eb = endpoint_increment_cov(n, i, j)
+            lag_env = np.maximum(np.arange(m + 1), 1) ** (-2.0 / 3.0)
+            env = (1.0 / n) ** (1.0 / 3.0) * (j ** (-2.0 / 3.0) + lag_env[np.abs(j - i)])
+            mid = 0.5 * (eb[:-1] + eb[1:])
+            audit = covar_bound_audit(n, horizon)
+            assert audit["ii_endpoint_max"] == np.max(np.abs(eb) / env), (n, horizon)
+            assert audit["iii_midpoint_max"] == np.max(np.abs(mid) / env[1:]), (n, horizon)
+
+    def test_peak_memory_is_a_few_blocks(self):
+        covar_bound_audit(64)  # tables and imports outside the measurement
+        tracemalloc.start()
+        try:
+            covar_bound_audit(4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_self_pair_ratio_is_one(self):
         audit = covar_bound_audit(128)

@@ -15,6 +15,7 @@ from fbmlab import (
     rho_tail_bound,
     right_anchor_cube_sum,
 )
+from fbmlab.kernel import endpoint_increment_block
 
 
 class TestCovariance:
@@ -239,6 +240,17 @@ class TestEndpointIncrementCov:
             k = np.arange(1, n + 1)
             assert np.array_equal(endpoint_increment_cov(n, k - 1, k), direct(n, k - 1, k))
             assert endpoint_increment_cov(n, n, 1) == float(direct(n, n, 1))
+
+    def test_block_rows_equal_pointwise_values(self):
+        for n, m in ((3, 3), (64, 32), (100, 100)):
+            k = np.arange(1, m + 1)
+            for lo, rows in ((0, 1), (0, m + 1), (1, m), (1, 2), (m - 2, 3), (m, 1)):
+                out = endpoint_increment_block(n, m, lo, np.empty((rows, m)))
+                i = np.arange(lo, lo + rows)[:, None]
+                assert np.array_equal(out, endpoint_increment_cov(n, i, k)), (n, m, lo, rows)
+        for n, m, lo, rows in ((0, 4, 0, 1), (4, 4, -1, 2), (4, 4, 4, 2)):
+            with pytest.raises(DomainError):
+                endpoint_increment_block(n, m, lo, np.empty((rows, m)))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

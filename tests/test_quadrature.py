@@ -6,6 +6,7 @@ from scipy import integrate
 
 from fbmlab import (
     DomainError,
+    cov_r,
     expect_gauss,
     expect_gauss_pair,
     hermite_mean_exact,
@@ -18,6 +19,7 @@ from fbmlab import (
     time_integral_expect,
 )
 from fbmlab.kernel import endpoint_increment_cov
+from fbmlab.quadrature import GL_NODES, _gauss_legendre_01
 
 
 class TestExpectGauss:
@@ -120,6 +122,14 @@ class TestHermiteLimits:
         value = hermite_variance_limit(sin_map(), 1.0, kappa_sq)
         assert value == pytest.approx(target, rel=1e-4)
         assert err < 1e-8
+
+    def test_variance_limit_sin_is_pinned(self):
+        # one broadcast cov_r matrix gives the scalar calls' values exactly
+        s, _ = _gauss_legendre_01(GL_NODES)
+        cov = cov_r(s[:, None], s[None, :])
+        assert all(cov[i, j] == cov_r(s[i], s[j]) for i in range(len(s)) for j in range(len(s)))
+        kappa_sq = kappa_constant().kappa_sq
+        assert hermite_variance_limit(sin_map(), 1.0, kappa_sq) == 2.042684241747045
 
 
 class TestHermiteExactMean:

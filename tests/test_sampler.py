@@ -37,6 +37,14 @@ class TestSeeding:
         sp = SeedPolicy(987654321, 7)
         assert np.array_equal(sp.normals(32, "tag"), sp.normals(32, "tag"))
 
+    def test_stream_keys_are_pinned(self):
+        # stream version 2 keys; the second call reads the cached tag word
+        for _ in range(2):
+            assert [int(w) for w in SeedPolicy(2, 5)._key("fbm")] == [
+                0x4CE786056003E29D, 0xD7F112ECBE23F0C3]
+            assert [int(w) for w in SeedPolicy(987654321, 7)._key("bm")] == [
+                0x896DE2EB3276D594, 0x29D1115E16F5EFD9]
+
     def test_streams_differ(self):
         base = SeedPolicy(1, 0).normals(64, "t")
         assert not np.array_equal(base, SeedPolicy(1, 1).normals(64, "t"))
