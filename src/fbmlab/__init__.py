@@ -41,8 +41,6 @@ from .variations import (
 from .oracle import LimitSample, weak_strat_integral
 from .analysis import (
     Estimator,
-    KsResult,
-    ScalingFit,
     TAYLOR_GAMMA,
     covar_bound_audit,
     ks_statistic,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -34,16 +33,6 @@ AUDIT_BLOCK_ROWS = 64
 TAYLOR_GAMMA = 1.0 / 1920.0 - 1.0 / 384.0
 
 
-@dataclass(frozen=True)
-class KsResult:
-    statistic: float
-    critical_001: float
-
-    @property
-    def rejects_at_1pct(self) -> bool:
-        return self.statistic > self.critical_001
-
-
 def ks_statistic(a, b) -> float:
     """Exact sup distance between the two empirical CDFs (no size floor)."""
     a = np.sort(np.asarray(a, dtype=float))
@@ -55,8 +44,9 @@ def ks_statistic(a, b) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def ks_two_sample(a, b) -> KsResult:
-    """KS statistic of two finite samples with its 1 % critical value."""
+def ks_two_sample(a, b) -> dict:
+    """The KS report row of two finite samples: the statistic, its 1 %
+    critical value, their margin and whether the test rejects at 1 %."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -64,42 +54,20 @@ def ks_two_sample(a, b) -> KsResult:
     m1, m2 = len(a), len(b)
     if m1 < KS_MIN_SAMPLES or m2 < KS_MIN_SAMPLES:  # rejects empty samples too
         raise DomainError(f"KS needs both samples >= {KS_MIN_SAMPLES}")
-    return KsResult(
-        statistic=ks_statistic(a, b),
-        critical_001=KS_COEFF_001 * float(np.sqrt((m1 + m2) / (m1 * m2))),
-    )
+    statistic = ks_statistic(a, b)
+    critical = KS_COEFF_001 * float(np.sqrt((m1 + m2) / (m1 * m2)))
+    return {
+        "statistic": statistic,
+        "critical_001": critical,
+        "margin": critical - statistic,
+        "rejects": statistic > critical,
+    }
 
 
 class Estimator(enum.Enum):
     CUBIC_4TH = "cubic_4th"
     QUINTIC_2ND = "quintic_2nd"
     WEIGHTED_CUBIC_2ND = "weighted_cubic_2nd"
-
-
-@dataclass(frozen=True)
-class ScalingFit:
-    slope: float
-    intercept: float
-    r_squared: float
-    points: tuple[tuple[float, float], ...]
-
-
-def fit_loglog(log_x, log_y) -> ScalingFit:
-    x = np.asarray(log_x, dtype=float)
-    y = np.asarray(log_y, dtype=float)
-    if len(np.unique(x)) < 2:
-        raise DomainError("degenerate regression: need at least two distinct gaps")
-    design = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ np.array([slope, intercept])
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 0.0
-    return ScalingFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r2,
-        points=tuple(zip(x.tolist(), y.tolist())),
-    )
 
 
 def _reversed_values(values: np.ndarray) -> np.ndarray:
@@ -153,16 +121,25 @@ def window_moments(estimator: Estimator, path: Path, gaps, g: SmoothMap) -> np.n
     return np.array(rows)
 
 
-def moment_scaling(n: int, gaps, moments: np.ndarray, replications: int) -> ScalingFit:
-    """Fit log E[window moment] against log(gap / n).
+def moment_scaling(n: int, gaps, moments: np.ndarray, replications: int) -> dict:
+    """Least-squares fit of log E[window moment] against log(gap / n): its
+    slope, its r^2 and the (x, y) points.
 
     moments stacks the window_moments of every replication in replication
     order; its rows are summed one after another in that order, so the fit
     does not depend on how the replications were chunked.
     """
     rows = np.asarray(moments).reshape(-1, len(gaps))
-    means = np.cumsum(rows, axis=0)[-1] / replications
-    return fit_loglog(np.log(np.array(gaps) / n), np.log(means))
+    x = np.log(np.array(gaps) / n)
+    y = np.log(np.cumsum(rows, axis=0)[-1] / replications)
+    if len(np.unique(x)) < 2:
+        raise DomainError("degenerate regression: need at least two distinct gaps")
+    design = np.vstack([x, np.ones_like(x)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ np.array([slope, intercept])
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 0.0
+    return {"slope": float(slope), "r_squared": r2, "points": np.column_stack([x, y]).tolist()}
 
 
 class TaylorPieces(NamedTuple):

@@ -37,10 +37,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .analysis import Estimator
+from .checks import judge
 from .errors import CapabilityError, ConfigError, DomainError
 from .experiments import (
-    DEFAULT_SCALING_SPECS,
     audit_experiment,
     converge_experiment,
     hermite_experiment,
@@ -56,27 +55,6 @@ from .variations import parse_integrand
 
 DEFAULT_MASTER_SEED = 2
 DEFAULT_N_LIST = (256, 512, 1024, 2048, 4096)
-
-# check tolerances, shared with the acceptance suite
-KAPPA_SQ_REF, KAPPA_SQ_TOL = 5.391, 1e-3
-KAPPA_REF, KAPPA_TOL = 2.322, 5e-3
-IDENTITY_TOL = 1e-10
-CUBIC_VAR_RTOL = 0.10
-CUBIC_CORR_MAX = 0.08
-HERMITE_VAR_RTOL = 0.10
-SLOPE_FLOORS = {
-    Estimator.CUBIC_4TH: 1.8,
-    Estimator.QUINTIC_2ND: 1.2,
-    Estimator.WEIGHTED_CUBIC_2ND: 0.9,
-}
-SLOPE_R2_MIN = 0.95
-TAYLOR_R6_TOL = 1e-9
-ANCHOR_SUM_MAX = 0.01
-ORTHOGONALITY_TOL = 1e-8
-# largest entrywise z score of the sampler's empirical Gram matrix
-GRAM_Z_MAX = 4.0
-# a Monte Carlo mean passes within this many standard errors of its target
-MEAN_SE_MULT = 3.0
 
 
 @dataclass
@@ -254,26 +232,17 @@ class Emitter:
 # --- commands -------------------------------------------------------------------
 #
 # Each command takes the config and the run's Emitter (for its sample CSVs)
-# and returns the report its experiments built, with the verdict keys added,
-# and the names of its gating checks that failed; main writes report.json
-# and the manifest, names the failures under --check and chooses the exit
-# code.
-
-
-def _failed(checks: dict, prefix: str = "", gating=None) -> list[str]:
-    """prefix + name of each check in gating (default: every check) that fails."""
-    return [prefix + name for name in (checks if gating is None else gating) if not checks[name]]
+# and returns the report its experiments built, with the verdicts of the
+# check table added, and the names of its gating checks that failed; main
+# writes report.json and the manifest, names the failures under --check and
+# chooses the exit code.
 
 
 def cmd_kappa(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
-    kc = kappa_constant(cfg.truncation)
-    payload = asdict(kc)
+    payload = asdict(kappa_constant(cfg.truncation))
     print(json.dumps(payload, indent=2, sort_keys=True))
-    checks = {
-        "kappa_sq_close": abs(kc.kappa_sq - KAPPA_SQ_REF) <= KAPPA_SQ_TOL,
-        "kappa_close": abs(kc.kappa - KAPPA_REF) <= KAPPA_TOL,
-    }
-    return {**payload, "checks": checks}, _failed(checks)
+    checks, failed = judge("kappa", payload)
+    return {**payload, "checks": checks}, failed
 
 
 def cmd_converge(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
@@ -281,141 +250,82 @@ def cmd_converge(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[st
     rows, failed = [], []
     for n in cfg.n_list:
         row, est, orc = converge_experiment(
-            n,
-            cfg.horizon,
-            cfg.replications,
-            cfg.master_seed,
-            integrands,
-            cfg.refinement_factor,
-            cfg.workers,
+            n, cfg.horizon, cfg.replications, cfg.master_seed, integrands,
+            cfg.refinement_factor, cfg.workers,
         )
         emitter.emit(f"estimator_n{n}.csv", _samples_csv(est, t=cfg.horizon))
         emitter.emit(f"oracle_n{n}.csv", _samples_csv(orc, t=cfg.horizon))
-        failed += [f"n={n} ks {name}" for name, ks in row["ks"].items() if ks["rejects"]]
+        for key, ks in row["ks"].items():  # the KS row of each marginal and integrand
+            failed += [f"{name} {key}" for name in judge("converge", ks, f"n={n} ")[1]]
         rows.append(row)
     return {"per_n": rows, "all_ks_accepted": not failed}, failed
 
 
 def cmd_variations(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
-    # identities are checked at every grid; the distributional checks
-    # (variance near kappa^2, decorrelation from B) are asymptotic and
-    # apply at the largest grid only
     kappa_sq = kappa_constant(cfg.truncation).kappa_sq
-    n_top = max(cfg.n_list)
     rows, failed = [], []
     for n in cfg.n_list:
         row, cols = identity_experiment(
             n, cfg.horizon, cfg.replications, cfg.master_seed, cfg.workers
         )
         emitter.emit(f"cubic_n{n}.csv", _samples_csv(cols))
-        checks = {
-            "identities_ok": all(v <= IDENTITY_TOL for v in row["max_rel_residuals"].values()),
-            "variance_ok": abs(row["cubic_variance"] - kappa_sq) <= CUBIC_VAR_RTOL * kappa_sq,
-            "corr_ok": abs(row["cubic_b_corr"]) < CUBIC_CORR_MAX,
-        }
-        failed += _failed(checks, f"n={n} ", None if n == n_top else ["identities_ok"])
-        rows.append({**row, "kappa_sq": kappa_sq, **checks})
+        row["kappa_sq"] = kappa_sq
+        checks, bad = judge("variations", row, f"n={n} ", n == max(cfg.n_list))
+        rows.append({**row, **checks})
+        failed += bad
     return {"per_n": rows, "all_ok": not failed}, failed
 
 
 def cmd_sextic(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
     report = sextic_experiment(
-        cfg.n_list,
-        cfg.horizon,
-        cfg.replications,
-        cfg.master_seed,
-        workers=cfg.workers,
+        cfg.n_list, cfg.horizon, cfg.replications, cfg.master_seed, workers=cfg.workers
     )
-    report["mean_ok"] = (
-        abs(report["mean_value"] - report["mean_target"]) <= MEAN_SE_MULT * report["mean_se"]
-    )
-    return report, _failed(report, gating=["medians_decreasing", "mean_ok"])
-
-
-def _file_tag(label: str) -> str:
-    return "".join(ch if ch.isalnum() else "_" for ch in label)
+    checks, failed = judge("sextic", report)
+    return {**report, **checks}, failed
 
 
 def cmd_hermite(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
-    # mean checks apply everywhere; the variance check is asymptotic and
-    # applies at the largest grid only
-    integrands = parse_integrand_list(cfg.integrand)
-    n_top = max(cfg.n_list)
     rows, failed = [], []
-    for g in integrands:
+    for g in parse_integrand_list(cfg.integrand):
+        tag = "".join(ch if ch.isalnum() else "_" for ch in g.label)
         if not g.is_bounded:
             print(
                 f"warning: integrand {g.label!r} is unbounded; the fdd limits "
                 "assume bounded maps, proceeding anyway",
                 file=sys.stderr,
             )
-        for n in cfg.n_list:
-            row, cols = hermite_experiment(
-                n,
-                cfg.horizon,
-                cfg.replications,
-                cfg.master_seed,
-                g,
-                cfg.workers,
-            )
-            emitter.emit(f"hermite_{_file_tag(g.label)}_n{n}.csv", _samples_csv(cols))
-            limit = row["mean_limit"]
-            checks = {
-                "left_mean_ok": abs(row["left_mean"] - limit) <= MEAN_SE_MULT * row["left_se"],
-                "right_mean_ok": abs(row["right_mean"] + limit) <= MEAN_SE_MULT * row["right_se"],
-                "variance_ok": abs(row["left_variance"] - row["variance_limit"])
-                <= HERMITE_VAR_RTOL * row["variance_limit"],
-            }
-            gating = None if n == n_top else ["left_mean_ok", "right_mean_ok"]
-            failed += _failed(checks, f"{g.label} n={n} ", gating)
+        for row, cols in hermite_experiment(
+            cfg.n_list, cfg.horizon, cfg.replications, cfg.master_seed, g, cfg.workers
+        ):
+            n = row["n"]
+            emitter.emit(f"hermite_{tag}_n{n}.csv", _samples_csv(cols))
+            checks, bad = judge("hermite", row, f"{g.label} n={n} ", n == max(cfg.n_list))
             rows.append({**row, **checks})
+            failed += bad
     return {"per_integrand": rows, "all_ok": not failed}, failed
 
 
 def cmd_scaling(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
-    fits = scaling_experiment(
-        cfg.master_seed,
-        cfg.replications,
-        integrand=parse_integrand(cfg.integrand),
-        workers=cfg.workers,
+    rows = scaling_experiment(
+        cfg.master_seed, cfg.replications, parse_integrand(cfg.integrand), cfg.workers
     )
-    rows, failed = [], []
-    for estimator, fit in fits.items():
-        floor = SLOPE_FLOORS[estimator]
-        checks = {"ok": fit.slope >= floor and fit.r_squared >= SLOPE_R2_MIN}
-        failed += _failed(checks, f"{estimator.value} ")
-        rows.append(
-            {
-                "estimator": estimator.value,
-                "slope": fit.slope,
-                "slope_floor": floor,
-                "r_squared": fit.r_squared,
-                "points": [list(p) for p in fit.points],
-                "spec": DEFAULT_SCALING_SPECS[estimator],  # gap tuples dump as JSON lists
-                **checks,
-            }
-        )
+    failed = []
+    for row in rows:
+        checks, bad = judge("scaling", row, f"{row['estimator']} ")
+        row.update(checks)
+        failed += bad
     return {"per_estimator": rows, "replications": cfg.replications, "all_ok": not failed}, failed
 
 
 def cmd_taylor(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
     report = taylor_experiment(cfg.master_seed, pairs=1000)
-    failed = _failed(
-        {"max_poly_r6": report["max_poly_r6"] < TAYLOR_R6_TOL, "gamma_exact": report["gamma_exact"]}
-    )
+    failed = judge("taylor", report)[1]
     return {**report, "ok": not failed}, failed
 
 
 def cmd_audit(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
     report = audit_experiment(cfg.n_list, cfg.horizon)
-    top = report["anchored_cube_sums"][-1]  # the largest grid
-    failed = _failed(
-        {
-            "anchored_sums_decreasing": report["anchored_sums_decreasing"],
-            "anchored_sums_small": top["left"] < ANCHOR_SUM_MAX and top["right"] < ANCHOR_SUM_MAX,
-            "orthogonality_max_dev": report["orthogonality_max_dev"] < ORTHOGONALITY_TOL,
-        }
-    )
+    failed = judge("audit", report)[1]
     return {**report, "ok": not failed}, failed
 
 

@@ -17,6 +17,7 @@ replications, keeping the two-sample comparisons independent.
 from __future__ import annotations
 
 import math
+import os
 from functools import partial
 from multiprocessing import get_context
 
@@ -24,8 +25,6 @@ import numpy as np
 
 from .analysis import (
     Estimator,
-    KsResult,
-    ScalingFit,
     TAYLOR_GAMMA,
     audit_grid,
     covar_bound_audit,
@@ -36,6 +35,7 @@ from .analysis import (
     taylor_residual,
     window_moments,
 )
+from .checks import SLOPE_FLOORS
 from .errors import DomainError
 from .kernel import (
     gram_matrix,
@@ -70,9 +70,12 @@ def _decreasing(values) -> bool:
 
 
 def _pmap(worker, jobs, workers: int):
-    if workers <= 1 or len(jobs) <= 1:
+    # the pool never outnumbers the cores this process may run on
+    affinity = getattr(os, "sched_getaffinity", None)  # missing on some platforms
+    size = min(workers, len(jobs), len(affinity(0)) if affinity else os.cpu_count() or 1)
+    if size <= 1:
         return [worker(job) for job in jobs]
-    with get_context("fork").Pool(min(workers, len(jobs))) as pool:
+    with get_context("fork").Pool(size) as pool:
         return pool.map(worker, jobs)
 
 
@@ -187,19 +190,11 @@ def converge_experiment(
         workers,
         offset=replications,
     )
-    ks = {}
-    for key, name in zip(["B", "cubic", *(f"int:{t}" for t in texts)], names):
-        res = ks_two_sample(est[name], orc[name])
-        ks[key] = {
-            "statistic": res.statistic,
-            "critical_001": res.critical_001,
-            "margin": res.critical_001 - res.statistic,
-            "rejects": res.rejects_at_1pct,
-        }
+    keys = ["B", "cubic", *(f"int:{t}" for t in texts)]
     row = {
         "n": n,
         "refinement": refinement,
-        "ks": ks,
+        "ks": {key: ks_two_sample(est[name], orc[name]) for key, name in zip(keys, names)},
         "estimator_correlations": np.corrcoef(np.vstack([est[k] for k in names])).tolist(),
         "oracle_correlations": np.corrcoef(np.vstack([orc[k] for k in names])).tolist(),
     }
@@ -313,39 +308,45 @@ def sextic_experiment(
 
 
 def hermite_experiment(
-    n: int,
+    n_list,
     horizon: float,
     replications: int,
     master_seed: int,
     integrand: SmoothMap = sin_map(),
     workers: int = 1,
-) -> tuple[dict, dict[str, np.ndarray]]:
+) -> list[tuple[dict, dict[str, np.ndarray]]]:
     """Left/right endpoint weighted third-Hermite variations at t = horizon.
 
-    Returns the report row (sample means, standard errors and left variance,
-    with the quadrature limits for the left-endpoint mean and variance) and
-    the columns left and right."""
-    cols = run_replications(
-        fbm_draws(Grid(n, horizon), master_seed),
-        hermite_stats(integrand),
-        replications,
-        workers,
-    )
-    kappa_sq = kappa_constant().kappa_sq
-    left, right = cols["left"], cols["right"]
-    row = {
-        "integrand": integrand.label,
-        "bounded": integrand.is_bounded,
-        "n": n,
-        "left_mean": float(np.mean(left)),
-        "left_se": float(np.std(left, ddof=1) / math.sqrt(len(left))),
-        "right_mean": float(np.mean(right)),
-        "right_se": float(np.std(right, ddof=1) / math.sqrt(len(right))),
-        "left_variance": float(np.var(left, ddof=1)),
+    Returns, for each n in n_list, the report row (sample means, standard
+    errors and left variance, with the quadrature limits of the left mean
+    and variance, which depend on the integrand and horizon alone and are
+    computed once) and the columns left and right."""
+    limits = {
         "mean_limit": hermite_mean_limit(integrand, horizon),
-        "variance_limit": hermite_variance_limit(integrand, horizon, kappa_sq),
+        "variance_limit": hermite_variance_limit(integrand, horizon, kappa_constant().kappa_sq),
     }
-    return row, cols
+    runs = []
+    for n in n_list:
+        cols = run_replications(
+            fbm_draws(Grid(n, horizon), master_seed),
+            hermite_stats(integrand),
+            replications,
+            workers,
+        )
+        left, right = cols["left"], cols["right"]
+        row = {
+            "integrand": integrand.label,
+            "bounded": integrand.is_bounded,
+            "n": n,
+            "left_mean": float(np.mean(left)),
+            "left_se": float(np.std(left, ddof=1) / math.sqrt(len(left))),
+            "right_mean": float(np.mean(right)),
+            "right_se": float(np.std(right, ddof=1) / math.sqrt(len(right))),
+            "left_variance": float(np.var(left, ddof=1)),
+            **limits,
+        }
+        runs.append((row, cols))
+    return runs
 
 
 # --- moment-bound scaling ----------------------------------------------------
@@ -378,9 +379,10 @@ def scaling_experiment(
     replications: int = 500,
     integrand: SmoothMap = sin_map(),
     workers: int = 1,
-) -> dict[Estimator, ScalingFit]:
-    """Moment-bound scaling fit of each estimator in DEFAULT_SCALING_SPECS;
-    estimators on the same grid share one set of paths."""
+) -> list[dict]:
+    """The report row of each estimator in DEFAULT_SCALING_SPECS: its
+    moment-bound scaling fit, slope floor and spec.  Estimators on the same
+    grid share one set of paths."""
     ladders = {
         estimator: scaling_ladder(spec["n"], spec["gaps"], replications, spec.get("horizon"))
         for estimator, spec in DEFAULT_SCALING_SPECS.items()
@@ -396,7 +398,10 @@ def scaling_experiment(
         )
         for e, gaps in group.items():
             fits[e] = moment_scaling(grid.n, gaps, cols[e], replications)
-    return {e: fits[e] for e in DEFAULT_SCALING_SPECS}
+    return [
+        {"estimator": e.value, **fits[e], "slope_floor": SLOPE_FLOORS[e], "spec": spec}
+        for e, spec in DEFAULT_SCALING_SPECS.items()
+    ]
 
 
 # --- symmetric Taylor corpus -------------------------------------------------
@@ -464,10 +469,11 @@ def sampler_experiment(
     gram_replications: int = 2000,
     ks_replications: int = 1000,
     probe_indices=(64, 128, 256, 512),
-) -> tuple[float, KsResult]:
-    """Largest entrywise z score of the empirical Gram matrix against cov_r,
-    and a CHOLESKY/CIRCULANT two-sample KS on B(1).  The circulant B(1) of the KS
-    comes from the same paths as the Gram matrix."""
+) -> dict:
+    """The sampler row: gram_max_z, the largest entrywise z score of the
+    empirical Gram matrix against cov_r, and method_ks, the KS row of a
+    CHOLESKY/CIRCULANT two-sample test on B(1).  The circulant B(1) of the
+    KS comes from the same paths as the Gram matrix."""
     grid = Grid(gram_n, 1.0)
     probes = np.array(probe_indices)
     cols = run_replications(
@@ -491,4 +497,7 @@ def sampler_experiment(
         workers=1,
     )["b1"]
     circ = cols["b1"][:ks_replications]
-    return float(np.max(np.abs(emp - target) / se)), ks_two_sample(chol, circ)
+    return {
+        "gram_max_z": float(np.max(np.abs(emp - target) / se)),
+        "method_ks": ks_two_sample(chol, circ),
+    }

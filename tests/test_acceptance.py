@@ -8,6 +8,7 @@ artifact on one platform.
 
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,21 +23,19 @@ from fbmlab import (
     sin_map,
     taylor_residual,
 )
-from fbmlab.cli import (
+from fbmlab.checks import (
     ANCHOR_SUM_MAX,
     CUBIC_CORR_MAX,
     CUBIC_VAR_RTOL,
     GRAM_Z_MAX,
     HERMITE_VAR_RTOL,
-    IDENTITY_TOL,
     KAPPA_REF,
     KAPPA_SQ_REF,
     KAPPA_SQ_TOL,
     KAPPA_TOL,
     MEAN_SE_MULT,
-    SLOPE_FLOORS,
-    SLOPE_R2_MIN,
-    TAYLOR_R6_TOL,
+    judge,
+    verdicts,
 )
 from fbmlab.experiments import (
     identity_experiment,
@@ -57,8 +56,8 @@ def test_c01_kappa_constants():
     start = time.perf_counter()
     kc = kappa_constant()
     elapsed = time.perf_counter() - start
-    ok_sq = abs(kc.kappa_sq - KAPPA_SQ_REF) <= KAPPA_SQ_TOL
-    ok_k = abs(kc.kappa - KAPPA_REF) <= KAPPA_TOL
+    checks = verdicts("kappa", asdict(kc))
+    ok_sq, ok_k = checks["kappa_sq_close"], checks["kappa_close"]
     ok_time = elapsed < 1.0
     report(
         1,
@@ -82,23 +81,27 @@ def identity_result():
 def test_c02_exact_riemann_identities(identity_result):
     res = identity_result["max_rel_residuals"]
     elapsed = identity_result["elapsed"]
-    worst = max(res["riemann_const"], res["riemann_linear"], res["riemann_quadratic"])
-    ok = worst <= IDENTITY_TOL and elapsed < 5.0
+    riemann = {k: res[k] for k in ("riemann_const", "riemann_linear", "riemann_quadratic")}
+    worst = max(riemann.values())
+    row = {"max_rel_residuals": riemann}
+    identities_ok = verdicts("variations", row, ["identities_ok"])["identities_ok"]
+    ok = identities_ok and elapsed < 5.0
     report(
         2,
         ok,
         f"riemann identity residuals (1, x, x^2) <= {worst:.2e} on 100 paths "
         f"at n=2^10, {elapsed:.2f}s",
     )
-    assert worst <= IDENTITY_TOL
+    assert identities_ok, f"residual {worst}"
     assert elapsed < 5.0
 
 
 def test_c03_hermite_rearrangement_identity(identity_result):
     worst = identity_result["max_rel_residuals"]["hermite_rearrangement"]
-    ok = worst <= IDENTITY_TOL
+    row = {"max_rel_residuals": {"hermite_rearrangement": worst}}
+    ok = verdicts("variations", row, ["identities_ok"])["identities_ok"]
     report(3, ok, f"cubic = hermite + 3 n^(-1/3) B identity residual <= {worst:.2e}")
-    assert worst <= IDENTITY_TOL
+    assert ok, f"residual {worst}"
 
 
 def test_c04_sextic_variation():
@@ -108,8 +111,8 @@ def test_c04_sextic_variation():
     )
     elapsed = time.perf_counter() - start
     tol = MEAN_SE_MULT * result["mean_se"]
-    mean_ok = abs(result["mean_value"] - result["mean_target"]) <= tol
-    decreasing = result["medians_decreasing"]
+    checks = verdicts("sextic", result)
+    mean_ok, decreasing = checks["mean_ok"], checks["medians_decreasing"]
     ok = mean_ok and decreasing and elapsed < 120.0
     medians = result["median_sup_deviation"]
     meds = ", ".join(f"{m:.3f}" for m in medians)
@@ -129,8 +132,9 @@ def test_c05_signed_cubic_variation(estimator_corpus, constants):
     var = float(np.var(estimator_corpus["vn"], ddof=1))
     corr = float(np.corrcoef(estimator_corpus["vn"], estimator_corpus["b1"])[0, 1])
     elapsed = time.perf_counter() - start
-    var_ok = abs(var - constants.kappa_sq) <= CUBIC_VAR_RTOL * constants.kappa_sq
-    corr_ok = abs(corr) < CUBIC_CORR_MAX
+    row = {"cubic_variance": var, "cubic_b_corr": corr, "kappa_sq": constants.kappa_sq}
+    checks = verdicts("variations", row, ["variance_ok", "corr_ok"])
+    var_ok, corr_ok = checks["variance_ok"], checks["corr_ok"]
     report(
         5,
         var_ok and corr_ok,
@@ -152,9 +156,10 @@ def test_c06_weak_stratonovich_convergence(estimator_corpus, oracle_corpus):
         + estimator_corpus["build_seconds"]
         + oracle_corpus["build_seconds"]
     )
-    critical = results[INTEGRANDS[0]].critical_001  # equal samples share one critical value
-    ok = not any(r.rejects_at_1pct for r in results.values()) and elapsed < 240.0
-    detail = ", ".join(f"{t}: {r.statistic:.4f}" for t, r in results.items())
+    critical = results[INTEGRANDS[0]]["critical_001"]  # equal samples share one critical value
+    failed = {t: judge("converge", r)[1] for t, r in results.items()}
+    ok = not any(failed.values()) and elapsed < 240.0
+    detail = ", ".join(f"{t}: {r['statistic']:.4f}" for t, r in results.items())
     report(
         6,
         ok,
@@ -162,7 +167,7 @@ def test_c06_weak_stratonovich_convergence(estimator_corpus, oracle_corpus):
         f"(n=2^12 vs 2^14, {elapsed:.1f}s incl. corpora)",
     )
     for t, r in results.items():
-        assert not r.rejects_at_1pct, f"KS for integrand {t}: {r.statistic} > {critical}"
+        assert not failed[t], f"KS for integrand {t}: {r['statistic']} > {critical}"
     assert elapsed < 240.0
 
 
@@ -171,10 +176,16 @@ def test_c07_hermite_mean_limits(estimator_corpus):
     limit = hermite_mean_limit(g, 1.0)
     left = estimator_corpus["left"]
     right = estimator_corpus["right"]
-    tol_l = MEAN_SE_MULT * (left.std(ddof=1) / math.sqrt(len(left)))
-    tol_r = MEAN_SE_MULT * (right.std(ddof=1) / math.sqrt(len(right)))
-    left_ok = abs(left.mean() - limit) <= tol_l
-    right_ok = abs(right.mean() + limit) <= tol_r
+    row = {
+        "left_mean": left.mean(),
+        "left_se": left.std(ddof=1) / math.sqrt(len(left)),
+        "right_mean": right.mean(),
+        "right_se": right.std(ddof=1) / math.sqrt(len(right)),
+        "mean_limit": limit,
+    }
+    checks = verdicts("hermite", row, ["left_mean_ok", "right_mean_ok"])
+    left_ok, right_ok = checks["left_mean_ok"], checks["right_mean_ok"]
+    tol_l, tol_r = MEAN_SE_MULT * row["left_se"], MEAN_SE_MULT * row["right_se"]
     report(
         7,
         left_ok and right_ok,
@@ -188,7 +199,8 @@ def test_c07_hermite_mean_limits(estimator_corpus):
 def test_c08_hermite_variance_limit(estimator_corpus, constants):
     limit = hermite_variance_limit(sin_map(), 1.0, constants.kappa_sq)
     var = float(np.var(estimator_corpus["left"], ddof=1))
-    ok = abs(var - limit) <= HERMITE_VAR_RTOL * limit
+    row = {"left_variance": var, "variance_limit": limit}
+    ok = verdicts("hermite", row, ["variance_ok"])["variance_ok"]
     report(
         8,
         ok,
@@ -202,22 +214,17 @@ def test_c08_hermite_variance_limit(estimator_corpus, constants):
 
 def test_c09_moment_bound_scaling():
     start = time.perf_counter()
-    fits = scaling_experiment(MASTER_SEED, replications=500)
+    rows = scaling_experiment(MASTER_SEED, replications=500)
     elapsed = time.perf_counter() - start
-    ok = elapsed < 120.0
-    lines = []
-    for estimator, floor in SLOPE_FLOORS.items():
-        fit = fits[estimator]
-        good = fit.slope >= floor and fit.r_squared >= SLOPE_R2_MIN
-        ok = ok and good
-        lines.append(f"{estimator.value}: slope={fit.slope:.3f}>={floor} r2={fit.r_squared:.3f}")
+    failed = [name for row in rows for name in judge("scaling", row, f"{row['estimator']} ")[1]]
+    ok = not failed and elapsed < 120.0
+    lines = [
+        f"{row['estimator']}: slope={row['slope']:.3f}>={row['slope_floor']} "
+        f"r2={row['r_squared']:.3f}"
+        for row in rows
+    ]
     report(9, ok, "; ".join(lines) + f" (M=500, {elapsed:.1f}s)")
-    for estimator, floor in SLOPE_FLOORS.items():
-        fit = fits[estimator]
-        assert fit.slope >= floor, f"{estimator.value} slope {fit.slope} < {floor}"
-        assert fit.r_squared >= SLOPE_R2_MIN, (
-            f"{estimator.value} r2 {fit.r_squared} < {SLOPE_R2_MIN}"
-        )
+    assert not failed, f"failed: {failed}; {lines}"
     assert elapsed < 120.0
 
 
@@ -229,15 +236,16 @@ def test_c10_taylor_identity():
         g = parse_integrand("poly:" + ",".join(repr(c) for c in coeffs))
         for a, b in rng.uniform(-1.0, 1.0, size=(25, 2)):
             worst = max(worst, abs(taylor_residual(g, float(a), float(b)).r6))
-    gamma_ok = TAYLOR_GAMMA == -1.0 / 480.0
-    ok = worst < TAYLOR_R6_TOL and gamma_ok
+    checks = verdicts("taylor", {"max_poly_r6": worst, "gamma_exact": TAYLOR_GAMMA == -1.0 / 480.0})
+    r6_ok, gamma_ok = checks["max_poly_r6"], checks["gamma_exact"]
+    ok = r6_ok and gamma_ok
     report(
         10,
         ok,
         f"max |R6| = {worst:.2e} over 1000 pairs x degree<=5 corpus, "
         f"gamma = {TAYLOR_GAMMA} = -1/480 exactly: {gamma_ok}",
     )
-    assert worst < TAYLOR_R6_TOL
+    assert r6_ok, f"max |R6| = {worst}"
     assert gamma_ok
 
 
@@ -245,10 +253,13 @@ def test_c11_anchored_cube_sums():
     ladder = [256, 512, 1024, 2048, 4096]
     lefts = [left_anchor_cube_sum(n, 1.0) for n in ladder]
     rights = [right_anchor_cube_sum(n, 1.0) for n in ladder]
-    small = lefts[-1] < ANCHOR_SUM_MAX and rights[-1] < ANCHOR_SUM_MAX
-    decreasing = all(a > b for a, b in zip(lefts, lefts[1:])) and all(
-        a > b for a, b in zip(rights, rights[1:])
-    )
+    row = {
+        "anchored_cube_sums": [{"left": a, "right": b} for a, b in zip(lefts, rights)],
+        "anchored_sums_decreasing": all(a > b for a, b in zip(lefts, lefts[1:]))
+        and all(a > b for a, b in zip(rights, rights[1:])),
+    }
+    checks = verdicts("audit", row, ["anchored_sums_decreasing", "anchored_sums_small"])
+    small, decreasing = checks["anchored_sums_small"], checks["anchored_sums_decreasing"]
     report(
         11,
         small and decreasing,
@@ -261,18 +272,17 @@ def test_c11_anchored_cube_sums():
 
 def test_c12_sampler_validity():
     start = time.perf_counter()
-    gram_max_z, method_ks = sampler_experiment(
-        MASTER_SEED, gram_n=512, gram_replications=2000, ks_replications=1000
-    )
+    row = sampler_experiment(MASTER_SEED, gram_n=512, gram_replications=2000, ks_replications=1000)
     elapsed = time.perf_counter() - start
-    gram_ok = gram_max_z < GRAM_Z_MAX
-    ks_ok = not method_ks.rejects_at_1pct
+    gram_max_z, method_ks = row["gram_max_z"], row["method_ks"]
+    checks = verdicts("sampler", row)
+    gram_ok, ks_ok = checks["gram_z_ok"], checks["method_ks_ok"]
     report(
         12,
         gram_ok and ks_ok,
         f"Gram max |z| = {gram_max_z:.2f} < {GRAM_Z_MAX:g} (m=512, M=2000); "
-        f"cholesky-vs-circulant KS {method_ks.statistic:.4f} < "
-        f"{method_ks.critical_001:.4f} ({elapsed:.1f}s)",
+        f"cholesky-vs-circulant KS {method_ks['statistic']:.4f} < "
+        f"{method_ks['critical_001']:.4f} ({elapsed:.1f}s)",
     )
     assert gram_ok, f"gram z {gram_max_z}"
-    assert ks_ok, f"KS {method_ks.statistic} vs {method_ks.critical_001}"
+    assert ks_ok, f"KS {method_ks['statistic']} vs {method_ks['critical_001']}"

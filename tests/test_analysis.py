@@ -23,7 +23,7 @@ from fbmlab import (
     taylor_residual,
 )
 from fbmlab import analysis
-from fbmlab.analysis import fit_loglog, scaling_ladder, window_moments
+from fbmlab.analysis import scaling_ladder, window_moments
 from fbmlab.kernel import endpoint_increment_cov
 
 
@@ -65,8 +65,9 @@ class TestKs:
     def test_two_sample_result(self):
         rng = np.random.default_rng(1)
         res = ks_two_sample(rng.normal(size=400), rng.normal(size=900))
-        assert res.critical_001 == pytest.approx(1.628 * math.sqrt(1300 / (400 * 900)))
-        assert not res.rejects_at_1pct
+        assert res["critical_001"] == pytest.approx(1.628 * math.sqrt(1300 / (400 * 900)))
+        assert res["margin"] == res["critical_001"] - res["statistic"] > 0
+        assert res["rejects"] is False
 
     def test_min_sizes(self):
         with pytest.raises(DomainError):
@@ -75,16 +76,20 @@ class TestKs:
 
 class TestScalingFit:
     def test_r_squared_reproduces_points(self):
-        fit = fit_loglog([0.0, 1.0, 2.0, 3.0], [0.1, 1.9, 4.2, 5.9])
-        x = np.array([p[0] for p in fit.points])
-        y = np.array([p[1] for p in fit.points])
-        resid = y - (fit.slope * x + fit.intercept)
+        # one replication, so the window means are the moments themselves
+        moments = np.exp([[0.1, 1.9, 4.2, 5.9]])
+        fit = moment_scaling(8, [1, 2, 4, 8], moments, 1)
+        x, y = np.array(fit["points"]).T
+        assert np.allclose(x, np.log([1 / 8, 2 / 8, 4 / 8, 1.0]))
+        assert np.allclose(y, [0.1, 1.9, 4.2, 5.9])
+        intercept = y.mean() - fit["slope"] * x.mean()  # the least-squares line
+        resid = y - (fit["slope"] * x + intercept)
         r2 = 1 - resid @ resid / np.sum((y - y.mean()) ** 2)
-        assert fit.r_squared == pytest.approx(r2, abs=1e-12)
+        assert fit["r_squared"] == pytest.approx(r2, abs=1e-12)
 
     def test_degenerate_gaps(self):
         with pytest.raises(DomainError):
-            fit_loglog([1.0, 1.0], [0.0, 0.0])
+            moment_scaling(8, [2, 2], np.ones((1, 2)), 1)
 
 
 class TestMomentScaling:
@@ -100,12 +105,12 @@ class TestMomentScaling:
 
     def test_cubic_smoke_slope(self):
         fit = _fit(Estimator.CUBIC_4TH, 1024, [128, 256, 512, 1024], 5, horizon=1.0)
-        assert 1.2 < fit.slope < 2.5
-        assert fit.r_squared > 0.9
+        assert 1.2 < fit["slope"] < 2.5
+        assert fit["r_squared"] > 0.9
 
     def test_weighted_smoke_slope(self):
         fit = _fit(Estimator.WEIGHTED_CUBIC_2ND, 2048, [32, 64, 128, 256], 6)
-        assert 0.7 < fit.slope < 1.8
+        assert 0.7 < fit["slope"] < 1.8
 
 
 def _fit(estimator, n, gaps, master_seed, horizon=None, replications=200):

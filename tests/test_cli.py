@@ -1,9 +1,13 @@
 import hashlib
+import importlib.util
 import json
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
+from fbmlab import checks
 from fbmlab.cli import main
 from fbmlab.sampler import RNG_STREAM_VERSION
 
@@ -18,17 +22,19 @@ MONTE_CARLO_RUNS = (
     ("scaling", "--replications", "200"),
 )
 
-# each command's overall verdict, from the keys of its report.json
-VERDICTS = {
-    "kappa": lambda r: all(r["checks"].values()),
-    "converge": lambda r: r["all_ks_accepted"],
-    "variations": lambda r: r["all_ok"],
-    "sextic": lambda r: r["medians_decreasing"] and r["mean_ok"],
-    "hermite": lambda r: r["all_ok"],
-    "scaling": lambda r: r["all_ok"],
-    "taylor": lambda r: r["ok"],
-    "audit": lambda r: r["ok"],
-}
+
+def load_benchmark_runner():
+    """perfbench/run.py, loaded read-only: its read_verdict is how the
+    benchmark reads each command's overall verdict from report.json."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up while it runs
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def strict_json(text: str):
@@ -230,22 +236,46 @@ class TestReportsAndManifest:
             assert outputs["1"] == outputs["2"], argv[0]
 
     def test_check_exit_matches_report_verdict(self, capsys, tmp_path):
-        # under --check a command exits 0 exactly when its report's verdict holds
+        # under --check a command exits 0 exactly when its report's verdict, as
+        # the benchmark reads it, holds; read_verdict returns None for a report
+        # that lacks its verdict keys, and no report here may
+        runner = load_benchmark_runner()
         runs = (("kappa",), ("kappa", "--truncation", "0"), *MONTE_CARLO_RUNS,
                 ("taylor",), ("audit", "--n-list", "64,128"))
-        assert {argv[0] for argv in runs} == set(VERDICTS)
+        assert {argv[0] for argv in runs} == set(runner.VERDICTS)
         codes = []
         for i, argv in enumerate(runs):
             out = tmp_path / str(i)
             code, _, err = run(capsys, *argv, "--check", "--workers", "1",
                                "--output-dir", str(out))
             report = strict_json((out / argv[0] / "report.json").read_text())
-            verdict = VERDICTS[argv[0]](report)
+            verdict = runner.read_verdict(argv[0], report)
             assert verdict is True or verdict is False, argv
             assert code == (0 if verdict else 4), argv
             assert ("check failed" in err) == (code == 4), argv
             codes.append(code)
         assert {0, 4} <= set(codes)
+
+    @pytest.mark.parametrize("command, forced, expected", [
+        # identities gate at every grid, the variance and correlation at the largest only
+        ("variations", {"IDENTITY_TOL": -1.0, "CUBIC_VAR_RTOL": 0.0, "CUBIC_CORR_MAX": 0.0},
+         ["n=32 identities_ok", "n=64 identities_ok", "n=64 variance_ok", "n=64 corr_ok"]),
+        # the means gate at every grid, the variance at the largest only
+        ("hermite", {"MEAN_SE_MULT": 0.0, "HERMITE_VAR_RTOL": 0.0},
+         ["sin n=32 left_mean_ok", "sin n=32 right_mean_ok", "sin n=64 left_mean_ok",
+          "sin n=64 right_mean_ok", "sin n=64 variance_ok"]),
+    ], ids=["variations", "hermite"])
+    def test_check_scope(self, capsys, monkeypatch, tmp_path, command, forced, expected):
+        for name, value in forced.items():
+            monkeypatch.setattr(checks, name, value)
+        code, _, err = run(capsys, command, "--n-list", "32,64", "--replications", "30",
+                           "--check", "--workers", "1", "--output-dir", str(tmp_path))
+        assert code == 4
+        assert err.splitlines() == [f"check failed: {command} {line}" for line in expected]
+        # the report still holds every verdict of every grid
+        report = json.loads((tmp_path / command / "report.json").read_text())
+        rows = report["per_n" if command == "variations" else "per_integrand"]
+        assert all(not row[name] for row in rows for name in checks.verdicts(command, row))
 
     def test_no_partial_files_on_success(self, capsys, tmp_path):
         run(capsys, "taylor", "--output-dir", str(tmp_path), "--master-seed", "3")

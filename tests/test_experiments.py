@@ -11,6 +11,7 @@ from fbmlab.experiments import (
     hermite_experiment,
     identity_experiment,
     parse_integrand_list,
+    run_replications,
     sampler_experiment,
     scaling_experiment,
     sextic_experiment,
@@ -103,14 +104,14 @@ class TestHermite:
     def test_mean_matches_exact_finite_n(self):
         # unbiased check: the MC mean of the left variation must sit within
         # 4 standard errors of the exact finite-n mean formula
-        _, cols = hermite_experiment(256, 1.0, 600, 19)
+        [(_, cols)] = hermite_experiment([256], 1.0, 600, 19)
         left = cols["left"]
         exact = hermite_mean_exact(sin_map(), 256, 1.0)
         se = left.std(ddof=1) / math.sqrt(len(left))
         assert abs(left.mean() - exact) <= 4 * se
 
     def test_right_mirrors_left_in_sign(self):
-        _, cols = hermite_experiment(256, 1.0, 600, 19)
+        [(_, cols)] = hermite_experiment([256], 1.0, 600, 19)
         right = cols["right"]
         exact_right = -hermite_mean_exact(sin_map(), 256, 1.0)
         # right endpoint anchors at t_k instead of t_{k-1}; its exact mean
@@ -119,19 +120,37 @@ class TestHermite:
         assert abs(right.mean() - exact_right) <= 5 * se
 
     def test_limits_attached(self):
-        row, _ = hermite_experiment(64, 1.0, 200, 23)
+        [(row, _)] = hermite_experiment([64], 1.0, 200, 23)
         assert row["mean_limit"] == pytest.approx(6 - 9.75 * math.exp(-0.5), abs=1e-9)
         assert row["variance_limit"] > 1.0
         assert row["bounded"]
+
+    def test_limits_computed_once_for_every_grid(self, monkeypatch):
+        # the limits depend on (g, horizon) alone, not on n
+        calls = {"mean": 0, "variance": 0}
+
+        def count(name, value):
+            def limit(*args):
+                calls[name] += 1
+                return value
+            return limit
+
+        monkeypatch.setattr(experiments, "hermite_mean_limit", count("mean", 0.25))
+        monkeypatch.setattr(experiments, "hermite_variance_limit", count("variance", 2.0))
+        runs = hermite_experiment([16, 32, 64], 1.0, 20, 23)
+        assert [row["n"] for row, _ in runs] == [16, 32, 64]
+        assert all((row["mean_limit"], row["variance_limit"]) == (0.25, 2.0) for row, _ in runs)
+        assert calls == {"mean": 1, "variance": 1}
 
 
 class TestScaling:
     def test_default_specs_cover_all_estimators(self):
         assert set(DEFAULT_SCALING_SPECS) == {e for e in DEFAULT_SCALING_SPECS}
-        fits = scaling_experiment(29, replications=200)
-        assert set(fits) == set(DEFAULT_SCALING_SPECS)
-        for fit in fits.values():
-            assert fit.r_squared > 0.9
+        rows = scaling_experiment(29, replications=200)
+        assert [row["estimator"] for row in rows] == [e.value for e in DEFAULT_SCALING_SPECS]
+        for row in rows:
+            assert row["r_squared"] > 0.9
+            assert len(row["points"]) == len(row["spec"]["gaps"])
 
 
 class TestTaylorExperiment:
@@ -165,7 +184,53 @@ class TestAuditExperiment:
         assert calls == []
 
 
+class FakeContext:
+    """A get_context("fork") stand-in whose Pool records its size and maps in-process."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __call__(self, method):
+        assert method == "fork"
+        return self
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, worker, jobs):
+        return [worker(job) for job in jobs]
+
+
 class TestRunReplications:
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_pool_capped_at_usable_cores(self, monkeypatch, affinity):
+        # --workers far above the core count must not fork one process per
+        # replication; the chunking, and so every column, stays the same
+        fake = FakeContext()
+        monkeypatch.setattr(experiments, "get_context", fake)
+        if affinity:
+            monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                                raising=False)
+        else:
+            monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        stats = {"r": lambda r: float(r), "sq": lambda r: float(r * r)}
+        many = run_replications(lambda r: r, stats, 2000, workers=10_000)
+        assert fake.sizes == [3]
+        few = run_replications(lambda r: r, stats, 2000, workers=2)
+        assert fake.sizes == [3, 2]
+        serial = run_replications(lambda r: r, stats, 2000, workers=1)
+        assert fake.sizes == [3, 2]
+        for name in stats:
+            assert many[name].tolist() == few[name].tolist() == serial[name].tolist()
+            assert many[name].tolist() == [stats[name](r) for r in range(2000)]
     def test_pool_workers_inherit_scipy(self, fresh_python):
         # the parent imports scipy.special before the fork, so no worker does
         out = fresh_python(
@@ -185,9 +250,9 @@ class TestRunReplications:
 
 class TestSamplerExperiment:
     def test_small_validation(self):
-        gram_max_z, method_ks = sampler_experiment(
+        row = sampler_experiment(
             37, gram_n=128, gram_replications=500, ks_replications=200,
             probe_indices=(16, 32, 64, 128),
         )
-        assert gram_max_z < 5.0
-        assert not method_ks.rejects_at_1pct
+        assert row["gram_max_z"] < 5.0
+        assert not row["method_ks"]["rejects"]
