@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import platform
 import sys
@@ -49,8 +48,8 @@ from .experiments import (
     sextic_experiment,
     taylor_experiment,
 )
-from .kernel import DEFAULT_TRUNCATION, kappa_constant
-from .sampler import RNG_STREAM_VERSION
+from .kernel import kappa_constant
+from .sampler import RNG_STREAM_VERSION, Grid
 from .variations import parse_integrand
 
 DEFAULT_MASTER_SEED = 2
@@ -65,27 +64,19 @@ class ExperimentConfig:
     replications: int = 500
     master_seed: int = DEFAULT_MASTER_SEED
     integrand: str = "sin"
-    refinement_factor: int = 4
-    truncation: int = DEFAULT_TRUNCATION
     output_dir: str = "out"
     check: bool = False
     workers: int = field(default_factory=lambda: os.cpu_count() or 1)
 
     def validate(self) -> None:
-        if not self.n_list or any(n < 1 for n in self.n_list):
-            raise ConfigError("n_list must hold positive grid sizes")
-        if not 0 < self.horizon < math.inf:  # refuses nan too
-            raise ConfigError("horizon must be positive and finite")
-        for n in self.n_list:
-            steps = n * self.horizon
-            if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
-                raise ConfigError(f"n * horizon = {steps} not integral")
+        if not self.n_list:
+            raise ConfigError("n_list must hold at least one grid size")
+        if len(set(self.n_list)) < len(self.n_list):
+            raise ConfigError(f"n_list repeats a grid size: {self.n_list}")
+        for n in self.n_list:  # the Grid refuses a bad size or horizon
+            Grid(n, self.horizon)
         if self.replications < 2:  # a sample variance needs two paths
             raise ConfigError("replications must be at least 2")
-        if self.refinement_factor not in (2, 4, 8):
-            raise ConfigError("refinement_factor must be 2, 4, or 8")
-        if self.truncation < 0:
-            raise ConfigError("truncation must be nonnegative")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
 
@@ -136,8 +127,6 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
         "replications": int,
         "master_seed": int,
         "integrand": str,
-        "refinement_factor": int,
-        "truncation": int,
         "output_dir": str,
         "check": lambda text: _FLAG_WORDS[text.lower()],
         "workers": int,
@@ -239,7 +228,7 @@ class Emitter:
 
 
 def cmd_kappa(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
-    payload = asdict(kappa_constant(cfg.truncation))
+    payload = asdict(kappa_constant())
     print(json.dumps(payload, indent=2, sort_keys=True))
     checks, failed = judge("kappa", payload)
     return {**payload, "checks": checks}, failed
@@ -250,8 +239,7 @@ def cmd_converge(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[st
     rows, failed = [], []
     for n in cfg.n_list:
         row, est, orc = converge_experiment(
-            n, cfg.horizon, cfg.replications, cfg.master_seed, integrands,
-            cfg.refinement_factor, cfg.workers,
+            n, cfg.horizon, cfg.replications, cfg.master_seed, integrands, cfg.workers
         )
         emitter.emit(f"estimator_n{n}.csv", _samples_csv(est, t=cfg.horizon))
         emitter.emit(f"oracle_n{n}.csv", _samples_csv(orc, t=cfg.horizon))
@@ -262,14 +250,12 @@ def cmd_converge(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[st
 
 
 def cmd_variations(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
-    kappa_sq = kappa_constant(cfg.truncation).kappa_sq
     rows, failed = [], []
     for n in cfg.n_list:
         row, cols = identity_experiment(
             n, cfg.horizon, cfg.replications, cfg.master_seed, cfg.workers
         )
         emitter.emit(f"cubic_n{n}.csv", _samples_csv(cols))
-        row["kappa_sq"] = kappa_sq
         checks, bad = judge("variations", row, f"n={n} ", n == max(cfg.n_list))
         rows.append({**row, **checks})
         failed += bad
@@ -356,8 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--integrand", help="integrand spec, semicolon-separated for several"
     )
-    parser.add_argument("--refinement-factor", dest="refinement_factor", type=int)
-    parser.add_argument("--truncation", type=int)
     parser.add_argument("--output-dir", dest="output_dir")
     parser.add_argument("--workers", type=int)
     parser.add_argument("--check", action="store_const", const=True, default=None,

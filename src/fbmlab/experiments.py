@@ -38,14 +38,14 @@ from .analysis import (
 from .checks import SLOPE_FLOORS
 from .errors import DomainError
 from .kernel import (
-    gram_matrix,
+    cov_r,
     kappa_constant,
     left_anchor_cube_sum,
     right_anchor_cube_sum,
 )
 from .oracle import LimitSample, weak_strat_integral
 from .quadrature import hermite_mean_limit, hermite_variance_limit
-from .sampler import Grid, Method, SeedPolicy, load_ndtri, sample_fbm
+from .sampler import Grid, SeedPolicy, load_ndtri, sample_fbm, sample_fbm_cholesky
 from .variations import (
     Endpoint,
     Family,
@@ -56,6 +56,10 @@ from .variations import (
     sin_map,
     weighted_hermite,
 )
+
+# the oracle's grid is REFINEMENT times finer than the estimator's
+REFINEMENT = 4
+
 
 def parse_integrand_list(text: str) -> list[SmoothMap]:
     """Semicolon-separated integrand specs, e.g. "1; x; x^2; sin"."""
@@ -158,7 +162,6 @@ def converge_experiment(
     replications: int,
     master_seed: int,
     integrands: list[SmoothMap],
-    refinement_factor: int = 4,
     workers: int = 1,
 ) -> tuple[dict, dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Paired estimator/oracle samples of (B(T), cubic variation, integral).
@@ -166,11 +169,9 @@ def converge_experiment(
     Returns the report row and the estimator and oracle columns B, cubic
     and int_<label>.  The estimator corpus holds (B(1), V_n(B,1),
     I_n(g,B,1)); the oracle corpus holds (B(1), kappa W(1), the limit
-    integral) on a grid refined by refinement_factor.  The row holds one KS
+    integral) on a grid REFINEMENT times finer.  The row holds one KS
     entry per marginal and per integrand, and both correlation matrices.
     """
-    if refinement_factor not in (2, 4, 8):
-        raise DomainError("refinement_factor must be one of 2, 4, 8")
     texts = [g.label for g in integrands]
     names = ["B", "cubic", *(f"int_{t}" for t in texts)]
     kappa = kappa_constant().kappa
@@ -180,7 +181,7 @@ def converge_experiment(
         replications,
         workers,
     )
-    refinement = refinement_factor * n
+    refinement = REFINEMENT * n
     orc = run_replications(
         lambda r: LimitSample.draw(
             refinement, SeedPolicy(master_seed, r), kappa, integrands, horizon
@@ -235,8 +236,8 @@ def identity_experiment(
     """Pathwise telescoping identities and the signed-cubic-variation law.
 
     Returns the report row (worst relative residual of each identity, and
-    the variance of V_n(B, T) and its correlation with B(T)) and the
-    columns B and cubic."""
+    the variance of V_n(B, T) and its correlation with B(T), with the
+    limit variance kappa_sq) and the columns B and cubic."""
     rows = run_replications(
         fbm_draws(Grid(n, horizon), master_seed),
         {"identity": _identity_row},
@@ -255,6 +256,7 @@ def identity_experiment(
         },
         "cubic_variance": float(np.var(vn, ddof=1)),
         "cubic_b_corr": float(np.corrcoef(vn, b1)[0, 1]),
+        "kappa_sq": kappa_constant().kappa_sq,
     }
     return row, {"B": b1, "cubic": vn}
 
@@ -472,7 +474,7 @@ def sampler_experiment(
 ) -> dict:
     """The sampler row: gram_max_z, the largest entrywise z score of the
     empirical Gram matrix against cov_r, and method_ks, the KS row of a
-    CHOLESKY/CIRCULANT two-sample test on B(1).  The circulant B(1) of the
+    Cholesky/circulant two-sample test on B(1).  The circulant B(1) of the
     KS comes from the same paths as the Gram matrix."""
     grid = Grid(gram_n, 1.0)
     probes = np.array(probe_indices)
@@ -486,12 +488,13 @@ def sampler_experiment(
         workers=1,
     )
     vals = cols["probes"][:gram_replications]
-    target = gram_matrix(probes / gram_n)
+    t = probes / gram_n
+    target = cov_r(t[:, None], t[None, :])
     prods = vals[:, :, None] * vals[:, None, :]
     emp = prods.mean(axis=0)
     se = prods.std(axis=0, ddof=1) / math.sqrt(gram_replications)
     chol = run_replications(
-        lambda r: sample_fbm(grid, SeedPolicy(master_seed, r), Method.CHOLESKY),
+        lambda r: sample_fbm_cholesky(grid, SeedPolicy(master_seed, r)),
         {"b1": lambda path: path.values[-1]},
         ks_replications,
         workers=1,

@@ -188,14 +188,6 @@ def endpoint_increment_block(n: int, m: int, lo: int, out: np.ndarray) -> np.nda
     return out
 
 
-def gram_matrix(times) -> np.ndarray:
-    """Covariance matrix [R(t_i, t_j)] over a vector of times."""
-    t = np.asarray(times, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("gram_matrix requires nonnegative times")
-    return np.asarray(cov_r(t[:, None], t[None, :]))
-
-
 def left_anchor_cube_sum(n: int, t: float) -> float:
     """sum_{k <= floor(nt)} | E[B(t_{k-1}) dB_k]^3 + 1/(8n) |.
 

@@ -2,19 +2,19 @@
 
 Two exact samplers for the H = 1/6 fractional Brownian motion are provided:
 
-* CHOLESKY factors the m x m increment Gram matrix n^{-1/3} rho(i - j)
-  directly (limited to m <= 4096); it is the reference the sampler
-  validation compares CIRCULANT against;
-* CIRCULANT, which every experiment samples with, embeds the increment
+* sample_fbm, which every experiment samples with, embeds the increment
   autocovariance in a circulant of size 2m (Davies-Harte), diagonalizes it
   with one real FFT, and synthesizes the stationary noise from independent
-  spectral Gaussians in O(m log m).
+  spectral Gaussians in O(m log m);
+* sample_fbm_cholesky factors the m x m increment Gram matrix
+  n^{-1/3} rho(i - j) directly (limited to m <= 4096); it is the reference
+  the sampler validation compares sample_fbm against.
 
 Both target the same exact law.  Randomness is counter based: every path
 draws from a Philox stream keyed by (master_seed, stream_id, purpose tag),
 and Gaussians come from the inverse normal CDF applied to the raw counter
 output.  Replication-level parallelism therefore cannot reorder draws, and
-identical (grid, seeds, method) reproduce byte-identical arrays.
+identical (grid, seeds) reproduce byte-identical arrays for each sampler.
 
 The inverse normal CDF is scipy's ndtri, imported on the first draw (see
 load_ndtri): importing scipy.special takes longer than the whole of the
@@ -23,7 +23,7 @@ commands that draw no random numbers, so they never import it.
 
 from __future__ import annotations
 
-import enum
+import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
@@ -33,7 +33,7 @@ from .errors import CapabilityError, DomainError, EmbeddingError
 from .kernel import INCREMENT_EXPONENT, rho
 
 # Version of the random streams: bumped whenever a release draws different
-# numbers for the same (grid, seeds, method).  2: the oracle draws its Ito
+# numbers for the same (grid, seeds) and sampler.  2: the oracle draws its Ito
 # correction from the "oracle:w" tag instead of a Brownian path on "bm".
 RNG_STREAM_VERSION = 2
 
@@ -88,11 +88,6 @@ def _open_uniforms(raw: np.ndarray) -> np.ndarray:
     return np.minimum(u, _UNIFORM_MAX, out=u)
 
 
-class Method(enum.Enum):
-    CHOLESKY = "cholesky"
-    CIRCULANT = "circulant"
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform partition t_j = j/n of [0, horizon], with m = n * horizon steps.
@@ -107,10 +102,10 @@ class Grid:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
             raise DomainError("grid size n must be a positive integer")
-        if not (self.horizon > 0):
-            raise DomainError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:  # refuses nan too
+            raise DomainError("horizon must be positive and finite")
         steps = self.n * self.horizon
-        if abs(steps - round(steps)) > 1e-9:
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
             raise DomainError(f"n * horizon = {steps} is not integral")
 
     @property
@@ -212,21 +207,20 @@ def _assemble(grid: Grid, increments: np.ndarray) -> Path:
     return Path(grid=grid, values=values)
 
 
-def sample_fbm(grid: Grid, seeds: SeedPolicy, method: Method = Method.CIRCULANT) -> Path:
-    """Draw one exact H = 1/6 fBm path on the grid."""
-    if method is Method.CHOLESKY:
-        if grid.m > CHOLESKY_MAX_STEPS:
-            raise CapabilityError(
-                f"CHOLESKY limited to m <= {CHOLESKY_MAX_STEPS}; use CIRCULANT"
-            )
-        z = seeds.normals(grid.m, "fbm:cholesky")
-        increments = _cholesky_factor(grid.n, grid.m) @ z
-    elif method is Method.CIRCULANT:
-        z = seeds.normals(2 * grid.m, "fbm:circulant")
-        increments = _fgn_circulant(grid, z)
-    else:
-        raise DomainError(f"unknown sampling method {method!r}")
-    return _assemble(grid, increments)
+def sample_fbm(grid: Grid, seeds: SeedPolicy) -> Path:
+    """Draw one exact H = 1/6 fBm path on the grid by circulant embedding."""
+    z = seeds.normals(2 * grid.m, "fbm:circulant")
+    return _assemble(grid, _fgn_circulant(grid, z))
+
+
+def sample_fbm_cholesky(grid: Grid, seeds: SeedPolicy) -> Path:
+    """Draw one exact H = 1/6 fBm path on the grid by Cholesky factorization."""
+    if grid.m > CHOLESKY_MAX_STEPS:
+        raise CapabilityError(
+            f"Cholesky sampling limited to m <= {CHOLESKY_MAX_STEPS}; use sample_fbm"
+        )
+    z = seeds.normals(grid.m, "fbm:cholesky")
+    return _assemble(grid, _cholesky_factor(grid.n, grid.m) @ z)
 
 
 def sample_bm(grid: Grid, seeds: SeedPolicy) -> Path:

@@ -41,7 +41,7 @@ class SmoothMap:
 
     POLYNOMIAL params are ascending monomial coefficients; TRIG params
     (a, b, c) mean a*sin(b x + c) with b != 0; EXP params (a, b) mean
-    a*exp(b x) with b != 0.
+    a*exp(b x) with b != 0.  Every parameter must be finite.
     """
 
     family: Family
@@ -49,6 +49,8 @@ class SmoothMap:
     label: str = ""
 
     def __post_init__(self):
+        if not all(math.isfinite(p) for p in self.params):
+            raise DomainError(f"integrand parameters must be finite: {self.params}")
         if self.family is Family.POLYNOMIAL:
             if len(self.params) == 0:
                 raise DomainError("polynomial needs at least one coefficient")
@@ -117,9 +119,6 @@ class SmoothMap:
         if self.family is Family.POLYNOMIAL:
             return all(c == 0.0 for c in self.params[1:])
         return False
-
-def constant_map(c: float) -> SmoothMap:
-    return SmoothMap(Family.POLYNOMIAL, (float(c),), repr(float(c)))
 
 
 def monomial_map(power: int) -> SmoothMap:

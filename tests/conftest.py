@@ -6,7 +6,10 @@ import time
 import pytest
 
 import fbmlab
-from fbmlab import Grid, LimitSample, SeedPolicy, kappa_constant, parse_integrand
+from fbmlab.kernel import kappa_constant
+from fbmlab.oracle import LimitSample
+from fbmlab.sampler import Grid, SeedPolicy
+from fbmlab.variations import parse_integrand
 from fbmlab.experiments import (
     estimator_stats,
     fbm_draws,

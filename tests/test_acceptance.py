@@ -13,16 +13,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from fbmlab import (
-    TAYLOR_GAMMA,
-    kappa_constant,
-    ks_two_sample,
-    left_anchor_cube_sum,
-    parse_integrand,
-    right_anchor_cube_sum,
-    sin_map,
-    taylor_residual,
-)
+from fbmlab.analysis import TAYLOR_GAMMA, ks_two_sample, taylor_residual
+from fbmlab.kernel import kappa_constant, left_anchor_cube_sum, right_anchor_cube_sum
+from fbmlab.variations import parse_integrand, sin_map
 from fbmlab.checks import (
     ANCHOR_SUM_MAX,
     CUBIC_CORR_MAX,

@@ -4,25 +4,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fbmlab import (
-    DomainError,
-    CapabilityError,
+from fbmlab import analysis
+from fbmlab.analysis import (
     Estimator,
-    SeedPolicy,
     TAYLOR_GAMMA,
-    cov_r,
     covar_bound_audit,
     ks_statistic,
     ks_two_sample,
     moment_scaling,
-    monomial_map,
     orthogonality_audit,
-    parse_integrand,
-    sample_fbm,
-    sin_map,
     taylor_residual,
 )
-from fbmlab import analysis
+from fbmlab.errors import CapabilityError, DomainError
+from fbmlab.kernel import cov_r
+from fbmlab.sampler import SeedPolicy, sample_fbm
+from fbmlab.variations import monomial_map, parse_integrand, sin_map
 from fbmlab.analysis import scaling_ladder, window_moments
 from fbmlab.kernel import endpoint_increment_cov
 

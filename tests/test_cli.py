@@ -2,20 +2,21 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
 from fbmlab import checks
-from fbmlab.cli import main
+from fbmlab.cli import _build_parser, _config_from, _parse_config_file, main
 from fbmlab.sampler import RNG_STREAM_VERSION
 
 
 # small runs of every Monte Carlo command
 MONTE_CARLO_RUNS = (
-    ("converge", "--n-list", "32", "--replications", "60", "--integrand", "1; x; x^2; sin",
-     "--refinement-factor", "2"),
+    ("converge", "--n-list", "32", "--replications", "60", "--integrand", "1; x; x^2; sin"),
     ("variations", "--n-list", "64", "--replications", "40"),
     ("sextic", "--n-list", "32,64", "--replications", "30"),
     ("hermite", "--n-list", "64", "--replications", "60"),
@@ -59,28 +60,15 @@ class TestKappaCommand:
         assert payload["kappa"] == pytest.approx(2.322, abs=5e-3)
         assert payload["truncation_radius"] == 10_000
 
-    def test_zero_truncation(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "kappa", "--truncation", "0",
-                           "--output-dir", str(tmp_path))
-        assert code == 0
-        assert json.loads(out)["kappa_sq"] == 6.0
-
-    def test_tail_bound_decreases(self, capsys, tmp_path):
-        bounds = []
-        for radius in ("10", "100", "1000"):
-            _, out, _ = run(capsys, "kappa", "--truncation", radius,
-                            "--output-dir", str(tmp_path))
-            bounds.append(json.loads(out)["tail_bound"])
-        assert bounds[0] > bounds[1] > bounds[2]
-
     def test_check_passes(self, capsys, tmp_path):
         code, _, err = run(capsys, "kappa", "--check", "--output-dir", str(tmp_path))
         assert code == 0
         assert "check failed" not in err
 
-    def test_check_fails_with_tiny_truncation(self, capsys, tmp_path):
-        code, _, err = run(capsys, "kappa", "--check", "--truncation", "0",
-                           "--output-dir", str(tmp_path))
+    def test_check_failure_names_each_check(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(checks, "KAPPA_SQ_REF", 0.0)
+        monkeypatch.setattr(checks, "KAPPA_REF", 0.0)
+        code, _, err = run(capsys, "kappa", "--check", "--output-dir", str(tmp_path))
         assert code == 4
         # stderr names each failed check; the values stay in report.json
         assert err.splitlines() == [
@@ -115,12 +103,41 @@ class TestConfigHandling:
         assert not (tmp_path / "out").exists()
 
     def test_bad_method(self, capsys, tmp_path):
-        # the sampling method is not a setting: every command samples CIRCULANT
+        # the sampling method is not a setting: every command samples with sample_fbm
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[kappa]\nmethod = circulant\n")
         code, _, err = run(capsys, "--config", str(cfg), "--output-dir", str(tmp_path))
         assert code == 2
         assert "method" in err
+
+    @pytest.mark.parametrize("setting", ["refinement_factor = 4", "truncation = 0"])
+    def test_removed_settings_are_refused(self, capsys, tmp_path, setting):
+        # the oracle refines 4-fold and kappa sums 10^4 lags: neither is a setting
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[kappa]\n{setting}\n")
+        code, _, err = run(capsys, "--config", str(cfg), "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert setting.partition(" ")[0] in err
+        flag = "--" + setting.partition(" ")[0].replace("_", "-")
+        assert run(capsys, "kappa", flag, "4", "--output-dir", str(tmp_path / "out"))[0] == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec", ["nan", "inf", "sin:1,nan,0", "exp:1,inf", "poly:0,1e400"])
+    def test_nonfinite_integrand_is_a_config_error(self, capsys, tmp_path, spec):
+        # a report built from it would hold NaN or Infinity, which are not JSON
+        code, _, err = run(capsys, "hermite", "--n-list", "64", "--replications", "60",
+                           "--check", "--integrand", spec, "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert "config error" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sextic", "variations"])
+    def test_repeated_grid_is_a_config_error(self, capsys, tmp_path, command):
+        code, _, err = run(capsys, command, "--n-list", "64,64", "--replications", "30",
+                           "--check", "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert "repeats" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_command(self, capsys):
         code, *_ = run(capsys)
@@ -146,11 +163,12 @@ class TestConfigHandling:
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("[kappa]\ntruncation = 0\n")
-        code, out, _ = run(capsys, "kappa", "--config", str(cfg),
-                           "--truncation", "50", "--output-dir", str(tmp_path))
+        cfg.write_text("[kappa]\nmaster_seed = 1\n")
+        code, *_ = run(capsys, "kappa", "--config", str(cfg),
+                       "--master-seed", "50", "--output-dir", str(tmp_path))
         assert code == 0
-        assert json.loads(out)["truncation_radius"] == 50
+        manifest = json.loads((tmp_path / "kappa" / "manifest.json").read_text())
+        assert manifest["config"]["master_seed"] == 50
 
     def test_bad_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -168,21 +186,22 @@ class TestConfigHandling:
 
     def test_unknown_command_section(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("[kapa]\ntruncation = 5\n")
+        cfg.write_text("[kapa]\nmaster_seed = 5\n")
         code, _, err = run(capsys, "--config", str(cfg), "--output-dir", str(tmp_path))
         assert code == 2
         assert "kapa" in err
 
-    def test_check_value_spellings(self, capsys, tmp_path):
-        # truncation 0 fails the kappa checks, so the exit code shows the flag
+    def test_check_value_spellings(self, capsys, monkeypatch, tmp_path):
+        # a wrong reference fails the kappa check, so the exit code shows the flag
+        monkeypatch.setattr(checks, "KAPPA_REF", 0.0)
         cfg = tmp_path / "run.cfg"
         for word, code in (("1", 4), ("True", 4), ("YES", 4), ("0", 0), ("false", 0), ("No", 0)):
-            cfg.write_text(f"[kappa]\ntruncation = 0\ncheck = {word}\n")
+            cfg.write_text(f"[kappa]\ncheck = {word}\n")
             assert run(capsys, "--config", str(cfg), "--output-dir", str(tmp_path))[0] == code
 
     def test_misspelt_check_value_is_a_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("[kappa]\ntruncation = 0\ncheck = ture\n")
+        cfg.write_text("[kappa]\ncheck = ture\n")
         code, _, err = run(capsys, "--config", str(cfg), "--output-dir", str(tmp_path))
         assert code == 2
         assert "check" in err and "ture" in err
@@ -200,7 +219,7 @@ class TestReportsAndManifest:
     def test_converge_outputs(self, capsys, tmp_path):
         args = (
             "converge", "--n-list", "32", "--replications", "60",
-            "--integrand", "1; x", "--refinement-factor", "2",
+            "--integrand", "1; x",
             "--master-seed", "5", "--output-dir", str(tmp_path),
         )
         code, *_ = run(capsys, *args)
@@ -240,14 +259,17 @@ class TestReportsAndManifest:
         # the benchmark reads it, holds; read_verdict returns None for a report
         # that lacks its verdict keys, and no report here may
         runner = load_benchmark_runner()
-        runs = (("kappa",), ("kappa", "--truncation", "0"), *MONTE_CARLO_RUNS,
+        runs = (("kappa",), ("kappa",), *MONTE_CARLO_RUNS,
                 ("taylor",), ("audit", "--n-list", "64,128"))
         assert {argv[0] for argv in runs} == set(runner.VERDICTS)
         codes = []
         for i, argv in enumerate(runs):
             out = tmp_path / str(i)
-            code, _, err = run(capsys, *argv, "--check", "--workers", "1",
-                               "--output-dir", str(out))
+            with pytest.MonkeyPatch.context() as patch:
+                if i == 1:  # the second kappa run is judged against a wrong reference
+                    patch.setattr(checks, "KAPPA_SQ_REF", 0.0)
+                code, _, err = run(capsys, *argv, "--check", "--workers", "1",
+                                   "--output-dir", str(out))
             report = strict_json((out / argv[0] / "report.json").read_text())
             verdict = runner.read_verdict(argv[0], report)
             assert verdict is True or verdict is False, argv
@@ -337,6 +359,37 @@ class TestMoreCommands:
         assert names == {"cubic_4th", "quintic_2nd", "weighted_cubic_2nd"}
         for row in report["per_estimator"]:
             assert len(row["points"]) == len(row["spec"]["gaps"])
+
+
+class TestReadme:
+    """The README's examples still parse: each command line of its command
+    block and its config file example give a valid configuration."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def block(self, fence: str) -> str:
+        """The first fenced block of the given language in the Command line section."""
+        text = self.README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+        return re.search(f"```{fence}\n(.*?)```", text, re.S).group(1)
+
+    def test_command_lines_parse(self):
+        lines = [line for line in self.block("sh").splitlines()
+                 if line.startswith("fbmlab ")]
+        assert len(lines) == 8
+        commands = set()
+        for line in lines:
+            argv = shlex.split(line, comments=True)[1:]
+            cfg = _config_from(_build_parser().parse_args(argv))
+            commands.add(cfg.command)
+        assert commands == {"kappa", "converge", "variations", "sextic", "hermite",
+                            "scaling", "taylor", "audit"}
+
+    def test_config_example_parses(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(self.block("ini"), encoding="utf-8")
+        assert _parse_config_file(str(path))["command"] == "converge"
+        cfg = _config_from(_build_parser().parse_args(["--config", str(path)]))
+        assert (cfg.command, cfg.n_list, cfg.replications) == ("converge", (1024, 4096), 2000)
 
 
 class TestImports:

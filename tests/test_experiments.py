@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fbmlab import CapabilityError, DomainError, experiments, parse_integrand
+from fbmlab import experiments
+from fbmlab.errors import CapabilityError, DomainError
+from fbmlab.variations import parse_integrand
 from fbmlab.experiments import (
     DEFAULT_SCALING_SPECS,
     audit_experiment,
@@ -38,19 +40,15 @@ class TestIntegrandList:
 class TestConverge:
     def test_trivial_integrand_collapses_to_endpoint(self):
         row, est, orc = converge_experiment(
-            64, 1.0, 60, 101, [parse_integrand("1")], refinement_factor=2
+            64, 1.0, 60, 101, [parse_integrand("1")]
         )
         assert np.allclose(est["int_1"], est["B"], atol=1e-12)
         assert np.allclose(orc["int_1"], orc["B"], atol=1e-12)
         assert row["ks"]["int:1"]["statistic"] == pytest.approx(row["ks"]["B"]["statistic"])
 
     def test_shapes_and_determinism(self):
-        a_row, a_est, a_orc = converge_experiment(
-            32, 1.0, 60, 7, [parse_integrand("x")], refinement_factor=4
-        )
-        _, b_est, b_orc = converge_experiment(
-            32, 1.0, 60, 7, [parse_integrand("x")], refinement_factor=4
-        )
+        a_row, a_est, a_orc = converge_experiment(32, 1.0, 60, 7, [parse_integrand("x")])
+        _, b_est, b_orc = converge_experiment(32, 1.0, 60, 7, [parse_integrand("x")])
         assert a_row["refinement"] == 128
         assert np.array_equal(a_est["cubic"], b_est["cubic"])
         assert np.array_equal(a_orc["int_x"], b_orc["int_x"])
@@ -66,10 +64,6 @@ class TestConverge:
         # oracle uses stream ids offset by the replication count, so the
         # B(1) samples must differ from the estimator draws
         assert not np.allclose(est["B"], orc["B"])
-
-    def test_refinement_factor_validated(self):
-        with pytest.raises(DomainError):
-            converge_experiment(32, 1.0, 60, 7, [parse_integrand("x")], refinement_factor=3)
 
 
 class TestIdentity:
@@ -235,7 +229,7 @@ class TestRunReplications:
         # the parent imports scipy.special before the fork, so no worker does
         out = fresh_python(
             "import sys\n"
-            "from fbmlab import Grid, SeedPolicy, sample_fbm\n"
+            "from fbmlab.sampler import Grid, SeedPolicy, sample_fbm\n"
             "from fbmlab.experiments import run_replications\n"
             "def draw(r):\n"
             "    loaded = 'scipy.special' in sys.modules\n"

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 from numpy.polynomial import hermite_e
 
-from fbmlab import (
-    CapabilityError,
-    DomainError,
+from fbmlab.errors import CapabilityError, DomainError
+from fbmlab.kernel import (
     cov_r,
     endpoint_increment_cov,
-    gram_matrix,
     hermite,
     kappa_constant,
     left_anchor_cube_sum,
@@ -58,7 +56,7 @@ class TestCovariance:
 
     def test_gram_psd_up_to_2048(self):
         times = np.arange(1, 2049) / 2048.0
-        eigs = np.linalg.eigvalsh(gram_matrix(times))
+        eigs = np.linalg.eigvalsh(cov_r(times[:, None], times[None, :]))
         assert eigs.min() >= -1e-9
 
 

@@ -3,22 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fbmlab import (
-    DomainError,
-    Grid,
-    LimitSample,
-    SeedPolicy,
-    constant_map,
-    kappa_constant,
-    ks_two_sample,
-    monomial_map,
-    parse_integrand,
-    sample_bm,
-    sample_fbm,
-    sin_map,
-    weak_strat_integral,
-)
 from fbmlab import oracle
+from fbmlab.analysis import ks_two_sample
+from fbmlab.errors import DomainError
+from fbmlab.kernel import kappa_constant
+from fbmlab.oracle import LimitSample, weak_strat_integral
+from fbmlab.sampler import Grid, SeedPolicy, sample_bm, sample_fbm
+from fbmlab.variations import monomial_map, parse_integrand, sin_map
 
 KAPPA = kappa_constant(10_000).kappa
 
@@ -151,7 +142,7 @@ class TestLimitSample:
 
 class TestWeakStratIntegral:
     def test_constant_integrand(self):
-        g = constant_map(1.0)
+        g = parse_integrand("1")
         sample = draw(256, 7, 0, [g])
         assert weak_strat_integral(g, sample) == sample.b_path.values[-1]
 
@@ -193,7 +184,7 @@ def residual(g, sample) -> float:
 
 class TestChangeOfVariable:
     def test_constant_map_residual(self):
-        g = constant_map(4.0)
+        g = parse_integrand("4")
         sample = draw(128, 9, 0, [g.derivative(1)])
         assert residual(g, sample) == pytest.approx(0.0, abs=1e-14)
 

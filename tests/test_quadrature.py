@@ -4,20 +4,17 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fbmlab import (
-    DomainError,
-    cov_r,
+from fbmlab.errors import DomainError
+from fbmlab.kernel import cov_r, kappa_constant, left_anchor_cube_sum
+from fbmlab.quadrature import (
     expect_gauss,
     expect_gauss_pair,
     hermite_mean_exact,
     hermite_mean_limit,
     hermite_variance_limit,
-    kappa_constant,
-    left_anchor_cube_sum,
-    monomial_map,
-    sin_map,
     time_integral_expect,
 )
+from fbmlab.variations import monomial_map, sin_map
 from fbmlab.kernel import endpoint_increment_cov
 from fbmlab.quadrature import GL_NODES, _gauss_legendre_01
 
@@ -130,6 +127,16 @@ class TestHermiteLimits:
         assert all(cov[i, j] == cov_r(s[i], s[j]) for i in range(len(s)) for j in range(len(s)))
         kappa_sq = kappa_constant().kappa_sq
         assert hermite_variance_limit(sin_map(), 1.0, kappa_sq) == 2.042684241747045
+
+    def test_variance_limit_converges_in_nodes(self):
+        # 64 Gauss-Legendre nodes settle the limit to about 6e-6 relative
+        kappa_sq = kappa_constant().kappa_sq
+        v16, v32, v64 = (
+            hermite_variance_limit(sin_map(), 1.0, kappa_sq, nodes=m) for m in (16, 32, 64)
+        )
+        assert (v16, v32, v64) == pytest.approx((2.0427242, 2.0426961, 2.0426842), abs=1e-7)
+        assert abs(v64 - v32) < 1e-5 * v64
+        assert abs(v64 - v32) < abs(v32 - v16)
 
 
 class TestHermiteExactMean:

@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
 
-from fbmlab import (
-    CapabilityError,
-    DomainError,
-    Grid,
-    Method,
-    SeedPolicy,
-    gram_matrix,
-    sample_bm,
-    sample_fbm,
-)
+from fbmlab.errors import CapabilityError, DomainError
+from fbmlab.sampler import Grid, SeedPolicy, sample_bm, sample_fbm, sample_fbm_cholesky
 from fbmlab.analysis import ks_statistic, KS_COEFF_001
-from fbmlab.kernel import rho
+from fbmlab.kernel import cov_r, rho
 from fbmlab.sampler import _cholesky_factor, _circulant_sqrt_eigs, _open_uniforms, load_ndtri
 
 
@@ -30,6 +22,12 @@ class TestGrid:
             Grid(0, 1.0)
         with pytest.raises(DomainError):
             Grid(8, -1.0)
+
+    @pytest.mark.parametrize("horizon", [float("inf"), float("-inf"), 1e308])
+    def test_nonfinite_steps_rejected(self, horizon):
+        # 4 * 1e308 overflows to inf: no grid, rather than an OverflowError
+        with pytest.raises(DomainError):
+            Grid(4, horizon)
 
 
 class TestSeeding:
@@ -71,16 +69,16 @@ class TestSeeding:
 class TestFbmSampler:
     def test_starts_at_zero(self):
         grid = Grid(64)
-        for method in Method:
-            path = sample_fbm(grid, SeedPolicy(5, 0), method)
+        for sample in (sample_fbm, sample_fbm_cholesky):
+            path = sample(grid, SeedPolicy(5, 0))
             assert path.values[0] == 0.0
             assert len(path.values) == grid.m + 1
 
     def test_bit_reproducible(self):
         grid = Grid(128)
-        for method in Method:
-            a = sample_fbm(grid, SeedPolicy(42, 3), method)
-            b = sample_fbm(grid, SeedPolicy(42, 3), method)
+        for sample in (sample_fbm, sample_fbm_cholesky):
+            a = sample(grid, SeedPolicy(42, 3))
+            b = sample(grid, SeedPolicy(42, 3))
             assert a.values.tobytes() == b.values.tobytes()
 
     def test_values_immutable(self):
@@ -90,7 +88,7 @@ class TestFbmSampler:
 
     def test_cholesky_cap(self):
         with pytest.raises(CapabilityError):
-            sample_fbm(Grid(8192), SeedPolicy(0, 0), Method.CHOLESKY)
+            sample_fbm_cholesky(Grid(8192), SeedPolicy(0, 0))
 
     def test_cholesky_factor_reproduces_gram(self):
         length = _cholesky_factor(64, 64)
@@ -109,10 +107,8 @@ class TestFbmSampler:
     def test_unit_variance_both_methods(self):
         grid = Grid(256)
         reps = 500
-        for method in Method:
-            b1 = np.array(
-                [sample_fbm(grid, SeedPolicy(11, r), method).values[-1] for r in range(reps)]
-            )
+        for sample in (sample_fbm, sample_fbm_cholesky):
+            b1 = np.array([sample(grid, SeedPolicy(11, r)).values[-1] for r in range(reps)])
             var = b1.var(ddof=1)
             se = var * np.sqrt(2.0 / (reps - 1))
             assert abs(var - 1.0) <= 4 * se
@@ -121,10 +117,10 @@ class TestFbmSampler:
         grid = Grid(128)
         reps = 500
         chol = np.array(
-            [sample_fbm(grid, SeedPolicy(13, r), Method.CHOLESKY).values[-1] for r in range(reps)]
+            [sample_fbm_cholesky(grid, SeedPolicy(13, r)).values[-1] for r in range(reps)]
         )
         circ = np.array(
-            [sample_fbm(grid, SeedPolicy(13, r), Method.CIRCULANT).values[-1] for r in range(reps)]
+            [sample_fbm(grid, SeedPolicy(13, r)).values[-1] for r in range(reps)]
         )
         critical = KS_COEFF_001 * np.sqrt(2.0 / reps)
         assert ks_statistic(chol, circ) < critical
@@ -136,7 +132,8 @@ class TestFbmSampler:
         vals = np.array(
             [sample_fbm(grid, SeedPolicy(17, r)).values[probes] for r in range(reps)]
         )
-        target = gram_matrix(probes / grid.n)
+        t = probes / grid.n
+        target = cov_r(t[:, None], t[None, :])
         prods = vals[:, :, None] * vals[:, None, :]
         z = np.abs(prods.mean(axis=0) - target) / (
             prods.std(axis=0, ddof=1) / np.sqrt(reps)
@@ -214,7 +211,7 @@ class TestEmbeddingGuard:
         # force a non-embeddable autocovariance; the guard must abort rather
         # than silently clamp a materially negative eigenvalue
         import fbmlab.sampler as sampler
-        from fbmlab import EmbeddingError
+        from fbmlab.errors import EmbeddingError
 
         def bad_rho(r):
             r = np.asarray(r, dtype=float)
@@ -225,7 +222,7 @@ class TestEmbeddingGuard:
         sampler._circulant_sqrt_eigs.cache_clear()
         monkeypatch.setattr(sampler, "rho", bad_rho)
         with pytest.raises(EmbeddingError):
-            sample_fbm(Grid(16), SeedPolicy(0, 0), Method.CIRCULANT)
+            sample_fbm(Grid(16), SeedPolicy(0, 0))
         sampler._circulant_sqrt_eigs.cache_clear()
 
     def test_roundoff_negatives_are_clamped(self):

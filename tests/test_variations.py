@@ -3,19 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from fbmlab import (
-    DomainError,
+from fbmlab.errors import DomainError
+from fbmlab.sampler import Grid, Path, SeedPolicy, sample_fbm
+from fbmlab.variations import (
     Endpoint,
     Family,
-    Grid,
-    Path,
-    SeedPolicy,
     SmoothMap,
-    constant_map,
     monomial_map,
     parse_integrand,
     riemann_strat,
-    sample_fbm,
     signed_cubic,
     sin_map,
     weighted_hermite,
@@ -75,7 +71,7 @@ class TestMidpoints:
     def test_midpoint_gap_two_sided_bound(self):
         # exact Gaussian algebra: E|beta_j - beta_i|^2 compares two sided
         # with |t_j - t_i|^{1/3} at a bounded fitted ratio
-        from fbmlab import cov_r
+        from fbmlab.kernel import cov_r
 
         n = 512
         j = np.arange(1, n + 1)
@@ -102,7 +98,7 @@ class TestMidpoints:
 class TestRiemannSums:
     def test_constant_integrand_telescopes(self):
         path = sample_fbm(Grid(64), SeedPolicy(11, 0))
-        step = riemann_strat(constant_map(1.0), path)
+        step = riemann_strat(parse_integrand("1"), path)
         assert np.max(np.abs(step - (path.values - path.values[0]))) < 1e-12
 
     def test_linear_integrand_telescopes(self):
@@ -141,14 +137,14 @@ class TestRiemannSums:
 class TestWeightedHermite:
     def test_zero_integrand(self):
         path = sample_fbm(Grid(32), SeedPolicy(15, 0))
-        step = weighted_hermite(constant_map(0.0), path)
+        step = weighted_hermite(parse_integrand("0"), path)
         assert np.all(step == 0.0)
 
     def test_unit_weight_rearrangement(self):
         # V_n(B,t) = G_n^-(1,B,t) + 3 n^{-1/3} B(floor(nt)/n)
         path = sample_fbm(Grid(512), SeedPolicy(16, 0))
         cubic = signed_cubic(path)
-        left = weighted_hermite(constant_map(1.0), path, Endpoint.LEFT)
+        left = weighted_hermite(parse_integrand("1"), path, Endpoint.LEFT)
         recon = left + 3.0 * 512 ** (-1 / 3) * path.values
         scale = max(1.0, float(np.max(np.abs(cubic))))
         assert np.max(np.abs(cubic - recon)) / scale < 1e-10
@@ -193,7 +189,7 @@ class TestSmoothMap:
 
     def test_bounded_flags(self):
         assert sin_map().is_bounded
-        assert constant_map(3.0).is_bounded
+        assert parse_integrand("3").is_bounded
         assert not monomial_map(2).is_bounded
         assert not parse_integrand("exp").is_bounded
 
