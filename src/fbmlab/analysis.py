@@ -168,8 +168,11 @@ def taylor_residual(g: SmoothMap, a, b) -> TaylorPieces:
 
 
 def audit_grid(n: int, horizon: float = 1.0) -> Grid:
-    """The grid of covar_bound_audit; refuses m = n * horizon > AUDIT_MAX_STEPS."""
+    """The grid of covar_bound_audit; refuses m = n * horizon > AUDIT_MAX_STEPS,
+    and m < 2, where ratio (v) has no lag to compare."""
     grid = Grid(n, horizon)
+    if grid.m < 2:
+        raise DomainError(f"audit needs n * horizon >= 2, got {grid.m}")
     if grid.m > AUDIT_MAX_STEPS:
         raise CapabilityError(f"audit limited to n * horizon <= {AUDIT_MAX_STEPS}")
     return grid

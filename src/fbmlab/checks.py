@@ -83,21 +83,13 @@ CHECKS = (
 )
 
 
-def verdicts(command: str, row: dict, names=None) -> dict[str, bool]:
-    """The verdict of each check of command (or of those in names) on row."""
-    return {
-        c.name: bool(c.holds(row))
-        for c in CHECKS
-        if c.command == command and (names is None or c.name in names)
-    }
-
-
 def judge(
     command: str, row: dict, where: str = "", top: bool = True
 ) -> tuple[dict[str, bool], list[str]]:
     """The verdict of each of command's checks on row, and the names of
     those that fail and gate there, each after where; a TOP check gates
     only at the largest grid (top)."""
-    checks = verdicts(command, row)
-    failed = [c for c in CHECKS if c.command == command and not checks[c.name]]
-    return checks, [where + c.name for c in failed if top or not c.top_only]
+    own = [c for c in CHECKS if c.command == command]
+    checks = {c.name: bool(c.holds(row)) for c in own}
+    failed = [c for c in own if not checks[c.name] and (top or not c.top_only)]
+    return checks, [where + c.name for c in failed]

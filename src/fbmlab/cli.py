@@ -11,8 +11,9 @@ Exit codes: 0 success, 2 configuration error, 3 capability limit,
 4 acceptance-check failure under --check, with one "check failed" line
 per failed check on stderr.
 
-Config files are plain text key=value lines under a [command] header; the
-keys are the flag names with "_" for "-", and any other key is an error:
+Config files are plain text key=value lines under one [command] header; the
+keys are the flag names with "_" for "-", and any other key, a second
+header, or a command key that differs from the header is an error:
 
     [converge]
     n_list = 1024,2048
@@ -97,6 +98,8 @@ def _parse_config_file(path: str) -> dict:
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
+            if section is not None:  # one file configures one command
+                raise ConfigError(f"second [section] header in config: {raw!r}")
             section = line[1:-1].strip()
             continue
         if "=" not in line:
@@ -104,7 +107,8 @@ def _parse_config_file(path: str) -> dict:
         key, _, val = line.partition("=")
         values[key.strip()] = val.strip()
     if section:
-        values.setdefault("command", section)
+        if values.setdefault("command", section) != section:
+            raise ConfigError(f"command {values['command']!r} differs from header [{section}]")
     return values
 
 
@@ -169,7 +173,11 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 
 def _json_bytes(payload) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # NaN and Infinity are not JSON
+        raise DomainError("the report holds a non-finite value (NaN or Infinity)") from exc
+    return (text + "\n").encode("utf-8")
 
 
 def _samples_csv(columns: dict[str, np.ndarray], t: float | None = None) -> bytes:

@@ -129,30 +129,6 @@ def fbm_draws(grid: Grid, master_seed: int):
     return lambda r: sample_fbm(grid, SeedPolicy(master_seed, r))
 
 
-def estimator_stats(integrands) -> dict:
-    """B(T), V_n(B, T) and I_n(g, B, T) per integrand, of one fBm path."""
-    stats = {"B": lambda path: path.values[-1], "cubic": lambda path: signed_cubic(path)[-1]}
-    for g in integrands:
-        stats[f"int_{g.label}"] = lambda path, g=g: riemann_strat(g, path)[-1]
-    return stats
-
-
-def oracle_stats(integrands) -> dict:
-    """B(T), kappa W(T) and the limit integral per integrand, of one LimitSample."""
-    stats = {"B": lambda sample: sample.b_path.values[-1], "cubic": lambda sample: sample.kappa_w}
-    for g in integrands:
-        stats[f"int_{g.label}"] = lambda sample, g=g: weak_strat_integral(g, sample)
-    return stats
-
-
-def hermite_stats(g: SmoothMap) -> dict:
-    """Left and right endpoint weighted third-Hermite variations at the horizon."""
-    return {
-        "left": lambda path: weighted_hermite(g, path, Endpoint.LEFT)[-1],
-        "right": lambda path: weighted_hermite(g, path, Endpoint.RIGHT)[-1],
-    }
-
-
 # --- converge: estimator vs oracle triples ---------------------------------
 
 
@@ -175,18 +151,26 @@ def converge_experiment(
     texts = [g.label for g in integrands]
     names = ["B", "cubic", *(f"int_{t}" for t in texts)]
     kappa = kappa_constant().kappa
+    est_stats = {
+        "B": lambda path: path.values[-1],
+        "cubic": lambda path: signed_cubic(path)[-1],
+    }
+    orc_stats = {
+        "B": lambda sample: sample.b_path.values[-1],
+        "cubic": lambda sample: sample.kappa_w,
+    }
+    for g in integrands:
+        est_stats[f"int_{g.label}"] = lambda path, g=g: riemann_strat(g, path)[-1]
+        orc_stats[f"int_{g.label}"] = lambda sample, g=g: weak_strat_integral(g, sample)
     est = run_replications(
-        fbm_draws(Grid(n, horizon), master_seed),
-        estimator_stats(integrands),
-        replications,
-        workers,
+        fbm_draws(Grid(n, horizon), master_seed), est_stats, replications, workers
     )
     refinement = REFINEMENT * n
     orc = run_replications(
         lambda r: LimitSample.draw(
             refinement, SeedPolicy(master_seed, r), kappa, integrands, horizon
         ),
-        oracle_stats(integrands),
+        orc_stats,
         replications,
         workers,
         offset=replications,
@@ -269,7 +253,6 @@ def sextic_experiment(
     horizon: float,
     replications: int,
     master_seed: int,
-    mean_replications: int | None = None,
     workers: int = 1,
 ) -> dict:
     """Median sup-deviation of V^6_n from 15t per grid level, plus the mean
@@ -277,7 +260,6 @@ def sextic_experiment(
     report of the sextic command."""
     n_list = sorted(int(n) for n in n_list)
     n_top = n_list[-1]
-    m_reps = mean_replications or replications
     medians = []
     for n in n_list:
         t = Grid(n, horizon).times()
@@ -286,15 +268,11 @@ def sextic_experiment(
             v6 = np.concatenate([[0.0], np.cumsum(path.increments() ** 6)])
             return np.max(np.abs(v6 - 15.0 * t)), v6[-1]
 
-        # the finest level serves the medians and the mean from one set of paths
         rows = run_replications(
-            fbm_draws(Grid(n, horizon), master_seed),
-            {"sextic": sextic},
-            max(replications, m_reps) if n == n_top else replications,
-            workers,
+            fbm_draws(Grid(n, horizon), master_seed), {"sextic": sextic}, replications, workers
         )["sextic"]
-        medians.append(float(np.median(rows[:replications, 0])))
-    final = rows[:m_reps, 1].copy()
+        medians.append(float(np.median(rows[:, 0])))
+    final = rows[:, 1]  # the finest level's paths serve its median and the mean
     return {
         "n_list": n_list,
         "median_sup_deviation": medians,
@@ -331,7 +309,10 @@ def hermite_experiment(
     for n in n_list:
         cols = run_replications(
             fbm_draws(Grid(n, horizon), master_seed),
-            hermite_stats(integrand),
+            {
+                "left": lambda path: weighted_hermite(integrand, path, Endpoint.LEFT)[-1],
+                "right": lambda path: weighted_hermite(integrand, path, Endpoint.RIGHT)[-1],
+            },
             replications,
             workers,
         )

@@ -1,3 +1,7 @@
+"""Shared fixtures.  The acceptance rows are the report rows that the
+converge, variations and hermite commands' own experiments return at
+n = 2^12, M = 2000 and the default master seed, each with its build time."""
+
 import os
 import subprocess
 import sys
@@ -6,16 +10,11 @@ import time
 import pytest
 
 import fbmlab
-from fbmlab.kernel import kappa_constant
-from fbmlab.oracle import LimitSample
-from fbmlab.sampler import Grid, SeedPolicy
-from fbmlab.variations import parse_integrand
 from fbmlab.experiments import (
-    estimator_stats,
-    fbm_draws,
-    hermite_stats,
-    oracle_stats,
-    run_replications,
+    converge_experiment,
+    hermite_experiment,
+    identity_experiment,
+    parse_integrand_list,
 )
 
 # default master seed of the shipped configuration; fixed up front so the
@@ -24,8 +23,15 @@ MASTER_SEED = 2
 
 ACCEPT_N = 4096
 ACCEPT_REPLICATIONS = 2000
-ORACLE_REFINEMENT = 2**14
 INTEGRANDS = ("1", "x", "x^2", "sin")
+WORKERS = 2  # rows do not depend on the worker count
+
+
+def timed(experiment, *args, **kwargs):
+    """experiment(*args, **kwargs) and its wall time in seconds."""
+    start = time.perf_counter()
+    result = experiment(*args, **kwargs)
+    return result, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")
@@ -47,48 +53,30 @@ def fresh_python():
 
 
 @pytest.fixture(scope="session")
-def constants():
-    return kappa_constant()
+def converge_row():
+    """converge's row: KS of each column at n = 2^12 against the oracle on
+    REFINEMENT * 2^12 = 2^14 steps, whose streams start at 2000."""
+    (row, _, _), seconds = timed(
+        converge_experiment, ACCEPT_N, 1.0, ACCEPT_REPLICATIONS, MASTER_SEED,
+        parse_integrand_list("; ".join(INTEGRANDS)), workers=WORKERS,
+    )
+    return row, seconds
 
 
 @pytest.fixture(scope="session")
-def estimator_corpus():
-    """One pass over 2000 fBm paths at n = 4096: endpoint, cubic variation,
-    trapezoid sums for the four reference integrands, and the left/right
-    sin-weighted third-Hermite variations."""
-    started = time.perf_counter()
-    gs = [parse_integrand(t) for t in INTEGRANDS]
-    cols = run_replications(
-        fbm_draws(Grid(ACCEPT_N, 1.0), MASTER_SEED),
-        {**estimator_stats(gs), **hermite_stats(parse_integrand("sin"))},
-        ACCEPT_REPLICATIONS,
-        workers=1,
+def identity_row():
+    """variations' row: identity residuals and the law of V_n(B, 1)."""
+    (row, _), seconds = timed(
+        identity_experiment, ACCEPT_N, 1.0, ACCEPT_REPLICATIONS, MASTER_SEED, workers=WORKERS
     )
-    return {
-        "b1": cols["B"],
-        "vn": cols["cubic"],
-        "left": cols["left"],
-        "right": cols["right"],
-        "int": {t: cols[f"int_{t}"] for t in INTEGRANDS},
-        "build_seconds": time.perf_counter() - started,
-    }
+    return row, seconds
 
 
 @pytest.fixture(scope="session")
-def oracle_corpus(constants):
-    """2000 limit-law samples at refinement 2^14 on disjoint seed streams."""
-    started = time.perf_counter()
-    gs = [parse_integrand(t) for t in INTEGRANDS]
-    cols = run_replications(
-        lambda r: LimitSample.draw(ORACLE_REFINEMENT, SeedPolicy(MASTER_SEED, r), constants.kappa, gs),
-        oracle_stats(gs),
-        ACCEPT_REPLICATIONS,
-        workers=1,
-        offset=ACCEPT_REPLICATIONS,
+def hermite_row():
+    """hermite's row for sin: means and left variance of the weighted
+    third-Hermite variations, with their quadrature limits."""
+    [(row, _)], seconds = timed(
+        hermite_experiment, [ACCEPT_N], 1.0, ACCEPT_REPLICATIONS, MASTER_SEED, workers=WORKERS
     )
-    return {
-        "b1": cols["B"],
-        "cubic": cols["cubic"],
-        "int": {t: cols[f"int_{t}"] for t in INTEGRANDS},
-        "build_seconds": time.perf_counter() - started,
-    }
+    return row, seconds

@@ -1,21 +1,18 @@
 """Acceptance suite: one test per shipped criterion, one printed line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines with
-their measured values.  All Monte Carlo corpora use the package default
-master seed, so every number below is a deterministic property of the
-artifact on one platform.
+their measured values.  Every criterion takes its pass/fail from
+`checks.judge`, the function `--check` calls, on a row that a command's own
+experiment returned; the shared rows are the fixtures of conftest.py.  All
+Monte Carlo rows use the package default master seed, so every number
+below is a deterministic property of the artifact on one platform.
 """
 
-import math
-import time
 from dataclasses import asdict
 
-import numpy as np
 import pytest
 
-from fbmlab.analysis import TAYLOR_GAMMA, ks_two_sample, taylor_residual
-from fbmlab.kernel import kappa_constant, left_anchor_cube_sum, right_anchor_cube_sum
-from fbmlab.variations import parse_integrand, sin_map
+from fbmlab.kernel import kappa_constant
 from fbmlab.checks import (
     ANCHOR_SUM_MAX,
     CUBIC_CORR_MAX,
@@ -28,17 +25,19 @@ from fbmlab.checks import (
     KAPPA_TOL,
     MEAN_SE_MULT,
     judge,
-    verdicts,
 )
 from fbmlab.experiments import (
+    audit_experiment,
     identity_experiment,
     sampler_experiment,
     scaling_experiment,
     sextic_experiment,
+    taylor_experiment,
 )
-from fbmlab.quadrature import hermite_mean_limit, hermite_variance_limit
 
-from conftest import INTEGRANDS, MASTER_SEED
+from conftest import INTEGRANDS, MASTER_SEED, timed
+
+LADDER = [256, 512, 1024, 2048, 4096]
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -46,10 +45,8 @@ def report(number: int, passed: bool, detail: str) -> None:
 
 
 def test_c01_kappa_constants():
-    start = time.perf_counter()
-    kc = kappa_constant()
-    elapsed = time.perf_counter() - start
-    checks = verdicts("kappa", asdict(kc))
+    kc, elapsed = timed(kappa_constant)
+    checks, _ = judge("kappa", asdict(kc))
     ok_sq, ok_k = checks["kappa_sq_close"], checks["kappa_close"]
     ok_time = elapsed < 1.0
     report(
@@ -65,19 +62,16 @@ def test_c01_kappa_constants():
 
 
 @pytest.fixture(scope="module")
-def identity_result():
-    start = time.perf_counter()
-    row, _ = identity_experiment(1024, 1.0, 100, MASTER_SEED)
-    return {**row, "elapsed": time.perf_counter() - start}
+def identity_1024():
+    (row, _), elapsed = timed(identity_experiment, 1024, 1.0, 100, MASTER_SEED)
+    return row, elapsed
 
 
-def test_c02_exact_riemann_identities(identity_result):
-    res = identity_result["max_rel_residuals"]
-    elapsed = identity_result["elapsed"]
-    riemann = {k: res[k] for k in ("riemann_const", "riemann_linear", "riemann_quadratic")}
-    worst = max(riemann.values())
-    row = {"max_rel_residuals": riemann}
-    identities_ok = verdicts("variations", row, ["identities_ok"])["identities_ok"]
+def test_c02_exact_riemann_identities(identity_1024):
+    row, elapsed = identity_1024
+    res = row["max_rel_residuals"]
+    worst = max(res[k] for k in ("riemann_const", "riemann_linear", "riemann_quadratic"))
+    identities_ok = judge("variations", row)[0]["identities_ok"]
     ok = identities_ok and elapsed < 5.0
     report(
         2,
@@ -85,26 +79,22 @@ def test_c02_exact_riemann_identities(identity_result):
         f"riemann identity residuals (1, x, x^2) <= {worst:.2e} on 100 paths "
         f"at n=2^10, {elapsed:.2f}s",
     )
-    assert identities_ok, f"residual {worst}"
+    assert identities_ok, f"residuals {res}"
     assert elapsed < 5.0
 
 
-def test_c03_hermite_rearrangement_identity(identity_result):
-    worst = identity_result["max_rel_residuals"]["hermite_rearrangement"]
-    row = {"max_rel_residuals": {"hermite_rearrangement": worst}}
-    ok = verdicts("variations", row, ["identities_ok"])["identities_ok"]
+def test_c03_hermite_rearrangement_identity(identity_1024):
+    row, _ = identity_1024
+    worst = row["max_rel_residuals"]["hermite_rearrangement"]
+    ok = judge("variations", row)[0]["identities_ok"]
     report(3, ok, f"cubic = hermite + 3 n^(-1/3) B identity residual <= {worst:.2e}")
-    assert ok, f"residual {worst}"
+    assert ok, f"residuals {row['max_rel_residuals']}"
 
 
 def test_c04_sextic_variation():
-    start = time.perf_counter()
-    result = sextic_experiment(
-        [256, 512, 1024, 2048, 4096], 1.0, 200, MASTER_SEED, mean_replications=500
-    )
-    elapsed = time.perf_counter() - start
+    result, elapsed = timed(sextic_experiment, LADDER, 1.0, 500, MASTER_SEED)
     tol = MEAN_SE_MULT * result["mean_se"]
-    checks = verdicts("sextic", result)
+    checks, _ = judge("sextic", result)
     mean_ok, decreasing = checks["mean_ok"], checks["medians_decreasing"]
     ok = mean_ok and decreasing and elapsed < 120.0
     medians = result["median_sup_deviation"]
@@ -120,35 +110,24 @@ def test_c04_sextic_variation():
     assert elapsed < 120.0
 
 
-def test_c05_signed_cubic_variation(estimator_corpus, constants):
-    start = time.perf_counter()
-    var = float(np.var(estimator_corpus["vn"], ddof=1))
-    corr = float(np.corrcoef(estimator_corpus["vn"], estimator_corpus["b1"])[0, 1])
-    elapsed = time.perf_counter() - start
-    row = {"cubic_variance": var, "cubic_b_corr": corr, "kappa_sq": constants.kappa_sq}
-    checks = verdicts("variations", row, ["variance_ok", "corr_ok"])
+def test_c05_signed_cubic_variation(identity_row):
+    row, elapsed = identity_row
+    checks, _ = judge("variations", row)
     var_ok, corr_ok = checks["variance_ok"], checks["corr_ok"]
+    var, corr, kappa_sq = row["cubic_variance"], row["cubic_b_corr"], row["kappa_sq"]
     report(
         5,
         var_ok and corr_ok,
-        f"Var(V_n)={var:.4f} (kappa^2={constants.kappa_sq:.4f} +-{CUBIC_VAR_RTOL:.0%}), "
+        f"Var(V_n)={var:.4f} (kappa^2={kappa_sq:.4f} +-{CUBIC_VAR_RTOL:.0%}), "
         f"|corr(V_n,B(1))|={abs(corr):.4f} < {CUBIC_CORR_MAX}, n=2^12 M=2000 ({elapsed:.2f}s)",
     )
-    assert var_ok, f"Var(V_n)={var} outside {CUBIC_VAR_RTOL:.0%} of {constants.kappa_sq}"
+    assert var_ok, f"Var(V_n)={var} outside {CUBIC_VAR_RTOL:.0%} of {kappa_sq}"
     assert corr_ok, f"|corr|={abs(corr)} not below {CUBIC_CORR_MAX}"
 
 
-def test_c06_weak_stratonovich_convergence(estimator_corpus, oracle_corpus):
-    results = {}
-    start = time.perf_counter()
-    for t in INTEGRANDS:
-        results[t] = ks_two_sample(estimator_corpus["int"][t], oracle_corpus["int"][t])
-    elapsed = (
-        time.perf_counter()
-        - start
-        + estimator_corpus["build_seconds"]
-        + oracle_corpus["build_seconds"]
-    )
+def test_c06_weak_stratonovich_convergence(converge_row):
+    row, elapsed = converge_row
+    results = {t: row["ks"][f"int:{t}"] for t in INTEGRANDS}
     critical = results[INTEGRANDS[0]]["critical_001"]  # equal samples share one critical value
     failed = {t: judge("converge", r)[1] for t, r in results.items()}
     ok = not any(failed.values()) and elapsed < 240.0
@@ -164,36 +143,27 @@ def test_c06_weak_stratonovich_convergence(estimator_corpus, oracle_corpus):
     assert elapsed < 240.0
 
 
-def test_c07_hermite_mean_limits(estimator_corpus):
-    g = sin_map()
-    limit = hermite_mean_limit(g, 1.0)
-    left = estimator_corpus["left"]
-    right = estimator_corpus["right"]
-    row = {
-        "left_mean": left.mean(),
-        "left_se": left.std(ddof=1) / math.sqrt(len(left)),
-        "right_mean": right.mean(),
-        "right_se": right.std(ddof=1) / math.sqrt(len(right)),
-        "mean_limit": limit,
-    }
-    checks = verdicts("hermite", row, ["left_mean_ok", "right_mean_ok"])
+def test_c07_hermite_mean_limits(hermite_row):
+    row, _ = hermite_row
+    checks, _ = judge("hermite", row)
     left_ok, right_ok = checks["left_mean_ok"], checks["right_mean_ok"]
+    limit = row["mean_limit"]
     tol_l, tol_r = MEAN_SE_MULT * row["left_se"], MEAN_SE_MULT * row["right_se"]
+    left, right = row["left_mean"], row["right_mean"]
     report(
         7,
         left_ok and right_ok,
-        f"left mean {left.mean():+.4f} vs {limit:+.4f} (+-{tol_l:.4f}), "
-        f"right mean {right.mean():+.4f} vs {-limit:+.4f} (+-{tol_r:.4f})",
+        f"left mean {left:+.4f} vs {limit:+.4f} (+-{tol_l:.4f}), "
+        f"right mean {right:+.4f} vs {-limit:+.4f} (+-{tol_r:.4f})",
     )
-    assert left_ok, f"left mean {left.mean()} vs limit {limit} +- {tol_l}"
-    assert right_ok, f"right mean {right.mean()} vs limit {-limit} +- {tol_r}"
+    assert left_ok, f"left mean {left} vs limit {limit} +- {tol_l}"
+    assert right_ok, f"right mean {right} vs limit {-limit} +- {tol_r}"
 
 
-def test_c08_hermite_variance_limit(estimator_corpus, constants):
-    limit = hermite_variance_limit(sin_map(), 1.0, constants.kappa_sq)
-    var = float(np.var(estimator_corpus["left"], ddof=1))
-    row = {"left_variance": var, "variance_limit": limit}
-    ok = verdicts("hermite", row, ["variance_ok"])["variance_ok"]
+def test_c08_hermite_variance_limit(hermite_row):
+    row, _ = hermite_row
+    ok = judge("hermite", row)[0]["variance_ok"]
+    var, limit = row["left_variance"], row["variance_limit"]
     report(
         8,
         ok,
@@ -206,9 +176,7 @@ def test_c08_hermite_variance_limit(estimator_corpus, constants):
 
 
 def test_c09_moment_bound_scaling():
-    start = time.perf_counter()
-    rows = scaling_experiment(MASTER_SEED, replications=500)
-    elapsed = time.perf_counter() - start
+    rows, elapsed = timed(scaling_experiment, MASTER_SEED, replications=500)
     failed = [name for row in rows for name in judge("scaling", row, f"{row['estimator']} ")[1]]
     ok = not failed and elapsed < 120.0
     lines = [
@@ -222,41 +190,29 @@ def test_c09_moment_bound_scaling():
 
 
 def test_c10_taylor_identity():
-    rng = np.random.default_rng(MASTER_SEED)
-    worst = 0.0
-    for _ in range(40):
-        coeffs = tuple(float(c) for c in rng.uniform(-1, 1, size=rng.integers(1, 7)))
-        g = parse_integrand("poly:" + ",".join(repr(c) for c in coeffs))
-        for a, b in rng.uniform(-1.0, 1.0, size=(25, 2)):
-            worst = max(worst, abs(taylor_residual(g, float(a), float(b)).r6))
-    checks = verdicts("taylor", {"max_poly_r6": worst, "gamma_exact": TAYLOR_GAMMA == -1.0 / 480.0})
+    row = taylor_experiment(MASTER_SEED)
+    checks, _ = judge("taylor", row)
     r6_ok, gamma_ok = checks["max_poly_r6"], checks["gamma_exact"]
-    ok = r6_ok and gamma_ok
     report(
         10,
-        ok,
-        f"max |R6| = {worst:.2e} over 1000 pairs x degree<=5 corpus, "
-        f"gamma = {TAYLOR_GAMMA} = -1/480 exactly: {gamma_ok}",
+        r6_ok and gamma_ok,
+        f"max |R6| = {row['max_poly_r6']:.2e} over {row['pairs']} pairs x "
+        f"{row['poly_count']} polynomials of degree <= 5, "
+        f"gamma = {row['gamma']} = -1/480 exactly: {gamma_ok}",
     )
-    assert r6_ok, f"max |R6| = {worst}"
+    assert r6_ok, f"max |R6| = {row['max_poly_r6']}"
     assert gamma_ok
 
 
 def test_c11_anchored_cube_sums():
-    ladder = [256, 512, 1024, 2048, 4096]
-    lefts = [left_anchor_cube_sum(n, 1.0) for n in ladder]
-    rights = [right_anchor_cube_sum(n, 1.0) for n in ladder]
-    row = {
-        "anchored_cube_sums": [{"left": a, "right": b} for a, b in zip(lefts, rights)],
-        "anchored_sums_decreasing": all(a > b for a, b in zip(lefts, lefts[1:]))
-        and all(a > b for a, b in zip(rights, rights[1:])),
-    }
-    checks = verdicts("audit", row, ["anchored_sums_decreasing", "anchored_sums_small"])
+    row = audit_experiment(LADDER)
+    checks, _ = judge("audit", row)
     small, decreasing = checks["anchored_sums_small"], checks["anchored_sums_decreasing"]
+    top = row["anchored_cube_sums"][-1]
     report(
         11,
         small and decreasing,
-        f"left(4096)={lefts[-1]:.5f}, right(4096)={rights[-1]:.5f} < {ANCHOR_SUM_MAX}, "
+        f"left(4096)={top['left']:.5f}, right(4096)={top['right']:.5f} < {ANCHOR_SUM_MAX}, "
         f"monotone over ladder: {decreasing}",
     )
     assert small
@@ -264,11 +220,11 @@ def test_c11_anchored_cube_sums():
 
 
 def test_c12_sampler_validity():
-    start = time.perf_counter()
-    row = sampler_experiment(MASTER_SEED, gram_n=512, gram_replications=2000, ks_replications=1000)
-    elapsed = time.perf_counter() - start
+    row, elapsed = timed(
+        sampler_experiment, MASTER_SEED, gram_n=512, gram_replications=2000, ks_replications=1000
+    )
     gram_max_z, method_ks = row["gram_max_z"], row["method_ks"]
-    checks = verdicts("sampler", row)
+    checks, _ = judge("sampler", row)
     gram_ok, ks_ok = checks["gram_z_ok"], checks["method_ks_ok"]
     report(
         12,

@@ -80,18 +80,11 @@ class TestIdentity:
 
 class TestSextic:
     def test_targets_and_medians(self):
-        res = sextic_experiment([64, 128], 1.0, 40, 17, mean_replications=60)
+        res = sextic_experiment([64, 128], 1.0, 40, 17)
         assert res["mean_target"] == 15.0
         assert len(res["median_sup_deviation"]) == 2
         assert res["mean_n"] == 128
         assert res["mean_se"] > 0
-
-    def test_mean_replications_leave_the_medians(self):
-        # the finest level draws its extra mean paths after the median ones
-        more = sextic_experiment([64, 128], 1.0, 40, 17, mean_replications=60)
-        plain = sextic_experiment([64, 128], 1.0, 40, 17)
-        assert more["median_sup_deviation"] == plain["median_sup_deviation"]
-        assert more["mean_value"] != plain["mean_value"]
 
 
 class TestHermite:
