@@ -167,18 +167,18 @@ def taylor_residual(g: SmoothMap, a, b) -> TaylorPieces:
     return TaylorPieces(trapezoid_defect=defect, gamma_term=gamma_term, r6=r6)
 
 
-def audit_grid(n: int, horizon: float = 1.0) -> Grid:
-    """The grid of covar_bound_audit; refuses m = n * horizon > AUDIT_MAX_STEPS,
-    and m < 2, where ratio (v) has no lag to compare."""
-    grid = Grid(n, horizon)
+def audit_grid(n: int) -> Grid:
+    """The grid of covar_bound_audit on [0, 1]; refuses n > AUDIT_MAX_STEPS,
+    and n < 2, where ratio (v) has no lag to compare."""
+    grid = Grid(n)
     if grid.m < 2:
-        raise DomainError(f"audit needs n * horizon >= 2, got {grid.m}")
+        raise DomainError(f"audit needs n >= 2, got {grid.m}")
     if grid.m > AUDIT_MAX_STEPS:
-        raise CapabilityError(f"audit limited to n * horizon <= {AUDIT_MAX_STEPS}")
+        raise CapabilityError(f"audit limited to n <= {AUDIT_MAX_STEPS}")
     return grid
 
 
-def covar_bound_audit(n: int, horizon: float = 1.0) -> dict:
+def covar_bound_audit(n: int) -> dict:
     """Max ratios of exact Gaussian quantities to their decay envelopes.
 
     Envelopes (Dt = 1/n, q_+ = max(q, 1)):
@@ -192,7 +192,7 @@ def covar_bound_audit(n: int, horizon: float = 1.0) -> dict:
     (ii) and (iii) run in place over blocks of AUDIT_BLOCK_ROWS endpoint rows.
     The report holds the max ratio of each, and the min ratio of (v).
     """
-    grid = audit_grid(n, horizon)
+    grid = audit_grid(n)
     m = grid.m
     dt13 = grid.dt ** (1.0 / 3.0)
     j = np.arange(1, m + 1)
@@ -236,7 +236,7 @@ def covar_bound_audit(n: int, horizon: float = 1.0) -> dict:
 
     return {
         "n": n,
-        "horizon": horizon,
+        "horizon": 1.0,
         "i_increment_max": ratio_i,
         "ii_endpoint_max": ratio_ii,
         "iii_midpoint_max": ratio_iii,
@@ -246,24 +246,23 @@ def covar_bound_audit(n: int, horizon: float = 1.0) -> dict:
     }
 
 
-def orthogonality_audit(p: int, q: int, correlation: float, nodes: int = 48) -> float:
+def orthogonality_audit(p: int, q: int, correlation: float) -> float:
     """Deviation of the quadrature value E[h_p(U) h_q(V)] from q! c^q [p == q].
 
     U, V are standard normal with correlation c; the expectation is computed
-    by a bivariate Gauss-Hermite rule with at least 40 nodes per axis.
+    by a bivariate Gauss-Hermite rule with 48 nodes per axis.
     """
     if p < 0 or q < 0 or p > 4 or q > 4:
         raise DomainError("orthogonality audit supports orders 0..4")
     if abs(correlation) > 1:
         raise DomainError("|correlation| must be at most 1")
-    nodes = max(nodes, 40)
     value = expect_gauss_pair(
         lambda x: np.asarray(hermite(p, x)),
         lambda y: np.asarray(hermite(q, y)),
         1.0,
         1.0,
         correlation,
-        nodes=nodes,
+        nodes=48,
     )
     expected = float(math.factorial(q)) * correlation**q if p == q else 0.0
     return float(value - expected)

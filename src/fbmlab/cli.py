@@ -1,8 +1,11 @@
 """Command-line orchestrator.
 
 Commands: kappa, converge, variations, sextic, hermite, scaling, taylor,
-audit.  Each command writes report.json, the sample CSVs it produces, and
-manifest.json into <output_dir>/<command>/.  Reports are written to a
+audit.  Every run is on the unit interval [0, 1]: B is self-similar, so a
+run on [0, T] is a unit-interval run on nT steps with a rescaled integrand.
+Each command writes report.json, the sample CSVs it produces, and
+manifest.json into <output_dir>/<command>/, only once report.json has
+serialised, so a refused report leaves no file.  Files are written to a
 temporary file and atomically renamed, and the manifest hash covers the
 content hashes of every emitted file, so identical configurations produce
 identical reports and manifest hashes on one platform.
@@ -13,7 +16,8 @@ per failed check on stderr.
 
 Config files are plain text key=value lines under one [command] header; the
 keys are the flag names with "_" for "-", and any other key, a second
-header, or a command key that differs from the header is an error:
+header, or a command key or command argument that differs from the header
+is an error:
 
     [converge]
     n_list = 1024,2048
@@ -61,7 +65,6 @@ DEFAULT_N_LIST = (256, 512, 1024, 2048, 4096)
 class ExperimentConfig:
     command: str
     n_list: tuple[int, ...] = DEFAULT_N_LIST
-    horizon: float = 1.0
     replications: int = 500
     master_seed: int = DEFAULT_MASTER_SEED
     integrand: str = "sin"
@@ -74,8 +77,8 @@ class ExperimentConfig:
             raise ConfigError("n_list must hold at least one grid size")
         if len(set(self.n_list)) < len(self.n_list):
             raise ConfigError(f"n_list repeats a grid size: {self.n_list}")
-        for n in self.n_list:  # the Grid refuses a bad size or horizon
-            Grid(n, self.horizon)
+        for n in self.n_list:  # the Grid refuses a bad size
+            Grid(n)
         if self.replications < 2:  # a sample variance needs two paths
             raise ConfigError("replications must be at least 2")
         if self.workers < 1:
@@ -118,7 +121,10 @@ _FLAG_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False,
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
     file_values = _parse_config_file(args.config) if args.config else {}
-    command = args.command or file_values.get("command")
+    command = file_values.get("command")
+    if args.command and command and args.command != command:
+        raise ConfigError(f"command {args.command!r} differs from the config file's {command!r}")
+    command = args.command or command
     if not command:
         raise ConfigError("no command given (flag or [section] in config)")
     if command not in _COMMANDS:
@@ -127,7 +133,6 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
     # omitted keys take the ExperimentConfig defaults
     casts = {
         "n_list": lambda text: tuple(int(part) for part in text.split(",") if part.strip()),
-        "horizon": float,
         "replications": int,
         "master_seed": int,
         "integrand": str,
@@ -228,58 +233,56 @@ class Emitter:
 
 # --- commands -------------------------------------------------------------------
 #
-# Each command takes the config and the run's Emitter (for its sample CSVs)
-# and returns the report its experiments built, with the verdicts of the
-# check table added, and the names of its gating checks that failed; main
-# writes report.json and the manifest, names the failures under --check and
-# chooses the exit code.
+# Each command takes the config and returns the report its experiments built,
+# with the verdicts of the check table added, the names of its gating checks
+# that failed, and its sample CSVs by file name; main writes the files,
+# report.json and the manifest, names the failures under --check and chooses
+# the exit code.
+
+Outcome = tuple[dict, list[str], dict[str, bytes]]
 
 
-def cmd_kappa(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
+def cmd_kappa(cfg: ExperimentConfig) -> Outcome:
     payload = asdict(kappa_constant())
     print(json.dumps(payload, indent=2, sort_keys=True))
     checks, failed = judge("kappa", payload)
-    return {**payload, "checks": checks}, failed
+    return {**payload, "checks": checks}, failed, {}
 
 
-def cmd_converge(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
+def cmd_converge(cfg: ExperimentConfig) -> Outcome:
     integrands = parse_integrand_list(cfg.integrand)
-    rows, failed = [], []
+    rows, failed, files = [], [], {}
     for n in cfg.n_list:
         row, est, orc = converge_experiment(
-            n, cfg.horizon, cfg.replications, cfg.master_seed, integrands, cfg.workers
+            n, cfg.replications, cfg.master_seed, integrands, cfg.workers
         )
-        emitter.emit(f"estimator_n{n}.csv", _samples_csv(est, t=cfg.horizon))
-        emitter.emit(f"oracle_n{n}.csv", _samples_csv(orc, t=cfg.horizon))
+        files[f"estimator_n{n}.csv"] = _samples_csv(est, t=1.0)
+        files[f"oracle_n{n}.csv"] = _samples_csv(orc, t=1.0)
         for key, ks in row["ks"].items():  # the KS row of each marginal and integrand
             failed += [f"{name} {key}" for name in judge("converge", ks, f"n={n} ")[1]]
         rows.append(row)
-    return {"per_n": rows, "all_ks_accepted": not failed}, failed
+    return {"per_n": rows, "all_ks_accepted": not failed}, failed, files
 
 
-def cmd_variations(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
-    rows, failed = [], []
+def cmd_variations(cfg: ExperimentConfig) -> Outcome:
+    rows, failed, files = [], [], {}
     for n in cfg.n_list:
-        row, cols = identity_experiment(
-            n, cfg.horizon, cfg.replications, cfg.master_seed, cfg.workers
-        )
-        emitter.emit(f"cubic_n{n}.csv", _samples_csv(cols))
+        row, cols = identity_experiment(n, cfg.replications, cfg.master_seed, cfg.workers)
+        files[f"cubic_n{n}.csv"] = _samples_csv(cols)
         checks, bad = judge("variations", row, f"n={n} ", n == max(cfg.n_list))
         rows.append({**row, **checks})
         failed += bad
-    return {"per_n": rows, "all_ok": not failed}, failed
+    return {"per_n": rows, "all_ok": not failed}, failed, files
 
 
-def cmd_sextic(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
-    report = sextic_experiment(
-        cfg.n_list, cfg.horizon, cfg.replications, cfg.master_seed, workers=cfg.workers
-    )
+def cmd_sextic(cfg: ExperimentConfig) -> Outcome:
+    report = sextic_experiment(cfg.n_list, cfg.replications, cfg.master_seed, cfg.workers)
     checks, failed = judge("sextic", report)
-    return {**report, **checks}, failed
+    return {**report, **checks}, failed, {}
 
 
-def cmd_hermite(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
-    rows, failed = [], []
+def cmd_hermite(cfg: ExperimentConfig) -> Outcome:
+    rows, failed, files = [], [], {}
     for g in parse_integrand_list(cfg.integrand):
         tag = "".join(ch if ch.isalnum() else "_" for ch in g.label)
         if not g.is_bounded:
@@ -289,17 +292,17 @@ def cmd_hermite(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str
                 file=sys.stderr,
             )
         for row, cols in hermite_experiment(
-            cfg.n_list, cfg.horizon, cfg.replications, cfg.master_seed, g, cfg.workers
+            cfg.n_list, cfg.replications, cfg.master_seed, g, cfg.workers
         ):
             n = row["n"]
-            emitter.emit(f"hermite_{tag}_n{n}.csv", _samples_csv(cols))
+            files[f"hermite_{tag}_n{n}.csv"] = _samples_csv(cols)
             checks, bad = judge("hermite", row, f"{g.label} n={n} ", n == max(cfg.n_list))
             rows.append({**row, **checks})
             failed += bad
-    return {"per_integrand": rows, "all_ok": not failed}, failed
+    return {"per_integrand": rows, "all_ok": not failed}, failed, files
 
 
-def cmd_scaling(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
+def cmd_scaling(cfg: ExperimentConfig) -> Outcome:
     rows = scaling_experiment(
         cfg.master_seed, cfg.replications, parse_integrand(cfg.integrand), cfg.workers
     )
@@ -308,19 +311,20 @@ def cmd_scaling(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str
         checks, bad = judge("scaling", row, f"{row['estimator']} ")
         row.update(checks)
         failed += bad
-    return {"per_estimator": rows, "replications": cfg.replications, "all_ok": not failed}, failed
+    report = {"per_estimator": rows, "replications": cfg.replications, "all_ok": not failed}
+    return report, failed, {}
 
 
-def cmd_taylor(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
+def cmd_taylor(cfg: ExperimentConfig) -> Outcome:
     report = taylor_experiment(cfg.master_seed, pairs=1000)
     failed = judge("taylor", report)[1]
-    return {**report, "ok": not failed}, failed
+    return {**report, "ok": not failed}, failed, {}
 
 
-def cmd_audit(cfg: ExperimentConfig, emitter: Emitter) -> tuple[dict, list[str]]:
-    report = audit_experiment(cfg.n_list, cfg.horizon)
+def cmd_audit(cfg: ExperimentConfig) -> Outcome:
+    report = audit_experiment(cfg.n_list)
     failed = judge("audit", report)[1]
-    return {**report, "ok": not failed}, failed
+    return {**report, "ok": not failed}, failed, {}
 
 
 _COMMANDS = {
@@ -344,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", nargs="?", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="key=value config file with a [command] header")
     parser.add_argument("--n-list", dest="n_list", help="comma-separated grid sizes")
-    parser.add_argument("--horizon", type=float)
     parser.add_argument("--replications", type=int)
     parser.add_argument("--master-seed", dest="master_seed", type=int)
     parser.add_argument(
@@ -366,8 +369,10 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from(args)
         emitter = Emitter(cfg)
-        report, failed = _COMMANDS[cfg.command](cfg, emitter)
-        emitter.emit("report.json", _json_bytes(report))
+        report, failed, files = _COMMANDS[cfg.command](cfg)
+        files["report.json"] = _json_bytes(report)  # refuses a non-finite report first
+        for name, data in files.items():
+            emitter.emit(name, data)
         emitter.finish()
         if not cfg.check:
             return 0

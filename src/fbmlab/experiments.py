@@ -11,7 +11,8 @@ cross the process boundary.  Columns come back concatenated in replication
 order, and every reduction over them (medians, means, ordered sums) runs in
 that order, so results are independent of chunking and of the worker
 count.  Oracle corpora use stream ids offset by the number of estimator
-replications, keeping the two-sample comparisons independent.
+replications, keeping the two-sample comparisons independent.  Every
+experiment but scaling, whose windows are sub-intervals, runs on [0, 1].
 """
 
 from __future__ import annotations
@@ -134,13 +135,12 @@ def fbm_draws(grid: Grid, master_seed: int):
 
 def converge_experiment(
     n: int,
-    horizon: float,
     replications: int,
     master_seed: int,
     integrands: list[SmoothMap],
     workers: int = 1,
 ) -> tuple[dict, dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Paired estimator/oracle samples of (B(T), cubic variation, integral).
+    """Paired estimator/oracle samples of (B(1), cubic variation, integral).
 
     Returns the report row and the estimator and oracle columns B, cubic
     and int_<label>.  The estimator corpus holds (B(1), V_n(B,1),
@@ -162,14 +162,10 @@ def converge_experiment(
     for g in integrands:
         est_stats[f"int_{g.label}"] = lambda path, g=g: riemann_strat(g, path)[-1]
         orc_stats[f"int_{g.label}"] = lambda sample, g=g: weak_strat_integral(g, sample)
-    est = run_replications(
-        fbm_draws(Grid(n, horizon), master_seed), est_stats, replications, workers
-    )
+    est = run_replications(fbm_draws(Grid(n), master_seed), est_stats, replications, workers)
     refinement = REFINEMENT * n
     orc = run_replications(
-        lambda r: LimitSample.draw(
-            refinement, SeedPolicy(master_seed, r), kappa, integrands, horizon
-        ),
+        lambda r: LimitSample.draw(refinement, SeedPolicy(master_seed, r), kappa, integrands),
         orc_stats,
         replications,
         workers,
@@ -193,7 +189,7 @@ _IDENTITY_MAPS = tuple(parse_integrand(text) for text in ("1", "x", "x^2"))
 
 
 def _identity_row(path) -> np.ndarray:
-    """Relative residuals of the four pathwise identities, then B(T) and V_n(B, T)."""
+    """Relative residuals of the four pathwise identities, then B(1) and V_n(B, 1)."""
     const, lin, quad = _IDENTITY_MAPS
     n = path.grid.n
     v = path.values
@@ -212,7 +208,6 @@ def _identity_row(path) -> np.ndarray:
 
 def identity_experiment(
     n: int,
-    horizon: float,
     replications: int,
     master_seed: int,
     workers: int = 1,
@@ -220,10 +215,10 @@ def identity_experiment(
     """Pathwise telescoping identities and the signed-cubic-variation law.
 
     Returns the report row (worst relative residual of each identity, and
-    the variance of V_n(B, T) and its correlation with B(T), with the
+    the variance of V_n(B, 1) and its correlation with B(1), with the
     limit variance kappa_sq) and the columns B and cubic."""
     rows = run_replications(
-        fbm_draws(Grid(n, horizon), master_seed),
+        fbm_draws(Grid(n), master_seed),
         {"identity": _identity_row},
         replications,
         workers,
@@ -250,26 +245,24 @@ def identity_experiment(
 
 def sextic_experiment(
     n_list,
-    horizon: float,
     replications: int,
     master_seed: int,
     workers: int = 1,
 ) -> dict:
     """Median sup-deviation of V^6_n from 15t per grid level, plus the mean
-    of V^6_n(B, T) at the finest level against 15 * floor(nT)/n, as the
-    report of the sextic command."""
+    of V^6_n(B, 1) at the finest level against 15, as the report of the
+    sextic command."""
     n_list = sorted(int(n) for n in n_list)
-    n_top = n_list[-1]
     medians = []
     for n in n_list:
-        t = Grid(n, horizon).times()
+        t = Grid(n).times()
 
         def sextic(path):
             v6 = np.concatenate([[0.0], np.cumsum(path.increments() ** 6)])
             return np.max(np.abs(v6 - 15.0 * t)), v6[-1]
 
         rows = run_replications(
-            fbm_draws(Grid(n, horizon), master_seed), {"sextic": sextic}, replications, workers
+            fbm_draws(Grid(n), master_seed), {"sextic": sextic}, replications, workers
         )["sextic"]
         medians.append(float(np.median(rows[:, 0])))
     final = rows[:, 1]  # the finest level's paths serve its median and the mean
@@ -277,10 +270,10 @@ def sextic_experiment(
         "n_list": n_list,
         "median_sup_deviation": medians,
         "medians_decreasing": _decreasing(medians),
-        "mean_n": n_top,
+        "mean_n": n_list[-1],
         "mean_value": float(np.mean(final)),
         "mean_se": float(np.std(final, ddof=1) / math.sqrt(len(final))),
-        "mean_target": 15.0 * Grid(n_top, horizon).m / n_top,
+        "mean_target": 15.0,
     }
 
 
@@ -289,26 +282,25 @@ def sextic_experiment(
 
 def hermite_experiment(
     n_list,
-    horizon: float,
     replications: int,
     master_seed: int,
     integrand: SmoothMap = sin_map(),
     workers: int = 1,
 ) -> list[tuple[dict, dict[str, np.ndarray]]]:
-    """Left/right endpoint weighted third-Hermite variations at t = horizon.
+    """Left/right endpoint weighted third-Hermite variations at t = 1.
 
     Returns, for each n in n_list, the report row (sample means, standard
     errors and left variance, with the quadrature limits of the left mean
-    and variance, which depend on the integrand and horizon alone and are
-    computed once) and the columns left and right."""
+    and variance, which depend on the integrand alone and are computed
+    once) and the columns left and right."""
     limits = {
-        "mean_limit": hermite_mean_limit(integrand, horizon),
-        "variance_limit": hermite_variance_limit(integrand, horizon, kappa_constant().kappa_sq),
+        "mean_limit": hermite_mean_limit(integrand, 1.0),
+        "variance_limit": hermite_variance_limit(integrand, 1.0, kappa_constant().kappa_sq),
     }
     runs = []
     for n in n_list:
         cols = run_replications(
-            fbm_draws(Grid(n, horizon), master_seed),
+            fbm_draws(Grid(n), master_seed),
             {
                 "left": lambda path: weighted_hermite(integrand, path, Endpoint.LEFT)[-1],
                 "right": lambda path: weighted_hermite(integrand, path, Endpoint.RIGHT)[-1],
@@ -416,17 +408,16 @@ def taylor_experiment(master_seed: int, pairs: int = 1000, poly_count: int = 25)
 # --- covariance and orthogonality audits -------------------------------------
 
 
-def audit_experiment(n_list, horizon: float = 1.0) -> dict:
+def audit_experiment(n_list) -> dict:
     """Covariance-envelope ratios, anchored cube sums over the grid ladder,
     and the Hermite orthogonality grid for orders up to 4, as the report of
     the audit command."""
     n_list = sorted(int(n) for n in n_list)
     for n in n_list:  # refuse an over-size grid before any audit runs
-        audit_grid(n, horizon)
-    covar = [covar_bound_audit(n, horizon) for n in n_list]
+        audit_grid(n)
+    covar = [covar_bound_audit(n) for n in n_list]
     anchor = [
-        {"n": n, "left": left_anchor_cube_sum(n, horizon),
-         "right": right_anchor_cube_sum(n, horizon)}
+        {"n": n, "left": left_anchor_cube_sum(n, 1.0), "right": right_anchor_cube_sum(n, 1.0)}
         for n in n_list
     ]
     max_dev = 0.0

@@ -57,7 +57,7 @@ def converge_row():
     """converge's row: KS of each column at n = 2^12 against the oracle on
     REFINEMENT * 2^12 = 2^14 steps, whose streams start at 2000."""
     (row, _, _), seconds = timed(
-        converge_experiment, ACCEPT_N, 1.0, ACCEPT_REPLICATIONS, MASTER_SEED,
+        converge_experiment, ACCEPT_N, ACCEPT_REPLICATIONS, MASTER_SEED,
         parse_integrand_list("; ".join(INTEGRANDS)), workers=WORKERS,
     )
     return row, seconds
@@ -67,7 +67,7 @@ def converge_row():
 def identity_row():
     """variations' row: identity residuals and the law of V_n(B, 1)."""
     (row, _), seconds = timed(
-        identity_experiment, ACCEPT_N, 1.0, ACCEPT_REPLICATIONS, MASTER_SEED, workers=WORKERS
+        identity_experiment, ACCEPT_N, ACCEPT_REPLICATIONS, MASTER_SEED, workers=WORKERS
     )
     return row, seconds
 
@@ -77,6 +77,6 @@ def hermite_row():
     """hermite's row for sin: means and left variance of the weighted
     third-Hermite variations, with their quadrature limits."""
     [(row, _)], seconds = timed(
-        hermite_experiment, [ACCEPT_N], 1.0, ACCEPT_REPLICATIONS, MASTER_SEED, workers=WORKERS
+        hermite_experiment, [ACCEPT_N], ACCEPT_REPLICATIONS, MASTER_SEED, workers=WORKERS
     )
     return row, seconds

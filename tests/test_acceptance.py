@@ -63,7 +63,7 @@ def test_c01_kappa_constants():
 
 @pytest.fixture(scope="module")
 def identity_1024():
-    (row, _), elapsed = timed(identity_experiment, 1024, 1.0, 100, MASTER_SEED)
+    (row, _), elapsed = timed(identity_experiment, 1024, 100, MASTER_SEED)
     return row, elapsed
 
 
@@ -92,7 +92,7 @@ def test_c03_hermite_rearrangement_identity(identity_1024):
 
 
 def test_c04_sextic_variation():
-    result, elapsed = timed(sextic_experiment, LADDER, 1.0, 500, MASTER_SEED)
+    result, elapsed = timed(sextic_experiment, LADDER, 500, MASTER_SEED)
     tol = MEAN_SE_MULT * result["mean_se"]
     checks, _ = judge("sextic", result)
     mean_ok, decreasing = checks["mean_ok"], checks["medians_decreasing"]

@@ -178,24 +178,23 @@ class TestTaylor:
         assert large > 30 * small  # ~2^6 with round-off slack
 
 
-def reference_audit(n, horizon=1.0):
-    """The six audit ratios straight from cov_r on the grid times index/n, O(m^2)."""
-    m = round(n * horizon)
-    idx = np.arange(m + 1)
+def reference_audit(n):
+    """The six audit ratios straight from cov_r on the grid times index/n, O(n^2)."""
+    idx = np.arange(n + 1)
     t = idx / n
     cov = cov_r(t[:, None], t[None, :])
     dt13 = (1.0 / n) ** (1.0 / 3.0)
     j = idx[1:]
     lag = np.maximum(np.abs(j[None, :] - idx[:, None]), 1)
     env = dt13 * (j[None, :] ** (-2.0 / 3.0) + lag ** (-2.0 / 3.0))
-    # E[dB_i dB_j], E[B(t_i) dB_j] for i = 0..m, E[beta_i dB_j] for i = 1..m
+    # E[dB_i dB_j], E[B(t_i) dB_j] for i = 0..n, E[beta_i dB_j] for i = 1..n
     incr = cov[1:, 1:] - cov[1:, :-1] - cov[:-1, 1:] + cov[:-1, :-1]
     endpoint = cov[:, 1:] - cov[:, :-1]
     midpoint = 0.5 * (endpoint[:-1] + endpoint[1:])
     # E[beta_i beta_j] and the gaps E|beta_j - beta_i|^2 for i != j
     beta = 0.25 * (cov[:-1, :-1] + cov[:-1, 1:] + cov[1:, :-1] + cov[1:, 1:])
     gap = np.diag(beta)[:, None] + np.diag(beta)[None, :] - 2.0 * beta
-    off = ~np.eye(m, dtype=bool)
+    off = ~np.eye(n, dtype=bool)
     gap_ratio = gap[off] / np.cbrt(np.abs(t[1:, None] - t[None, 1:]))[off]
     return {
         "i_increment_max": np.max(np.abs(incr) / (dt13 * lag[1:] ** (-5.0 / 3.0))),
@@ -209,34 +208,31 @@ def reference_audit(n, horizon=1.0):
 
 class TestCovarAudit:
     def test_matches_brute_force_reference(self, monkeypatch):
-        cases = ((3, 1.0), (64, 1.0), (100, 1.0), (257, 1.0), (64, 0.5))
-        expected = {case: reference_audit(*case) for case in cases}
+        cases = (3, 64, 100, 257)
+        expected = {n: reference_audit(n) for n in cases}
         # small row blocks make every block boundary carry a row
         for rows in (analysis.AUDIT_BLOCK_ROWS, 7, 2):
             monkeypatch.setattr(analysis, "AUDIT_BLOCK_ROWS", rows)
-            for case in cases:
-                audit = covar_bound_audit(*case)
-                for key, value in expected[case].items():
-                    assert audit[key] == pytest.approx(value, rel=1e-12), (case, rows, key)
+            for n in cases:
+                audit = covar_bound_audit(n)
+                for key, value in expected[n].items():
+                    assert audit[key] == pytest.approx(value, rel=1e-12), (n, rows, key)
 
     @pytest.mark.parametrize("rows", [1, 2, 7, analysis.AUDIT_BLOCK_ROWS])
     def test_block_ratios_equal_full_matrix(self, monkeypatch, rows):
         # (ii) and (iii) bit for bit against one endpoint_increment_cov matrix;
-        # the last two grids end a block exactly at row m and one row past it
+        # the last two grids end a block exactly at row n and one row past it
         monkeypatch.setattr(analysis, "AUDIT_BLOCK_ROWS", rows)
-        cases = ((3, 1.0), (64, 1.0), (100, 1.0), (257, 1.0), (64, 0.5),
-                 (3 * rows - 1, 1.0), (3 * rows, 1.0))
-        for n, horizon in cases:
-            m = round(n * horizon)
-            i = np.arange(m + 1)[:, None]
-            j = np.arange(1, m + 1)
+        for n in (3, 64, 100, 257, 3 * rows - 1, 3 * rows):
+            i = np.arange(n + 1)[:, None]
+            j = np.arange(1, n + 1)
             eb = endpoint_increment_cov(n, i, j)
-            lag_env = np.maximum(np.arange(m + 1), 1) ** (-2.0 / 3.0)
+            lag_env = np.maximum(np.arange(n + 1), 1) ** (-2.0 / 3.0)
             env = (1.0 / n) ** (1.0 / 3.0) * (j ** (-2.0 / 3.0) + lag_env[np.abs(j - i)])
             mid = 0.5 * (eb[:-1] + eb[1:])
-            audit = covar_bound_audit(n, horizon)
-            assert audit["ii_endpoint_max"] == np.max(np.abs(eb) / env), (n, horizon)
-            assert audit["iii_midpoint_max"] == np.max(np.abs(mid) / env[1:]), (n, horizon)
+            audit = covar_bound_audit(n)
+            assert audit["ii_endpoint_max"] == np.max(np.abs(eb) / env), n
+            assert audit["iii_midpoint_max"] == np.max(np.abs(mid) / env[1:]), n
 
     def test_peak_memory_is_a_few_blocks(self):
         covar_bound_audit(64)  # tables and imports outside the measurement

@@ -92,22 +92,18 @@ class TestConfigHandling:
         assert code == 2
         assert "config error" in err
 
-    def test_non_integral_grid(self, capsys, tmp_path):
-        code, *_ = run(capsys, "sextic", "--n-list", "10", "--horizon", "0.35",
-                       "--output-dir", str(tmp_path))
-        assert code == 2
-
     @pytest.mark.parametrize("argv", [
-        ("kappa", "--horizon", "nan"),
-        ("kappa", "--horizon", "inf"),
+        ("kappa", "--n-list", "0"),
+        ("kappa", "--n-list", "64,-64"),
         ("sextic", "--n-list", "32", "--replications", "1"),
         ("audit", "--n-list", "1,64"),
-        ("audit", "--n-list", "2,64", "--horizon", "0.5"),
+        ("sextic", "--n-list", ","),
     ])
     def test_degenerate_values_are_config_errors(self, capsys, tmp_path, argv):
-        # a nan or infinite horizon has no grid, one replication has no
-        # sample variance, and an audit of one step has no lag for its ratio
-        # (v); each is refused before anything is written
+        # a grid of no steps or a negative number of them, or no grid at all,
+        # has no path, one replication has no sample variance, and an audit
+        # of one step has no lag for its ratio (v); each is refused before
+        # anything is written
         code, _, err = run(capsys, *argv, "--check", "--output-dir", str(tmp_path / "out"))
         assert code == 2
         assert "config error" in err
@@ -121,16 +117,20 @@ class TestConfigHandling:
         assert code == 2
         assert "method" in err
 
-    @pytest.mark.parametrize("setting", ["refinement_factor = 4", "truncation = 0"])
+    @pytest.mark.parametrize(
+        "setting", ["refinement_factor = 4", "truncation = 0", "horizon = 0.35"]
+    )
     def test_removed_settings_are_refused(self, capsys, tmp_path, setting):
-        # the oracle refines 4-fold and kappa sums 10^4 lags: neither is a setting
+        # the oracle refines 4-fold, kappa sums 10^4 lags and every run is on
+        # [0, 1] (self-similarity turns [0, T] into it): none is a setting
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"[kappa]\n{setting}\n")
         code, _, err = run(capsys, "--config", str(cfg), "--output-dir", str(tmp_path / "out"))
         assert code == 2
-        assert setting.partition(" ")[0] in err
-        flag = "--" + setting.partition(" ")[0].replace("_", "-")
-        assert run(capsys, "kappa", flag, "4", "--output-dir", str(tmp_path / "out"))[0] == 2
+        key, _, value = setting.partition(" = ")
+        assert key in err
+        flag = "--" + key.replace("_", "-")
+        assert run(capsys, "kappa", flag, value, "--output-dir", str(tmp_path / "out"))[0] == 2
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("spec", ["nan", "inf", "sin:1,nan,0", "exp:1,inf", "poly:0,1e400"])
@@ -148,11 +148,10 @@ class TestConfigHandling:
         # finite parameters whose values overflow on the sampled paths
         code, _, err = run(capsys, "hermite", "--n-list", "64", "--replications", "60",
                            "--check", "--integrand", "exp:1,1000", "--workers", "1",
-                           "--output-dir", str(tmp_path))
+                           "--output-dir", str(tmp_path / "out"))
         assert code == 2
         assert "config error" in err and "non-finite" in err
-        assert not (tmp_path / "hermite" / "report.json").exists()
-        assert not (tmp_path / "hermite" / "manifest.json").exists()
+        assert not (tmp_path / "out").exists()  # no sample CSV either
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_json_refuses_nonfinite_values(self, value):
@@ -220,16 +219,21 @@ class TestConfigHandling:
         assert code == 2
         assert "kapa" in err
 
-    @pytest.mark.parametrize("text", [
-        "[kappa]\ncheck = yes\n[taylor]\n",
-        "[taylor]\n[taylor]\n",
-        "[kappa]\ncommand = taylor\n",
+    @pytest.mark.parametrize("text, command", [
+        pytest.param(text, command, id=text) for text, command in (
+            ("[kappa]\ncheck = yes\n[taylor]\n", ()),
+            ("[taylor]\n[taylor]\n", ()),
+            ("[kappa]\ncommand = taylor\n", ()),
+            ("[taylor]\ncheck = yes\n", ("kappa",)),
+        )
     ])
-    def test_config_names_one_command(self, capsys, tmp_path, text):
-        # the keys of two sections would merge into one run of the last
+    def test_config_names_one_command(self, capsys, tmp_path, text, command):
+        # the keys of two sections would merge into one run of the last, and
+        # a command flag would run with the keys of another command's section
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
-        code, _, err = run(capsys, "--config", str(cfg), "--output-dir", str(tmp_path / "out"))
+        code, _, err = run(capsys, *command, "--config", str(cfg),
+                           "--output-dir", str(tmp_path / "out"))
         assert code == 2
         assert "config error" in err
         assert not (tmp_path / "out").exists()
@@ -321,7 +325,7 @@ class TestReportsAndManifest:
             cfg = _config_from(_build_parser().parse_args(argv))
             assert run(capsys, *argv)[0] == 0, argv[0]
             report = strict_json((tmp_path / cfg.command / "report.json").read_text())
-            args = (cfg.horizon, cfg.replications, cfg.master_seed)
+            args = (cfg.replications, cfg.master_seed)
             want = json.loads(json.dumps(experiment_rows[cfg.command](cfg, args)))
             got = report.get("per_n", report.get("per_integrand", [report]))
             assert set(report) - {"per_n", "per_integrand"} <= verdict_keys | set(want[0])

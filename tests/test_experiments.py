@@ -39,28 +39,26 @@ class TestIntegrandList:
 
 class TestConverge:
     def test_trivial_integrand_collapses_to_endpoint(self):
-        row, est, orc = converge_experiment(
-            64, 1.0, 60, 101, [parse_integrand("1")]
-        )
+        row, est, orc = converge_experiment(64, 60, 101, [parse_integrand("1")])
         assert np.allclose(est["int_1"], est["B"], atol=1e-12)
         assert np.allclose(orc["int_1"], orc["B"], atol=1e-12)
         assert row["ks"]["int:1"]["statistic"] == pytest.approx(row["ks"]["B"]["statistic"])
 
     def test_shapes_and_determinism(self):
-        a_row, a_est, a_orc = converge_experiment(32, 1.0, 60, 7, [parse_integrand("x")])
-        _, b_est, b_orc = converge_experiment(32, 1.0, 60, 7, [parse_integrand("x")])
+        a_row, a_est, a_orc = converge_experiment(32, 60, 7, [parse_integrand("x")])
+        _, b_est, b_orc = converge_experiment(32, 60, 7, [parse_integrand("x")])
         assert a_row["refinement"] == 128
         assert np.array_equal(a_est["cubic"], b_est["cubic"])
         assert np.array_equal(a_orc["int_x"], b_orc["int_x"])
 
     def test_worker_count_does_not_change_results(self):
-        _, a_est, a_orc = converge_experiment(32, 1.0, 64, 7, [sin_map()], workers=1)
-        _, b_est, b_orc = converge_experiment(32, 1.0, 64, 7, [sin_map()], workers=2)
+        _, a_est, a_orc = converge_experiment(32, 64, 7, [sin_map()], workers=1)
+        _, b_est, b_orc = converge_experiment(32, 64, 7, [sin_map()], workers=2)
         assert np.array_equal(a_est["int_sin"], b_est["int_sin"])
         assert np.array_equal(a_orc["B"], b_orc["B"])
 
     def test_estimator_oracle_streams_disjoint(self):
-        _, est, orc = converge_experiment(32, 1.0, 60, 7, [parse_integrand("x")])
+        _, est, orc = converge_experiment(32, 60, 7, [parse_integrand("x")])
         # oracle uses stream ids offset by the replication count, so the
         # B(1) samples must differ from the estimator draws
         assert not np.allclose(est["B"], orc["B"])
@@ -68,19 +66,19 @@ class TestConverge:
 
 class TestIdentity:
     def test_residuals_tiny(self):
-        row, cols = identity_experiment(256, 1.0, 25, 11)
+        row, cols = identity_experiment(256, 25, 11)
         assert max(row["max_rel_residuals"].values()) < 1e-10
         assert len(cols["cubic"]) == 25
 
     def test_variance_sane_at_moderate_n(self):
-        row, _ = identity_experiment(512, 1.0, 400, 13)
+        row, _ = identity_experiment(512, 400, 13)
         assert 3.0 < row["cubic_variance"] < 9.0
         assert abs(row["cubic_b_corr"]) < 0.5
 
 
 class TestSextic:
     def test_targets_and_medians(self):
-        res = sextic_experiment([64, 128], 1.0, 40, 17)
+        res = sextic_experiment([64, 128], 40, 17)
         assert res["mean_target"] == 15.0
         assert len(res["median_sup_deviation"]) == 2
         assert res["mean_n"] == 128
@@ -91,14 +89,14 @@ class TestHermite:
     def test_mean_matches_exact_finite_n(self):
         # unbiased check: the MC mean of the left variation must sit within
         # 4 standard errors of the exact finite-n mean formula
-        [(_, cols)] = hermite_experiment([256], 1.0, 600, 19)
+        [(_, cols)] = hermite_experiment([256], 600, 19)
         left = cols["left"]
         exact = hermite_mean_exact(sin_map(), 256, 1.0)
         se = left.std(ddof=1) / math.sqrt(len(left))
         assert abs(left.mean() - exact) <= 4 * se
 
     def test_right_mirrors_left_in_sign(self):
-        [(_, cols)] = hermite_experiment([256], 1.0, 600, 19)
+        [(_, cols)] = hermite_experiment([256], 600, 19)
         right = cols["right"]
         exact_right = -hermite_mean_exact(sin_map(), 256, 1.0)
         # right endpoint anchors at t_k instead of t_{k-1}; its exact mean
@@ -107,13 +105,13 @@ class TestHermite:
         assert abs(right.mean() - exact_right) <= 5 * se
 
     def test_limits_attached(self):
-        [(row, _)] = hermite_experiment([64], 1.0, 200, 23)
+        [(row, _)] = hermite_experiment([64], 200, 23)
         assert row["mean_limit"] == pytest.approx(6 - 9.75 * math.exp(-0.5), abs=1e-9)
         assert row["variance_limit"] > 1.0
         assert row["bounded"]
 
     def test_limits_computed_once_for_every_grid(self, monkeypatch):
-        # the limits depend on (g, horizon) alone, not on n
+        # the limits depend on g alone, not on n
         calls = {"mean": 0, "variance": 0}
 
         def count(name, value):
@@ -124,7 +122,7 @@ class TestHermite:
 
         monkeypatch.setattr(experiments, "hermite_mean_limit", count("mean", 0.25))
         monkeypatch.setattr(experiments, "hermite_variance_limit", count("variance", 2.0))
-        runs = hermite_experiment([16, 32, 64], 1.0, 20, 23)
+        runs = hermite_experiment([16, 32, 64], 20, 23)
         assert [row["n"] for row, _ in runs] == [16, 32, 64]
         assert all((row["mean_limit"], row["variance_limit"]) == (0.25, 2.0) for row, _ in runs)
         assert calls == {"mean": 1, "variance": 1}

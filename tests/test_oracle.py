@@ -14,14 +14,12 @@ from fbmlab.variations import monomial_map, parse_integrand, sin_map
 KAPPA = kappa_constant(10_000).kappa
 
 
-def draw(refinement, master_seed, stream_id, integrands=(), kappa=KAPPA, horizon=1.0):
-    return LimitSample.draw(
-        refinement, SeedPolicy(master_seed, stream_id), kappa, list(integrands), horizon
-    )
+def draw(refinement, master_seed, stream_id, integrands=(), kappa=KAPPA):
+    return LimitSample.draw(refinement, SeedPolicy(master_seed, stream_id), kappa, list(integrands))
 
 
 class TestSignedCubicLimit:
-    """kappa W(T), the limit of the signed cubic variation."""
+    """kappa W(1), the limit of the signed cubic variation."""
 
     def test_zero_scale(self):
         g = sin_map()
@@ -48,7 +46,7 @@ class TestItoLeftSum:
     """The corrections (kappa/12) sum g''(B_{k-1}) dW_k, drawn given B."""
 
     def test_unit_integrand(self):
-        # g'' = 1: the correction is kappa W(T) / 12
+        # g'' = 1: the correction is kappa W(1) / 12
         g = parse_integrand("poly:0,0,0.5")
         sample = draw(64, 3, 0, [g])
         assert sample.corrections[g] == pytest.approx(sample.kappa_w / 12.0, rel=1e-15)
@@ -60,7 +58,7 @@ class TestItoLeftSum:
         assert sample.corrections[lin] == 0.0
 
     def test_isometry(self, monkeypatch):
-        # for one fixed B, Cov(kappa W(T), corrections) = kappa^2 dt F^T F
+        # for one fixed B, Cov(kappa W(1), corrections) = kappa^2 dt F^T F
         grid = Grid(256)
         path = sample_fbm(grid, SeedPolicy(12, 0))
         monkeypatch.setattr(oracle, "sample_fbm", lambda *args: path)
@@ -114,9 +112,9 @@ class TestLimitSample:
         assert set(sample.corrections) == set(gs)
 
     def test_invalid_refinement(self):
-        for refinement, horizon in ((0, 1.0), (10, 0.35)):
+        for refinement in (0, -4):
             with pytest.raises(DomainError):
-                draw(refinement, 5, 0, [sin_map()], horizon=horizon)
+                draw(refinement, 5, 0, [sin_map()])
 
     def test_mismatched_paths_rejected(self):
         # an integrand whose correction was not drawn has no limit value
@@ -148,11 +146,11 @@ class TestWeakStratIntegral:
 
     def test_linear_integrand(self):
         g = monomial_map(1)
-        sample = draw(256, 7, 1, [g], horizon=0.75)
+        sample = draw(256, 7, 1, [g])
         assert weak_strat_integral(g, sample) == sample.b_path.values[-1] ** 2 / 2.0
 
     def test_quadratic_integrand_closed_form(self):
-        # g'' = 2, so the correction is exactly (1/6) kappa W(T)
+        # g'' = 2, so the correction is exactly (1/6) kappa W(1)
         g = monomial_map(2)
         sample = draw(512, 7, 2, [g])
         target = sample.b_path.values[-1] ** 3 / 3.0 + sample.kappa_w / 6.0
@@ -165,17 +163,12 @@ class TestWeakStratIntegral:
         fine = [weak_strat_integral(g, draw(2048, 8, reps + r, [g])) for r in range(reps)]
         assert not ks_two_sample(coarse, fine)["rejects"]
 
-    def test_out_of_range_time(self):
-        for horizon in (0.0, -0.5):
-            with pytest.raises(DomainError):
-                draw(64, 7, 4, [sin_map()], horizon=horizon)
-
 
 def residual(g, sample) -> float:
-    """g(B(T)) - g(B(0)) - (int g'(B) dB - (1/12) int g'''(B) d<<B>>).
+    """g(B(1)) - g(B(0)) - (int g'(B) dB - (1/12) int g'''(B) d<<B>>).
 
     The last integral is the correction drawn for g', so this checks that
-    the limit integral is G(B(T)) - G(B(0)) plus that correction.
+    the limit integral is G(B(1)) - G(B(0)) plus that correction.
     """
     b = sample.b_path.values
     dg = g.derivative(1)
@@ -199,9 +192,8 @@ class TestChangeOfVariable:
         ],
     )
     def test_residual_is_round_off(self, g):
-        for horizon in (0.25, 1.0):
-            sample = draw(512, 9, 1, [g.derivative(1)], horizon=horizon)
-            assert abs(residual(g, sample)) < 1e-9
+        sample = draw(512, 9, 1, [g.derivative(1)])
+        assert abs(residual(g, sample)) < 1e-9
 
     def test_residual_all_refinements(self):
         g = sin_map()

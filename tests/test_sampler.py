@@ -81,6 +81,16 @@ class TestFbmSampler:
             b = sample(grid, SeedPolicy(42, 3))
             assert a.values.tobytes() == b.values.tobytes()
 
+    @pytest.mark.parametrize("n, horizon", [(64, 0.5), (256, 0.25), (1024, 2.0), (4096, 0.5)])
+    def test_self_similar_in_the_horizon(self, n, horizon):
+        # B(T .) has the law of T^{1/6} B(.), and with the same seeds the
+        # sampler draws exactly that path: a run on [0, T] is a run on [0, 1]
+        seeds = SeedPolicy(17, n)
+        on_t = sample_fbm(Grid(n, horizon), seeds).values
+        on_unit = sample_fbm(Grid(round(n * horizon)), seeds).values
+        scaled = horizon ** (1.0 / 6.0) * on_unit
+        assert np.max(np.abs(on_t - scaled)) <= 1e-12 * np.max(np.abs(scaled))
+
     def test_values_immutable(self):
         path = sample_fbm(Grid(16), SeedPolicy(0, 0))
         with pytest.raises(ValueError):
