@@ -29,7 +29,9 @@ is an error:
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import platform
@@ -187,13 +189,14 @@ def _json_bytes(payload) -> bytes:
 
 def _samples_csv(columns: dict[str, np.ndarray], t: float | None = None) -> bytes:
     names = list(columns)
-    head = ["replication"] + (["t"] if t is not None else []) + names
-    rows = [",".join(head)]
+    buffer = io.StringIO()
+    out = csv.writer(buffer, lineterminator="\n")  # RFC 4180 quotes a name such as int_poly:1,2
+    out.writerow(["replication"] + (["t"] if t is not None else []) + names)
     n = len(next(iter(columns.values())))
     tcol = [repr(float(t))] if t is not None else []
     for r in range(n):
-        rows.append(",".join([str(r), *tcol, *(repr(float(columns[c][r])) for c in names)]))
-    return ("\n".join(rows) + "\n").encode("utf-8")
+        out.writerow([r, *tcol, *(repr(float(columns[c][r])) for c in names)])
+    return buffer.getvalue().encode("utf-8")
 
 
 class Emitter:
@@ -282,9 +285,12 @@ def cmd_sextic(cfg: ExperimentConfig) -> Outcome:
 
 
 def cmd_hermite(cfg: ExperimentConfig) -> Outcome:
+    integrands = parse_integrand_list(cfg.integrand)
+    tags = ["".join(ch if ch.isalnum() else "_" for ch in g.label) for g in integrands]
+    if len(set(tags)) < len(tags):  # one integrand's CSVs would overwrite another's
+        raise ConfigError(f"integrands share a CSV file name: {', '.join(tags)}")
     rows, failed, files = [], [], {}
-    for g in parse_integrand_list(cfg.integrand):
-        tag = "".join(ch if ch.isalnum() else "_" for ch in g.label)
+    for g, tag in zip(integrands, tags):
         if not g.is_bounded:
             print(
                 f"warning: integrand {g.label!r} is unbounded; the fdd limits "

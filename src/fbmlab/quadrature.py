@@ -10,7 +10,11 @@ weighted third-Hermite variation with left endpoints,
                + (1/64) E[( int_0^t g'''(B_s) ds )^2] - mean^2,
 
 where Var(B_s) = s^{1/3} and Cov(B_s, B_u) = R(s, u), plus the exact
-finite-n mean sum_j E[g'''(B(t_{j-1}))] E[B(t_{j-1}) dB_j]^3.
+finite-n mean sum_j E[g'''(B(t_{j-1}))] E[B(t_{j-1}) dB_j]^3.  For the
+trig and exp families the inner pair moment E[g'''(B_s) g'''(B_u)] of the
+double integral is a Gaussian characteristic function, evaluated in closed
+form on the whole Gauss-Legendre grid; polynomials keep the bivariate
+Gauss-Hermite rule, which is exact for them.
 
 These are used as independent oracles by the statistical harness; they
 never touch sampled paths.
@@ -18,13 +22,14 @@ never touch sampled paths.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
 from .kernel import cov_r, endpoint_increment_cov
-from .variations import SmoothMap
+from .variations import Family, SmoothMap
 
 GH_NODES = 64
 GL_NODES = 64
@@ -116,15 +121,35 @@ def hermite_mean_exact(g: SmoothMap, n: int, t: float) -> float:
     return float(np.sum(means * e**3))
 
 
+def closed_pair_moment(f: SmoothMap, var_x, var_y, cov):
+    """E[f(X) f(Y)] for centered jointly Gaussian (X, Y) and a trig or exp f.
+
+    For f = a sin(bx + c), sin A sin B = (cos(A - B) - cos(A + B)) / 2 gives
+    (a^2/2) [e^{-b^2 Var(X-Y)/2} - cos(2c) e^{-b^2 Var(X+Y)/2}]; for
+    f = a e^{bx} it is a^2 e^{b^2 Var(X+Y)/2}.  The arguments broadcast.
+    """
+    if f.family is Family.TRIG:
+        a, b, c = f.params
+        minus = np.exp(-0.5 * b * b * (var_x + var_y - 2.0 * cov))
+        plus = np.exp(-0.5 * b * b * (var_x + var_y + 2.0 * cov))
+        return 0.5 * a * a * (minus - math.cos(2.0 * c) * plus)
+    if f.family is Family.EXP:
+        a, b = f.params
+        return a * a * np.exp(0.5 * b * b * (var_x + var_y + 2.0 * cov))
+    raise DomainError("closed_pair_moment takes a trig or exp map")
+
+
 def hermite_variance_limit(g: SmoothMap, t: float, kappa_sq: float,
                            nodes: int = GL_NODES) -> float:
     """Limit variance of the left-endpoint variation at time t.
 
     The limit second moment kappa^2 int_0^t E[g^2]
     + (1/64) int int E[g'''(B_s) g'''(B_u)] ds du less the squared limit
-    mean hermite_mean_limit(g, t); the double integral is evaluated on a
-    tensor Gauss-Legendre grid with the exact covariance R(s, u) feeding a
-    bivariate Gauss-Hermite rule.
+    mean hermite_mean_limit(g, t).  The double integral is a tensor
+    Gauss-Legendre rule over (s, u) with the exact covariance R(s, u).  Its
+    inner pair moment is closed_pair_moment, one array expression over the
+    whole grid, for trig and exp maps; a polynomial keeps one bivariate
+    Gauss-Hermite rule per node pair, which is exact for it.
     """
     if t < 0:
         raise DomainError("t must be nonnegative")
@@ -136,9 +161,15 @@ def hermite_variance_limit(g: SmoothMap, t: float, kappa_sq: float,
     s = t * s
     var = s ** (1.0 / 3.0)
     cov = cov_r(s[:, None], s[None, :])
+    if g3.family is Family.POLYNOMIAL:
+        pair = np.array([
+            [expect_gauss_pair(g3, g3, var[i], var[j], float(cov[i, j])) for j in range(len(s))]
+            for i in range(len(s))
+        ])
+    else:
+        pair = closed_pair_moment(g3, var[:, None], var[None, :], cov)
     double = 0.0
     for i in range(len(s)):
-        row = [expect_gauss_pair(g3, g3, var[i], var[j], float(cov[i, j])) for j in range(len(s))]
-        double += w[i] * np.dot(w, np.array(row))
+        double += w[i] * np.dot(w, pair[i])
     double *= t * t
     return float(sq_term + double / 64.0 - hermite_mean_limit(g, t) ** 2)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib.util
 import json
@@ -166,6 +167,15 @@ class TestConfigHandling:
         assert "repeats" in err
         assert not (tmp_path / "out").exists()
 
+    def test_integrands_sharing_a_csv_name_are_a_config_error(self, capsys, tmp_path):
+        # both labels map to the file hermite_poly_1_2_n64.csv
+        code, _, err = run(capsys, "hermite", "--n-list", "64", "--replications", "30",
+                           "--integrand", "poly:1,2; poly:1.2",
+                           "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert "share a CSV file name" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_command(self, capsys):
         code, *_ = run(capsys)
         assert code == 2
@@ -282,6 +292,18 @@ class TestReportsAndManifest:
             data = (base / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
         assert manifest["config"]["command"] == "converge"
+
+    def test_csv_names_with_commas_are_quoted(self, capsys, tmp_path):
+        code, *_ = run(capsys, "converge", "--n-list", "64", "--replications", "60",
+                       "--integrand", "poly:1,2; sin", "--workers", "1",
+                       "--output-dir", str(tmp_path))
+        assert code == 0
+        for name in ("estimator_n64.csv", "oracle_n64.csv"):
+            with open(tmp_path / "converge" / name, newline="", encoding="utf-8") as handle:
+                head, *rows = list(csv.reader(handle))
+            assert head == ["replication", "t", "B", "cubic", "int_poly:1,2", "int_sin"]
+            assert len(rows) == 60
+            assert all(len(row) == len(head) for row in rows)
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         # every Monte Carlo command writes the same bytes whatever the worker

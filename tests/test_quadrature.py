@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import fbmlab.quadrature as quadrature
 from fbmlab.errors import DomainError
 from fbmlab.kernel import cov_r, kappa_constant, left_anchor_cube_sum
 from fbmlab.quadrature import (
+    closed_pair_moment,
     expect_gauss,
     expect_gauss_pair,
     hermite_mean_exact,
@@ -14,7 +16,7 @@ from fbmlab.quadrature import (
     hermite_variance_limit,
     time_integral_expect,
 )
-from fbmlab.variations import monomial_map, sin_map
+from fbmlab.variations import monomial_map, parse_integrand, sin_map
 from fbmlab.kernel import endpoint_increment_cov
 from fbmlab.quadrature import GL_NODES, _gauss_legendre_01
 
@@ -69,6 +71,49 @@ class TestExpectGaussPair:
             closed = eta * math.exp(-0.5) * (3.0 - eta * eta)
             assert value == pytest.approx(closed, abs=1e-12)
             assert abs(value) <= 3.0 * abs(eta)
+
+
+TRIG_EXP_SPECS = (
+    "sin", "cos", "sin:2,0.5,0.3", "sin:-1.5,2,0.7", "exp", "exp:1,0.5", "exp:-0.7,1.3",
+)
+
+
+class TestClosedPairMoment:
+    # (var_x, var_y, cov): positive, negative and near-perfect correlation
+    TRIPLES = (
+        (0.8, 0.5, 0.3),
+        (1.0, 0.6, -0.35),
+        (0.4, 0.9, 0.999 * math.sqrt(0.36)),
+        (0.7, 0.7, -0.999 * 0.7),
+    )
+
+    @pytest.mark.parametrize("spec", TRIG_EXP_SPECS)
+    def test_matches_the_gauss_hermite_rule(self, spec):
+        g3 = parse_integrand(spec).derivative(3)
+        for vx, vy, r in self.TRIPLES:
+            rule = expect_gauss_pair(g3, g3, vx, vy, r)
+            assert closed_pair_moment(g3, vx, vy, r) == pytest.approx(rule, rel=1e-12, abs=0)
+
+    def test_refuses_a_polynomial(self):
+        with pytest.raises(DomainError):
+            closed_pair_moment(monomial_map(2), 1.0, 1.0, 0.5)
+
+
+def _per_pair_variance_limit(g, t, kappa_sq, nodes):
+    # hermite_variance_limit as it was before the closed form: one bivariate
+    # Gauss-Hermite rule at every Gauss-Legendre node pair
+    g3 = g.derivative(3)
+    sq_term = kappa_sq * time_integral_expect(lambda x: np.asarray(g(x)) ** 2, t)
+    s, w = _gauss_legendre_01(nodes)
+    s = t * s
+    var = s ** (1.0 / 3.0)
+    cov = cov_r(s[:, None], s[None, :])
+    double = 0.0
+    for i in range(len(s)):
+        row = [expect_gauss_pair(g3, g3, var[i], var[j], float(cov[i, j])) for j in range(len(s))]
+        double += w[i] * np.dot(w, np.array(row))
+    double *= t * t
+    return float(sq_term + double / 64.0 - hermite_mean_limit(g, t) ** 2)
 
 
 class TestTimeIntegral:
@@ -137,6 +182,37 @@ class TestHermiteLimits:
         assert (v16, v32, v64) == pytest.approx((2.0427242, 2.0426961, 2.0426842), abs=1e-7)
         assert abs(v64 - v32) < 1e-5 * v64
         assert abs(v64 - v32) < abs(v32 - v16)
+
+    @pytest.mark.parametrize("nodes", [16, 64])
+    @pytest.mark.parametrize("spec", ["cos", "sin:-1.5,2,0.7", "exp:-0.7,1.3"])
+    def test_variance_limit_matches_the_per_pair_rule(self, spec, nodes):
+        g, kappa_sq = parse_integrand(spec), kappa_constant().kappa_sq
+        assert hermite_variance_limit(g, 1.0, kappa_sq, nodes=nodes) == pytest.approx(
+            _per_pair_variance_limit(g, 1.0, kappa_sq, nodes), rel=1e-13, abs=0
+        )
+
+    def test_trig_and_exp_make_no_pair_rule_call(self, monkeypatch):
+        calls = []
+        rule = quadrature.expect_gauss_pair
+        monkeypatch.setattr(
+            quadrature, "expect_gauss_pair",
+            lambda *args, **kwargs: calls.append(args) or rule(*args, **kwargs),
+        )
+        kappa_sq = kappa_constant().kappa_sq
+        for spec in ("sin", "exp"):
+            hermite_variance_limit(parse_integrand(spec), 1.0, kappa_sq)
+        assert len(calls) == 0
+        # a polynomial still takes the rule, once per node pair
+        hermite_variance_limit(monomial_map(3), 1.0, kappa_sq, nodes=16)
+        assert len(calls) == 16 * 16
+
+    def test_variance_limit_cubic_closed_form(self):
+        # g = x^3: kappa^2 int_0^1 E[B_s^6] ds = kappa^2 int_0^1 15 s ds = 7.5 kappa^2,
+        # and g''' = 6 makes the double term 36/64 cancel the squared mean (6/8)^2
+        kappa_sq = kappa_constant().kappa_sq
+        assert hermite_variance_limit(monomial_map(3), 1.0, kappa_sq) == pytest.approx(
+            7.5 * kappa_sq, rel=1e-12, abs=0
+        )
 
 
 class TestHermiteExactMean:
