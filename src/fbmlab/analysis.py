@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CapabilityError, DomainError
 from .kernel import endpoint_increment_block, hermite, rho
 from .sampler import Grid, Path
-from .variations import SmoothMap
+from .variations import SmoothMap, int_power
 from .quadrature import expect_gauss_pair
 
 # Asymptotic two-sample KS critical coefficient at alpha = 0.01:
@@ -106,17 +106,18 @@ def window_moments(estimator: Estimator, path: Path, gaps, g: SmoothMap) -> np.n
     in the anchor).  The weighted estimators use origin-anchored windows,
     where the moment bounds are gap-tight for weights vanishing at zero,
     and return two rows: half the squared window sum of the path, then of
-    its time reversal.
+    its time reversal.  Integer powers are products (int_power), which are
+    fast for negative bases and round alike on every IEEE host.
     """
     if estimator is Estimator.CUBIC_4TH:
-        cum = np.concatenate([[0.0], np.cumsum(path.increments() ** 3)])
-        return np.array([[np.mean(np.diff(cum[::gv]) ** 4) for gv in gaps]])
+        cum = np.concatenate([[0.0], np.cumsum(int_power(path.increments(), 3))])
+        return np.array([[np.mean(int_power(np.diff(cum[::gv]), 4)) for gv in gaps]])
     power = 5 if estimator is Estimator.QUINTIC_2ND else 3
     rows = []
     for values in (path.values, _reversed_values(path.values)):
         d = np.diff(values)
         beta = 0.5 * (values[:-1] + values[1:])
-        cum = np.cumsum(np.asarray(g(beta)) * d**power)
+        cum = np.cumsum(np.asarray(g(beta)) * int_power(d, power))
         rows.append(0.5 * cum[np.asarray(gaps) - 1] ** 2)
     return np.array(rows)
 

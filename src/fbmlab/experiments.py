@@ -48,9 +48,9 @@ from .oracle import LimitSample, weak_strat_integral
 from .quadrature import hermite_mean_limit, hermite_variance_limit
 from .sampler import Grid, SeedPolicy, load_ndtri, sample_fbm, sample_fbm_cholesky
 from .variations import (
-    Endpoint,
     Family,
     SmoothMap,
+    int_power,
     parse_integrand,
     riemann_strat,
     signed_cubic,
@@ -63,11 +63,19 @@ REFINEMENT = 4
 
 
 def parse_integrand_list(text: str) -> list[SmoothMap]:
-    """Semicolon-separated integrand specs, e.g. "1; x; x^2; sin"."""
+    """Semicolon-separated integrand specs, e.g. "1; x; x^2; sin".
+
+    A repeated label is refused: results are keyed by label, so a second
+    copy would silently collapse into the first.
+    """
     items = [part.strip() for part in text.split(";") if part.strip()]
     if not items:
         raise DomainError("empty integrand list")
-    return [parse_integrand(item) for item in items]
+    maps = [parse_integrand(item) for item in items]
+    labels = [g.label for g in maps]
+    if len(set(labels)) < len(labels):
+        raise DomainError(f"integrand list repeats a label: {'; '.join(labels)}")
+    return maps
 
 
 def _decreasing(values) -> bool:
@@ -198,9 +206,9 @@ def _identity_row(path) -> np.ndarray:
     res_c = np.max(np.abs(riemann_strat(const, path) - (v - v[0])))
     res_l = np.max(np.abs(riemann_strat(lin, path) - 0.5 * (v**2 - v[0] ** 2)))
     res_q = np.max(
-        np.abs(riemann_strat(quad, path) - (v**3 - v[0] ** 3) / 3.0 - cubic / 6.0)
+        np.abs(riemann_strat(quad, path) - (int_power(v, 3) - v[0] ** 3) / 3.0 - cubic / 6.0)
     )
-    hermite_one = weighted_hermite(const, path, Endpoint.LEFT)
+    hermite_one = weighted_hermite(const, path)[0]
     res_y = np.max(np.abs(cubic - hermite_one - 3.0 * n ** (-1.0 / 3.0) * v))
     residuals = np.array([res_c, res_l, res_q, res_y]) / scale
     return np.append(residuals, [v[-1], cubic[-1]])
@@ -243,6 +251,16 @@ def identity_experiment(
 # --- sextic variation -------------------------------------------------------
 
 
+def _sextic_row(path) -> tuple[float, float]:
+    """sup_t |V^6_n(B, t) - 15 t| and V^6_n(B, 1) of one path.
+
+    The sixth powers are products (int_power), so both are exactly even
+    under B -> -B and the same on every IEEE host.
+    """
+    v6 = np.concatenate([[0.0], np.cumsum(int_power(path.increments(), 6))])
+    return np.max(np.abs(v6 - 15.0 * path.grid.times())), v6[-1]
+
+
 def sextic_experiment(
     n_list,
     replications: int,
@@ -255,14 +273,8 @@ def sextic_experiment(
     n_list = sorted(int(n) for n in n_list)
     medians = []
     for n in n_list:
-        t = Grid(n).times()
-
-        def sextic(path):
-            v6 = np.concatenate([[0.0], np.cumsum(path.increments() ** 6)])
-            return np.max(np.abs(v6 - 15.0 * t)), v6[-1]
-
         rows = run_replications(
-            fbm_draws(Grid(n), master_seed), {"sextic": sextic}, replications, workers
+            fbm_draws(Grid(n), master_seed), {"sextic": _sextic_row}, replications, workers
         )["sextic"]
         medians.append(float(np.median(rows[:, 0])))
     final = rows[:, 1]  # the finest level's paths serve its median and the mean
@@ -299,16 +311,14 @@ def hermite_experiment(
     }
     runs = []
     for n in n_list:
-        cols = run_replications(
+        ends = run_replications(
             fbm_draws(Grid(n), master_seed),
-            {
-                "left": lambda path: weighted_hermite(integrand, path, Endpoint.LEFT)[-1],
-                "right": lambda path: weighted_hermite(integrand, path, Endpoint.RIGHT)[-1],
-            },
+            {"ends": lambda path: [prefix[-1] for prefix in weighted_hermite(integrand, path)]},
             replications,
             workers,
-        )
-        left, right = cols["left"], cols["right"]
+        )["ends"]
+        left, right = ends.T.copy()  # contiguous, so each sum runs as on a plain column
+        cols = {"left": left, "right": right}
         row = {
             "integrand": integrand.label,
             "bounded": integrand.is_bounded,

@@ -169,8 +169,11 @@ def _cholesky_factor(n: int, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _circulant_sqrt_eigs(n: int, m: int) -> np.ndarray:
-    """sqrt of the (clipped) eigenvalues of the 2m circulant embedding."""
+def _circulant_sqrt_eigs(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt of the (clipped) eigenvalues lam_k of the 2m circulant embedding,
+    and the spectral scales _fgn_circulant multiplies its Gaussians by:
+    sqrt(lam_k M) at k = 0 and k = m, sqrt(lam_k M / 2) in between (M = 2m).
+    """
     lags = n ** (-INCREMENT_EXPONENT) * np.asarray(rho(np.arange(m + 1)))
     row = np.concatenate([lags, lags[-2:0:-1]]) if m > 1 else lags
     eigs = np.fft.rfft(row).real
@@ -179,7 +182,11 @@ def _circulant_sqrt_eigs(n: int, m: int) -> np.ndarray:
         raise EmbeddingError(
             f"circulant embedding eigenvalue {eigs.min():.3e} below {floor:.3e}"
         )
-    return np.sqrt(np.clip(eigs, 0.0, None))
+    sq = np.sqrt(np.clip(eigs, 0.0, None))
+    root = np.sqrt(float(2 * m))
+    scales = sq * (root / np.sqrt(2.0))
+    scales[[0, m]] = sq[[0, m]] * root
+    return sq, scales
 
 
 def _fgn_circulant(grid: Grid, z: np.ndarray) -> np.ndarray:
@@ -191,19 +198,19 @@ def _fgn_circulant(grid: Grid, z: np.ndarray) -> np.ndarray:
     draw of the embedded stationary sequence; the first m entries are fGn.
     """
     m = grid.m
-    big = 2 * m
-    sq = _circulant_sqrt_eigs(grid.n, m)
-    spectrum = np.empty(m + 1, dtype=complex)
-    root = np.sqrt(float(big))
-    spectrum[0] = sq[0] * root * z[0]
-    spectrum[m] = sq[m] * root * z[1]
-    if m > 1:
-        spectrum[1:m] = sq[1:m] * (root / np.sqrt(2.0)) * (z[2::2] + 1j * z[3::2])
-    return np.fft.irfft(spectrum, n=big)[:m]
+    scales = _circulant_sqrt_eigs(grid.n, m)[1]
+    spectrum = np.zeros(m + 1, dtype=complex)
+    re, im = spectrum.real, spectrum.imag  # views into spectrum
+    np.multiply(scales[:m], z[0::2], out=re[:m])  # z_0 and z_{2k}, k < m
+    re[m] = scales[m] * z[1]
+    np.multiply(scales[1:m], z[3::2], out=im[1:m])
+    return np.fft.irfft(spectrum, n=2 * m)[:m]
 
 
 def _assemble(grid: Grid, increments: np.ndarray) -> Path:
-    values = np.concatenate([[0.0], np.cumsum(increments)])
+    values = np.empty(len(increments) + 1)
+    values[0] = 0.0
+    np.cumsum(increments, out=values[1:])
     return Path(grid=grid, values=values)
 
 

@@ -7,7 +7,8 @@ entry 0 is 0.0 and the last entry is the value at the horizon.
 * the signed cubic variation V_n(X, t) = sum_{j <= nt} dX_j^3;
 * trapezoid Riemann sums I_n(g, X, t) = sum (g(X_{j-1}) + g(X_j))/2 dX_j;
 * weighted third-Hermite variations
-  n^{-1/2} sum g(X at an endpoint) h_3(n^{1/6} dX_j).
+  n^{-1/2} sum g(X at an endpoint) h_3(n^{1/6} dX_j), left and right
+  endpoints returned together.
 
 Integrands live in one of three closed-form families (polynomial,
 a*sin(bx+c), a*exp(bx)) so that derivatives up to any order used here and
@@ -176,9 +177,18 @@ def parse_integrand(text: str) -> SmoothMap:
         raise DomainError(f"cannot parse integrand {text!r}") from exc
 
 
-class Endpoint(enum.Enum):
-    LEFT = "left"
-    RIGHT = "right"
+def int_power(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k for an integer k >= 1, as a product of x and its square.
+
+    np.power takes a scalar path for negative bases on some hosts, about 40
+    times slower, and rounds them differently from positive ones; the product
+    is fast, the same on every IEEE host, and exactly odd or even in x.
+    """
+    square = x * x
+    out = x if k % 2 else square
+    for _ in range((k - 1) // 2):
+        out = out * square
+    return out
 
 
 def _prefix(terms: np.ndarray) -> np.ndarray:
@@ -199,14 +209,14 @@ def riemann_strat(g: SmoothMap, path: Path) -> np.ndarray:
     return _prefix(w * path.increments())
 
 
-def weighted_hermite(g: SmoothMap, path: Path, endpoint: Endpoint = Endpoint.LEFT) -> np.ndarray:
-    """n^{-1/2} sum_{j <= nt} w_j h_3(n^{1/6} dX_j) with endpoint weights w_j.
+def weighted_hermite(g: SmoothMap, path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """n^{-1/2} sum_{j <= nt} w_j h_3(n^{1/6} dX_j) at both endpoints.
 
-    LEFT uses g(X(t_{j-1})), RIGHT uses g(X(t_j)).
+    Returns the left prefix sums, with w_j = g(X(t_{j-1})), and the right
+    ones, with w_j = g(X(t_j)); h_3 and g are evaluated once for both.
     """
     n = path.grid.n
-    d = path.increments()
-    h3 = np.asarray(hermite(3, n ** (1.0 / 6.0) * d))
-    v = path.values
-    w = np.asarray(g(v[:-1])) if endpoint is Endpoint.LEFT else np.asarray(g(v[1:]))
-    return _prefix((w * h3) / np.sqrt(n))
+    h3 = np.asarray(hermite(3, n ** (1.0 / 6.0) * path.increments()))
+    w = np.asarray(g(path.values))
+    root = np.sqrt(n)
+    return _prefix((w[:-1] * h3) / root), _prefix((w[1:] * h3) / root)

@@ -17,7 +17,7 @@ from fbmlab.analysis import (
 )
 from fbmlab.errors import CapabilityError, DomainError
 from fbmlab.kernel import cov_r
-from fbmlab.sampler import SeedPolicy, sample_fbm
+from fbmlab.sampler import Path, SeedPolicy, sample_fbm
 from fbmlab.variations import monomial_map, parse_integrand, sin_map
 from fbmlab.analysis import scaling_ladder, window_moments
 from fbmlab.kernel import endpoint_increment_cov
@@ -107,6 +107,16 @@ class TestMomentScaling:
     def test_weighted_smoke_slope(self):
         fit = _fit(Estimator.WEIGHTED_CUBIC_2ND, 2048, [32, 64, 128, 256], 6)
         assert 0.7 < fit["slope"] < 1.8
+
+    def test_cubic_row_even_under_reflection(self):
+        # integer powers as products: -B gives the row of B byte for byte
+        grid, gaps = scaling_ladder(8192, (512, 1024, 2048, 4096, 8192), 200, 1.0)
+        for r in range(3):
+            path = sample_fbm(grid, SeedPolicy(2, r))
+            flipped = Path(grid, -path.values)
+            row = window_moments(Estimator.CUBIC_4TH, path, gaps, sin_map())
+            mirrored = window_moments(Estimator.CUBIC_4TH, flipped, gaps, sin_map())
+            assert mirrored.tobytes() == row.tobytes()
 
 
 def _fit(estimator, n, gaps, master_seed, horizon=None, replications=200):

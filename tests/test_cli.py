@@ -167,6 +167,17 @@ class TestConfigHandling:
         assert "repeats" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["converge", "hermite"])
+    def test_repeated_integrand_is_a_config_error(self, capsys, tmp_path, command):
+        # converge keys its columns and KS rows by label, so "sin; sin" used
+        # to exit 0 with one int_sin column
+        code, _, err = run(capsys, command, "--n-list", "64", "--replications", "60",
+                           "--integrand", "sin; sin", "--workers", "1",
+                           "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert "config error" in err and "repeats" in err
+        assert not (tmp_path / "out").exists()
+
     def test_integrands_sharing_a_csv_name_are_a_config_error(self, capsys, tmp_path):
         # both labels map to the file hermite_poly_1_2_n64.csv
         code, _, err = run(capsys, "hermite", "--n-list", "64", "--replications", "30",

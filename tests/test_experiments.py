@@ -8,6 +8,7 @@ from fbmlab.errors import CapabilityError, DomainError
 from fbmlab.variations import parse_integrand
 from fbmlab.experiments import (
     DEFAULT_SCALING_SPECS,
+    _sextic_row,
     audit_experiment,
     converge_experiment,
     hermite_experiment,
@@ -20,6 +21,7 @@ from fbmlab.experiments import (
     taylor_experiment,
 )
 from fbmlab.quadrature import hermite_mean_exact
+from fbmlab.sampler import Grid, Path, SeedPolicy, sample_fbm
 from fbmlab.variations import sin_map
 
 
@@ -35,6 +37,12 @@ class TestIntegrandList:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             parse_integrand_list(" ; ")
+
+    @pytest.mark.parametrize("text", ["sin; sin", "x^2; 1; x^02"])
+    def test_repeated_label_rejected(self, text):
+        # columns are keyed by label: a repeat would collapse into one
+        with pytest.raises(DomainError, match="repeats"):
+            parse_integrand_list(text)
 
 
 class TestConverge:
@@ -83,6 +91,14 @@ class TestSextic:
         assert len(res["median_sup_deviation"]) == 2
         assert res["mean_n"] == 128
         assert res["mean_se"] > 0
+
+    def test_even_under_reflection(self):
+        # sixth powers as products: -B gives the statistic of B byte for byte
+        grid = Grid(1024)
+        for r in range(40):
+            path = sample_fbm(grid, SeedPolicy(17, r))
+            flipped = Path(grid, -path.values)
+            assert np.array(_sextic_row(flipped)).tobytes() == np.array(_sextic_row(path)).tobytes()
 
 
 class TestHermite:

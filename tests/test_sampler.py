@@ -109,7 +109,7 @@ class TestFbmSampler:
     def test_circulant_embedding_roundtrip(self):
         # squared spectral factors invert back to the embedded autocovariance
         m, n = 64, 64
-        sq = _circulant_sqrt_eigs(n, m)
+        sq, _ = _circulant_sqrt_eigs(n, m)
         row = np.fft.irfft(sq**2, n=2 * m)
         lags = n ** (-1 / 3) * np.asarray(rho(np.arange(m + 1)))
         assert np.max(np.abs(row[: m + 1] - lags)) < 1e-12
@@ -165,6 +165,40 @@ class TestFbmSampler:
             np.sum(resid**2) / (grid.m - 2) / np.sum((j - j.mean()) ** 2)
         )
         assert abs(coef[0]) < 4 * slope_se
+
+
+def _reference_fgn_circulant(grid, z):
+    """The spectral synthesis as first written: complex arithmetic on
+    sqrt-eigenvalue scales built per call."""
+    m = grid.m
+    big = 2 * m
+    sq = _circulant_sqrt_eigs(grid.n, m)[0]
+    spectrum = np.empty(m + 1, dtype=complex)
+    root = np.sqrt(float(big))
+    spectrum[0] = sq[0] * root * z[0]
+    spectrum[m] = sq[m] * root * z[1]
+    if m > 1:
+        spectrum[1:m] = sq[1:m] * (root / np.sqrt(2.0)) * (z[2::2] + 1j * z[3::2])
+    return np.fft.irfft(spectrum, n=big)[:m]
+
+
+def _reference_assemble(increments):
+    return np.concatenate([[0.0], np.cumsum(increments)])
+
+
+class TestSynthesisMatchesReference:
+    """sample_fbm writes the spectrum in place from cached scales and sums
+    into a preallocated array; its paths equal the plain form byte for byte."""
+
+    @pytest.mark.parametrize(
+        "grid", [Grid(1), Grid(2), Grid(3), Grid(1000), Grid(4096), Grid(16384), Grid(8192, 0.25)]
+    )
+    def test_paths_are_byte_identical(self, grid):
+        for master_seed, stream_id in ((0, 0), (2, 7), (11, 1999), (20260810, 3)):
+            seeds = SeedPolicy(master_seed, stream_id)
+            z = seeds.normals(2 * grid.m, "fbm:circulant")
+            expected = _reference_assemble(_reference_fgn_circulant(grid, z))
+            assert sample_fbm(grid, seeds).values.tobytes() == expected.tobytes()
 
 
 class TestBmSampler:
@@ -240,5 +274,5 @@ class TestEmbeddingGuard:
         from fbmlab.sampler import _circulant_sqrt_eigs
 
         for m in (1, 2, 3, 64, 1000):
-            eigs = _circulant_sqrt_eigs(m, m) ** 2
+            eigs = _circulant_sqrt_eigs(m, m)[0] ** 2
             assert eigs.min() >= 0.0

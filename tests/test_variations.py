@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from fbmlab.errors import DomainError
+from fbmlab.kernel import hermite
 from fbmlab.sampler import Grid, Path, SeedPolicy, sample_fbm
 from fbmlab.variations import (
-    Endpoint,
     Family,
     SmoothMap,
+    int_power,
     monomial_map,
     parse_integrand,
     riemann_strat,
@@ -137,17 +138,54 @@ class TestRiemannSums:
 class TestWeightedHermite:
     def test_zero_integrand(self):
         path = sample_fbm(Grid(32), SeedPolicy(15, 0))
-        step = weighted_hermite(parse_integrand("0"), path)
-        assert np.all(step == 0.0)
+        left, right = weighted_hermite(parse_integrand("0"), path)
+        assert np.all(left == 0.0) and np.all(right == 0.0)
 
     def test_unit_weight_rearrangement(self):
         # V_n(B,t) = G_n^-(1,B,t) + 3 n^{-1/3} B(floor(nt)/n)
         path = sample_fbm(Grid(512), SeedPolicy(16, 0))
         cubic = signed_cubic(path)
-        left = weighted_hermite(parse_integrand("1"), path, Endpoint.LEFT)
+        left, _ = weighted_hermite(parse_integrand("1"), path)
         recon = left + 3.0 * 512 ** (-1 / 3) * path.values
         scale = max(1.0, float(np.max(np.abs(cubic))))
         assert np.max(np.abs(cubic - recon)) / scale < 1e-10
+
+
+    @pytest.mark.parametrize(
+        "grid", [Grid(1), Grid(2), Grid(3), Grid(1000), Grid(4096), Grid(16384), Grid(8192, 0.25)]
+    )
+    def test_both_endpoints_match_one_endpoint_calls(self, grid):
+        # one pass for both endpoints gives the bytes of a pass per endpoint
+        def one_endpoint(g, path, left):
+            n = path.grid.n
+            h3 = np.asarray(hermite(3, n ** (1.0 / 6.0) * path.increments()))
+            v = path.values
+            w = np.asarray(g(v[:-1])) if left else np.asarray(g(v[1:]))
+            return np.concatenate([[0.0], np.cumsum((w * h3) / np.sqrt(n))])
+
+        for g in (sin_map(), parse_integrand("cos"), parse_integrand("exp:1,0.5"),
+                  parse_integrand("poly:1,2,0.5")):
+            for master_seed, stream_id in ((0, 0), (2, 7), (11, 1999)):
+                path = sample_fbm(grid, SeedPolicy(master_seed, stream_id))
+                left, right = weighted_hermite(g, path)
+                assert left.tobytes() == one_endpoint(g, path, True).tobytes()
+                assert right.tobytes() == one_endpoint(g, path, False).tobytes()
+
+
+class TestIntPower:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_close_to_numpy_power(self, k):
+        x = np.random.default_rng(k).standard_normal(8192) * 0.3
+        x[:4] = (0.0, -0.0, 1.0, -1.0)
+        exact = np.power(x, k)
+        got = int_power(x, k)
+        assert np.all(np.abs(got - exact) <= 1e-15 * np.abs(exact))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_exactly_odd_or_even(self, k):
+        x = np.random.default_rng(10 + k).standard_normal(8192)
+        sign = -1.0 if k % 2 else 1.0
+        assert int_power(-x, k).tobytes() == (sign * int_power(x, k)).tobytes()
 
 
 class TestSmoothMap:
