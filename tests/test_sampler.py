@@ -168,8 +168,8 @@ class TestFbmSampler:
 
 
 def _reference_fgn_circulant(grid, z):
-    """The spectral synthesis as first written: complex arithmetic on
-    sqrt-eigenvalue scales built per call."""
+    """The spectral synthesis in plain complex arithmetic on scales built per
+    call: the reference sample_fbm must match byte for byte."""
     m = grid.m
     big = 2 * m
     sq = _circulant_sqrt_eigs(grid.n, m)[0]
