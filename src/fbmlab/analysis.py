@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .quadrature import expect_gauss_pair
 KS_COEFF_001 = 1.628
 
 KS_MIN_SAMPLES = 50
-SCALING_MIN_REPLICATIONS = 200
 AUDIT_MAX_STEPS = 4096
 # endpoint rows per block of covar_bound_audit: 64 x 4096 doubles are 2 MB
 AUDIT_BLOCK_ROWS = 64
@@ -75,31 +73,8 @@ def _reversed_values(values: np.ndarray) -> np.ndarray:
     return values[::-1] - values[-1]
 
 
-def scaling_ladder(
-    n: int, gaps, replications: int, horizon: float | None = None
-) -> tuple[Grid, list[int]]:
-    """Validate a moment-scaling ladder; return its grid and its sorted gaps.
-
-    The horizon defaults to the largest gap, so the longest window spans
-    the whole grid.
-    """
-    gaps = sorted(int(gv) for gv in gaps)
-    if len(set(gaps)) < 2:
-        raise DomainError("degenerate ladder: need at least two distinct gaps")
-    if min(gaps) < 1:
-        raise DomainError("gaps must be positive")
-    if replications < SCALING_MIN_REPLICATIONS:
-        raise DomainError(f"need at least {SCALING_MIN_REPLICATIONS} replications")
-    if horizon is None:
-        horizon = max(gaps) / n
-    grid = Grid(n, horizon)
-    if max(gaps) > grid.m:
-        raise DomainError(f"largest gap {max(gaps)} exceeds the grid ({grid.m} steps)")
-    return grid, gaps
-
-
 def window_moments(estimator: Estimator, path: Path, gaps, g: SmoothMap) -> np.ndarray:
-    """Window moments of one path, one column per gap of a validated ladder.
+    """Window moments of one path, one column per gap.
 
     CUBIC_4TH returns one row: the mean of |sum_{j in window} dB_j^3|^4
     over all disjoint windows of each gap (the cubic sums are stationary
@@ -133,8 +108,6 @@ def moment_scaling(n: int, gaps, moments: np.ndarray, replications: int) -> dict
     rows = np.asarray(moments).reshape(-1, len(gaps))
     x = np.log(np.array(gaps) / n)
     y = np.log(np.cumsum(rows, axis=0)[-1] / replications)
-    if len(np.unique(x)) < 2:
-        raise DomainError("degenerate regression: need at least two distinct gaps")
     design = np.vstack([x, np.ones_like(x)]).T
     (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ np.array([slope, intercept])
@@ -143,29 +116,21 @@ def moment_scaling(n: int, gaps, moments: np.ndarray, replications: int) -> dict
     return {"slope": float(slope), "r_squared": r2, "points": np.column_stack([x, y]).tolist()}
 
 
-class TaylorPieces(NamedTuple):
-    trapezoid_defect: float | np.ndarray
-    gamma_term: float | np.ndarray
-    r6: float | np.ndarray
-
-
-def taylor_residual(g: SmoothMap, a, b) -> TaylorPieces:
-    """Pieces of the symmetric expansion around the midpoint x = (a+b)/2:
+def taylor_residual(g: SmoothMap, a, b):
+    """R6 of the symmetric expansion around the midpoint x = (a+b)/2:
 
     g(b) - g(a) = (g'(a) + g'(b))/2 (b-a) - (1/12) g'''(x) (b-a)^3
                   + gamma g^{(5)}(x) (b-a)^5 + R6(a, b),
 
-    with gamma = -1/480.  Returned are the trapezoid defect
-    g(b) - g(a) - (g'(a)+g'(b))/2 (b-a), the gamma term, and R6; R6
-    vanishes for polynomials of degree <= 5.  Elementwise over arrays a, b.
+    with gamma = -1/480.  R6 vanishes for polynomials of degree <= 5.
+    Elementwise over arrays a, b.
     """
     x = 0.5 * (a + b)
     d = b - a
     g1 = g.derivative(1)
     defect = g(b) - g(a) - 0.5 * (g1(a) + g1(b)) * d
     gamma_term = TAYLOR_GAMMA * g.derivative(5)(x) * d**5
-    r6 = defect + g.derivative(3)(x) * d**3 / 12.0 - gamma_term
-    return TaylorPieces(trapezoid_defect=defect, gamma_term=gamma_term, r6=r6)
+    return defect + g.derivative(3)(x) * d**3 / 12.0 - gamma_term
 
 
 def audit_grid(n: int) -> Grid:
@@ -237,7 +202,6 @@ def covar_bound_audit(n: int) -> dict:
 
     return {
         "n": n,
-        "horizon": 1.0,
         "i_increment_max": ratio_i,
         "ii_endpoint_max": ratio_ii,
         "iii_midpoint_max": ratio_iii,

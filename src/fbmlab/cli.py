@@ -187,15 +187,13 @@ def _json_bytes(payload) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def _samples_csv(columns: dict[str, np.ndarray], t: float | None = None) -> bytes:
+def _samples_csv(columns: dict[str, np.ndarray]) -> bytes:
     names = list(columns)
     buffer = io.StringIO()
     out = csv.writer(buffer, lineterminator="\n")  # RFC 4180 quotes a name such as int_poly:1,2
-    out.writerow(["replication"] + (["t"] if t is not None else []) + names)
-    n = len(next(iter(columns.values())))
-    tcol = [repr(float(t))] if t is not None else []
-    for r in range(n):
-        out.writerow([r, *tcol, *(repr(float(columns[c][r])) for c in names)])
+    out.writerow(["replication", *names])
+    for r in range(len(next(iter(columns.values())))):
+        out.writerow([r, *(repr(float(columns[c][r])) for c in names)])
     return buffer.getvalue().encode("utf-8")
 
 
@@ -259,8 +257,8 @@ def cmd_converge(cfg: ExperimentConfig) -> Outcome:
         row, est, orc = converge_experiment(
             n, cfg.replications, cfg.master_seed, integrands, cfg.workers
         )
-        files[f"estimator_n{n}.csv"] = _samples_csv(est, t=1.0)
-        files[f"oracle_n{n}.csv"] = _samples_csv(orc, t=1.0)
+        files[f"estimator_n{n}.csv"] = _samples_csv(est)
+        files[f"oracle_n{n}.csv"] = _samples_csv(orc)
         for key, ks in row["ks"].items():  # the KS row of each marginal and integrand
             failed += [f"{name} {key}" for name in judge("converge", ks, f"n={n} ")[1]]
         rows.append(row)
@@ -388,7 +386,7 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except CapabilityError as exc:
+    except (CapabilityError, MemoryError) as exc:  # MemoryError: a grid too large to allocate
         print(f"capability error: {exc}", file=sys.stderr)
         return 3
 

@@ -32,18 +32,12 @@ from .analysis import (
     ks_two_sample,
     moment_scaling,
     orthogonality_audit,
-    scaling_ladder,
     taylor_residual,
     window_moments,
 )
 from .checks import SLOPE_FLOORS
 from .errors import DomainError
-from .kernel import (
-    cov_r,
-    kappa_constant,
-    left_anchor_cube_sum,
-    right_anchor_cube_sum,
-)
+from .kernel import anchor_cube_sums, cov_r, kappa_constant
 from .oracle import LimitSample, weak_strat_integral
 from .quadrature import hermite_mean_limit, hermite_variance_limit
 from .sampler import Grid, SeedPolicy, load_ndtri, sample_fbm, sample_fbm_cholesky
@@ -306,8 +300,8 @@ def hermite_experiment(
     and variance, which depend on the integrand alone and are computed
     once) and the columns left and right."""
     limits = {
-        "mean_limit": hermite_mean_limit(integrand, 1.0),
-        "variance_limit": hermite_variance_limit(integrand, 1.0, kappa_constant().kappa_sq),
+        "mean_limit": hermite_mean_limit(integrand),
+        "variance_limit": hermite_variance_limit(integrand, kappa_constant().kappa_sq),
     }
     runs = []
     for n in n_list:
@@ -339,7 +333,8 @@ def hermite_experiment(
 # Per-estimator default windows.  The cubic fourth moment needs gaps past
 # the kurtosis crossover (about 120 steps) before the quadratic regime
 # dominates; the weighted second moments are gap-tight only for windows
-# anchored at the origin with gap << n.
+# anchored at the origin with gap << n.  Each spec's gaps are sorted and
+# distinct, at least two, and each between 1 and the grid's step count.
 DEFAULT_SCALING_SPECS: dict[Estimator, dict] = {
     Estimator.CUBIC_4TH: {
         "n": 8192,
@@ -358,6 +353,8 @@ DEFAULT_SCALING_SPECS: dict[Estimator, dict] = {
     },
 }
 
+SCALING_MIN_REPLICATIONS = 200
+
 
 def scaling_experiment(
     master_seed: int,
@@ -367,9 +364,12 @@ def scaling_experiment(
 ) -> list[dict]:
     """The report row of each estimator in DEFAULT_SCALING_SPECS: its
     moment-bound scaling fit, slope floor and spec.  Estimators on the same
-    grid share one set of paths."""
+    grid share one set of paths.  Fewer than SCALING_MIN_REPLICATIONS
+    replications are refused."""
+    if replications < SCALING_MIN_REPLICATIONS:
+        raise DomainError(f"scaling needs at least {SCALING_MIN_REPLICATIONS} replications")
     ladders = {
-        estimator: scaling_ladder(spec["n"], spec["gaps"], replications, spec.get("horizon"))
+        estimator: (Grid(spec["n"], spec["horizon"]), spec["gaps"])
         for estimator, spec in DEFAULT_SCALING_SPECS.items()
     }
     fits = {}
@@ -403,8 +403,8 @@ def taylor_experiment(master_seed: int, pairs: int = 1000, poly_count: int = 25)
         degree = int(rng.integers(0, 6))
         coeffs = tuple(rng.uniform(-1.0, 1.0, size=degree + 1))
         g = SmoothMap(Family.POLYNOMIAL, coeffs, "poly")
-        max_poly = max(max_poly, float(np.max(np.abs(taylor_residual(g, a, b).r6))))
-    sin_r6 = taylor_residual(sin_map(), a, b).r6
+        max_poly = max(max_poly, float(np.max(np.abs(taylor_residual(g, a, b)))))
+    sin_r6 = taylor_residual(sin_map(), a, b)
     return {
         "pairs": pairs,
         "poly_count": poly_count,
@@ -426,10 +426,8 @@ def audit_experiment(n_list) -> dict:
     for n in n_list:  # refuse an over-size grid before any audit runs
         audit_grid(n)
     covar = [covar_bound_audit(n) for n in n_list]
-    anchor = [
-        {"n": n, "left": left_anchor_cube_sum(n, 1.0), "right": right_anchor_cube_sum(n, 1.0)}
-        for n in n_list
-    ]
+    sums = [anchor_cube_sums(n) for n in n_list]
+    anchor = [{"n": n, "left": left, "right": right} for n, (left, right) in zip(n_list, sums)]
     max_dev = 0.0
     for p in range(5):
         for q in range(5):

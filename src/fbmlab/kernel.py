@@ -188,24 +188,21 @@ def endpoint_increment_block(n: int, m: int, lo: int, out: np.ndarray) -> np.nda
     return out
 
 
-def left_anchor_cube_sum(n: int, t: float) -> float:
-    """sum_{k <= floor(nt)} | E[B(t_{k-1}) dB_k]^3 + 1/(8n) |.
+def anchor_cube_sums(n: int) -> tuple[float, float]:
+    """The left and right anchored cube defects on [0, 1],
 
-    Each term telescopes against the cube-root increments, giving the
-    analytic bound (3/8) floor(nt)^{1/3} / n, so the sum vanishes like
-    n^{-2/3} at fixed t.
+        sum_{k <= n} | E[B(t_{k-1}) dB_k]^3 + 1/(8n) |,
+        sum_{k <= n} | E[B(t_k) dB_k]^3 - 1/(8n) |.
+
+    Each left term telescopes against the cube-root increments, giving the
+    analytic bound (3/8) n^{1/3} / n, so both sums vanish like n^{-2/3}.
     """
-    if n < 1 or t < 0:
-        raise DomainError("left_anchor_cube_sum requires n >= 1 and t >= 0")
-    k = np.arange(1, int(np.floor(n * t + 1e-9)) + 1)
-    e = endpoint_increment_cov(n, k - 1, k)
-    return float(np.sum(np.abs(e**3 + 1.0 / (8.0 * n))))
-
-
-def right_anchor_cube_sum(n: int, t: float) -> float:
-    """sum_{k <= floor(nt)} | E[B(t_k) dB_k]^3 - 1/(8n) |, same decay."""
-    if n < 1 or t < 0:
-        raise DomainError("right_anchor_cube_sum requires n >= 1 and t >= 0")
-    k = np.arange(1, int(np.floor(n * t + 1e-9)) + 1)
-    e = endpoint_increment_cov(n, k, k)
-    return float(np.sum(np.abs(e**3 - 1.0 / (8.0 * n))))
+    if n < 1:
+        raise DomainError("anchor_cube_sums requires n >= 1")
+    k = np.arange(1, n + 1)
+    left = endpoint_increment_cov(n, k - 1, k)
+    right = endpoint_increment_cov(n, k, k)
+    return (
+        float(np.sum(np.abs(left**3 + 1.0 / (8.0 * n)))),
+        float(np.sum(np.abs(right**3 - 1.0 / (8.0 * n)))),
+    )

@@ -5,9 +5,9 @@ E[f(X) g(Y)] of a correlated Gaussian pair; Gauss-Legendre rules handle the
 time integrals.  Together they evaluate the two limit functionals of the
 weighted third-Hermite variation with left endpoints,
 
-    mean:      -(1/8) int_0^t E[g'''(B_s)] ds,
-    variance:  kappa^2 int_0^t E[g^2(B_s)] ds
-               + (1/64) E[( int_0^t g'''(B_s) ds )^2] - mean^2,
+    mean:      -(1/8) int_0^1 E[g'''(B_s)] ds,
+    variance:  kappa^2 int_0^1 E[g^2(B_s)] ds
+               + (1/64) E[( int_0^1 g'''(B_s) ds )^2] - mean^2,
 
 where Var(B_s) = s^{1/3} and Cov(B_s, B_u) = R(s, u), plus the exact
 finite-n mean sum_j E[g'''(B(t_{j-1}))] E[B(t_{j-1}) dB_j]^3.  For the
@@ -82,38 +82,28 @@ def expect_gauss_pair(f, g, var_x: float, var_y: float, cov: float,
     return float(np.einsum("i,j,i,ij->", w, w, fx, gy))
 
 
-def time_integral_expect(f, t: float, nodes: int = GL_NODES) -> float:
-    """int_0^t E[f(B_s)] ds via Gauss-Legendre over s and Gauss-Hermite in x.
+def time_integral_expect(f, nodes: int = GL_NODES) -> float:
+    """int_0^1 E[f(B_s)] ds via Gauss-Legendre over s and Gauss-Hermite in x.
 
     Substituting s = u^3 removes the s^{1/3} cusp of Var(B_s) at the origin,
     so the rule converges at spectral rate for the closed-form families.
     """
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    if t == 0.0:
-        return 0.0
     u, w = _gauss_legendre_01(nodes)
-    u = t ** (1.0 / 3.0) * u
     vals = np.array([expect_gauss(f, uv) for uv in u])
-    jac = 3.0 * t ** (1.0 / 3.0) * u**2
-    return float(np.dot(w * jac, vals))
+    return float(np.dot(w * (3.0 * u**2), vals))
 
 
-def hermite_mean_limit(g: SmoothMap, t: float) -> float:
-    """Limit mean -(1/8) int_0^t E[g'''(B_s)] ds of the left-endpoint variation."""
+def hermite_mean_limit(g: SmoothMap) -> float:
+    """Limit mean -(1/8) int_0^1 E[g'''(B_s)] ds of the left-endpoint variation."""
+    return -0.125 * time_integral_expect(g.derivative(3))
+
+
+def hermite_mean_exact(g: SmoothMap, n: int) -> float:
+    """Exact finite-n mean sum_{j <= n} E[g'''(B(t_{j-1}))] E[B(t_{j-1}) dB_j]^3."""
+    if n < 1:
+        raise DomainError("hermite_mean_exact requires n >= 1")
     g3 = g.derivative(3)
-    return -0.125 * time_integral_expect(g3, t)
-
-
-def hermite_mean_exact(g: SmoothMap, n: int, t: float) -> float:
-    """Exact finite-n mean sum_{j <= nt} E[g'''(B(t_{j-1}))] E[B(t_{j-1}) dB_j]^3."""
-    if n < 1 or t < 0:
-        raise DomainError("hermite_mean_exact requires n >= 1 and t >= 0")
-    j = int(np.floor(n * t + 1e-9))
-    if j == 0:
-        return 0.0
-    g3 = g.derivative(3)
-    k = np.arange(1, j + 1)
+    k = np.arange(1, n + 1)
     e = np.asarray(endpoint_increment_cov(n, k - 1, k))
     means = np.array(
         [expect_gauss(g3, ((kk - 1) / n) ** (1.0 / 3.0)) for kk in k]
@@ -139,26 +129,20 @@ def closed_pair_moment(f: SmoothMap, var_x, var_y, cov):
     raise DomainError("closed_pair_moment takes a trig or exp map")
 
 
-def hermite_variance_limit(g: SmoothMap, t: float, kappa_sq: float,
-                           nodes: int = GL_NODES) -> float:
-    """Limit variance of the left-endpoint variation at time t.
+def hermite_variance_limit(g: SmoothMap, kappa_sq: float, nodes: int = GL_NODES) -> float:
+    """Limit variance of the left-endpoint variation at time 1.
 
-    The limit second moment kappa^2 int_0^t E[g^2]
+    The limit second moment kappa^2 int_0^1 E[g^2]
     + (1/64) int int E[g'''(B_s) g'''(B_u)] ds du less the squared limit
-    mean hermite_mean_limit(g, t).  The double integral is a tensor
+    mean hermite_mean_limit(g).  The double integral is a tensor
     Gauss-Legendre rule over (s, u) with the exact covariance R(s, u).  Its
     inner pair moment is closed_pair_moment, one array expression over the
     whole grid, for trig and exp maps; a polynomial keeps one bivariate
     Gauss-Hermite rule per node pair, which is exact for it.
     """
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    if t == 0.0:
-        return 0.0
     g3 = g.derivative(3)
-    sq_term = kappa_sq * time_integral_expect(lambda x: np.asarray(g(x)) ** 2, t)
+    sq_term = kappa_sq * time_integral_expect(lambda x: np.asarray(g(x)) ** 2)
     s, w = _gauss_legendre_01(nodes)
-    s = t * s
     var = s ** (1.0 / 3.0)
     cov = cov_r(s[:, None], s[None, :])
     if g3.family is Family.POLYNOMIAL:
@@ -171,5 +155,4 @@ def hermite_variance_limit(g: SmoothMap, t: float, kappa_sq: float,
     double = 0.0
     for i in range(len(s)):
         double += w[i] * np.dot(w, pair[i])
-    double *= t * t
-    return float(sq_term + double / 64.0 - hermite_mean_limit(g, t) ** 2)
+    return float(sq_term + double / 64.0 - hermite_mean_limit(g) ** 2)

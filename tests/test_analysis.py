@@ -16,10 +16,11 @@ from fbmlab.analysis import (
     taylor_residual,
 )
 from fbmlab.errors import CapabilityError, DomainError
+from fbmlab.experiments import DEFAULT_SCALING_SPECS
 from fbmlab.kernel import cov_r
-from fbmlab.sampler import Path, SeedPolicy, sample_fbm
+from fbmlab.sampler import Grid, Path, SeedPolicy, sample_fbm
 from fbmlab.variations import monomial_map, parse_integrand, sin_map
-from fbmlab.analysis import scaling_ladder, window_moments
+from fbmlab.analysis import window_moments
 from fbmlab.kernel import endpoint_increment_cov
 
 
@@ -83,21 +84,15 @@ class TestScalingFit:
         r2 = 1 - resid @ resid / np.sum((y - y.mean()) ** 2)
         assert fit["r_squared"] == pytest.approx(r2, abs=1e-12)
 
-    def test_degenerate_gaps(self):
-        with pytest.raises(DomainError):
-            moment_scaling(8, [2, 2], np.ones((1, 2)), 1)
-
 
 class TestMomentScaling:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            scaling_ladder(64, [8, 8], 200)
-        with pytest.raises(DomainError):
-            scaling_ladder(64, [0, 8], 200)
-        with pytest.raises(DomainError):
-            scaling_ladder(64, [8, 16], 100)
-        with pytest.raises(DomainError):
-            scaling_ladder(64, [8, 128], 200, horizon=1.0)
+        # the scaling command fits these ladders: each fit needs two
+        # distinct gaps, and each window must fit its grid
+        for spec in DEFAULT_SCALING_SPECS.values():
+            gaps, m = spec["gaps"], Grid(spec["n"], spec["horizon"]).m
+            assert list(gaps) == sorted(set(gaps)) and len(gaps) >= 2
+            assert 1 <= gaps[0] and gaps[-1] <= m
 
     def test_cubic_smoke_slope(self):
         fit = _fit(Estimator.CUBIC_4TH, 1024, [128, 256, 512, 1024], 5, horizon=1.0)
@@ -105,12 +100,12 @@ class TestMomentScaling:
         assert fit["r_squared"] > 0.9
 
     def test_weighted_smoke_slope(self):
-        fit = _fit(Estimator.WEIGHTED_CUBIC_2ND, 2048, [32, 64, 128, 256], 6)
+        fit = _fit(Estimator.WEIGHTED_CUBIC_2ND, 2048, [32, 64, 128, 256], 6, horizon=0.125)
         assert 0.7 < fit["slope"] < 1.8
 
     def test_cubic_row_even_under_reflection(self):
         # integer powers as products: -B gives the row of B byte for byte
-        grid, gaps = scaling_ladder(8192, (512, 1024, 2048, 4096, 8192), 200, 1.0)
+        grid, gaps = Grid(8192), (512, 1024, 2048, 4096, 8192)
         for r in range(3):
             path = sample_fbm(grid, SeedPolicy(2, r))
             flipped = Path(grid, -path.values)
@@ -119,8 +114,8 @@ class TestMomentScaling:
             assert mirrored.tobytes() == row.tobytes()
 
 
-def _fit(estimator, n, gaps, master_seed, horizon=None, replications=200):
-    grid, gaps = scaling_ladder(n, gaps, replications, horizon)
+def _fit(estimator, n, gaps, master_seed, horizon, replications=200):
+    grid = Grid(n, horizon)
     rows = [
         window_moments(estimator, sample_fbm(grid, SeedPolicy(master_seed, r)), gaps, sin_map())
         for r in range(replications)
@@ -132,18 +127,14 @@ class TestTaylor:
     def test_gamma_constant_symbolically(self):
         # R6 of x^5 vanishes only if the gamma term 120 gamma d^5 carries gamma = -1/480
         for a, b in ((-0.9, 0.8), (0.1, 1.7), (-2.0, -0.3), (1.2, -0.4)):
-            assert abs(taylor_residual(monomial_map(5), a, b).r6) < 1e-12
+            assert abs(taylor_residual(monomial_map(5), a, b)) < 1e-12
         assert TAYLOR_GAMMA == pytest.approx(-1.0 / 480.0, abs=1e-18)
 
     def test_cubic_closes_exactly(self):
         g = monomial_map(3)
         for a, b in ((0.0, 1.0), (-0.7, 0.4), (2.0, 2.5)):
-            pieces = taylor_residual(g, a, b)
-            assert pieces.gamma_term == 0.0
-            assert abs(pieces.r6) < 1e-12
-            # trapezoid minus (1/12) g'''(x) d^3 recovers g(b) - g(a):
-            # defect + (1/12) * 6 * d^3 = 0
-            assert pieces.trapezoid_defect == pytest.approx(-0.5 * (b - a) ** 3, abs=1e-12)
+            # g^(5) = 0, and trapezoid minus (1/12) g'''(x) d^3 recovers g(b) - g(a)
+            assert abs(taylor_residual(g, a, b)) < 1e-12
 
     def test_degree_five_corpus(self):
         rng = np.random.default_rng(7)
@@ -151,12 +142,12 @@ class TestTaylor:
             coeffs = tuple(rng.uniform(-1, 1, size=rng.integers(1, 7)))
             g = parse_integrand("poly:" + ",".join(repr(float(c)) for c in coeffs))
             for a, b in rng.uniform(-1, 1, size=(40, 2)):
-                assert abs(taylor_residual(g, float(a), float(b)).r6) < 1e-9
+                assert abs(taylor_residual(g, float(a), float(b))) < 1e-9
 
     def test_sin_small_interval_against_direct_oracle(self):
         g = sin_map()
         a, b = 0.0, 0.1
-        pieces = taylor_residual(g, a, b)
+        r6 = taylor_residual(g, a, b)
         # direct evaluation of both sides: sin''' = -cos, sin^(5) = +cos
         x, d = 0.5 * (a + b), b - a
         direct = (
@@ -166,25 +157,24 @@ class TestTaylor:
             + (-math.cos(x)) * d**3 / 12.0
             - TAYLOR_GAMMA * math.cos(x) * d**5
         )
-        assert pieces.r6 == pytest.approx(direct, abs=1e-15)
-        assert abs(pieces.r6) <= 1e-7
+        assert r6 == pytest.approx(direct, abs=1e-15)
+        assert abs(r6) <= 1e-7
 
     def test_arrays_match_scalar_calls(self):
         # numpy's array power may differ from the scalar one in the last ulp
         rng = np.random.default_rng(8)
         a, b = rng.uniform(-1, 1, size=(2, 64))
         for g in (parse_integrand("poly:0.3,-0.2,0.9,0.1,-0.7,0.4"), monomial_map(6), sin_map()):
-            pieces = taylor_residual(g, a, b)
-            for field, values in zip(pieces._fields, pieces):
-                scalar = [getattr(taylor_residual(g, x, y), field) for x, y in zip(a, b)]
-                assert values.shape == (64,)
-                np.testing.assert_allclose(values, scalar, rtol=1e-14, atol=1e-15)
+            values = taylor_residual(g, a, b)
+            scalar = [taylor_residual(g, x, y) for x, y in zip(a, b)]
+            assert values.shape == (64,)
+            np.testing.assert_allclose(values, scalar, rtol=1e-14, atol=1e-15)
 
     def test_sixth_degree_residual_sign(self):
         # degree 6 monomial has constant g^(6); R6 must scale like d^6
         g = monomial_map(6)
-        small = abs(taylor_residual(g, 0.0, 0.1).r6)
-        large = abs(taylor_residual(g, 0.0, 0.2).r6)
+        small = abs(taylor_residual(g, 0.0, 0.1))
+        large = abs(taylor_residual(g, 0.0, 0.2))
         assert large > 30 * small  # ~2^6 with round-off slack
 
 

@@ -99,12 +99,13 @@ class TestConfigHandling:
         ("sextic", "--n-list", "32", "--replications", "1"),
         ("audit", "--n-list", "1,64"),
         ("sextic", "--n-list", ","),
+        ("scaling", "--replications", "199"),
     ])
     def test_degenerate_values_are_config_errors(self, capsys, tmp_path, argv):
         # a grid of no steps or a negative number of them, or no grid at all,
-        # has no path, one replication has no sample variance, and an audit
-        # of one step has no lag for its ratio (v); each is refused before
-        # anything is written
+        # has no path, one replication has no sample variance, an audit of
+        # one step has no lag for its ratio (v), and the scaling fits need
+        # 200 replications; each is refused before anything is written
         code, _, err = run(capsys, *argv, "--check", "--output-dir", str(tmp_path / "out"))
         assert code == 2
         assert "config error" in err
@@ -197,6 +198,15 @@ class TestConfigHandling:
         )
         assert code == 3
         assert "capability" in err
+
+    def test_unallocatable_grid_is_a_capability_error(self, capsys, tmp_path):
+        # 2 * 10^15 doubles are 16 PB, beyond the 128 TiB x86-64 address
+        # space, so the allocation is refused at once and uses no memory
+        code, _, err = run(capsys, "sextic", "--n-list", str(10**15), "--replications", "2",
+                           "--workers", "1", "--check", "--output-dir", str(tmp_path / "out"))
+        assert code == 3
+        assert err.startswith("capability error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_with_section(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -312,7 +322,7 @@ class TestReportsAndManifest:
         for name in ("estimator_n64.csv", "oracle_n64.csv"):
             with open(tmp_path / "converge" / name, newline="", encoding="utf-8") as handle:
                 head, *rows = list(csv.reader(handle))
-            assert head == ["replication", "t", "B", "cubic", "int_poly:1,2", "int_sin"]
+            assert head == ["replication", "B", "cubic", "int_poly:1,2", "int_sin"]
             assert len(rows) == 60
             assert all(len(row) == len(head) for row in rows)
 
@@ -517,3 +527,22 @@ class TestImports:
         )
         lines = out.splitlines()  # kappa prints its JSON in between
         assert (lines[0], lines[-1]) == ("False", "0 False")
+
+    def test_benchmark_harness_finds_its_names(self, fresh_python):
+        # perfbench/tracer.py names fbmlab classes and methods when it loads,
+        # and perfbench/probe.py samples on Grid(n, horizon); both read-only
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        tracer, probe = str(bench / "tracer.py"), str(bench / "probe.py")
+        out = fresh_python(
+            "import importlib.util\n"
+            f"spec = importlib.util.spec_from_file_location('tracer', {tracer!r})\n"
+            "tracer = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(tracer)\n"
+            "print(all(hasattr(*where) for where in tracer.METHODS.values()))\n"
+        )
+        assert out == "True\n"
+        out = fresh_python(
+            f"import runpy, sys\nsys.argv = [{probe!r}, '2', 'fbm:64:1', 'fbm:64:0.25', 'bm:64:1']\n"
+            f"runpy.run_path({probe!r}, run_name='__main__')\n"
+        )
+        assert strict_json(out)["first_path_s"] >= 0

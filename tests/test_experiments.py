@@ -107,14 +107,14 @@ class TestHermite:
         # 4 standard errors of the exact finite-n mean formula
         [(_, cols)] = hermite_experiment([256], 600, 19)
         left = cols["left"]
-        exact = hermite_mean_exact(sin_map(), 256, 1.0)
+        exact = hermite_mean_exact(sin_map(), 256)
         se = left.std(ddof=1) / math.sqrt(len(left))
         assert abs(left.mean() - exact) <= 4 * se
 
     def test_right_mirrors_left_in_sign(self):
         [(_, cols)] = hermite_experiment([256], 600, 19)
         right = cols["right"]
-        exact_right = -hermite_mean_exact(sin_map(), 256, 1.0)
+        exact_right = -hermite_mean_exact(sin_map(), 256)
         # right endpoint anchors at t_k instead of t_{k-1}; its exact mean
         # uses the mirrored covariance, close to the negated left value
         se = right.std(ddof=1) / math.sqrt(len(right))

@@ -4,14 +4,13 @@ from numpy.polynomial import hermite_e
 
 from fbmlab.errors import CapabilityError, DomainError
 from fbmlab.kernel import (
+    anchor_cube_sums,
     cov_r,
     endpoint_increment_cov,
     hermite,
     kappa_constant,
-    left_anchor_cube_sum,
     rho,
     rho_tail_bound,
-    right_anchor_cube_sum,
 )
 from fbmlab.kernel import endpoint_increment_block
 
@@ -268,25 +267,18 @@ class TestAnchoredCubeSums:
             k = np.arange(1, n + 1)
             e_left = np.asarray(endpoint_increment_cov(n, k - 1, k))
             e_right = np.asarray(endpoint_increment_cov(n, k, k))
-            assert left_anchor_cube_sum(n, 1.0) == pytest.approx(
-                np.sum(np.abs(e_left**3 + 1.0 / (8 * n))), rel=1e-12
-            )
-            assert right_anchor_cube_sum(n, 1.0) == pytest.approx(
-                np.sum(np.abs(e_right**3 - 1.0 / (8 * n))), rel=1e-12
-            )
+            assert anchor_cube_sums(n) == pytest.approx((
+                np.sum(np.abs(e_left**3 + 1.0 / (8 * n))),
+                np.sum(np.abs(e_right**3 - 1.0 / (8 * n))),
+            ), rel=1e-12)
 
     def test_small_at_4096_and_decreasing(self):
-        lefts = [left_anchor_cube_sum(2**k, 1.0) for k in range(8, 13)]
-        rights = [right_anchor_cube_sum(2**k, 1.0) for k in range(8, 13)]
+        lefts, rights = zip(*(anchor_cube_sums(2**k) for k in range(8, 13)))
         assert lefts[-1] < 0.01 and rights[-1] < 0.01
         assert all(a > b for a, b in zip(lefts, lefts[1:]))
         assert all(a > b for a, b in zip(rights, rights[1:]))
 
     def test_left_analytic_bound(self):
-        # telescoping argument gives (3/8) floor(nt)^{1/3} / n
+        # telescoping argument gives (3/8) n^{1/3} / n
         for n in (64, 512, 4096):
-            assert left_anchor_cube_sum(n, 1.0) <= 0.375 * n ** (1 / 3) / n + 1e-15
-
-    def test_zero_horizon(self):
-        assert left_anchor_cube_sum(64, 0.0) == 0.0
-        assert right_anchor_cube_sum(64, 0.0) == 0.0
+            assert anchor_cube_sums(n)[0] <= 0.375 * n ** (1 / 3) / n + 1e-15

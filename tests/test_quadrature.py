@@ -6,7 +6,7 @@ from scipy import integrate
 
 import fbmlab.quadrature as quadrature
 from fbmlab.errors import DomainError
-from fbmlab.kernel import cov_r, kappa_constant, left_anchor_cube_sum
+from fbmlab.kernel import anchor_cube_sums, cov_r, kappa_constant
 from fbmlab.quadrature import (
     closed_pair_moment,
     expect_gauss,
@@ -99,55 +99,45 @@ class TestClosedPairMoment:
             closed_pair_moment(monomial_map(2), 1.0, 1.0, 0.5)
 
 
-def _per_pair_variance_limit(g, t, kappa_sq, nodes):
+def _per_pair_variance_limit(g, kappa_sq, nodes):
     # hermite_variance_limit as it was before the closed form: one bivariate
     # Gauss-Hermite rule at every Gauss-Legendre node pair
     g3 = g.derivative(3)
-    sq_term = kappa_sq * time_integral_expect(lambda x: np.asarray(g(x)) ** 2, t)
+    sq_term = kappa_sq * time_integral_expect(lambda x: np.asarray(g(x)) ** 2)
     s, w = _gauss_legendre_01(nodes)
-    s = t * s
     var = s ** (1.0 / 3.0)
     cov = cov_r(s[:, None], s[None, :])
     double = 0.0
     for i in range(len(s)):
         row = [expect_gauss_pair(g3, g3, var[i], var[j], float(cov[i, j])) for j in range(len(s))]
         double += w[i] * np.dot(w, np.array(row))
-    double *= t * t
-    return float(sq_term + double / 64.0 - hermite_mean_limit(g, t) ** 2)
+    return float(sq_term + double / 64.0 - hermite_mean_limit(g) ** 2)
 
 
 class TestTimeIntegral:
     def test_variance_integral(self):
         # int_0^1 E[B_s^2] ds = int_0^1 s^{1/3} ds = 3/4
-        assert time_integral_expect(lambda x: x**2, 1.0) == pytest.approx(0.75, abs=1e-12)
+        assert time_integral_expect(lambda x: x**2) == pytest.approx(0.75, abs=1e-12)
 
     def test_sin_squared_closed_form(self):
         # int_0^1 E sin^2(B_s) ds = 1/8 + (15/8) e^{-2}
         target = 1 / 8 + (15 / 8) * math.exp(-2.0)
-        assert time_integral_expect(lambda x: np.sin(x) ** 2, 1.0) == pytest.approx(
+        assert time_integral_expect(lambda x: np.sin(x) ** 2) == pytest.approx(
             target, abs=1e-12
         )
-
-    def test_zero_horizon(self):
-        assert time_integral_expect(np.cos, 0.0) == 0.0
 
 
 class TestHermiteLimits:
     def test_mean_limit_sin_closed_form(self):
         # -(1/8) int_0^1 E[-cos(B_s)] ds = (1/8) int_0^1 e^{-s^{1/3}/2} ds
         # = (1/8) * 3 * int_0^1 u^2 e^{-u/2} du = 6 - 9.75 e^{-1/2}
-        assert hermite_mean_limit(sin_map(), 1.0) == pytest.approx(
+        assert hermite_mean_limit(sin_map()) == pytest.approx(
             6.0 - 9.75 * math.exp(-0.5), abs=1e-10
         )
 
-    def test_mean_limit_scales_with_horizon(self):
-        half = hermite_mean_limit(sin_map(), 0.5)
-        direct, _ = integrate.quad(lambda s: math.exp(-(s ** (1 / 3)) / 2), 0, 0.5)
-        assert half == pytest.approx(direct / 8, abs=1e-9)
-
     def test_mean_limit_cubic_is_constant_integrand(self):
         # g = x^3 has g''' = 6, so the limit is -(6/8) t
-        assert hermite_mean_limit(monomial_map(3), 1.0) == pytest.approx(-0.75, abs=1e-12)
+        assert hermite_mean_limit(monomial_map(3)) == pytest.approx(-0.75, abs=1e-12)
 
     def test_variance_limit_sin_vs_dblquad(self):
         kappa_sq = kappa_constant(10_000).kappa_sq
@@ -161,7 +151,7 @@ class TestHermiteLimits:
         sin_sq = 1 / 8 + (15 / 8) * math.exp(-2.0)
         # the limit second moment less the squared limit mean 6 - 9.75 e^{-1/2}
         target = kappa_sq * sin_sq + double / 64.0 - (6 - 9.75 * math.exp(-0.5)) ** 2
-        value = hermite_variance_limit(sin_map(), 1.0, kappa_sq)
+        value = hermite_variance_limit(sin_map(), kappa_sq)
         assert value == pytest.approx(target, rel=1e-4)
         assert err < 1e-8
 
@@ -171,13 +161,13 @@ class TestHermiteLimits:
         cov = cov_r(s[:, None], s[None, :])
         assert all(cov[i, j] == cov_r(s[i], s[j]) for i in range(len(s)) for j in range(len(s)))
         kappa_sq = kappa_constant().kappa_sq
-        assert hermite_variance_limit(sin_map(), 1.0, kappa_sq) == 2.042684241747045
+        assert hermite_variance_limit(sin_map(), kappa_sq) == 2.042684241747045
 
     def test_variance_limit_converges_in_nodes(self):
         # 64 Gauss-Legendre nodes settle the limit to about 6e-6 relative
         kappa_sq = kappa_constant().kappa_sq
         v16, v32, v64 = (
-            hermite_variance_limit(sin_map(), 1.0, kappa_sq, nodes=m) for m in (16, 32, 64)
+            hermite_variance_limit(sin_map(), kappa_sq, nodes=m) for m in (16, 32, 64)
         )
         assert (v16, v32, v64) == pytest.approx((2.0427242, 2.0426961, 2.0426842), abs=1e-7)
         assert abs(v64 - v32) < 1e-5 * v64
@@ -187,8 +177,8 @@ class TestHermiteLimits:
     @pytest.mark.parametrize("spec", ["cos", "sin:-1.5,2,0.7", "exp:-0.7,1.3"])
     def test_variance_limit_matches_the_per_pair_rule(self, spec, nodes):
         g, kappa_sq = parse_integrand(spec), kappa_constant().kappa_sq
-        assert hermite_variance_limit(g, 1.0, kappa_sq, nodes=nodes) == pytest.approx(
-            _per_pair_variance_limit(g, 1.0, kappa_sq, nodes), rel=1e-13, abs=0
+        assert hermite_variance_limit(g, kappa_sq, nodes=nodes) == pytest.approx(
+            _per_pair_variance_limit(g, kappa_sq, nodes), rel=1e-13, abs=0
         )
 
     def test_trig_and_exp_make_no_pair_rule_call(self, monkeypatch):
@@ -200,17 +190,17 @@ class TestHermiteLimits:
         )
         kappa_sq = kappa_constant().kappa_sq
         for spec in ("sin", "exp"):
-            hermite_variance_limit(parse_integrand(spec), 1.0, kappa_sq)
+            hermite_variance_limit(parse_integrand(spec), kappa_sq)
         assert len(calls) == 0
         # a polynomial still takes the rule, once per node pair
-        hermite_variance_limit(monomial_map(3), 1.0, kappa_sq, nodes=16)
+        hermite_variance_limit(monomial_map(3), kappa_sq, nodes=16)
         assert len(calls) == 16 * 16
 
     def test_variance_limit_cubic_closed_form(self):
         # g = x^3: kappa^2 int_0^1 E[B_s^6] ds = kappa^2 int_0^1 15 s ds = 7.5 kappa^2,
         # and g''' = 6 makes the double term 36/64 cancel the squared mean (6/8)^2
         kappa_sq = kappa_constant().kappa_sq
-        assert hermite_variance_limit(monomial_map(3), 1.0, kappa_sq) == pytest.approx(
+        assert hermite_variance_limit(monomial_map(3), kappa_sq) == pytest.approx(
             7.5 * kappa_sq, rel=1e-12, abs=0
         )
 
@@ -221,7 +211,7 @@ class TestHermiteExactMean:
         n = 64
         k = np.arange(1, n + 1)
         cubes = np.asarray(endpoint_increment_cov(n, k - 1, k)) ** 3
-        assert hermite_mean_exact(monomial_map(3), n, 1.0) == pytest.approx(
+        assert hermite_mean_exact(monomial_map(3), n) == pytest.approx(
             6.0 * float(np.sum(cubes)), rel=1e-12
         )
 
@@ -232,17 +222,14 @@ class TestHermiteExactMean:
         n = 3000
         k = np.arange(1, n + 1)
         e = (np.cbrt(k) - np.cbrt(k - 1) - 1.0) / (2.0 * np.cbrt(float(n)))
-        assert hermite_mean_exact(monomial_map(3), n, 1.0) == pytest.approx(
+        assert hermite_mean_exact(monomial_map(3), n) == pytest.approx(
             6.0 * float(np.sum(e**3)), rel=1e-12
         )
 
     def test_exact_mean_converges_to_limit(self):
-        limit = hermite_mean_limit(sin_map(), 1.0)
-        errors = [abs(hermite_mean_exact(sin_map(), n, 1.0) - limit) for n in (64, 512, 4096)]
+        limit = hermite_mean_limit(sin_map())
+        errors = [abs(hermite_mean_exact(sin_map(), n) - limit) for n in (64, 512, 4096)]
         assert errors[0] > errors[1] > errors[2]
         # sup|E g'''| <= 1 for sin, so the anchored cube defect (which already
         # carries the 1/8) bounds the gap up to the O(1/n) Riemann error
-        assert errors[-1] < left_anchor_cube_sum(4096, 1.0) + 1e-4
-
-    def test_zero_time(self):
-        assert hermite_mean_exact(sin_map(), 16, 0.0) == 0.0
+        assert errors[-1] < anchor_cube_sums(4096)[0] + 1e-4
