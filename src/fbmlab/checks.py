@@ -66,8 +66,8 @@ CHECKS = (
     Check("hermite", "right_mean_ok", EVERY,
           lambda r: _within(r["right_mean"], -r["mean_limit"], MEAN_SE_MULT * r["right_se"])),
     Check("hermite", "variance_ok", TOP,
-          lambda r: _within(r["left_variance"], r["variance_limit"],
-                            HERMITE_VAR_RTOL * r["variance_limit"])),
+          lambda r: _within(r["left_variance"], r["variance_target"],
+                            HERMITE_VAR_RTOL * r["variance_target"])),
     Check("scaling", "ok", EVERY,
           lambda r: r["slope"] >= r["slope_floor"] and r["r_squared"] >= SLOPE_R2_MIN),
     Check("taylor", "max_poly_r6", EVERY, lambda r: r["max_poly_r6"] < TAYLOR_R6_TOL),

@@ -39,8 +39,8 @@ from .checks import SLOPE_FLOORS
 from .errors import DomainError
 from .kernel import anchor_cube_sums, cov_r, kappa_constant
 from .oracle import LimitSample, weak_strat_integral
-from .quadrature import hermite_mean_limit, hermite_variance_limit
-from .sampler import Grid, SeedPolicy, load_ndtri, sample_fbm, sample_fbm_cholesky
+from .quadrature import hermite_mean_limit, hermite_variance_exact, hermite_variance_limit
+from .sampler import Grid, SeedPolicy, sample_fbm, sample_fbm_cholesky
 from .variations import (
     Family,
     SmoothMap,
@@ -117,7 +117,13 @@ def run_replications(draw, stats: dict, replications: int, workers: int, offset:
     order.
     """
     global _TASK
-    load_ndtri()  # before the fork, so pool workers inherit scipy instead of importing it
+    # Before the fork, so pool workers inherit it: freeing one 4 MiB block
+    # raises glibc malloc's mmap threshold to 4 MiB and its trim threshold
+    # to 8 MiB.  At their start values (128 KiB each) the arrays of a long
+    # path are mapped, or trimmed off the heap, and faulted in afresh for
+    # every path: about 100 page faults per 16,384-step path, and 2 s of
+    # system time in converge at --workers 2.
+    np.empty(1 << 19)
     _TASK = (draw, stats)
     try:
         jobs = [(offset + lo, offset + hi) for lo, hi in _chunks(replications, workers)]
@@ -298,11 +304,14 @@ def hermite_experiment(
     Returns, for each n in n_list, the report row (sample means, standard
     errors and left variance, with the quadrature limits of the left mean
     and variance, which depend on the integrand alone and are computed
-    once) and the columns left and right."""
+    once, and the left variance's target) and the columns left and right.
+    The target is the exact finite-n variance for trig and exp integrands
+    (variance_target_kind "exact") and the limit for polynomials ("limit")."""
     limits = {
         "mean_limit": hermite_mean_limit(integrand),
         "variance_limit": hermite_variance_limit(integrand, kappa_constant().kappa_sq),
     }
+    exact = integrand.family is not Family.POLYNOMIAL
     runs = []
     for n in n_list:
         ends = run_replications(
@@ -323,6 +332,10 @@ def hermite_experiment(
             "right_se": float(np.std(right, ddof=1) / math.sqrt(len(right))),
             "left_variance": float(np.var(left, ddof=1)),
             **limits,
+            "variance_target": (
+                hermite_variance_exact(integrand, n) if exact else limits["variance_limit"]
+            ),
+            "variance_target_kind": "exact" if exact else "limit",
         }
         runs.append((row, cols))
     return runs

@@ -33,7 +33,8 @@ HURST = 1.0 / 6.0
 INCREMENT_EXPONENT = 2.0 * HURST
 
 # Recurrence-based evaluation is exact for the orders used in this package
-# (h_3 for the variations, up to h_6 via quadrature checks).
+# (up to h_4 in the orthogonality audit, and h_3 as the tests' reference for
+# the variations' product form x (x^2 - 3)).
 HERMITE_MAX_ORDER = 12
 
 

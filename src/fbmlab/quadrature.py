@@ -10,11 +10,12 @@ weighted third-Hermite variation with left endpoints,
                + (1/64) E[( int_0^1 g'''(B_s) ds )^2] - mean^2,
 
 where Var(B_s) = s^{1/3} and Cov(B_s, B_u) = R(s, u), plus the exact
-finite-n mean sum_j E[g'''(B(t_{j-1}))] E[B(t_{j-1}) dB_j]^3.  For the
-trig and exp families the inner pair moment E[g'''(B_s) g'''(B_u)] of the
-double integral is a Gaussian characteristic function, evaluated in closed
-form on the whole Gauss-Legendre grid; polynomials keep the bivariate
-Gauss-Hermite rule, which is exact for them.
+finite-n mean sum_j E[g'''(B(t_{j-1}))] E[B(t_{j-1}) dB_j]^3 and, for the
+trig and exp families, the exact finite-n variance.  For those families
+the inner pair moment E[g'''(B_s) g'''(B_u)] of the double integral is a
+Gaussian characteristic function, evaluated in closed form on the whole
+Gauss-Legendre grid; polynomials keep the bivariate Gauss-Hermite rule,
+which is exact for them.
 
 These are used as independent oracles by the statistical harness; they
 never touch sampled paths.
@@ -102,12 +103,14 @@ def hermite_mean_exact(g: SmoothMap, n: int) -> float:
     """Exact finite-n mean sum_{j <= n} E[g'''(B(t_{j-1}))] E[B(t_{j-1}) dB_j]^3."""
     if n < 1:
         raise DomainError("hermite_mean_exact requires n >= 1")
-    g3 = g.derivative(3)
     k = np.arange(1, n + 1)
     e = np.asarray(endpoint_increment_cov(n, k - 1, k))
-    means = np.array(
-        [expect_gauss(g3, ((kk - 1) / n) ** (1.0 / 3.0)) for kk in k]
-    )
+    z, w = _gauss_hermite(GH_NODES)
+    g3 = g.derivative(3)
+    sd = np.sqrt(np.cbrt((k - 1) / n))
+    means = np.empty(n)  # E[g'''(B(t_{k-1}))]
+    for lo in range(0, n, 256):  # 256 x GH_NODES tables: 128 KiB each, not n x GH_NODES
+        means[lo : lo + 256] = np.asarray(g3(sd[lo : lo + 256, None] * z)) @ w
     return float(np.sum(means * e**3))
 
 
@@ -156,3 +159,76 @@ def hermite_variance_limit(g: SmoothMap, kappa_sq: float, nodes: int = GL_NODES)
     for i in range(len(s)):
         double += w[i] * np.dot(w, pair[i])
     return float(sq_term + double / 64.0 - hermite_mean_limit(g) ** 2)
+
+
+def _wick_h3_terms(p_scale, r) -> list:
+    """The p^m terms, m = 0..3, of S(p, r) = -p^3 + 9p^2 r - 18p r^2 + 6r^3,
+    each with p_scale^m in place of p^m."""
+    return [6.0 * r**3, -18.0 * r * r * p_scale, 9.0 * r * p_scale**2, -(p_scale**3)]
+
+
+def hermite_variance_exact(g: SmoothMap, n: int) -> float:
+    """Exact finite-n Var(G_n^-(g)) of the left-endpoint variation at time 1,
+    for a trig or exp map.
+
+    G_n^- = n^{-1/2} sum_j g(A_j) h_3(X_j), with A_j = B(t_{j-1}) and
+    X_j = n^{1/6} dB_j.  For centred jointly Gaussian (L, U, V) with
+    Var U = Var V = 1, r = Cov(U, V) and p = Cov(L, U) Cov(L, V), Wick's
+    formula gives E[e^{iL} h_3(U) h_3(V)] = e^{-Var L/2} S(p, r), with
+    S(p, r) = -p^3 + 9p^2 r - 18p r^2 + 6r^3, and for a real exponent
+    E[e^L h_3(U) h_3(V)] = e^{Var L/2} S(-p, r).  The weights g(A_j) g(A_k)
+    are (a^2/2)[cos(b(A_j - A_k)) - cos(b(A_j + A_k) + 2c)] for
+    a sin(bx + c), and a^2 e^{b(A_j + A_k)} for a e^{bx}.
+
+    With l = j - k, D(l) = |l|^{1/3} - |l-1|^{1/3} and h = n^{-1/6}/2,
+    r = rho(l) = (D(l+1) - D(l))/2 and B has stationary increments, so:
+      * A_j - A_k has variance (|l|/n)^{1/3} and p = (bh)^2 (D(l+1) - 1)(D(l) + 1):
+        its n^2 pairs are one sum over the 2n - 1 lags, weighted n - |l|;
+      * A_j + A_k has variance 2 Var A_j + 2 Var A_k - (|l|/n)^{1/3} and
+        p = (bh)^2 (a_j - D(l+1))(a_k + D(l)), a_j = 2(j^{1/3} - (j-1)^{1/3}) - 1.
+        Expanding S in powers of a_j and a_k leaves 16 cross-correlations of
+        beta a^s with beta a^t, beta_j = e^{-+b^2 Var A_j}, one FFT each.
+    So it costs O(n log n) time and O(n) memory.  The mean it subtracts is
+    hermite_mean_exact(g, n).
+    """
+    if n < 1:
+        raise DomainError("hermite_variance_exact requires n >= 1")
+    if g.family is Family.TRIG:
+        a, b, c = g.params
+        sign = 1.0  # e^{iL}: S(p, r) under the damping e^{-Var L/2}
+    elif g.family is Family.EXP:
+        a, b = g.params
+        sign = -1.0  # e^{L}: S(-p, r) under the growth e^{Var L/2}
+    else:
+        raise DomainError("hermite_variance_exact takes a trig or exp map")
+    root = np.cbrt(np.abs(np.arange(-n, n + 1.0)))  # root[n + i] = |i|^{1/3}
+    d = np.diff(root)  # d[n - 1 + l] = D(l), l = 1 - n .. n
+    d_lo, d_hi = d[: 2 * n - 1], d[1:]  # D(l) and D(l + 1), l = 1 - n .. n - 1
+    r = 0.5 * (d_hi - d_lo)
+    lags = np.abs(np.arange(1 - n, n))
+    bb = b * b
+    bh_sq = bb * n ** (-1.0 / 3.0) / 4.0
+    gap = np.cbrt(lags / n)  # Var(A_j - A_k)
+
+    j = np.arange(1, n + 1)
+    beta = np.exp(-sign * bb * np.cbrt((j - 1) / n))
+    aj = 2.0 * (root[n + j] - root[n + j - 1]) - 1.0
+    spectra = [np.fft.rfft(beta * aj**s, 2 * n) for s in range(4)]
+    coef = _wick_h3_terms(sign * bh_sq, r)  # p^m terms of S(sign p, r)
+    growth = np.exp(0.5 * sign * bb * gap)
+    plus = 0.0  # sum over j, k of the A_j + A_k terms
+    for s in range(4):
+        for t in range(4):
+            corr = np.fft.irfft(spectra[s] * spectra[t].conj(), 2 * n)
+            corr = np.concatenate([corr[n + 1 :], corr[:n]])  # lags 1 - n .. n - 1
+            weight = sum(
+                coef[m] * (math.comb(m, s) * math.comb(m, t)) * (-d_hi) ** (m - s) * d_lo ** (m - t)
+                for m in range(max(s, t), 4)
+            )
+            plus += float(np.dot(weight * growth, corr))
+    mean = hermite_mean_exact(g, n)
+    if g.family is Family.EXP:
+        return a * a * plus / n - mean**2
+    p = bh_sq * (d_hi - 1.0) * (d_lo + 1.0)
+    minus = float(np.dot(n - lags, np.exp(-0.5 * bb * gap) * sum(_wick_h3_terms(p, r))))
+    return 0.5 * a * a * (minus - math.cos(2.0 * c) * plus) / n - mean**2

@@ -12,13 +12,9 @@ Two exact samplers for the H = 1/6 fractional Brownian motion are provided:
 
 Both target the same exact law.  Randomness is counter based: every path
 draws from a Philox stream keyed by (master_seed, stream_id, purpose tag),
-and Gaussians come from the inverse normal CDF applied to the raw counter
-output.  Replication-level parallelism therefore cannot reorder draws, and
+and Gaussians come from numpy's ziggurat sampler on that stream.
+Replication-level parallelism therefore cannot reorder draws, and
 identical (grid, seeds) reproduce byte-identical arrays for each sampler.
-
-The inverse normal CDF is scipy's ndtri, imported on the first draw (see
-load_ndtri): importing scipy.special takes longer than the whole of the
-commands that draw no random numbers, so they never import it.
 """
 
 from __future__ import annotations
@@ -35,7 +31,9 @@ from .kernel import INCREMENT_EXPONENT, rho
 # Version of the random streams: bumped whenever a release draws different
 # numbers for the same (grid, seeds) and sampler.  2: the oracle draws its Ito
 # correction from the "oracle:w" tag instead of a Brownian path on "bm".
-RNG_STREAM_VERSION = 2
+# 3: Gaussians come from numpy's ziggurat instead of scipy's inverse normal
+# CDF of the raw counter words.
+RNG_STREAM_VERSION = 3
 
 CHOLESKY_MAX_STEPS = 4096
 
@@ -44,9 +42,6 @@ CHOLESKY_MAX_STEPS = 4096
 EIGENVALUE_RTOL = 1e-8
 
 _MASK64 = (1 << 64) - 1
-
-# largest double below 1: the ceiling of the uniforms fed to ndtri
-_UNIFORM_MAX = 1.0 - 2.0**-53
 
 
 def _mix64(x: int) -> int:
@@ -63,29 +58,6 @@ def _tag_word(tag: str) -> int:
     for b in tag.encode("utf-8"):
         word = _mix64(word ^ b)
     return word
-
-
-@cache
-def load_ndtri():
-    """scipy.special.ndtri, imported on the first call.
-
-    A process that forks workers calls this before the fork, so the workers
-    inherit the import instead of each importing scipy again.
-    """
-    from scipy.special import ndtri
-
-    return ndtri
-
-
-def _open_uniforms(raw: np.ndarray) -> np.ndarray:
-    """Raw 64-bit words -> uniforms strictly inside (0, 1).
-
-    The top 53 bits k give (k + 1/2) 2^-53.  For k = 2^53 - 1 that sum is a
-    tie that rounds to exactly 1.0, so the result is clamped to the largest
-    double below 1; every other k already lies below that ceiling.
-    """
-    u = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
-    return np.minimum(u, _UNIFORM_MAX, out=u)
 
 
 @dataclass(frozen=True)
@@ -142,9 +114,8 @@ class SeedPolicy:
         return np.array([w0, w1], dtype=np.uint64)
 
     def normals(self, count: int, tag: str) -> np.ndarray:
-        """Standard Gaussians by inverse CDF of the raw counter stream."""
-        bitgen = np.random.Philox(key=self._key(tag))
-        return load_ndtri()(_open_uniforms(bitgen.random_raw(count)))
+        """Standard Gaussians from numpy's ziggurat on the tag's Philox stream."""
+        return np.random.Generator(np.random.Philox(key=self._key(tag))).standard_normal(count)
 
 
 @dataclass(frozen=True)

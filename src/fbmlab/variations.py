@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernel import hermite
 from .sampler import Path
 
 
@@ -197,9 +196,7 @@ def _prefix(terms: np.ndarray) -> np.ndarray:
 
 def signed_cubic(path: Path) -> np.ndarray:
     """V_n(X, t) = sum dX_j^3."""
-    d = path.increments()
-    # |d|^3 sgn(d) can differ from d**3 in the last bit; the reports keep the former
-    return _prefix(np.abs(d) ** 3.0 * np.sign(d))
+    return _prefix(int_power(path.increments(), 3))
 
 
 def riemann_strat(g: SmoothMap, path: Path) -> np.ndarray:
@@ -213,10 +210,12 @@ def weighted_hermite(g: SmoothMap, path: Path) -> tuple[np.ndarray, np.ndarray]:
     """n^{-1/2} sum_{j <= nt} w_j h_3(n^{1/6} dX_j) at both endpoints.
 
     Returns the left prefix sums, with w_j = g(X(t_{j-1})), and the right
-    ones, with w_j = g(X(t_j)); h_3 and g are evaluated once for both.
+    ones, with w_j = g(X(t_j)); h_3(x) = x (x^2 - 3) and g are evaluated
+    once for both.
     """
     n = path.grid.n
-    h3 = np.asarray(hermite(3, n ** (1.0 / 6.0) * path.increments()))
+    x = n ** (1.0 / 6.0) * path.increments()
+    h3 = x * (x * x - 3.0)
     w = np.asarray(g(path.values))
     root = np.sqrt(n)
     return _prefix((w[:-1] * h3) / root), _prefix((w[1:] * h3) / root)

@@ -163,15 +163,17 @@ def test_c07_hermite_mean_limits(hermite_row):
 def test_c08_hermite_variance_limit(hermite_row):
     row, _ = hermite_row
     ok = judge("hermite", row)[0]["variance_ok"]
-    var, limit = row["left_variance"], row["variance_limit"]
+    var, target, limit = row["left_variance"], row["variance_target"], row["variance_limit"]
+    assert row["variance_target_kind"] == "exact"
     report(
         8,
         ok,
-        f"Var(G_n^-)={var:.4f} vs quadrature limit {limit:.4f} +-{HERMITE_VAR_RTOL:.0%} "
-        f"(ratio {var/limit:.4f}), n=2^12 M=2000",
+        f"Var(G_n^-)={var:.4f} vs exact finite-n {target:.4f} +-{HERMITE_VAR_RTOL:.0%} "
+        f"(ratio {var/target:.4f}; quadrature limit {limit:.4f}, ratio {var/limit:.4f}), "
+        "n=2^12 M=2000",
     )
     assert ok, (
-        f"variance {var} outside {HERMITE_VAR_RTOL:.0%} of {limit} (ratio {var/limit:.4f})"
+        f"variance {var} outside {HERMITE_VAR_RTOL:.0%} of {target} (ratio {var/target:.4f})"
     )
 
 

@@ -517,7 +517,7 @@ class TestReadme:
 
 class TestImports:
     def test_exact_commands_do_not_load_scipy(self, fresh_python, tmp_path):
-        # scipy.special is imported on the first random draw, not with the CLI
+        # no fbmlab module imports scipy, with the CLI or on a draw
         out = fresh_python(
             "import sys\n"
             "from fbmlab import cli\n"
@@ -527,6 +527,21 @@ class TestImports:
         )
         lines = out.splitlines()  # kappa prints its JSON in between
         assert (lines[0], lines[-1]) == ("False", "0 False")
+
+    def test_commands_run_without_scipy(self, fresh_python, tmp_path):
+        # any scipy import raises; a drawing command that forks a pool and an
+        # exact command both still exit 0 (no --check on sextic: its
+        # statistical checks are not the point at this size)
+        out = fresh_python(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from fbmlab import cli\n"
+            "drawn = cli.main(['sextic', '--n-list', '64,128', '--replications', '60',\n"
+            f"                 '--workers', '2', '--output-dir', {str(tmp_path)!r}])\n"
+            f"exact = cli.main(['kappa', '--check', '--output-dir', {str(tmp_path)!r}])\n"
+            "print(drawn, exact)\n"
+        )
+        assert out.splitlines()[-1] == "0 0"
 
     def test_benchmark_harness_finds_its_names(self, fresh_python):
         # perfbench/tracer.py names fbmlab classes and methods when it loads,

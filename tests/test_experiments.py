@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from fbmlab.experiments import (
     sextic_experiment,
     taylor_experiment,
 )
-from fbmlab.quadrature import hermite_mean_exact
+from fbmlab.quadrature import hermite_mean_exact, hermite_variance_exact
 from fbmlab.sampler import Grid, Path, SeedPolicy, sample_fbm
 from fbmlab.variations import sin_map
 
@@ -125,6 +126,14 @@ class TestHermite:
         assert row["mean_limit"] == pytest.approx(6 - 9.75 * math.exp(-0.5), abs=1e-9)
         assert row["variance_limit"] > 1.0
         assert row["bounded"]
+
+    def test_variance_target_is_exact_for_trig_and_exp_only(self):
+        [(row, _)] = hermite_experiment([64], 60, 23)
+        assert row["variance_target_kind"] == "exact"
+        assert row["variance_target"] == hermite_variance_exact(sin_map(), 64)
+        [(row, _)] = hermite_experiment([64], 60, 23, parse_integrand("x^2"))
+        assert row["variance_target_kind"] == "limit"
+        assert row["variance_target"] == row["variance_limit"]
 
     def test_limits_computed_once_for_every_grid(self, monkeypatch):
         # the limits depend on g alone, not on n
@@ -232,21 +241,24 @@ class TestRunReplications:
         for name in stats:
             assert many[name].tolist() == few[name].tolist() == serial[name].tolist()
             assert many[name].tolist() == [stats[name](r) for r in range(2000)]
-    def test_pool_workers_inherit_scipy(self, fresh_python):
-        # the parent imports scipy.special before the fork, so no worker does
+
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts page faults")
+    def test_long_paths_reuse_heap_memory(self, fresh_python):
+        # a fresh process at glibc malloc's start thresholds faults in about
+        # 100 pages per 16,384-step path; the engine's pre-fork 4 MiB block
+        # lets the paths reuse heap memory instead
         out = fresh_python(
-            "import sys\n"
-            "from fbmlab.sampler import Grid, SeedPolicy, sample_fbm\n"
-            "from fbmlab.experiments import run_replications\n"
-            "def draw(r):\n"
-            "    loaded = 'scipy.special' in sys.modules\n"
-            "    sample_fbm(Grid(16), SeedPolicy(3, r))\n"
-            "    return loaded\n"
-            "print('scipy.special' in sys.modules)\n"
-            "cols = run_replications(draw, {'loaded': bool}, 8, workers=2)\n"
-            "print(cols['loaded'].tolist())\n"
+            "import resource\n"
+            "from fbmlab.sampler import Grid\n"
+            "from fbmlab.experiments import fbm_draws, run_replications\n"
+            "draw, stats = fbm_draws(Grid(16384), 2), {'b': lambda path: path.values[-1]}\n"
+            "run_replications(draw, stats, 2, workers=1)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_replications(draw, stats, 50, workers=1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
-        assert out.splitlines() == ["False", str([True] * 8)]
+        assert int(out) < 5 * 50
 
 
 class TestSamplerExperiment:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,17 +7,18 @@ from scipy import integrate
 
 import fbmlab.quadrature as quadrature
 from fbmlab.errors import DomainError
-from fbmlab.kernel import anchor_cube_sums, cov_r, kappa_constant
+from fbmlab.kernel import anchor_cube_sums, cov_r, kappa_constant, rho
 from fbmlab.quadrature import (
     closed_pair_moment,
     expect_gauss,
     expect_gauss_pair,
     hermite_mean_exact,
     hermite_mean_limit,
+    hermite_variance_exact,
     hermite_variance_limit,
     time_integral_expect,
 )
-from fbmlab.variations import monomial_map, parse_integrand, sin_map
+from fbmlab.variations import Family, monomial_map, parse_integrand, sin_map
 from fbmlab.kernel import endpoint_increment_cov
 from fbmlab.quadrature import GL_NODES, _gauss_legendre_01
 
@@ -215,6 +217,17 @@ class TestHermiteExactMean:
             6.0 * float(np.sum(cubes)), rel=1e-12
         )
 
+    @pytest.mark.parametrize("spec", ["sin", "exp:-0.7,1.3", "poly:1,2,3,4,5"])
+    def test_matches_one_rule_per_anchor(self, spec):
+        # the n x GH_NODES table gives the per-anchor Gauss-Hermite rules' sum
+        g, n = parse_integrand(spec), 300
+        k = np.arange(1, n + 1)
+        e = np.asarray(endpoint_increment_cov(n, k - 1, k))
+        means = np.array([expect_gauss(g.derivative(3), ((i - 1) / n) ** (1 / 3)) for i in k])
+        assert hermite_mean_exact(g, n) == pytest.approx(
+            float(np.sum(means * e**3)), rel=1e-13, abs=0
+        )
+
     def test_exact_at_non_power_of_two_n(self):
         # the same reduction from the closed form E[B(t_{k-1}) dB_k]
         # = (k^{1/3} - (k-1)^{1/3} - 1) / (2 n^{1/3}); a rounded anchor time
@@ -233,3 +246,85 @@ class TestHermiteExactMean:
         # sup|E g'''| <= 1 for sin, so the anchored cube defect (which already
         # carries the 1/8) bounds the gap up to the O(1/n) Riemann error
         assert errors[-1] < anchor_cube_sums(4096)[0] + 1e-4
+
+
+def _wick_pair_sum_variance(g, n):
+    # Var(G_n^-(g)) as the O(n^2) sum of Wick's formula over every pair (j, k)
+    # of left anchors A_j = B(t_{j-1}) and normalised increments X_j
+    def s_poly(p, r):
+        return -p**3 + 9 * p * p * r - 18 * p * r * r + 6 * r**3
+
+    j = np.arange(1, n + 1)
+    t = (j - 1) / n
+    var_a = np.asarray(cov_r(t, t))
+    cov_aa = cov_r(t[:, None], t[None, :])
+    e = n ** (1 / 6) * np.asarray(endpoint_increment_cov(n, j[:, None] - 1, j[None, :]))
+    own = np.diag(e)  # e[j, k] = Cov(A_j, X_k)
+    r = np.asarray(rho(j[:, None] - j[None, :]))
+    a, b = g.params[:2]
+    p_plus = b * b * (own[:, None] + e.T) * (e + own[None, :])
+    v_plus = b * b * (var_a[:, None] + var_a[None, :] + 2 * cov_aa)
+    if g.family is Family.TRIG:
+        c = g.params[2]
+        p_minus = b * b * (own[:, None] - e.T) * (e - own[None, :])
+        v_minus = b * b * (var_a[:, None] + var_a[None, :] - 2 * cov_aa)
+        pair = 0.5 * a * a * (np.exp(-v_minus / 2) * s_poly(p_minus, r)
+                              - math.cos(2 * c) * np.exp(-v_plus / 2) * s_poly(p_plus, r))
+        g3_mean = -a * b**3 * math.cos(c) * np.exp(-b * b * var_a / 2)
+    else:
+        pair = a * a * np.exp(v_plus / 2) * s_poly(-p_plus, r)
+        g3_mean = a * b**3 * np.exp(b * b * var_a / 2)
+    mean = float(np.sum(g3_mean * (own / n ** (1 / 6)) ** 3))
+    return float(np.sum(pair)) / n - mean**2
+
+
+class TestHermiteExactVariance:
+    SPECS = ("sin", "cos", "sin:2,0.5,0.3", "exp", "exp:-0.7,1.3")
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_matches_the_wick_pair_sum(self, spec, n):
+        g = parse_integrand(spec)
+        assert hermite_variance_exact(g, n) == pytest.approx(
+            _wick_pair_sum_variance(g, n), rel=1e-12, abs=0
+        )
+
+    @pytest.mark.parametrize("spec", ["sin", "exp:-0.7,1.3"])
+    def test_within_monte_carlo(self, spec):
+        # 10^6 paths at n = 4 drawn from the Cholesky factor of cov_r
+        g, n = parse_integrand(spec), 4
+        t = np.arange(1, n + 1) / n
+        factor = np.linalg.cholesky(cov_r(t[:, None], t[None, :]))
+        rng = np.random.default_rng(4)
+        values = []
+        for _ in range(4):
+            path = np.zeros((250_000, n + 1))
+            path[:, 1:] = rng.standard_normal((250_000, n)) @ factor.T
+            x = n ** (1 / 6) * np.diff(path, axis=1)
+            values.append(np.sum(g(path[:, :-1]) * x * (x * x - 3.0), axis=1) / math.sqrt(n))
+        sq_dev = (np.concatenate(values) - np.mean(values)) ** 2
+        se = sq_dev.std() / math.sqrt(len(sq_dev))
+        assert abs(sq_dev.mean() - hermite_variance_exact(g, n)) <= 4 * se
+
+    def test_sin_ratio_to_the_limit(self):
+        # the 40,000-path corpora put Var(G_n^-(sin)) / limit at 1.133 +- 0.012
+        # (n = 1024) and 1.096 +- 0.012 (n = 4096)
+        limit = hermite_variance_limit(sin_map(), kappa_constant().kappa_sq)
+        assert hermite_variance_exact(sin_map(), 1024) / limit == pytest.approx(1.1466, abs=1e-4)
+        assert hermite_variance_exact(sin_map(), 4096) / limit == pytest.approx(1.0959, abs=1e-4)
+
+    def test_holds_no_n_by_n_array(self):
+        # an n x n table of doubles at n = 4096 is 134 MB, an n x GH_NODES one 2 MB
+        tracemalloc.start()
+        try:
+            hermite_variance_exact(sin_map(), 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_refuses_a_polynomial_and_an_empty_grid(self):
+        with pytest.raises(DomainError):
+            hermite_variance_exact(monomial_map(3), 64)
+        with pytest.raises(DomainError):
+            hermite_variance_exact(sin_map(), 0)

@@ -5,7 +5,7 @@ from fbmlab.errors import CapabilityError, DomainError
 from fbmlab.sampler import Grid, SeedPolicy, sample_bm, sample_fbm, sample_fbm_cholesky
 from fbmlab.analysis import ks_statistic, KS_COEFF_001
 from fbmlab.kernel import cov_r, rho
-from fbmlab.sampler import _cholesky_factor, _circulant_sqrt_eigs, _open_uniforms, load_ndtri
+from fbmlab.sampler import _cholesky_factor, _circulant_sqrt_eigs
 
 
 class TestGrid:
@@ -36,7 +36,7 @@ class TestSeeding:
         assert np.array_equal(sp.normals(32, "tag"), sp.normals(32, "tag"))
 
     def test_stream_keys_are_pinned(self):
-        # stream version 2 keys; the second call reads the cached tag word
+        # the keys of stream versions 2 and 3; the second call reads the cached tag word
         for _ in range(2):
             assert [int(w) for w in SeedPolicy(2, 5)._key("fbm")] == [
                 0x4CE786056003E29D, 0xD7F112ECBE23F0C3]
@@ -49,17 +49,13 @@ class TestSeeding:
         assert not np.array_equal(base, SeedPolicy(2, 0).normals(64, "t"))
         assert not np.array_equal(base, SeedPolicy(1, 0).normals(64, "u"))
 
-    def test_uniforms_stay_inside_the_unit_interval(self):
-        # the all-ones word would round to exactly 1.0, where ndtri is +inf
-        u = _open_uniforms(np.array([2**64 - 1, 0], dtype=np.uint64))
-        assert u[0] == np.nextafter(1.0, 0.0)
-        assert u[1] == 2.0**-54
-        assert np.all(np.isfinite(load_ndtri()(u)))
-
-    def test_uniforms_of_other_words_are_unclamped(self):
-        raw = np.random.Philox(5).random_raw(4096)
-        raw[:2] = [(2**53 - 2) << 11 | 2047, 2**11 - 1]  # next-to-top and bottom 53-bit values
-        assert np.array_equal(_open_uniforms(raw), (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54)
+    def test_normals_are_the_ziggurat_on_the_keyed_philox_stream(self):
+        # stream version 3: numpy's Generator on Philox(key), the same on every call
+        sp = SeedPolicy(7, 3)
+        expected = np.random.Generator(
+            np.random.Philox(key=sp._key("fbm:circulant"))).standard_normal(5)
+        for _ in range(2):
+            assert sp.normals(5, "fbm:circulant").tobytes() == expected.tobytes()
 
     def test_negative_stream_rejected(self):
         with pytest.raises(DomainError):

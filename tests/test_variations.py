@@ -150,6 +150,12 @@ class TestWeightedHermite:
         scale = max(1.0, float(np.max(np.abs(cubic))))
         assert np.max(np.abs(cubic - recon)) / scale < 1e-10
 
+    def test_h3_matches_the_recurrence(self):
+        # the product x (x^2 - 3) against kernel.hermite's three-term recurrence
+        path = sample_fbm(Grid(4096), SeedPolicy(18, 0))
+        left, _ = weighted_hermite(parse_integrand("1"), path)
+        x = 4096 ** (1.0 / 6.0) * path.increments()
+        assert np.allclose(np.diff(left) * 64.0, hermite(3, x), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize(
         "grid", [Grid(1), Grid(2), Grid(3), Grid(1000), Grid(4096), Grid(16384), Grid(8192, 0.25)]
@@ -158,7 +164,8 @@ class TestWeightedHermite:
         # one pass for both endpoints gives the bytes of a pass per endpoint
         def one_endpoint(g, path, left):
             n = path.grid.n
-            h3 = np.asarray(hermite(3, n ** (1.0 / 6.0) * path.increments()))
+            x = n ** (1.0 / 6.0) * path.increments()
+            h3 = x * (x * x - 3.0)
             v = path.values
             w = np.asarray(g(v[:-1])) if left else np.asarray(g(v[1:]))
             return np.concatenate([[0.0], np.cumsum((w * h3) / np.sqrt(n))])
