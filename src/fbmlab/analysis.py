@@ -1,6 +1,7 @@
 """Statistical verification harness.
 
-Distribution-free two-sample Kolmogorov-Smirnov distances, log-log scaling
+Distribution-free Kolmogorov-Smirnov distances (two-sample, and one-sample
+against the standard normal), log-log scaling
 fits for the windowed moment bounds, the symmetric Taylor decomposition
 behind the trapezoid correction, and exact covariance-envelope audits.
 """
@@ -18,8 +19,9 @@ from .sampler import Grid, Path
 from .variations import SmoothMap, int_power
 from .quadrature import expect_gauss_pair
 
-# Asymptotic two-sample KS critical coefficient at alpha = 0.01:
-# c(alpha) = sqrt(-ln(alpha/2) / 2) = 1.628...
+# Asymptotic KS critical coefficient at alpha = 0.01, c(alpha) =
+# sqrt(-ln(alpha/2) / 2) = 1.628...: the critical distance is c / sqrt(m)
+# for one sample of size m, c sqrt((m1 + m2) / (m1 m2)) for two.
 KS_COEFF_001 = 1.628
 
 KS_MIN_SAMPLES = 50
@@ -60,6 +62,20 @@ def ks_two_sample(a, b) -> dict:
         "margin": critical - statistic,
         "rejects": statistic > critical,
     }
+
+
+def ks_normal(sample) -> float:
+    """Exact sup distance between the empirical CDF of a finite sample and
+    the standard normal CDF, Phi(x) = erfc(-x / sqrt 2) / 2."""
+    x = np.sort(np.asarray(sample, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise DomainError("KS sample contains non-finite values")
+    m = len(x)
+    if m < KS_MIN_SAMPLES:  # rejects an empty sample too
+        raise DomainError(f"KS needs a sample >= {KS_MIN_SAMPLES}")
+    phi = 0.5 * np.frompyfunc(math.erfc, 1, 1)(x / -math.sqrt(2.0)).astype(float)
+    steps = np.arange(m + 1) / m
+    return float(max(np.max(steps[1:] - phi), np.max(phi - steps[:-1])))
 
 
 class Estimator(enum.Enum):

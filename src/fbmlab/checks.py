@@ -4,19 +4,25 @@ Each entry names a command, a check, its scope and a predicate over the
 report row of the command's experiment, and each threshold is compared
 here alone.  A TOP check is asymptotic: judged on every row, it gates only
 at the largest grid in --n-list.  The "sampler" entries have no command;
-the acceptance suite judges sampler_experiment's row with them.
+the acceptance suite judges sampler_experiment's row with them.  The
+converge entries measure instead: each maps the row to one record per
+column, {value, target, tol, margin, ok}, which holds when
+|value - target| <= tol.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
-from .analysis import Estimator
+from .analysis import KS_COEFF_001, Estimator
 
 KAPPA_SQ_REF, KAPPA_SQ_TOL = 5.391, 1e-3
 KAPPA_REF, KAPPA_TOL = 2.322, 5e-3
 IDENTITY_TOL = 1e-10
 CUBIC_VAR_RTOL = 0.10
+# |Var Z_g - 1| of a converge pivot; a KS of Z_g alone misses kappa scaled by 0.9
+PIVOT_VAR_TOL = 0.10
 CUBIC_CORR_MAX = 0.08
 HERMITE_VAR_RTOL = 0.10
 SLOPE_FLOORS = {
@@ -38,21 +44,49 @@ EVERY, TOP = False, True
 
 class Check(NamedTuple):
     command: str
-    name: str  # stderr prints "check failed: <command> <where><name>"
+    # stderr prints "check failed: <command> <where><name>", and for a
+    # measured check the column and its record after the name
+    name: str
     top_only: bool  # EVERY or TOP
-    holds: Callable[[dict], bool]
+    holds: Callable[[dict], bool | dict[str, dict]]
 
 
 def _within(value: float, target: float, tol: float) -> bool:
     return abs(value - target) <= tol
 
 
+def _record(value: float, target: float, tol: float) -> dict:
+    margin = tol - abs(value - target)
+    return {"value": value, "target": target, "tol": tol, "margin": margin, "ok": margin >= 0}
+
+
+def _ks(row: dict, statistic: float) -> dict:
+    """A one-sample KS distance against its 1 % critical value."""
+    return _record(statistic, 0.0, KS_COEFF_001 / math.sqrt(row["replications"]))
+
+
+def _describe(record: dict) -> str:
+    numbers = (f"{key} {record[key]:.4g}" for key in ("value", "target", "tol", "margin"))
+    return "(" + ", ".join(numbers) + ")"
+
+
 CHECKS = (
     Check("kappa", "kappa_sq_close", EVERY,
           lambda r: _within(r["kappa_sq"], KAPPA_SQ_REF, KAPPA_SQ_TOL)),
     Check("kappa", "kappa_close", EVERY, lambda r: _within(r["kappa"], KAPPA_REF, KAPPA_TOL)),
-    # judged on each KS row of a converge row; stderr adds the row's key after the name
-    Check("converge", "ks", EVERY, lambda ks: not ks["rejects"]),
+    # B(1) ~ N(0, 1) exactly, so its KS gates at every grid
+    Check("converge", "normal_ks", EVERY, lambda r: {"B": _ks(r, r["B"]["ks"])}),
+    Check("converge", "cubic_ks", TOP, lambda r: {"cubic": _ks(r, r["cubic"]["ks"])}),
+    Check("converge", "pivot_ks", TOP,
+          lambda r: {g: _ks(r, p["ks"]) for g, p in r["pivots"].items()}),
+    Check("converge", "pivot_mean", EVERY,
+          lambda r: {g: _record(p["mean"], p["mean_exact"], MEAN_SE_MULT * p["mean_se"])
+                     for g, p in r["pivots"].items()}),
+    Check("converge", "pivot_variance", TOP,
+          lambda r: {g: _record(p["variance"], 1.0, PIVOT_VAR_TOL)
+                     for g, p in r["pivots"].items()}),
+    Check("converge", "identity", EVERY,
+          lambda r: {g: _record(v, 0.0, IDENTITY_TOL) for g, v in r["identities"].items()}),
     Check("variations", "identities_ok", EVERY,
           lambda r: all(v <= IDENTITY_TOL for v in r["max_rel_residuals"].values())),
     Check("variations", "variance_ok", TOP,
@@ -85,11 +119,23 @@ CHECKS = (
 
 def judge(
     command: str, row: dict, where: str = "", top: bool = True
-) -> tuple[dict[str, bool], list[str]]:
-    """The verdict of each of command's checks on row, and the names of
-    those that fail and gate there, each after where; a TOP check gates
-    only at the largest grid (top)."""
-    own = [c for c in CHECKS if c.command == command]
-    checks = {c.name: bool(c.holds(row)) for c in own}
-    failed = [c for c in own if not checks[c.name] and (top or not c.top_only)]
-    return checks, [where + c.name for c in failed]
+) -> tuple[dict[str, bool | dict[str, dict]], list[str]]:
+    """The verdict of each of command's checks on row, and the failures of
+    those that gate there, each after where; a TOP check gates only at the
+    largest grid (top).  A measured check's verdict is its records by
+    column, and each failed record is named by its column and numbers."""
+    checks, failed = {}, []
+    for c in CHECKS:
+        if c.command != command:
+            continue
+        verdict = c.holds(row)
+        gates = top or not c.top_only
+        if isinstance(verdict, dict):
+            failed += [f"{where}{c.name} {key} {_describe(record)}"
+                       for key, record in verdict.items() if gates and not record["ok"]]
+        else:
+            verdict = bool(verdict)
+            if gates and not verdict:
+                failed.append(where + c.name)
+        checks[c.name] = verdict
+    return checks, failed

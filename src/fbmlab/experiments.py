@@ -10,9 +10,10 @@ the pool starts, so forked workers inherit them and only (lo, hi) bounds
 cross the process boundary.  Columns come back concatenated in replication
 order, and every reduction over them (medians, means, ordered sums) runs in
 that order, so results are independent of chunking and of the worker
-count.  Oracle corpora use stream ids offset by the number of estimator
-replications, keeping the two-sample comparisons independent.  Every
-experiment but scaling, whose windows are sub-intervals, runs on [0, 1].
+count.  No experiment samples a limit law: converge judges the paper's
+conditional limit through pivots built from its own paths and exact
+finite-n means.  Every experiment but scaling, whose windows are
+sub-intervals, runs on [0, 1].
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .analysis import (
     TAYLOR_GAMMA,
     audit_grid,
     covar_bound_audit,
+    ks_normal,
     ks_two_sample,
     moment_scaling,
     orthogonality_audit,
@@ -37,9 +39,13 @@ from .analysis import (
 )
 from .checks import SLOPE_FLOORS
 from .errors import DomainError
-from .kernel import anchor_cube_sums, cov_r, kappa_constant
-from .oracle import LimitSample, weak_strat_integral
-from .quadrature import hermite_mean_limit, hermite_variance_exact, hermite_variance_limit
+from .kernel import anchor_cube_sums, cov_r, cubic_variance_exact, kappa_constant
+from .quadrature import (
+    hermite_mean_limit,
+    hermite_variance_exact,
+    hermite_variance_limit,
+    riemann_mean_exact,
+)
 from .sampler import Grid, SeedPolicy, sample_fbm, sample_fbm_cholesky
 from .variations import (
     Family,
@@ -51,10 +57,6 @@ from .variations import (
     sin_map,
     weighted_hermite,
 )
-
-# the oracle's grid is REFINEMENT times finer than the estimator's
-REFINEMENT = 4
-
 
 def parse_integrand_list(text: str) -> list[SmoothMap]:
     """Semicolon-separated integrand specs, e.g. "1; x; x^2; sin".
@@ -108,8 +110,8 @@ def _replicate(bounds):
     return {name: np.array(values) for name, values in cols.items()}
 
 
-def run_replications(draw, stats: dict, replications: int, workers: int, offset: int = 0) -> dict:
-    """Named columns of per-path statistics over stream ids offset..offset+replications-1.
+def run_replications(draw, stats: dict, replications: int, workers: int) -> dict:
+    """Named columns of per-path statistics over stream ids 0..replications-1.
 
     draw(stream_id) returns one path (or any per-replication sample); each
     callable in stats maps it to a scalar or an array.  Column name holds
@@ -119,15 +121,14 @@ def run_replications(draw, stats: dict, replications: int, workers: int, offset:
     global _TASK
     # Before the fork, so pool workers inherit it: freeing one 4 MiB block
     # raises glibc malloc's mmap threshold to 4 MiB and its trim threshold
-    # to 8 MiB.  At their start values (128 KiB each) the arrays of a long
-    # path are mapped, or trimmed off the heap, and faulted in afresh for
-    # every path: about 100 page faults per 16,384-step path, and 2 s of
-    # system time in converge at --workers 2.
+    # to 8 MiB.  At their start values (128 KiB each) every array of at
+    # least 128 KiB, such as the FFT buffers of scaling's 8,192-step paths
+    # and of longer ones, is mapped, or trimmed off the heap, and faulted in
+    # afresh for every path: about 100 page faults per 16,384-step path.
     np.empty(1 << 19)
     _TASK = (draw, stats)
     try:
-        jobs = [(offset + lo, offset + hi) for lo, hi in _chunks(replications, workers)]
-        parts = _pmap(_replicate, jobs, workers)
+        parts = _pmap(_replicate, _chunks(replications, workers), workers)
     finally:
         _TASK = None
     return {name: np.concatenate([part[name] for part in parts]) for name in stats}
@@ -138,7 +139,72 @@ def fbm_draws(grid: Grid, master_seed: int):
     return lambda r: sample_fbm(grid, SeedPolicy(master_seed, r))
 
 
-# --- converge: estimator vs oracle triples ---------------------------------
+# --- converge: the conditional limit law through exact-mean pivots ----------
+
+
+def _constant_g2(g: SmoothMap) -> float | None:
+    """g'' when it is a constant (g a polynomial of degree <= 2), else None."""
+    g2 = g.derivative(2)
+    if g2.family is Family.POLYNOMIAL and not any(g2.params[1:]):
+        return g2.params[0]
+    return None
+
+
+def converge_row(
+    n: int,
+    cols: dict[str, np.ndarray],
+    g2_sums: dict[str, np.ndarray],
+    integrands: list[SmoothMap],
+    kappa: float,
+) -> dict:
+    """converge's report row from its columns, with pivots scaled by kappa.
+
+    R_n(g) = I_n(g, B, 1) - G(B(1)) + G(0), G' = g, is the trapezoid sum
+    less its antiderivative part.  Given B its limit is the Ito correction
+    (kappa/12) int_0^1 g''(B) dW, which is N(0, sigma^2) with
+    sigma_n^2 = (kappa^2/144) n^{-1} sum_k g''(B(t_{k-1}))^2, so each g with
+    g'' != 0 has the pivot Z_g = (R_n(g) - m_n(g)) / sigma_n(g), where
+    m_n = riemann_mean_exact(g, n); g2_sums holds the sums for each g whose
+    g'' is not constant.  The row holds the KS distance of B(1) from N(0, 1)
+    and of V_n(B, 1) / sqrt(Var V_n) from N(0, 1) under the exact variance,
+    per pivot its KS distance, the mean of R_n with its standard error and
+    target m_n, and the variance of Z_g, and max |R_n(g)| of each g with
+    g'' = 0, which telescopes to round-off.
+    """
+    b1 = cols["B"]
+    replications = len(b1)
+    pivots, identities = {}, {}
+    for g in integrands:
+        big_g = g.antiderivative()
+        remainder = cols[f"int_{g.label}"] - big_g(b1) + big_g(0.0)
+        const = _constant_g2(g)
+        if const == 0.0:
+            identities[g.label] = float(np.max(np.abs(remainder)))
+            continue
+        mean_sq = const * const if const is not None else g2_sums[g.label] / n
+        target = riemann_mean_exact(g, n)
+        z = (remainder - target) / (kappa / 12.0 * np.sqrt(mean_sq))
+        pivots[g.label] = {
+            "ks": ks_normal(z),
+            "mean": float(np.mean(remainder)),
+            "mean_se": float(np.std(remainder, ddof=1) / math.sqrt(replications)),
+            "mean_exact": target,
+            "variance": float(np.var(z, ddof=1)),
+        }
+    cubic_variance = cubic_variance_exact(n)
+    return {
+        "n": n,
+        "replications": replications,
+        "kappa": kappa,
+        "B": {"ks": ks_normal(b1)},
+        "cubic": {
+            "ks": ks_normal(cols["cubic"] / math.sqrt(cubic_variance)),
+            "variance_exact": cubic_variance,
+        },
+        "pivots": pivots,
+        "identities": identities,
+        "estimator_correlations": np.corrcoef(np.vstack(list(cols.values()))).tolist(),
+    }
 
 
 def converge_experiment(
@@ -148,46 +214,26 @@ def converge_experiment(
     integrands: list[SmoothMap],
     workers: int = 1,
 ) -> tuple[dict, dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Paired estimator/oracle samples of (B(1), cubic variation, integral).
+    """The estimator corpus (B(1), V_n(B, 1), I_n(g, B, 1)) and its row.
 
-    Returns the report row and the estimator and oracle columns B, cubic
-    and int_<label>.  The estimator corpus holds (B(1), V_n(B,1),
-    I_n(g,B,1)); the oracle corpus holds (B(1), kappa W(1), the limit
-    integral) on a grid REFINEMENT times finer.  The row holds one KS
-    entry per marginal and per integrand, and both correlation matrices.
+    Returns converge_row at the true kappa, the columns B, cubic and
+    int_<label>, and, keyed by label, sum_k g''(B(t_{k-1}))^2 of each
+    integrand whose g'' is not constant.
     """
-    texts = [g.label for g in integrands]
-    names = ["B", "cubic", *(f"int_{t}" for t in texts)]
-    kappa = kappa_constant().kappa
-    est_stats = {
+    stats = {
         "B": lambda path: path.values[-1],
         "cubic": lambda path: signed_cubic(path)[-1],
     }
-    orc_stats = {
-        "B": lambda sample: sample.b_path.values[-1],
-        "cubic": lambda sample: sample.kappa_w,
-    }
     for g in integrands:
-        est_stats[f"int_{g.label}"] = lambda path, g=g: riemann_strat(g, path)[-1]
-        orc_stats[f"int_{g.label}"] = lambda sample, g=g: weak_strat_integral(g, sample)
-    est = run_replications(fbm_draws(Grid(n), master_seed), est_stats, replications, workers)
-    refinement = REFINEMENT * n
-    orc = run_replications(
-        lambda r: LimitSample.draw(refinement, SeedPolicy(master_seed, r), kappa, integrands),
-        orc_stats,
-        replications,
-        workers,
-        offset=replications,
-    )
-    keys = ["B", "cubic", *(f"int:{t}" for t in texts)]
-    row = {
-        "n": n,
-        "refinement": refinement,
-        "ks": {key: ks_two_sample(est[name], orc[name]) for key, name in zip(keys, names)},
-        "estimator_correlations": np.corrcoef(np.vstack([est[k] for k in names])).tolist(),
-        "oracle_correlations": np.corrcoef(np.vstack([orc[k] for k in names])).tolist(),
-    }
-    return row, est, orc
+        stats[f"int_{g.label}"] = lambda path, g=g: riemann_strat(g, path)[-1]
+    curved = [g for g in integrands if _constant_g2(g) is None]
+    for g in curved:
+        g2 = g.derivative(2)
+        stats[f"g2_{g.label}"] = lambda path, g2=g2: np.square(g2(path.values[:-1])).sum()
+    cols = run_replications(fbm_draws(Grid(n), master_seed), stats, replications, workers)
+    g2_sums = {g.label: cols.pop(f"g2_{g.label}") for g in curved}
+    row = converge_row(n, cols, g2_sums, integrands, kappa_constant().kappa)
+    return row, cols, g2_sums
 
 
 # --- variations: exact identities plus the cubic-variation law -------------

@@ -117,6 +117,19 @@ def kappa_constant(truncation_radius: int = DEFAULT_TRUNCATION) -> KernelConstan
     )
 
 
+def cubic_variance_exact(n: int) -> float:
+    """Exact Var V_n(B, 1) of the signed cubic variation on n steps.
+
+    By Wick's formula, Cov(dB_j^3, dB_k^3) = 9 n^{-2/3} E[dB_j dB_k] + 6 n^{-1} rho(j - k)^3,
+    and the first term sums to 9 n^{-2/3} Var B(1), so
+    Var V_n = 6 n^{-1} sum_{|l| < n} (n - |l|) rho(l)^3 + 9 n^{-2/3}, which tends to kappa^2.
+    """
+    if n < 1:
+        raise DomainError("cubic_variance_exact requires n >= 1")
+    lags = np.arange(1 - n, n)
+    return 6.0 * float(np.dot(n - np.abs(lags), rho(lags) ** 3)) / n + 9.0 * n ** (-2.0 / 3.0)
+
+
 def hermite(order: int, x):
     """Probabilists' Hermite polynomial h_order(x) by the three-term recurrence.
 

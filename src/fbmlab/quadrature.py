@@ -11,11 +11,13 @@ weighted third-Hermite variation with left endpoints,
 
 where Var(B_s) = s^{1/3} and Cov(B_s, B_u) = R(s, u), plus the exact
 finite-n mean sum_j E[g'''(B(t_{j-1}))] E[B(t_{j-1}) dB_j]^3 and, for the
-trig and exp families, the exact finite-n variance.  For those families
-the inner pair moment E[g'''(B_s) g'''(B_u)] of the double integral is a
+trig and exp families, the exact finite-n variance.  For the trig and exp
+families the inner pair moment E[g'''(B_s) g'''(B_u)] of the double integral is a
 Gaussian characteristic function, evaluated in closed form on the whole
 Gauss-Legendre grid; polynomials keep the bivariate Gauss-Hermite rule,
-which is exact for them.
+which is exact for them.  riemann_mean_exact is the exact finite-n mean of
+the trapezoid sum less its antiderivative part, which centres converge's
+pivots.
 
 These are used as independent oracles by the statistical harness; they
 never touch sampled paths.
@@ -99,19 +101,41 @@ def hermite_mean_limit(g: SmoothMap) -> float:
     return -0.125 * time_integral_expect(g.derivative(3))
 
 
+def _grid_means(f, i: np.ndarray, n: int) -> np.ndarray:
+    """E[f(B(t_i))] for each grid index in i, by the Gauss-Hermite rule."""
+    z, w = _gauss_hermite(GH_NODES)
+    sd = np.sqrt(np.cbrt(i / n))
+    means = np.empty(len(i))
+    for lo in range(0, len(i), 256):  # 256 x GH_NODES tables: 128 KiB each, not n x GH_NODES
+        means[lo : lo + 256] = np.asarray(f(sd[lo : lo + 256, None] * z)) @ w
+    return means
+
+
 def hermite_mean_exact(g: SmoothMap, n: int) -> float:
     """Exact finite-n mean sum_{j <= n} E[g'''(B(t_{j-1}))] E[B(t_{j-1}) dB_j]^3."""
     if n < 1:
         raise DomainError("hermite_mean_exact requires n >= 1")
     k = np.arange(1, n + 1)
     e = np.asarray(endpoint_increment_cov(n, k - 1, k))
-    z, w = _gauss_hermite(GH_NODES)
-    g3 = g.derivative(3)
-    sd = np.sqrt(np.cbrt((k - 1) / n))
-    means = np.empty(n)  # E[g'''(B(t_{k-1}))]
-    for lo in range(0, n, 256):  # 256 x GH_NODES tables: 128 KiB each, not n x GH_NODES
-        means[lo : lo + 256] = np.asarray(g3(sd[lo : lo + 256, None] * z)) @ w
-    return float(np.sum(means * e**3))
+    return float(np.sum(_grid_means(g.derivative(3), k - 1, n) * e**3))
+
+
+def riemann_mean_exact(g: SmoothMap, n: int) -> float:
+    """Exact finite-n mean of R_n(g) = I_n(g, B, 1) - G(B(1)) + G(0), G' = g.
+
+    Gaussian integration by parts, E[g(X) Y] = E[XY] E[g'(X)], gives
+    E I_n = sum_k (E[B(t_{k-1}) dB_k] E g'(B(t_{k-1})) + E[B(t_k) dB_k] E g'(B(t_k))) / 2,
+    and B(1) ~ N(0, 1).  O(n) time, like hermite_mean_exact.
+    """
+    if n < 1:
+        raise DomainError("riemann_mean_exact requires n >= 1")
+    k = np.arange(1, n + 1)
+    left = np.asarray(endpoint_increment_cov(n, k - 1, k))
+    right = np.asarray(endpoint_increment_cov(n, k, k))
+    means = _grid_means(g.derivative(1), np.arange(n + 1), n)  # E g'(B(t_i)), i = 0..n
+    big_g = g.antiderivative()
+    riemann = 0.5 * float(np.sum(left * means[:-1] + right * means[1:]))
+    return riemann - expect_gauss(big_g, 1.0) + float(big_g(0.0))
 
 
 def closed_pair_moment(f: SmoothMap, var_x, var_y, cov):

@@ -26,16 +26,18 @@ from fbmlab.checks import (
     MEAN_SE_MULT,
     judge,
 )
+from fbmlab import experiments
 from fbmlab.experiments import (
     audit_experiment,
     identity_experiment,
+    parse_integrand_list,
     sampler_experiment,
     scaling_experiment,
     sextic_experiment,
     taylor_experiment,
 )
 
-from conftest import INTEGRANDS, MASTER_SEED, timed
+from conftest import ACCEPT_N, INTEGRANDS, MASTER_SEED, timed
 
 LADDER = [256, 512, 1024, 2048, 4096]
 
@@ -126,21 +128,39 @@ def test_c05_signed_cubic_variation(identity_row):
 
 
 def test_c06_weak_stratonovich_convergence(converge_row):
+    # the limit law given B, judged through the pivots of the estimator's own paths
     row, elapsed = converge_row
-    results = {t: row["ks"][f"int:{t}"] for t in INTEGRANDS}
-    critical = results[INTEGRANDS[0]]["critical_001"]  # equal samples share one critical value
-    failed = {t: judge("converge", r)[1] for t, r in results.items()}
-    ok = not any(failed.values()) and elapsed < 240.0
-    detail = ", ".join(f"{t}: {r['statistic']:.4f}" for t, r in results.items())
+    checks, failed = judge("converge", row)
+    ok = not failed and elapsed < 240.0
+    pivots = ", ".join(
+        f"{g}: KS {checks['pivot_ks'][g]['value']:.4f} Var Z {p['variance']:.3f}"
+        for g, p in row["pivots"].items()
+    )
     report(
         6,
         ok,
-        f"KS(I_n vs limit) {detail} all < {critical:.4f} "
-        f"(n=2^12 vs 2^14, {elapsed:.1f}s incl. corpora)",
+        f"pivots {pivots}; KS B(1) {row['B']['ks']:.4f}, cubic {row['cubic']['ks']:.4f} "
+        f"< {checks['normal_ks']['B']['tol']:.4f}; identities "
+        f"{max(row['identities'].values()):.1e} (n=2^12, {elapsed:.1f}s incl. corpus)",
     )
-    for t, r in results.items():
-        assert not failed[t], f"KS for integrand {t}: {r['statistic']} > {critical}"
+    assert set(row["pivots"]) == {"x^2", "sin"} and set(row["identities"]) == {"1", "x"}
+    assert not failed, failed
     assert elapsed < 240.0
+
+
+@pytest.mark.parametrize("scale", [0.9, 1.1])
+def test_c06_pivot_variance_rejects_a_wrong_kappa(converge_run, scale):
+    # the named wrong model: sigma_n built from kappa * scale.  Z_g scales by
+    # 1/scale, so the same columns are judged again and no path is redrawn.
+    # A KS of Z_g alone reads below its critical value against kappa * 0.9.
+    row, cols, g2_sums, _ = converge_run
+    integrands = parse_integrand_list("; ".join(INTEGRANDS))
+    truth = experiments.converge_row(ACCEPT_N, cols, g2_sums, integrands, row["kappa"])
+    assert truth == row
+    assert all(r["ok"] for r in judge("converge", truth)[0]["pivot_variance"].values())
+    wrong = experiments.converge_row(ACCEPT_N, cols, g2_sums, integrands, scale * row["kappa"])
+    variance = judge("converge", wrong)[0]["pivot_variance"]
+    assert not variance["x^2"]["ok"] and not variance["sin"]["ok"], variance
 
 
 def test_c07_hermite_mean_limits(hermite_row):

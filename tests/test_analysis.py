@@ -9,6 +9,7 @@ from fbmlab.analysis import (
     Estimator,
     TAYLOR_GAMMA,
     covar_bound_audit,
+    ks_normal,
     ks_statistic,
     ks_two_sample,
     moment_scaling,
@@ -69,6 +70,29 @@ class TestKs:
     def test_min_sizes(self):
         with pytest.raises(DomainError):
             ks_two_sample(np.ones(10), np.zeros(100))
+
+
+class TestKsNormal:
+    def test_matches_scipy(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(3)
+        for sample in (rng.normal(size=2000), 1.3 * rng.normal(size=60) + 0.2):
+            assert ks_normal(sample) == pytest.approx(stats.kstest(sample, "norm").statistic,
+                                                      abs=1e-14)
+
+    def test_small_enumeration(self):
+        # at x = 0 the empirical CDF jumps from 0 to 1 against Phi(0) = 1/2
+        assert ks_normal(np.zeros(60)) == 0.5
+        # half the mass at -1 and half at 1: the gap at -1 is 1/2 - Phi(-1)
+        sample = np.repeat([-1.0, 1.0], 30)
+        assert ks_normal(sample) == pytest.approx(0.5 - 0.5 * math.erfc(1.0 / math.sqrt(2.0)))
+
+    def test_rejects_small_and_nonfinite(self):
+        full = np.zeros(100)
+        for bad in (np.zeros(49), np.append(full, np.nan), np.append(full, -np.inf)):
+            with pytest.raises(DomainError):
+                ks_normal(bad)
 
 
 class TestScalingFit:

@@ -148,12 +148,13 @@ class TestConfigHandling:
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_nonfinite_statistics_are_a_config_error(self, capsys, tmp_path):
         # finite parameters whose values overflow on the sampled paths
-        code, _, err = run(capsys, "hermite", "--n-list", "64", "--replications", "60",
-                           "--check", "--integrand", "exp:1,1000", "--workers", "1",
-                           "--output-dir", str(tmp_path / "out"))
-        assert code == 2
-        assert "config error" in err and "non-finite" in err
-        assert not (tmp_path / "out").exists()  # no sample CSV either
+        for command in ("hermite", "converge"):
+            code, _, err = run(capsys, command, "--n-list", "64", "--replications", "60",
+                               "--check", "--integrand", "exp:1,1000", "--workers", "1",
+                               "--output-dir", str(tmp_path / "out"))
+            assert code == 2, command
+            assert "config error" in err and "non-finite" in err, command
+            assert not (tmp_path / "out").exists(), command  # no sample CSV either
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_json_refuses_nonfinite_values(self, value):
@@ -297,34 +298,56 @@ class TestReportsAndManifest:
     def test_converge_outputs(self, capsys, tmp_path):
         args = (
             "converge", "--n-list", "32", "--replications", "60",
-            "--integrand", "1; x",
+            "--integrand", "1; x; sin",
             "--master-seed", "5", "--output-dir", str(tmp_path),
         )
         code, *_ = run(capsys, *args)
         assert code == 0
         base = tmp_path / "converge"
         report = json.loads((base / "report.json").read_text())
-        assert report["per_n"][0]["n"] == 32
-        assert "int:1" in report["per_n"][0]["ks"]
-        row = report["per_n"][0]["ks"]["int:1"]
-        assert row["margin"] == row["critical_001"] - row["statistic"]
+        row = report["per_n"][0]
+        assert row["n"] == 32
+        assert set(row["identities"]) == {"1", "x"} and set(row["pivots"]) == {"sin"}
+        for name in ("normal_ks", "cubic_ks", "pivot_ks", "pivot_mean", "pivot_variance",
+                     "identity"):
+            for record in row[name].values():
+                assert set(record) == {"value", "target", "tol", "margin", "ok"}
+                assert record["margin"] == record["tol"] - abs(record["value"] - record["target"])
+        assert row["identity"]["x"]["value"] == row["identities"]["x"]
         manifest = json.loads((base / "manifest.json").read_text())
+        assert set(manifest["files"]) == {"estimator_n32.csv", "report.json"}
         for name, digest in manifest["files"].items():
             data = (base / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
         assert manifest["config"]["command"] == "converge"
+
+    def test_failed_check_prints_its_numbers(self, capsys, tmp_path, monkeypatch):
+        # a pivot variance gate of 0 fails every pivot; stderr names the
+        # column and the record, and the report's verdict agrees
+        monkeypatch.setattr(checks, "PIVOT_VAR_TOL", 0.0)
+        code, _, err = run(capsys, "converge", "--n-list", "64", "--replications", "60",
+                           "--integrand", "x; sin", "--check", "--workers", "1",
+                           "--output-dir", str(tmp_path))
+        assert code == 4
+        report = json.loads((tmp_path / "converge" / "report.json").read_text())
+        assert report["all_ks_accepted"] is False
+        record = report["per_n"][0]["pivot_variance"]["sin"]
+        assert (
+            f"check failed: converge n=64 pivot_variance sin (value {record['value']:.4g}, "
+            f"target 1, tol 0, margin {record['margin']:.4g})"
+        ) in err.splitlines()
 
     def test_csv_names_with_commas_are_quoted(self, capsys, tmp_path):
         code, *_ = run(capsys, "converge", "--n-list", "64", "--replications", "60",
                        "--integrand", "poly:1,2; sin", "--workers", "1",
                        "--output-dir", str(tmp_path))
         assert code == 0
-        for name in ("estimator_n64.csv", "oracle_n64.csv"):
-            with open(tmp_path / "converge" / name, newline="", encoding="utf-8") as handle:
-                head, *rows = list(csv.reader(handle))
-            assert head == ["replication", "B", "cubic", "int_poly:1,2", "int_sin"]
-            assert len(rows) == 60
-            assert all(len(row) == len(head) for row in rows)
+        with open(tmp_path / "converge" / "estimator_n64.csv", newline="",
+                  encoding="utf-8") as handle:
+            head, *rows = list(csv.reader(handle))
+        assert head == ["replication", "B", "cubic", "int_poly:1,2", "int_sin"]
+        assert len(rows) == 60
+        assert all(len(row) == len(head) for row in rows)
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         # every Monte Carlo command writes the same bytes whatever the worker
@@ -542,6 +565,19 @@ class TestImports:
             "print(drawn, exact)\n"
         )
         assert out.splitlines()[-1] == "0 0"
+
+    def test_converge_draws_no_limit_law(self, fresh_python, tmp_path):
+        # converge judges its own paths: it imports neither the limit-law
+        # sampler nor scipy, and its normal CDF comes from math.erfc
+        out = fresh_python(
+            "import sys\n"
+            "from fbmlab import cli\n"
+            "code = cli.main(['converge', '--n-list', '64', '--replications', '60',\n"
+            "                 '--integrand', 'x; sin', '--workers', '2',\n"
+            f"                 '--output-dir', {str(tmp_path)!r}])\n"
+            "print(code, 'fbmlab.oracle' in sys.modules, 'scipy' in sys.modules)\n"
+        )
+        assert out.splitlines()[-1] == "0 False False"
 
     def test_benchmark_harness_finds_its_names(self, fresh_python):
         # perfbench/tracer.py names fbmlab classes and methods when it loads,

@@ -1,5 +1,6 @@
 import math
 import sys
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from fbmlab.experiments import (
     sextic_experiment,
     taylor_experiment,
 )
-from fbmlab.quadrature import hermite_mean_exact, hermite_variance_exact
+from fbmlab.quadrature import hermite_mean_exact, hermite_variance_exact, riemann_mean_exact
 from fbmlab.sampler import Grid, Path, SeedPolicy, sample_fbm
 from fbmlab.variations import sin_map
 
@@ -48,29 +49,57 @@ class TestIntegrandList:
 
 class TestConverge:
     def test_trivial_integrand_collapses_to_endpoint(self):
-        row, est, orc = converge_experiment(64, 60, 101, [parse_integrand("1")])
+        row, est, g2_sums = converge_experiment(64, 60, 101, [parse_integrand("1")])
         assert np.allclose(est["int_1"], est["B"], atol=1e-12)
-        assert np.allclose(orc["int_1"], orc["B"], atol=1e-12)
-        assert row["ks"]["int:1"]["statistic"] == pytest.approx(row["ks"]["B"]["statistic"])
+        assert row["identities"]["1"] < 1e-12
+        assert row["pivots"] == {} and g2_sums == {}
 
     def test_shapes_and_determinism(self):
-        a_row, a_est, a_orc = converge_experiment(32, 60, 7, [parse_integrand("x")])
-        _, b_est, b_orc = converge_experiment(32, 60, 7, [parse_integrand("x")])
-        assert a_row["refinement"] == 128
+        a_row, a_est, _ = converge_experiment(32, 60, 7, [parse_integrand("x")])
+        b_row, b_est, _ = converge_experiment(32, 60, 7, [parse_integrand("x")])
+        assert list(a_est) == ["B", "cubic", "int_x"]
+        assert all(len(col) == 60 for col in a_est.values())
+        assert a_row == b_row
         assert np.array_equal(a_est["cubic"], b_est["cubic"])
-        assert np.array_equal(a_orc["int_x"], b_orc["int_x"])
 
     def test_worker_count_does_not_change_results(self):
-        _, a_est, a_orc = converge_experiment(32, 64, 7, [sin_map()], workers=1)
-        _, b_est, b_orc = converge_experiment(32, 64, 7, [sin_map()], workers=2)
+        a_row, a_est, a_sums = converge_experiment(32, 64, 7, [sin_map()], workers=1)
+        b_row, b_est, b_sums = converge_experiment(32, 64, 7, [sin_map()], workers=2)
         assert np.array_equal(a_est["int_sin"], b_est["int_sin"])
-        assert np.array_equal(a_orc["B"], b_orc["B"])
+        assert np.array_equal(a_sums["sin"], b_sums["sin"])
+        assert a_row == b_row
 
-    def test_estimator_oracle_streams_disjoint(self):
-        _, est, orc = converge_experiment(32, 60, 7, [parse_integrand("x")])
-        # oracle uses stream ids offset by the replication count, so the
-        # B(1) samples must differ from the estimator draws
-        assert not np.allclose(est["B"], orc["B"])
+    def test_pivot_of_x_squared_is_the_scaled_cubic_variation(self):
+        # R_n(x^2) = V_n / 6 and sigma_n = kappa / 6, so Z = V_n / kappa; the
+        # exact mean is 0 by oddness and no sum of g''^2 is drawn
+        x2 = parse_integrand("x^2")
+        row, est, g2_sums = converge_experiment(64, 60, 3, [x2])
+        assert g2_sums == {}
+        z = est["cubic"] / row["kappa"]
+        assert row["pivots"]["x^2"]["variance"] == pytest.approx(np.var(z, ddof=1), rel=1e-9)
+
+    def test_row_reads_back_columns_built_to_the_limit_law(self):
+        # remainders set to m_n + sigma_n q for normal quantiles q: the pivot
+        # is q again, centred by the exact mean and scaled by the g''^2 sums
+        n, m, kappa = 64, 400, 2.3
+        g = sin_map()
+        b1 = np.linspace(-2.0, 2.0, m)
+        sums = np.linspace(10.0, 40.0, m)
+        q = np.array([NormalDist().inv_cdf((i + 0.5) / m) for i in range(m)])[::-1]
+        big_g = g.antiderivative()
+        remainder = riemann_mean_exact(g, n) + kappa / 12.0 * np.sqrt(sums / n) * q
+        cols = {"B": b1, "cubic": b1 ** 3, "int_sin": big_g(b1) - big_g(0.0) + remainder}
+        pivot = experiments.converge_row(n, cols, {"sin": sums}, [g], kappa)["pivots"]["sin"]
+        assert pivot["ks"] == pytest.approx(0.5 / m, abs=1e-12)
+        assert pivot["variance"] == pytest.approx(np.var(q, ddof=1), rel=1e-12)
+        assert pivot["mean"] == pytest.approx(np.mean(remainder), rel=1e-12)
+
+    def test_pivot_scale_is_the_left_sum_of_g2_squared(self):
+        g = sin_map()
+        _, _, g2_sums = converge_experiment(32, 60, 7, [g])
+        path = sample_fbm(Grid(32), SeedPolicy(7, 5))
+        left = path.values[:-1]
+        assert g2_sums["sin"][5] == pytest.approx(np.sum(np.sin(left) ** 2), rel=1e-12)
 
 
 class TestIdentity:

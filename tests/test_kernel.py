@@ -6,6 +6,7 @@ from fbmlab.errors import CapabilityError, DomainError
 from fbmlab.kernel import (
     anchor_cube_sums,
     cov_r,
+    cubic_variance_exact,
     endpoint_increment_cov,
     hermite,
     kappa_constant,
@@ -119,6 +120,29 @@ class TestKappa:
     def test_negative_radius_rejected(self):
         with pytest.raises(DomainError):
             kappa_constant(-1)
+
+
+class TestCubicVariance:
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_matches_the_wick_pair_sum(self, n):
+        # Cov(X^3, Y^3) = 9 Var X Var Y r + 6 r^3 for centred Gaussians, summed
+        # over every pair of increments with E[dB_j dB_k] = n^{-1/3} rho(j - k)
+        lag = np.subtract.outer(np.arange(n), np.arange(n))
+        c = n ** (-1.0 / 3.0) * rho(lag)
+        var = n ** (-1.0 / 3.0)
+        assert cubic_variance_exact(n) == pytest.approx(
+            float(np.sum(9.0 * var * var * c + 6.0 * c**3)), rel=1e-12
+        )
+
+    def test_tends_to_kappa_squared(self):
+        assert cubic_variance_exact(1) == pytest.approx(15.0, rel=1e-15)
+        assert cubic_variance_exact(4096) == pytest.approx(5.42647, abs=5e-6)
+        gaps = [cubic_variance_exact(n) - kappa_constant().kappa_sq for n in (64, 512, 4096)]
+        assert gaps[0] > gaps[1] > gaps[2] > 0
+
+    def test_refuses_an_empty_grid(self):
+        with pytest.raises(DomainError):
+            cubic_variance_exact(0)
 
 
 class TestHermite:
