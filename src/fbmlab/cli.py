@@ -46,6 +46,7 @@ from . import __version__
 from .checks import judge
 from .errors import CapabilityError, ConfigError, DomainError
 from .experiments import (
+    TIMINGS,
     audit_experiment,
     converge_experiment,
     hermite_experiment,
@@ -54,6 +55,7 @@ from .experiments import (
     scaling_experiment,
     sextic_experiment,
     taylor_experiment,
+    usable_cores,
 )
 from .kernel import kappa_constant
 from .sampler import RNG_STREAM_VERSION, Grid
@@ -72,7 +74,7 @@ class ExperimentConfig:
     integrand: str = "sin"
     output_dir: str = "out"
     check: bool = False
-    workers: int = field(default_factory=lambda: os.cpu_count() or 1)
+    workers: int = field(default_factory=usable_cores)
 
     def validate(self) -> None:
         if not self.n_list:
@@ -205,6 +207,7 @@ class Emitter:
         self.dir = os.path.join(cfg.output_dir, cfg.command)
         self.hashes: dict[str, str] = {}
         self.started = time.time()
+        TIMINGS.clear()
 
     def emit(self, name: str, data: bytes) -> None:
         os.makedirs(self.dir, exist_ok=True)
@@ -226,6 +229,11 @@ class Emitter:
                 "system": platform.system(),
             },
             "wall_clock_s": round(time.time() - self.started, 3),
+            "timings": {
+                "draw_s": round(TIMINGS["draw_s"], 3),
+                "stats_s": round(TIMINGS["stats_s"], 3),
+                "pools": TIMINGS["pools"],
+            },
             "files": self.hashes,
             "manifest_hash": digest.hexdigest(),
         }
@@ -258,10 +266,10 @@ def cmd_converge(cfg: ExperimentConfig) -> Outcome:
     verdict."""
     integrands = parse_integrand_list(cfg.integrand)
     rows, failed, files = [], [], {}
-    for n in cfg.n_list:
-        row, est, _ = converge_experiment(
-            n, cfg.replications, cfg.master_seed, integrands, cfg.workers
-        )
+    for row, est, _ in converge_experiment(
+        cfg.n_list, cfg.replications, cfg.master_seed, integrands, cfg.workers
+    ):
+        n = row["n"]
         files[f"estimator_n{n}.csv"] = _samples_csv(est)
         checks, bad = judge("converge", row, f"n={n} ", n == max(cfg.n_list))
         rows.append({**row, **checks})
@@ -271,8 +279,10 @@ def cmd_converge(cfg: ExperimentConfig) -> Outcome:
 
 def cmd_variations(cfg: ExperimentConfig) -> Outcome:
     rows, failed, files = [], [], {}
-    for n in cfg.n_list:
-        row, cols = identity_experiment(n, cfg.replications, cfg.master_seed, cfg.workers)
+    for row, cols in identity_experiment(
+        cfg.n_list, cfg.replications, cfg.master_seed, cfg.workers
+    ):
+        n = row["n"]
         files[f"cubic_n{n}.csv"] = _samples_csv(cols)
         checks, bad = judge("variations", row, f"n={n} ", n == max(cfg.n_list))
         rows.append({**row, **checks})
@@ -291,22 +301,23 @@ def cmd_hermite(cfg: ExperimentConfig) -> Outcome:
     tags = ["".join(ch if ch.isalnum() else "_" for ch in g.label) for g in integrands]
     if len(set(tags)) < len(tags):  # one integrand's CSVs would overwrite another's
         raise ConfigError(f"integrands share a CSV file name: {', '.join(tags)}")
-    rows, failed, files = [], [], {}
-    for g, tag in zip(integrands, tags):
+    for g in integrands:
         if not g.is_bounded:
             print(
                 f"warning: integrand {g.label!r} is unbounded; the fdd limits "
                 "assume bounded maps, proceeding anyway",
                 file=sys.stderr,
             )
-        for row, cols in hermite_experiment(
-            cfg.n_list, cfg.replications, cfg.master_seed, g, cfg.workers
-        ):
-            n = row["n"]
-            files[f"hermite_{tag}_n{n}.csv"] = _samples_csv(cols)
-            checks, bad = judge("hermite", row, f"{g.label} n={n} ", n == max(cfg.n_list))
-            rows.append({**row, **checks})
-            failed += bad
+    tag_of = dict(zip((g.label for g in integrands), tags))
+    rows, failed, files = [], [], {}
+    for row, cols in hermite_experiment(
+        cfg.n_list, cfg.replications, cfg.master_seed, integrands, cfg.workers
+    ):
+        label, n = row["integrand"], row["n"]
+        files[f"hermite_{tag_of[label]}_n{n}.csv"] = _samples_csv(cols)
+        checks, bad = judge("hermite", row, f"{label} n={n} ", n == max(cfg.n_list))
+        rows.append({**row, **checks})
+        failed += bad
     return {"per_integrand": rows, "all_ok": not failed}, failed, files
 
 

@@ -1,27 +1,34 @@
 """Batch Monte Carlo experiments behind the command-line harness.
 
 Every Monte Carlo experiment is a set of per-path statistics of independent
-replications, and all of them run through one engine, run_replications.
-Replication r draws its path once from its own seed stream (master_seed, r)
-and every statistic is applied to that one path.  The engine splits the
-replication range into chunks and fans them out over a fork-only process
-pool; the draw and the statistics are left in a module-level slot before
-the pool starts, so forked workers inherit them and only (lo, hi) bounds
-cross the process boundary.  Columns come back concatenated in replication
-order, and every reduction over them (medians, means, ordered sums) runs in
-that order, so results are independent of chunking and of the worker
-count.  No experiment samples a limit law: converge judges the paper's
-conditional limit through pivots built from its own paths and exact
-finite-n means.  Every experiment but scaling, whose windows are
-sub-intervals, runs on [0, 1].
+replications on one or more grids, and all of them run through one engine,
+run_tasks, which takes one (draw, stats) task per grid.  Replication r
+draws its path once from its own seed stream (master_seed, r), and every
+statistic of the task is applied to that one path; fbm_draws synthesises
+the paths of a chunk in small blocks that share one batched FFT, each path
+byte-identical to its one-row draw.  The engine splits the replication
+range into chunks and fans the chunks of every task out together over one
+fork-only process pool, so a command forks at most one pool; the tasks are
+left in a module-level slot before the pool starts, so forked workers
+inherit them and only (task, lo, hi) bounds cross the process boundary.
+Columns come back concatenated in replication order, and every reduction
+over them (medians, means, ordered sums) runs in that order, so results
+are independent of chunking and of the worker count.  Each chunk also
+returns the seconds it spent drawing and in statistics, which TIMINGS
+sums for the manifest.  No experiment samples a limit law: converge
+judges the paper's conditional limit through pivots built from its own
+paths and exact finite-n means.  Every experiment but scaling, whose
+windows are sub-intervals, runs on [0, 1].
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from functools import partial
 from multiprocessing import get_context
+from time import perf_counter
 
 import numpy as np
 
@@ -46,7 +53,7 @@ from .quadrature import (
     hermite_variance_limit,
     riemann_mean_exact,
 )
-from .sampler import Grid, SeedPolicy, sample_fbm, sample_fbm_cholesky
+from .sampler import Grid, SeedPolicy, sample_fbm_block, sample_fbm_cholesky
 from .variations import (
     Family,
     SmoothMap,
@@ -78,47 +85,67 @@ def _decreasing(values) -> bool:
     return all(a > b for a, b in zip(values, values[1:]))
 
 
-def _pmap(worker, jobs, workers: int):
-    # the pool never outnumbers the cores this process may run on
+def usable_cores() -> int:
+    """The cores this process may run on, which caps the pool and the chunk count."""
     affinity = getattr(os, "sched_getaffinity", None)  # missing on some platforms
-    size = min(workers, len(jobs), len(affinity(0)) if affinity else os.cpu_count() or 1)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+# Engine totals since the last clear, which the CLI writes to the manifest:
+# draw_s and stats_s, the seconds chunks spent drawing paths and applying
+# statistics, summed in replication order, and pools, the pools forked.
+TIMINGS = Counter()
+
+
+def _pmap(worker, jobs, workers: int):
+    size = min(workers, len(jobs), usable_cores())
     if size <= 1:
         return [worker(job) for job in jobs]
+    TIMINGS["pools"] += 1
     with get_context("fork").Pool(size) as pool:
-        return pool.map(worker, jobs)
+        return pool.map(worker, jobs, chunksize=1)
 
 
 def _chunks(replications: int, workers: int):
-    pieces = max(1, min(replications, 4 * max(workers, 1)))
+    pieces = max(1, min(replications, 4 * min(workers, usable_cores())))
     bounds = np.linspace(0, replications, pieces + 1).astype(int)
     return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
-# (draw, stats) of the running run_replications call; forked workers inherit it
-_TASK = None
+# (draw, stats) tasks of the running run_tasks call; forked workers inherit them
+_TASKS = ()
 
 
-def _replicate(bounds):
-    draw, stats = _TASK
-    lo, hi = bounds
+def _replicate(job):
+    """The columns of chunk (task, lo, hi), and its draw and statistics seconds."""
+    task, lo, hi = job
+    draw, stats = _TASKS[task]
     cols = {name: [] for name in stats}
-    for r in range(lo, hi):
-        path = draw(r)
+    draw_s = stats_s = 0.0
+    start = perf_counter()
+    for path in draw(lo, hi):
+        drawn = perf_counter()
         for name, stat in stats.items():
             cols[name].append(stat(path))
         del path
-    return {name: np.array(values) for name, values in cols.items()}
+        end = perf_counter()
+        draw_s += drawn - start
+        stats_s += end - drawn
+        start = end
+    return {name: np.array(values) for name, values in cols.items()}, (draw_s, stats_s)
 
 
-def run_replications(draw, stats: dict, replications: int, workers: int) -> dict:
-    """Named columns of per-path statistics over stream ids 0..replications-1.
+def run_tasks(tasks: list, replications: int, workers: int) -> list[dict]:
+    """Named columns of per-path statistics over stream ids 0..replications-1,
+    one dict per (draw, stats) task, from at most one process pool.
 
-    draw(stream_id) returns one path (or any per-replication sample); each
-    callable in stats maps it to a scalar or an array.  Column name holds
-    stats[name] of every replication, stacked along axis 0 in replication
-    order.
+    draw(lo, hi) yields the paths (or any per-replication samples) of stream
+    ids lo..hi-1 in order; each callable in stats maps one to a scalar or an
+    array.  Column name of a task holds stats[name] of every replication,
+    stacked along axis 0 in replication order.  The chunks of every task go
+    to the pool together.
     """
-    global _TASK
+    global _TASKS
     # Before the fork, so pool workers inherit it: freeing one 4 MiB block
     # raises glibc malloc's mmap threshold to 4 MiB and its trim threshold
     # to 8 MiB.  At their start values (128 KiB each) every array of at
@@ -126,17 +153,46 @@ def run_replications(draw, stats: dict, replications: int, workers: int) -> dict
     # and of longer ones, is mapped, or trimmed off the heap, and faulted in
     # afresh for every path: about 100 page faults per 16,384-step path.
     np.empty(1 << 19)
-    _TASK = (draw, stats)
+    bounds = _chunks(replications, workers)
+    jobs = [(task, lo, hi) for task in range(len(tasks)) for lo, hi in bounds]
+    _TASKS = tasks
     try:
-        parts = _pmap(_replicate, _chunks(replications, workers), workers)
+        parts = _pmap(_replicate, jobs, workers)
     finally:
-        _TASK = None
-    return {name: np.concatenate([part[name] for part in parts]) for name in stats}
+        _TASKS = ()
+    for _, (draw_s, stats_s) in parts:
+        TIMINGS["draw_s"] += draw_s
+        TIMINGS["stats_s"] += stats_s
+    columns = []
+    for i, (_, stats) in enumerate(tasks):
+        own = [cols for cols, _ in parts[i * len(bounds) : (i + 1) * len(bounds)]]
+        columns.append({name: np.concatenate([cols[name] for cols in own]) for name in stats})
+    return columns
+
+
+def run_replications(draw, stats: dict, replications: int, workers: int) -> dict:
+    """run_tasks of the one task (draw, stats): its dict of columns."""
+    return run_tasks([(draw, stats)], replications, workers)[0]
+
+
+# Rows per block of fbm_draws: at most 8, and at most 2^14 steps in all.  A
+# batched irfft shares most of its work at two rows already, and bigger
+# blocks of long paths would grow the heap past what a short run touched,
+# so 16,384-step paths are synthesised one at a time.
+FBM_BLOCK_ROWS, FBM_BLOCK_STEPS = 8, 1 << 14
 
 
 def fbm_draws(grid: Grid, master_seed: int):
-    """draw for run_replications: the circulant fBm path of stream (master_seed, r)."""
-    return lambda r: sample_fbm(grid, SeedPolicy(master_seed, r))
+    """draw for run_tasks: the circulant fBm paths of streams (master_seed, r),
+    synthesised in blocks of up to FBM_BLOCK_ROWS rows, each a fresh array."""
+    rows = max(1, min(FBM_BLOCK_ROWS, FBM_BLOCK_STEPS // grid.m))
+
+    def draw(lo: int, hi: int):
+        for first in range(lo, hi, rows):
+            block = range(first, min(first + rows, hi))
+            yield from sample_fbm_block(grid, [SeedPolicy(master_seed, r) for r in block])
+
+    return draw
 
 
 # --- converge: the conditional limit law through exact-mean pivots ----------
@@ -208,17 +264,17 @@ def converge_row(
 
 
 def converge_experiment(
-    n: int,
+    n_list,
     replications: int,
     master_seed: int,
     integrands: list[SmoothMap],
     workers: int = 1,
-) -> tuple[dict, dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """The estimator corpus (B(1), V_n(B, 1), I_n(g, B, 1)) and its row.
+) -> list[tuple[dict, dict[str, np.ndarray], dict[str, np.ndarray]]]:
+    """The estimator corpus (B(1), V_n(B, 1), I_n(g, B, 1)) and its row per grid.
 
-    Returns converge_row at the true kappa, the columns B, cubic and
-    int_<label>, and, keyed by label, sum_k g''(B(t_{k-1}))^2 of each
-    integrand whose g'' is not constant.
+    Returns, for each n in n_list, converge_row at the true kappa, the
+    columns B, cubic and int_<label>, and, keyed by label,
+    sum_k g''(B(t_{k-1}))^2 of each integrand whose g'' is not constant.
     """
     stats = {
         "B": lambda path: path.values[-1],
@@ -230,10 +286,13 @@ def converge_experiment(
     for g in curved:
         g2 = g.derivative(2)
         stats[f"g2_{g.label}"] = lambda path, g2=g2: np.square(g2(path.values[:-1])).sum()
-    cols = run_replications(fbm_draws(Grid(n), master_seed), stats, replications, workers)
-    g2_sums = {g.label: cols.pop(f"g2_{g.label}") for g in curved}
-    row = converge_row(n, cols, g2_sums, integrands, kappa_constant().kappa)
-    return row, cols, g2_sums
+    tasks = [(fbm_draws(Grid(n), master_seed), stats) for n in n_list]
+    kappa = kappa_constant().kappa
+    runs = []
+    for n, cols in zip(n_list, run_tasks(tasks, replications, workers)):
+        g2_sums = {g.label: cols.pop(f"g2_{g.label}") for g in curved}
+        runs.append((converge_row(n, cols, g2_sums, integrands, kappa), cols, g2_sums))
+    return runs
 
 
 # --- variations: exact identities plus the cubic-variation law -------------
@@ -261,37 +320,38 @@ def _identity_row(path) -> np.ndarray:
 
 
 def identity_experiment(
-    n: int,
+    n_list,
     replications: int,
     master_seed: int,
     workers: int = 1,
-) -> tuple[dict, dict[str, np.ndarray]]:
+) -> list[tuple[dict, dict[str, np.ndarray]]]:
     """Pathwise telescoping identities and the signed-cubic-variation law.
 
-    Returns the report row (worst relative residual of each identity, and
-    the variance of V_n(B, 1) and its correlation with B(1), with the
-    limit variance kappa_sq) and the columns B and cubic."""
-    rows = run_replications(
-        fbm_draws(Grid(n), master_seed),
-        {"identity": _identity_row},
-        replications,
-        workers,
-    )["identity"]
-    worst = np.max(rows[:, :4], axis=0)
-    b1, vn = rows[:, 4].copy(), rows[:, 5].copy()
-    row = {
-        "n": n,
-        "max_rel_residuals": {
-            "riemann_const": float(worst[0]),
-            "riemann_linear": float(worst[1]),
-            "riemann_quadratic": float(worst[2]),
-            "hermite_rearrangement": float(worst[3]),
-        },
-        "cubic_variance": float(np.var(vn, ddof=1)),
-        "cubic_b_corr": float(np.corrcoef(vn, b1)[0, 1]),
-        "kappa_sq": kappa_constant().kappa_sq,
-    }
-    return row, {"B": b1, "cubic": vn}
+    Returns, for each n in n_list, the report row (worst relative residual
+    of each identity, and the variance of V_n(B, 1) and its correlation
+    with B(1), with the limit variance kappa_sq) and the columns B and
+    cubic."""
+    tasks = [(fbm_draws(Grid(n), master_seed), {"identity": _identity_row}) for n in n_list]
+    kappa_sq = kappa_constant().kappa_sq
+    runs = []
+    for n, cols in zip(n_list, run_tasks(tasks, replications, workers)):
+        rows = cols["identity"]
+        worst = np.max(rows[:, :4], axis=0)
+        b1, vn = rows[:, 4].copy(), rows[:, 5].copy()
+        row = {
+            "n": n,
+            "max_rel_residuals": {
+                "riemann_const": float(worst[0]),
+                "riemann_linear": float(worst[1]),
+                "riemann_quadratic": float(worst[2]),
+                "hermite_rearrangement": float(worst[3]),
+            },
+            "cubic_variance": float(np.var(vn, ddof=1)),
+            "cubic_b_corr": float(np.corrcoef(vn, b1)[0, 1]),
+            "kappa_sq": kappa_sq,
+        }
+        runs.append((row, {"B": b1, "cubic": vn}))
+    return runs
 
 
 # --- sextic variation -------------------------------------------------------
@@ -317,13 +377,10 @@ def sextic_experiment(
     of V^6_n(B, 1) at the finest level against 15, as the report of the
     sextic command."""
     n_list = sorted(int(n) for n in n_list)
-    medians = []
-    for n in n_list:
-        rows = run_replications(
-            fbm_draws(Grid(n), master_seed), {"sextic": _sextic_row}, replications, workers
-        )["sextic"]
-        medians.append(float(np.median(rows[:, 0])))
-    final = rows[:, 1]  # the finest level's paths serve its median and the mean
+    tasks = [(fbm_draws(Grid(n), master_seed), {"sextic": _sextic_row}) for n in n_list]
+    levels = [cols["sextic"] for cols in run_tasks(tasks, replications, workers)]
+    medians = [float(np.median(rows[:, 0])) for rows in levels]
+    final = levels[-1][:, 1]  # the finest level's paths serve its median and the mean
     return {
         "n_list": n_list,
         "median_sup_deviation": medians,
@@ -342,48 +399,54 @@ def hermite_experiment(
     n_list,
     replications: int,
     master_seed: int,
-    integrand: SmoothMap = sin_map(),
+    integrands=(sin_map(),),
     workers: int = 1,
 ) -> list[tuple[dict, dict[str, np.ndarray]]]:
     """Left/right endpoint weighted third-Hermite variations at t = 1.
 
-    Returns, for each n in n_list, the report row (sample means, standard
-    errors and left variance, with the quadrature limits of the left mean
-    and variance, which depend on the integrand alone and are computed
-    once, and the left variance's target) and the columns left and right.
-    The target is the exact finite-n variance for trig and exp integrands
-    (variance_target_kind "exact") and the limit for polynomials ("limit")."""
-    limits = {
-        "mean_limit": hermite_mean_limit(integrand),
-        "variance_limit": hermite_variance_limit(integrand, kappa_constant().kappa_sq),
-    }
-    exact = integrand.family is not Family.POLYNOMIAL
-    runs = []
-    for n in n_list:
-        ends = run_replications(
-            fbm_draws(Grid(n), master_seed),
-            {"ends": lambda path: [prefix[-1] for prefix in weighted_hermite(integrand, path)]},
-            replications,
-            workers,
-        )["ends"]
-        left, right = ends.T.copy()  # contiguous, so each sum runs as on a plain column
-        cols = {"left": left, "right": right}
-        row = {
-            "integrand": integrand.label,
-            "bounded": integrand.is_bounded,
-            "n": n,
-            "left_mean": float(np.mean(left)),
-            "left_se": float(np.std(left, ddof=1) / math.sqrt(len(left))),
-            "right_mean": float(np.mean(right)),
-            "right_se": float(np.std(right, ddof=1) / math.sqrt(len(right))),
-            "left_variance": float(np.var(left, ddof=1)),
-            **limits,
-            "variance_target": (
-                hermite_variance_exact(integrand, n) if exact else limits["variance_limit"]
-            ),
-            "variance_target_kind": "exact" if exact else "limit",
+    Returns, for each integrand and then each n in n_list, the report row
+    (sample means, standard errors and left variance, with the quadrature
+    limits of the left mean and variance, which depend on the integrand
+    alone and are computed once, and the left variance's target) and the
+    columns left and right.  Every integrand reads the same paths of each
+    grid.  The target is the exact finite-n variance for trig and exp
+    integrands (variance_target_kind "exact") and the limit for
+    polynomials ("limit")."""
+    kappa_sq = kappa_constant().kappa_sq
+    limits = [
+        {
+            "mean_limit": hermite_mean_limit(g),
+            "variance_limit": hermite_variance_limit(g, kappa_sq),
         }
-        runs.append((row, cols))
+        for g in integrands
+    ]
+    stats = {
+        i: lambda path, g=g: [prefix[-1] for prefix in weighted_hermite(g, path)]
+        for i, g in enumerate(integrands)
+    }
+    tasks = [(fbm_draws(Grid(n), master_seed), stats) for n in n_list]
+    grids = run_tasks(tasks, replications, workers)
+    runs = []
+    for i, (integrand, limit) in enumerate(zip(integrands, limits)):
+        exact = integrand.family is not Family.POLYNOMIAL
+        for n, cols in zip(n_list, grids):
+            left, right = cols[i].T.copy()  # contiguous, so each sum runs as on a plain column
+            row = {
+                "integrand": integrand.label,
+                "bounded": integrand.is_bounded,
+                "n": n,
+                "left_mean": float(np.mean(left)),
+                "left_se": float(np.std(left, ddof=1) / math.sqrt(len(left))),
+                "right_mean": float(np.mean(right)),
+                "right_se": float(np.std(right, ddof=1) / math.sqrt(len(right))),
+                "left_variance": float(np.var(left, ddof=1)),
+                **limit,
+                "variance_target": (
+                    hermite_variance_exact(integrand, n) if exact else limit["variance_limit"]
+                ),
+                "variance_target_kind": "exact" if exact else "limit",
+            }
+            runs.append((row, {"left": left, "right": right}))
     return runs
 
 
@@ -427,21 +490,16 @@ def scaling_experiment(
     replications are refused."""
     if replications < SCALING_MIN_REPLICATIONS:
         raise DomainError(f"scaling needs at least {SCALING_MIN_REPLICATIONS} replications")
-    ladders = {
-        estimator: (Grid(spec["n"], spec["horizon"]), spec["gaps"])
-        for estimator, spec in DEFAULT_SCALING_SPECS.items()
-    }
+    stats = {}
+    for e, spec in DEFAULT_SCALING_SPECS.items():
+        grid = Grid(spec["n"], spec["horizon"])
+        stats.setdefault(grid, {})[e] = partial(window_moments, e, gaps=spec["gaps"], g=integrand)
+    tasks = [(fbm_draws(grid, master_seed), group) for grid, group in stats.items()]
     fits = {}
-    for grid in dict.fromkeys(grid for grid, _ in ladders.values()):
-        group = {e: gaps for e, (on, gaps) in ladders.items() if on == grid}
-        cols = run_replications(
-            fbm_draws(grid, master_seed),
-            {e: partial(window_moments, e, gaps=gaps, g=integrand) for e, gaps in group.items()},
-            replications,
-            workers,
-        )
-        for e, gaps in group.items():
-            fits[e] = moment_scaling(grid.n, gaps, cols[e], replications)
+    for grid, cols in zip(stats, run_tasks(tasks, replications, workers)):
+        for e, moments in cols.items():
+            gaps = DEFAULT_SCALING_SPECS[e]["gaps"]
+            fits[e] = moment_scaling(grid.n, gaps, moments, replications)
     return [
         {"estimator": e.value, **fits[e], "slope_floor": SLOPE_FLOORS[e], "spec": spec}
         for e, spec in DEFAULT_SCALING_SPECS.items()
@@ -533,7 +591,9 @@ def sampler_experiment(
     emp = prods.mean(axis=0)
     se = prods.std(axis=0, ddof=1) / math.sqrt(gram_replications)
     chol = run_replications(
-        lambda r: sample_fbm_cholesky(grid, SeedPolicy(master_seed, r)),
+        lambda lo, hi: (
+            sample_fbm_cholesky(grid, SeedPolicy(master_seed, r)) for r in range(lo, hi)
+        ),
         {"b1": lambda path: path.values[-1]},
         ks_replications,
         workers=1,

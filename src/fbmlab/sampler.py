@@ -2,10 +2,12 @@
 
 Two exact samplers for the H = 1/6 fractional Brownian motion are provided:
 
-* sample_fbm, which every experiment samples with, embeds the increment
-  autocovariance in a circulant of size 2m (Davies-Harte), diagonalizes it
-  with one real FFT, and synthesizes the stationary noise from independent
-  spectral Gaussians in O(m log m);
+* sample_fbm embeds the increment autocovariance in a circulant of size
+  2m (Davies-Harte), diagonalizes it with one real FFT, and synthesizes
+  the stationary noise from independent spectral Gaussians in
+  O(m log m); it is the one-row case of sample_fbm_block, which every
+  experiment samples with: one batched FFT and one cumulative sum serve a
+  block of paths, each byte-identical to its sample_fbm draw;
 * sample_fbm_cholesky factors the m x m increment Gram matrix
   n^{-1/3} rho(i - j) directly (limited to m <= 4096); it is the reference
   the sampler validation compares sample_fbm against.
@@ -161,34 +163,48 @@ def _circulant_sqrt_eigs(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fgn_circulant(grid: Grid, z: np.ndarray) -> np.ndarray:
-    """Synthesize m stationary increments from 2m spectral Gaussians.
+    """Synthesize m stationary increments per row of z from its 2m spectral Gaussians.
 
     With eigenvalues lam_k of the size-M = 2m embedding, the half spectrum
     G_0 = sqrt(lam_0 M) z_0, G_m = sqrt(lam_m M) z_1 and
     G_k = sqrt(lam_k M / 2)(z_{2k} + i z_{2k+1}) makes irfft(G) an exact
     draw of the embedded stationary sequence; the first m entries are fGn.
+    All rows share one batched irfft, which transforms each row exactly as
+    a one-row call would.
     """
     m = grid.m
     scales = _circulant_sqrt_eigs(grid.n, m)[1]
-    spectrum = np.zeros(m + 1, dtype=complex)
+    spectrum = np.zeros((len(z), m + 1), dtype=complex)
     re, im = spectrum.real, spectrum.imag  # views into spectrum
-    np.multiply(scales[:m], z[0::2], out=re[:m])  # z_0 and z_{2k}, k < m
-    re[m] = scales[m] * z[1]
-    np.multiply(scales[1:m], z[3::2], out=im[1:m])
-    return np.fft.irfft(spectrum, n=2 * m)[:m]
+    np.multiply(scales[:m], z[:, 0::2], out=re[:, :m])  # z_0 and z_{2k}, k < m
+    re[:, m] = scales[m] * z[:, 1]
+    np.multiply(scales[1:m], z[:, 3::2], out=im[:, 1:m])
+    return np.fft.irfft(spectrum, n=2 * m)[:, :m]
 
 
-def _assemble(grid: Grid, increments: np.ndarray) -> Path:
-    values = np.empty(len(increments) + 1)
-    values[0] = 0.0
-    np.cumsum(increments, out=values[1:])
-    return Path(grid=grid, values=values)
+def _assemble(increments: np.ndarray) -> np.ndarray:
+    """Path values from increments along the last axis, each row from 0."""
+    values = np.empty(increments.shape[:-1] + (increments.shape[-1] + 1,))
+    values[..., 0] = 0.0
+    np.cumsum(increments, axis=-1, out=values[..., 1:])
+    return values
+
+
+def sample_fbm_block(grid: Grid, seeds: list[SeedPolicy]) -> list[Path]:
+    """One exact H = 1/6 fBm path on the grid per seed policy, synthesised together.
+
+    Path i is byte-identical to sample_fbm(grid, seeds[i]); all of them are
+    rows of one fresh array.
+    """
+    z = np.empty((len(seeds), 2 * grid.m))
+    for row, policy in zip(z, seeds):
+        row[:] = policy.normals(2 * grid.m, "fbm:circulant")
+    return [Path(grid=grid, values=row) for row in _assemble(_fgn_circulant(grid, z))]
 
 
 def sample_fbm(grid: Grid, seeds: SeedPolicy) -> Path:
     """Draw one exact H = 1/6 fBm path on the grid by circulant embedding."""
-    z = seeds.normals(2 * grid.m, "fbm:circulant")
-    return _assemble(grid, _fgn_circulant(grid, z))
+    return sample_fbm_block(grid, [seeds])[0]
 
 
 def sample_fbm_cholesky(grid: Grid, seeds: SeedPolicy) -> Path:
@@ -198,7 +214,7 @@ def sample_fbm_cholesky(grid: Grid, seeds: SeedPolicy) -> Path:
             f"Cholesky sampling limited to m <= {CHOLESKY_MAX_STEPS}; use sample_fbm"
         )
     z = seeds.normals(grid.m, "fbm:cholesky")
-    return _assemble(grid, _cholesky_factor(grid.n, grid.m) @ z)
+    return Path(grid=grid, values=_assemble(_cholesky_factor(grid.n, grid.m) @ z))
 
 
 def sample_bm(grid: Grid, seeds: SeedPolicy) -> Path:
@@ -208,4 +224,4 @@ def sample_bm(grid: Grid, seeds: SeedPolicy) -> Path:
     disjoint purpose tag, so paired (B, W) replications share a stream_id.
     """
     z = seeds.normals(grid.m, "bm")
-    return _assemble(grid, np.sqrt(grid.dt) * z)
+    return Path(grid=grid, values=_assemble(np.sqrt(grid.dt) * z))

@@ -56,8 +56,8 @@ def fresh_python():
 def converge_run():
     """converge's row at n = 2^12, its columns and its sums of g''^2, and
     the wall time: one estimator corpus, no limit law sampled."""
-    (row, cols, g2_sums), seconds = timed(
-        converge_experiment, ACCEPT_N, ACCEPT_REPLICATIONS, MASTER_SEED,
+    [(row, cols, g2_sums)], seconds = timed(
+        converge_experiment, [ACCEPT_N], ACCEPT_REPLICATIONS, MASTER_SEED,
         parse_integrand_list("; ".join(INTEGRANDS)), workers=WORKERS,
     )
     return row, cols, g2_sums, seconds
@@ -75,8 +75,8 @@ def converge_row(converge_run):
 @pytest.fixture(scope="session")
 def identity_row():
     """variations' row: identity residuals and the law of V_n(B, 1)."""
-    (row, _), seconds = timed(
-        identity_experiment, ACCEPT_N, ACCEPT_REPLICATIONS, MASTER_SEED, workers=WORKERS
+    [(row, _)], seconds = timed(
+        identity_experiment, [ACCEPT_N], ACCEPT_REPLICATIONS, MASTER_SEED, workers=WORKERS
     )
     return row, seconds
 

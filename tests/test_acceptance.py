@@ -65,7 +65,7 @@ def test_c01_kappa_constants():
 
 @pytest.fixture(scope="module")
 def identity_1024():
-    (row, _), elapsed = timed(identity_experiment, 1024, 100, MASTER_SEED)
+    [(row, _)], elapsed = timed(identity_experiment, [1024], 100, MASTER_SEED)
     return row, elapsed
 
 

@@ -19,6 +19,7 @@ from fbmlab.experiments import (
     identity_experiment,
     parse_integrand_list,
     sextic_experiment,
+    usable_cores,
 )
 from fbmlab.sampler import RNG_STREAM_VERSION
 
@@ -349,6 +350,19 @@ class TestReportsAndManifest:
         assert len(rows) == 60
         assert all(len(row) == len(head) for row in rows)
 
+    def test_manifest_records_engine_timings(self, capsys, tmp_path):
+        # the engine's draw and statistics seconds and its pool count; a
+        # pool at --workers 2 wherever two cores are usable, none serially
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            code, *_ = run(capsys, "sextic", "--n-list", "32,64,128", "--replications", "30",
+                           "--workers", workers, "--output-dir", str(out))
+            assert code == 0
+            timings = json.loads((out / "sextic" / "manifest.json").read_text())["timings"]
+            assert set(timings) == {"draw_s", "stats_s", "pools"}
+            assert timings["draw_s"] >= 0.0 and timings["stats_s"] >= 0.0
+            assert timings["pools"] == int(workers == "2" and usable_cores() > 1)
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         # every Monte Carlo command writes the same bytes whatever the worker
         # count; scaling reduces its window moments in replication order
@@ -373,14 +387,16 @@ class TestReportsAndManifest:
         # so the acceptance suite may judge the experiment rows directly
         experiment_rows = {
             "converge": lambda cfg, args: [
-                converge_experiment(n, *args, parse_integrand_list(cfg.integrand))[0]
-                for n in cfg.n_list
+                row for row, _, _ in
+                converge_experiment(cfg.n_list, *args, parse_integrand_list(cfg.integrand))
             ],
-            "variations": lambda cfg, args: [identity_experiment(n, *args)[0] for n in cfg.n_list],
+            "variations": lambda cfg, args: [
+                row for row, _ in identity_experiment(cfg.n_list, *args)
+            ],
             "sextic": lambda cfg, args: [sextic_experiment(cfg.n_list, *args)],
             "hermite": lambda cfg, args: [
-                row for g in parse_integrand_list(cfg.integrand)
-                for row, _ in hermite_experiment(cfg.n_list, *args, g)
+                row for row, _ in
+                hermite_experiment(cfg.n_list, *args, parse_integrand_list(cfg.integrand))
             ],
         }
         verdict_keys = {c.name for c in checks.CHECKS} | {"all_ok", "all_ks_accepted"}

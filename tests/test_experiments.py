@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 from statistics import NormalDist
 
 import numpy as np
@@ -7,16 +8,18 @@ import pytest
 
 from fbmlab import experiments
 from fbmlab.errors import CapabilityError, DomainError
+from fbmlab.cli import ExperimentConfig
 from fbmlab.variations import parse_integrand
 from fbmlab.experiments import (
     DEFAULT_SCALING_SPECS,
     _sextic_row,
     audit_experiment,
     converge_experiment,
+    fbm_draws,
     hermite_experiment,
     identity_experiment,
     parse_integrand_list,
-    run_replications,
+    run_tasks,
     sampler_experiment,
     scaling_experiment,
     sextic_experiment,
@@ -49,22 +52,22 @@ class TestIntegrandList:
 
 class TestConverge:
     def test_trivial_integrand_collapses_to_endpoint(self):
-        row, est, g2_sums = converge_experiment(64, 60, 101, [parse_integrand("1")])
+        [(row, est, g2_sums)] = converge_experiment([64], 60, 101, [parse_integrand("1")])
         assert np.allclose(est["int_1"], est["B"], atol=1e-12)
         assert row["identities"]["1"] < 1e-12
         assert row["pivots"] == {} and g2_sums == {}
 
     def test_shapes_and_determinism(self):
-        a_row, a_est, _ = converge_experiment(32, 60, 7, [parse_integrand("x")])
-        b_row, b_est, _ = converge_experiment(32, 60, 7, [parse_integrand("x")])
+        [(a_row, a_est, _)] = converge_experiment([32], 60, 7, [parse_integrand("x")])
+        [(b_row, b_est, _)] = converge_experiment([32], 60, 7, [parse_integrand("x")])
         assert list(a_est) == ["B", "cubic", "int_x"]
         assert all(len(col) == 60 for col in a_est.values())
         assert a_row == b_row
         assert np.array_equal(a_est["cubic"], b_est["cubic"])
 
     def test_worker_count_does_not_change_results(self):
-        a_row, a_est, a_sums = converge_experiment(32, 64, 7, [sin_map()], workers=1)
-        b_row, b_est, b_sums = converge_experiment(32, 64, 7, [sin_map()], workers=2)
+        [(a_row, a_est, a_sums)] = converge_experiment([32], 64, 7, [sin_map()], workers=1)
+        [(b_row, b_est, b_sums)] = converge_experiment([32], 64, 7, [sin_map()], workers=2)
         assert np.array_equal(a_est["int_sin"], b_est["int_sin"])
         assert np.array_equal(a_sums["sin"], b_sums["sin"])
         assert a_row == b_row
@@ -73,7 +76,7 @@ class TestConverge:
         # R_n(x^2) = V_n / 6 and sigma_n = kappa / 6, so Z = V_n / kappa; the
         # exact mean is 0 by oddness and no sum of g''^2 is drawn
         x2 = parse_integrand("x^2")
-        row, est, g2_sums = converge_experiment(64, 60, 3, [x2])
+        [(row, est, g2_sums)] = converge_experiment([64], 60, 3, [x2])
         assert g2_sums == {}
         z = est["cubic"] / row["kappa"]
         assert row["pivots"]["x^2"]["variance"] == pytest.approx(np.var(z, ddof=1), rel=1e-9)
@@ -96,7 +99,7 @@ class TestConverge:
 
     def test_pivot_scale_is_the_left_sum_of_g2_squared(self):
         g = sin_map()
-        _, _, g2_sums = converge_experiment(32, 60, 7, [g])
+        [(_, _, g2_sums)] = converge_experiment([32], 60, 7, [g])
         path = sample_fbm(Grid(32), SeedPolicy(7, 5))
         left = path.values[:-1]
         assert g2_sums["sin"][5] == pytest.approx(np.sum(np.sin(left) ** 2), rel=1e-12)
@@ -104,12 +107,12 @@ class TestConverge:
 
 class TestIdentity:
     def test_residuals_tiny(self):
-        row, cols = identity_experiment(256, 25, 11)
+        [(row, cols)] = identity_experiment([256], 25, 11)
         assert max(row["max_rel_residuals"].values()) < 1e-10
         assert len(cols["cubic"]) == 25
 
     def test_variance_sane_at_moderate_n(self):
-        row, _ = identity_experiment(512, 400, 13)
+        [(row, _)] = identity_experiment([512], 400, 13)
         assert 3.0 < row["cubic_variance"] < 9.0
         assert abs(row["cubic_b_corr"]) < 0.5
 
@@ -160,7 +163,7 @@ class TestHermite:
         [(row, _)] = hermite_experiment([64], 60, 23)
         assert row["variance_target_kind"] == "exact"
         assert row["variance_target"] == hermite_variance_exact(sin_map(), 64)
-        [(row, _)] = hermite_experiment([64], 60, 23, parse_integrand("x^2"))
+        [(row, _)] = hermite_experiment([64], 60, 23, [parse_integrand("x^2")])
         assert row["variance_target_kind"] == "limit"
         assert row["variance_target"] == row["variance_limit"]
 
@@ -243,8 +246,13 @@ class FakeContext:
     def __exit__(self, *exc):
         return False
 
-    def map(self, worker, jobs):
+    def map(self, worker, jobs, chunksize=None):
         return [worker(job) for job in jobs]
+
+
+def stream_ids(lo, hi):
+    """A draw whose sample of replication r is r itself."""
+    return range(lo, hi)
 
 
 class TestRunReplications:
@@ -261,16 +269,51 @@ class TestRunReplications:
             monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
         stats = {"r": lambda r: float(r), "sq": lambda r: float(r * r)}
-        many = run_replications(lambda r: r, stats, 2000, workers=10_000)
+        tasks = [(stream_ids, stats), (lambda lo, hi: range(lo + 1, hi + 1), stats)]
+        many = run_tasks(tasks, 2000, workers=10_000)
         assert fake.sizes == [3]
-        few = run_replications(lambda r: r, stats, 2000, workers=2)
+        few = run_tasks(tasks, 2000, workers=2)
         assert fake.sizes == [3, 2]
-        serial = run_replications(lambda r: r, stats, 2000, workers=1)
+        serial = run_tasks(tasks, 2000, workers=1)
         assert fake.sizes == [3, 2]
-        for name in stats:
-            assert many[name].tolist() == few[name].tolist() == serial[name].tolist()
-            assert many[name].tolist() == [stats[name](r) for r in range(2000)]
+        for shift, columns in enumerate(zip(many, few, serial)):
+            for name in stats:
+                a, b, c = (cols[name].tolist() for cols in columns)
+                assert a == b == c == [stats[name](r + shift) for r in range(2000)]
 
+    def test_chunks_follow_usable_cores(self, monkeypatch):
+        # --workers 64 on two usable cores makes the chunks of two workers,
+        # and the default worker count is the usable cores, not every CPU
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+        assert len(experiments._chunks(2000, 64)) == len(experiments._chunks(2000, 2)) == 8
+        assert len(experiments._chunks(2000, 1)) == 4
+        assert ExperimentConfig("sextic").workers == 2
+
+    def test_timings_sum_every_chunk(self, monkeypatch):
+        # on a clock that only the draw (1 s a path) and the statistics
+        # (10 s each) advance, the totals count every chunk of every task
+        fake = FakeContext()
+        monkeypatch.setattr(experiments, "get_context", fake)
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(experiments, "TIMINGS", Counter())
+        clock = [0.0]
+        monkeypatch.setattr(experiments, "perf_counter", lambda: clock[0])
+
+        def tick(seconds):
+            clock[0] += seconds
+
+        def draw(lo, hi):
+            for r in stream_ids(lo, hi):
+                tick(1.0)
+                yield r
+
+        stats = {"a": lambda r: tick(10.0), "b": lambda r: tick(10.0)}
+        run_tasks([(draw, stats)] * 3, 10, workers=2)
+        assert fake.sizes == [2]
+        assert experiments.TIMINGS == {"pools": 1, "draw_s": 30.0, "stats_s": 600.0}
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts page faults")
     def test_long_paths_reuse_heap_memory(self, fresh_python):
@@ -288,6 +331,52 @@ class TestRunReplications:
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
         assert int(out) < 5 * 50
+
+
+class TestOnePoolPerCommand:
+    def test_every_grid_of_a_command_shares_one_pool(self, monkeypatch):
+        # sextic's five levels, two grids of variations, converge and hermite
+        # (two integrands), and scaling's two grids: one pool each, and the
+        # same results as a serial run
+        runs = {
+            "sextic": lambda w: sextic_experiment([16, 32, 64, 128, 256], 60, 17, workers=w),
+            "variations": lambda w: identity_experiment([64, 128], 60, 17, workers=w),
+            "converge": lambda w: converge_experiment([32, 64], 60, 17, [sin_map()], workers=w),
+            "hermite": lambda w: hermite_experiment(
+                [32, 64], 60, 17, [sin_map(), parse_integrand("x^2")], workers=w
+            ),
+            "scaling": lambda w: scaling_experiment(17, 200, workers=w),
+        }
+        serial = {name: run(1) for name, run in runs.items()}
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        for name, run in runs.items():
+            fake = FakeContext()
+            monkeypatch.setattr(experiments, "get_context", fake)
+            pooled = run(2)
+            assert fake.sizes == [2], name
+            np.testing.assert_equal(pooled, serial[name], err_msg=name)
+
+    def test_hermite_integrands_read_the_same_paths(self):
+        [(sin_row, sin_cols)] = hermite_experiment([64], 30, 23)
+        both = hermite_experiment([64], 30, 23, [parse_integrand("x^2"), sin_map()])
+        assert [row["integrand"] for row, _ in both] == ["x^2", "sin"]
+        assert both[1][0] == sin_row
+        np.testing.assert_equal(both[1][1], sin_cols)
+
+
+class TestFbmDraws:
+    @pytest.mark.parametrize(
+        "grid", [Grid(64), Grid(4096), Grid(8192), Grid(8192, 0.25), Grid(16384)]
+    )
+    def test_blocks_need_not_align_with_chunks(self, grid):
+        # a chunk's blocks start at its first replication (8, 4, 2, 8 and 1
+        # rows here); every path equals its single-row draw, and views kept
+        # from earlier blocks are not overwritten by later ones
+        kept = [path.values for path in fbm_draws(grid, 5)(3, 22)]
+        assert len(kept) == 19
+        for r, values in enumerate(kept, start=3):
+            assert values.tobytes() == sample_fbm(grid, SeedPolicy(5, r)).values.tobytes()
 
 
 class TestSamplerExperiment:

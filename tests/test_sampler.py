@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from fbmlab.errors import CapabilityError, DomainError
-from fbmlab.sampler import Grid, SeedPolicy, sample_bm, sample_fbm, sample_fbm_cholesky
+from fbmlab.sampler import (
+    Grid,
+    SeedPolicy,
+    sample_bm,
+    sample_fbm,
+    sample_fbm_block,
+    sample_fbm_cholesky,
+)
 from fbmlab.analysis import ks_statistic, KS_COEFF_001
 from fbmlab.kernel import cov_r, rho
 from fbmlab.sampler import _cholesky_factor, _circulant_sqrt_eigs
@@ -184,17 +191,23 @@ def _reference_assemble(increments):
 
 class TestSynthesisMatchesReference:
     """sample_fbm writes the spectrum in place from cached scales and sums
-    into a preallocated array; its paths equal the plain form byte for byte."""
+    into a preallocated array; its paths, and each row of a block that
+    shares one batched irfft and one cumulative sum, equal the plain
+    one-path form byte for byte."""
 
     @pytest.mark.parametrize(
         "grid", [Grid(1), Grid(2), Grid(3), Grid(1000), Grid(4096), Grid(16384), Grid(8192, 0.25)]
     )
     def test_paths_are_byte_identical(self, grid):
-        for master_seed, stream_id in ((0, 0), (2, 7), (11, 1999), (20260810, 3)):
-            seeds = SeedPolicy(master_seed, stream_id)
-            z = seeds.normals(2 * grid.m, "fbm:circulant")
+        pairs = ((0, 0), (2, 7), (11, 1999), (20260810, 3), (2, 0), (2, 1), (2, 8), (11, 5))
+        seeds = [SeedPolicy(master_seed, stream_id) for master_seed, stream_id in pairs]
+        block = sample_fbm_block(grid, seeds)
+        assert len(block) == len(seeds)
+        for policy, path in zip(seeds, block):
+            z = policy.normals(2 * grid.m, "fbm:circulant")
             expected = _reference_assemble(_reference_fgn_circulant(grid, z))
-            assert sample_fbm(grid, seeds).values.tobytes() == expected.tobytes()
+            assert sample_fbm(grid, policy).values.tobytes() == expected.tobytes()
+            assert path.values.tobytes() == expected.tobytes()
 
 
 class TestBmSampler:
