@@ -1,9 +1,9 @@
 """Statistical verification harness.
 
-Distribution-free Kolmogorov-Smirnov distances (two-sample, and one-sample
-against the standard normal), log-log scaling
-fits for the windowed moment bounds, the symmetric Taylor decomposition
-behind the trapezoid correction, and exact covariance-envelope audits.
+The one-sample Kolmogorov-Smirnov distance from the standard normal, which
+is the package's one KS test, log-log scaling fits for the windowed moment
+bounds, the symmetric Taylor decomposition behind the trapezoid
+correction, and exact covariance-envelope audits.
 """
 
 from __future__ import annotations
@@ -19,11 +19,6 @@ from .sampler import Grid, Path
 from .variations import SmoothMap, int_power
 from .quadrature import expect_gauss_pair
 
-# Asymptotic KS critical coefficient at alpha = 0.01, c(alpha) =
-# sqrt(-ln(alpha/2) / 2) = 1.628...: the critical distance is c / sqrt(m)
-# for one sample of size m, c sqrt((m1 + m2) / (m1 m2)) for two.
-KS_COEFF_001 = 1.628
-
 KS_MIN_SAMPLES = 50
 AUDIT_MAX_STEPS = 4096
 # endpoint rows per block of covar_bound_audit: 64 x 4096 doubles are 2 MB
@@ -31,37 +26,6 @@ AUDIT_BLOCK_ROWS = 64
 
 # Symmetric Taylor constant gamma = (5! 2^4)^{-1} - (4! 2^4)^{-1} = -1/480.
 TAYLOR_GAMMA = 1.0 / 1920.0 - 1.0 / 384.0
-
-
-def ks_statistic(a, b) -> float:
-    """Exact sup distance between the two empirical CDFs (no size floor)."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    grid = np.concatenate([a, b])
-    grid.sort()
-    cdf_a = np.searchsorted(a, grid, side="right") / len(a)
-    cdf_b = np.searchsorted(b, grid, side="right") / len(b)
-    return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
-def ks_two_sample(a, b) -> dict:
-    """The KS report row of two finite samples: the statistic, its 1 %
-    critical value, their margin and whether the test rejects at 1 %."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise DomainError("KS samples contain non-finite values")
-    m1, m2 = len(a), len(b)
-    if m1 < KS_MIN_SAMPLES or m2 < KS_MIN_SAMPLES:  # rejects empty samples too
-        raise DomainError(f"KS needs both samples >= {KS_MIN_SAMPLES}")
-    statistic = ks_statistic(a, b)
-    critical = KS_COEFF_001 * float(np.sqrt((m1 + m2) / (m1 * m2)))
-    return {
-        "statistic": statistic,
-        "critical_001": critical,
-        "margin": critical - statistic,
-        "rejects": statistic > critical,
-    }
 
 
 def ks_normal(sample) -> float:

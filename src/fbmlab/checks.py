@@ -5,9 +5,9 @@ report row of the command's experiment, and each threshold is compared
 here alone.  A TOP check is asymptotic: judged on every row, it gates only
 at the largest grid in --n-list.  The "sampler" entries have no command;
 the acceptance suite judges sampler_experiment's row with them.  The
-converge entries measure instead: each maps the row to one record per
-column, {value, target, tol, margin, ok}, which holds when
-|value - target| <= tol.
+measured entries (those of converge, the sampler's KS and the correlation
+of variations) map the row to one record per column,
+{value, target, tol, margin, ok}, which holds when |value - target| <= tol.
 """
 
 from __future__ import annotations
@@ -15,15 +15,17 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .analysis import KS_COEFF_001, Estimator
+from .analysis import Estimator
 
+# Asymptotic KS coefficient at alpha = 0.01, sqrt(-ln(alpha/2) / 2) = 1.628...:
+# a one-sample KS of M replications rejects above 1.628 / sqrt(M).
+KS_COEFF_001 = 1.628
 KAPPA_SQ_REF, KAPPA_SQ_TOL = 5.391, 1e-3
 KAPPA_REF, KAPPA_TOL = 2.322, 5e-3
 IDENTITY_TOL = 1e-10
 CUBIC_VAR_RTOL = 0.10
 # |Var Z_g - 1| of a converge pivot; a KS of Z_g alone misses kappa scaled by 0.9
 PIVOT_VAR_TOL = 0.10
-CUBIC_CORR_MAX = 0.08
 HERMITE_VAR_RTOL = 0.10
 SLOPE_FLOORS = {
     Estimator.CUBIC_4TH: 1.8,
@@ -91,7 +93,12 @@ CHECKS = (
           lambda r: all(v <= IDENTITY_TOL for v in r["max_rel_residuals"].values())),
     Check("variations", "variance_ok", TOP,
           lambda r: _within(r["cubic_variance"], r["kappa_sq"], CUBIC_VAR_RTOL * r["kappa_sq"])),
-    Check("variations", "corr_ok", TOP, lambda r: abs(r["cubic_b_corr"]) < CUBIC_CORR_MAX),
+    # corr(V_n, B(1)) against its exact value on Fisher's z scale, where
+    # atanh r has standard error 1 / sqrt(M - 3)
+    Check("variations", "corr_ok", TOP,
+          lambda r: {"fisher_z": _record(math.atanh(r["cubic_b_corr"]),
+                                         math.atanh(r["cubic_b_corr_exact"]),
+                                         MEAN_SE_MULT / math.sqrt(r["replications"] - 3))}),
     Check("sextic", "medians_decreasing", EVERY, lambda r: r["medians_decreasing"]),
     Check("sextic", "mean_ok", EVERY,
           lambda r: _within(r["mean_value"], r["mean_target"], MEAN_SE_MULT * r["mean_se"])),
@@ -113,7 +120,8 @@ CHECKS = (
     Check("audit", "orthogonality_max_dev", EVERY,
           lambda r: r["orthogonality_max_dev"] < ORTHOGONALITY_TOL),
     Check("sampler", "gram_z_ok", EVERY, lambda r: r["gram_max_z"] < GRAM_Z_MAX),
-    Check("sampler", "method_ks_ok", EVERY, lambda r: not r["method_ks"]["rejects"]),
+    Check("sampler", "method_ks_ok", EVERY,
+          lambda r: {method: _ks(r, d) for method, d in r["method_ks"].items()}),
 )
 
 

@@ -51,7 +51,6 @@ from .experiments import (
     converge_experiment,
     hermite_experiment,
     identity_experiment,
-    parse_integrand_list,
     scaling_experiment,
     sextic_experiment,
     taylor_experiment,
@@ -59,7 +58,7 @@ from .experiments import (
 )
 from .kernel import kappa_constant
 from .sampler import RNG_STREAM_VERSION, Grid
-from .variations import parse_integrand
+from .variations import parse_integrand, parse_integrand_list
 
 DEFAULT_MASTER_SEED = 2
 DEFAULT_N_LIST = (256, 512, 1024, 2048, 4096)

@@ -2,23 +2,25 @@
 
 Every Monte Carlo experiment is a set of per-path statistics of independent
 replications on one or more grids, and all of them run through one engine,
-run_tasks, which takes one (draw, stats) task per grid.  Replication r
-draws its path once from its own seed stream (master_seed, r), and every
-statistic of the task is applied to that one path; fbm_draws synthesises
-the paths of a chunk in small blocks that share one batched FFT, each path
-byte-identical to its one-row draw.  The engine splits the replication
-range into chunks and fans the chunks of every task out together over one
-fork-only process pool, so a command forks at most one pool; the tasks are
-left in a module-level slot before the pool starts, so forked workers
-inherit them and only (task, lo, hi) bounds cross the process boundary.
-Columns come back concatenated in replication order, and every reduction
-over them (medians, means, ordered sums) runs in that order, so results
-are independent of chunking and of the worker count.  Each chunk also
-returns the seconds it spent drawing and in statistics, which TIMINGS
-sums for the manifest.  No experiment samples a limit law: converge
-judges the paper's conditional limit through pivots built from its own
-paths and exact finite-n means.  Every experiment but scaling, whose
-windows are sub-intervals, runs on [0, 1].
+run_tasks, which takes one (draw, stats) task per grid, or per sampler in
+sampler_experiment.  Replication r draws its path once from its own seed
+stream (master_seed, r), and every statistic of the task is applied to
+that one path; fbm_draws synthesises the paths of a chunk in small blocks
+that share one batched FFT, each path byte-identical to its one-row draw.
+The engine splits the replication range into chunks and fans the chunks
+of every task out together over one fork-only process pool, so a command
+forks at most one pool; the tasks are left in a module-level slot before
+the pool starts, so forked workers inherit them and only (task, lo, hi)
+bounds cross the process boundary.  Columns come back concatenated in
+replication order, and every reduction over them (medians, means, ordered
+sums) runs in that order, so results are independent of chunking and of
+the worker count.  Each chunk also returns the seconds it spent drawing
+and in statistics, which TIMINGS sums for the manifest.  No experiment
+samples a limit law, and every law is judged against its exact target:
+converge judges the paper's conditional limit through pivots built from
+its own paths and exact finite-n means, and sampler_experiment each
+sampler's B(1) by a one-sample KS against N(0, 1).  Every experiment but
+scaling, whose windows are sub-intervals, runs on [0, 1].
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .analysis import (
     audit_grid,
     covar_bound_audit,
     ks_normal,
-    ks_two_sample,
     moment_scaling,
     orthogonality_audit,
     taylor_residual,
@@ -64,21 +65,6 @@ from .variations import (
     sin_map,
     weighted_hermite,
 )
-
-def parse_integrand_list(text: str) -> list[SmoothMap]:
-    """Semicolon-separated integrand specs, e.g. "1; x; x^2; sin".
-
-    A repeated label is refused: results are keyed by label, so a second
-    copy would silently collapse into the first.
-    """
-    items = [part.strip() for part in text.split(";") if part.strip()]
-    if not items:
-        raise DomainError("empty integrand list")
-    maps = [parse_integrand(item) for item in items]
-    labels = [g.label for g in maps]
-    if len(set(labels)) < len(labels):
-        raise DomainError(f"integrand list repeats a label: {'; '.join(labels)}")
-    return maps
 
 
 def _decreasing(values) -> bool:
@@ -168,11 +154,6 @@ def run_tasks(tasks: list, replications: int, workers: int) -> list[dict]:
         own = [cols for cols, _ in parts[i * len(bounds) : (i + 1) * len(bounds)]]
         columns.append({name: np.concatenate([cols[name] for cols in own]) for name in stats})
     return columns
-
-
-def run_replications(draw, stats: dict, replications: int, workers: int) -> dict:
-    """run_tasks of the one task (draw, stats): its dict of columns."""
-    return run_tasks([(draw, stats)], replications, workers)[0]
 
 
 # Rows per block of fbm_draws: at most 8, and at most 2^14 steps in all.  A
@@ -328,9 +309,13 @@ def identity_experiment(
     """Pathwise telescoping identities and the signed-cubic-variation law.
 
     Returns, for each n in n_list, the report row (worst relative residual
-    of each identity, and the variance of V_n(B, 1) and its correlation
-    with B(1), with the limit variance kappa_sq) and the columns B and
-    cubic."""
+    of each identity, the variance of V_n(B, 1) with the limit variance
+    kappa_sq, and its correlation with B(1) with the exact value
+    3 n^{-1/3} / sqrt(cubic_variance_exact(n)), by Wick's formula) and the
+    columns B and cubic.  Fewer than 4 replications are refused: the Fisher
+    z of a correlation has variance 1 / (M - 3)."""
+    if replications < 4:
+        raise DomainError("variations needs at least 4 replications")
     tasks = [(fbm_draws(Grid(n), master_seed), {"identity": _identity_row}) for n in n_list]
     kappa_sq = kappa_constant().kappa_sq
     runs = []
@@ -348,7 +333,9 @@ def identity_experiment(
             },
             "cubic_variance": float(np.var(vn, ddof=1)),
             "cubic_b_corr": float(np.corrcoef(vn, b1)[0, 1]),
+            "cubic_b_corr_exact": 3.0 * n ** (-1.0 / 3.0) / math.sqrt(cubic_variance_exact(n)),
             "kappa_sq": kappa_sq,
+            "replications": replications,
         }
         runs.append((row, {"B": b1, "cubic": vn}))
     return runs
@@ -562,44 +549,31 @@ def audit_experiment(n_list) -> dict:
 # --- sampler validation -------------------------------------------------------
 
 
-def sampler_experiment(
-    master_seed: int,
-    gram_n: int = 512,
-    gram_replications: int = 2000,
-    ks_replications: int = 1000,
-    probe_indices=(64, 128, 256, 512),
-) -> dict:
+def sampler_experiment(master_seed: int, n: int = 512, replications: int = 2000) -> dict:
     """The sampler row: gram_max_z, the largest entrywise z score of the
-    empirical Gram matrix against cov_r, and method_ks, the KS row of a
-    Cholesky/circulant two-sample test on B(1).  The circulant B(1) of the
-    KS comes from the same paths as the Gram matrix."""
-    grid = Grid(gram_n, 1.0)
-    probes = np.array(probe_indices)
-    cols = run_replications(
-        fbm_draws(grid, master_seed),
-        {
-            "probes": lambda path: path.values[probes],
-            "b1": lambda path: path.values[-1],
-        },
-        max(gram_replications, ks_replications),
-        workers=1,
+    empirical Gram matrix of the circulant paths at t = 1/8, 1/4, 1/2 and 1
+    against cov_r, and method_ks, the KS distance of B(1) from N(0, 1)
+    under each sampler.  The circulant and the Cholesky paths are two tasks
+    of one run_tasks call, on the same seed streams."""
+    grid = Grid(n)
+    probes = n // np.array([8, 4, 2, 1])
+    b1 = {"b1": lambda path: path.values[-1]}
+
+    def cholesky(lo: int, hi: int):
+        return (sample_fbm_cholesky(grid, SeedPolicy(master_seed, r)) for r in range(lo, hi))
+
+    circulant = {"probes": lambda path: path.values[probes], **b1}
+    circ, chol = run_tasks(
+        [(fbm_draws(grid, master_seed), circulant), (cholesky, b1)], replications, workers=1
     )
-    vals = cols["probes"][:gram_replications]
-    t = probes / gram_n
+    vals = circ["probes"]
+    t = probes / n
     target = cov_r(t[:, None], t[None, :])
     prods = vals[:, :, None] * vals[:, None, :]
     emp = prods.mean(axis=0)
-    se = prods.std(axis=0, ddof=1) / math.sqrt(gram_replications)
-    chol = run_replications(
-        lambda lo, hi: (
-            sample_fbm_cholesky(grid, SeedPolicy(master_seed, r)) for r in range(lo, hi)
-        ),
-        {"b1": lambda path: path.values[-1]},
-        ks_replications,
-        workers=1,
-    )["b1"]
-    circ = cols["b1"][:ks_replications]
+    se = prods.std(axis=0, ddof=1) / math.sqrt(replications)
     return {
+        "replications": replications,
         "gram_max_z": float(np.max(np.abs(emp - target) / se)),
-        "method_ks": ks_two_sample(chol, circ),
+        "method_ks": {"circulant": ks_normal(circ["b1"]), "cholesky": ks_normal(chol["b1"])},
     }

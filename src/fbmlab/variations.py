@@ -13,8 +13,10 @@ entry 0 is 0.0 and the last entry is the value at the horizon.
 Integrands live in one of three closed-form families (polynomial,
 a*sin(bx+c), a*exp(bx)) so that derivatives up to any order used here and
 one antiderivative are exact, keeping the identity tests free of numerical
-differentiation error.  Summation is a fixed ascending prefix sum, so the
-results do not depend on any parallel schedule.
+differentiation error; parse_integrand and parse_integrand_list read them
+from the command line's plain-text grammar.  Summation is a fixed
+ascending prefix sum, so the results do not depend on any parallel
+schedule.
 """
 
 from __future__ import annotations
@@ -174,6 +176,22 @@ def parse_integrand(text: str) -> SmoothMap:
         return SmoothMap(Family.POLYNOMIAL, (float(text),), text)
     except ValueError as exc:
         raise DomainError(f"cannot parse integrand {text!r}") from exc
+
+
+def parse_integrand_list(text: str) -> list[SmoothMap]:
+    """Semicolon-separated integrand specs, e.g. "1; x; x^2; sin".
+
+    A repeated label is refused: results are keyed by label, so a second
+    copy would silently collapse into the first.
+    """
+    items = [part.strip() for part in text.split(";") if part.strip()]
+    if not items:
+        raise DomainError("empty integrand list")
+    maps = [parse_integrand(item) for item in items]
+    labels = [g.label for g in maps]
+    if len(set(labels)) < len(labels):
+        raise DomainError(f"integrand list repeats a label: {'; '.join(labels)}")
+    return maps
 
 
 def int_power(x: np.ndarray, k: int) -> np.ndarray:

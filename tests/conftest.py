@@ -14,8 +14,8 @@ from fbmlab.experiments import (
     converge_experiment,
     hermite_experiment,
     identity_experiment,
-    parse_integrand_list,
 )
+from fbmlab.variations import parse_integrand_list
 
 # default master seed of the shipped configuration; fixed up front so the
 # acceptance outcomes are a deterministic property of the artifact

@@ -15,7 +15,6 @@ import pytest
 from fbmlab.kernel import kappa_constant
 from fbmlab.checks import (
     ANCHOR_SUM_MAX,
-    CUBIC_CORR_MAX,
     CUBIC_VAR_RTOL,
     GRAM_Z_MAX,
     HERMITE_VAR_RTOL,
@@ -24,18 +23,20 @@ from fbmlab.checks import (
     KAPPA_SQ_TOL,
     KAPPA_TOL,
     MEAN_SE_MULT,
+    _describe,
     judge,
 )
 from fbmlab import experiments
 from fbmlab.experiments import (
     audit_experiment,
     identity_experiment,
-    parse_integrand_list,
     sampler_experiment,
     scaling_experiment,
     sextic_experiment,
     taylor_experiment,
 )
+from fbmlab.sampler import Path
+from fbmlab.variations import parse_integrand_list
 
 from conftest import ACCEPT_N, INTEGRANDS, MASTER_SEED, timed
 
@@ -115,16 +116,18 @@ def test_c04_sextic_variation():
 def test_c05_signed_cubic_variation(identity_row):
     row, elapsed = identity_row
     checks, _ = judge("variations", row)
-    var_ok, corr_ok = checks["variance_ok"], checks["corr_ok"]
+    var_ok, corr_z = checks["variance_ok"], checks["corr_ok"]["fisher_z"]
     var, corr, kappa_sq = row["cubic_variance"], row["cubic_b_corr"], row["kappa_sq"]
     report(
         5,
-        var_ok and corr_ok,
+        var_ok and corr_z["ok"],
         f"Var(V_n)={var:.4f} (kappa^2={kappa_sq:.4f} +-{CUBIC_VAR_RTOL:.0%}), "
-        f"|corr(V_n,B(1))|={abs(corr):.4f} < {CUBIC_CORR_MAX}, n=2^12 M=2000 ({elapsed:.2f}s)",
+        f"corr(V_n,B(1))={corr:.4f} (exact {row['cubic_b_corr_exact']:.5f}; Fisher z "
+        f"|{corr_z['value']:.4f} - {corr_z['target']:.4f}| <= {corr_z['tol']:.4f}), "
+        f"n=2^12 M=2000 ({elapsed:.2f}s)",
     )
     assert var_ok, f"Var(V_n)={var} outside {CUBIC_VAR_RTOL:.0%} of {kappa_sq}"
-    assert corr_ok, f"|corr|={abs(corr)} not below {CUBIC_CORR_MAX}"
+    assert corr_z["ok"], corr_z
 
 
 def test_c06_weak_stratonovich_convergence(converge_row):
@@ -242,18 +245,34 @@ def test_c11_anchored_cube_sums():
 
 
 def test_c12_sampler_validity():
-    row, elapsed = timed(
-        sampler_experiment, MASTER_SEED, gram_n=512, gram_replications=2000, ks_replications=1000
-    )
-    gram_max_z, method_ks = row["gram_max_z"], row["method_ks"]
-    checks, _ = judge("sampler", row)
-    gram_ok, ks_ok = checks["gram_z_ok"], checks["method_ks_ok"]
+    # each sampler's B(1) against its exact law N(0, 1), a one-sample KS
+    row, elapsed = timed(sampler_experiment, MASTER_SEED, n=512, replications=2000)
+    checks, failed = judge("sampler", row)
+    gram_ok, ks = checks["gram_z_ok"], checks["method_ks_ok"]
+    ks_text = ", ".join(f"{method} {record['value']:.4f}" for method, record in ks.items())
     report(
         12,
-        gram_ok and ks_ok,
-        f"Gram max |z| = {gram_max_z:.2f} < {GRAM_Z_MAX:g} (m=512, M=2000); "
-        f"cholesky-vs-circulant KS {method_ks['statistic']:.4f} < "
-        f"{method_ks['critical_001']:.4f} ({elapsed:.1f}s)",
+        not failed,
+        f"Gram max |z| = {row['gram_max_z']:.2f} < {GRAM_Z_MAX:g} (m=512, M=2000); "
+        f"KS of B(1) against N(0, 1): {ks_text} < {ks['circulant']['tol']:.4f} "
+        f"({elapsed:.1f}s)",
     )
-    assert gram_ok, f"gram z {gram_max_z}"
-    assert ks_ok, f"KS {method_ks['statistic']} vs {method_ks['critical_001']}"
+    assert set(ks) == {"circulant", "cholesky"}
+    assert gram_ok, f"gram z {row['gram_max_z']}"
+    assert not failed, failed
+
+
+def test_c12_method_ks_rejects_scaled_paths(monkeypatch):
+    # the named wrong sampler: circulant paths scaled by 1.25.  The one-sample
+    # KS of its B(1) rejects and names its record; the Cholesky paths pass.
+    draw = experiments.sample_fbm_block
+
+    def scaled(grid, seeds):
+        return [Path(grid, 1.25 * path.values) for path in draw(grid, seeds)]
+
+    monkeypatch.setattr(experiments, "sample_fbm_block", scaled)
+    row = sampler_experiment(MASTER_SEED, n=512, replications=2000)
+    checks, failed = judge("sampler", row)
+    ks = checks["method_ks_ok"]
+    assert not ks["circulant"]["ok"] and ks["cholesky"]["ok"], ks
+    assert f"method_ks_ok circulant {_describe(ks['circulant'])}" in failed

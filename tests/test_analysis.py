@@ -10,8 +10,6 @@ from fbmlab.analysis import (
     TAYLOR_GAMMA,
     covar_bound_audit,
     ks_normal,
-    ks_statistic,
-    ks_two_sample,
     moment_scaling,
     orthogonality_audit,
     taylor_residual,
@@ -23,53 +21,6 @@ from fbmlab.sampler import Grid, Path, SeedPolicy, sample_fbm
 from fbmlab.variations import monomial_map, parse_integrand, sin_map
 from fbmlab.analysis import window_moments
 from fbmlab.kernel import endpoint_increment_cov
-
-
-class TestKs:
-    def test_rejects_empty_and_nonfinite(self):
-        full = np.zeros(100)
-        for bad in ([], np.append(full, np.nan), np.append(full, np.inf)):
-            with pytest.raises(DomainError):
-                ks_two_sample(bad, full)
-            with pytest.raises(DomainError):
-                ks_two_sample(full, bad)
-
-    def test_identical_samples(self):
-        x = np.linspace(0, 1, 60)
-        assert ks_statistic(x, x) == 0.0
-
-    def test_disjoint_supports(self):
-        assert ks_statistic([0.0, 1.0], [10.0, 11.0]) == 1.0
-
-    def test_small_enumeration_oracle(self):
-        # brute force over all breakpoints of F_a - F_b
-        a = np.array([1.0, 2.0, 3.0])
-        b = np.array([1.5, 2.5])
-        points = np.concatenate([a, b])
-        brute = max(
-            abs(np.mean(a <= p) - np.mean(b <= p)) for p in points
-        )
-        assert brute == pytest.approx(1.0 / 3.0)
-        assert ks_statistic(a, b) == pytest.approx(brute, abs=1e-15)
-
-    def test_rank_invariance(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=200)
-        b = rng.normal(0.3, 1.2, size=150)
-        base = ks_statistic(a, b)
-        for transform in (np.exp, np.arctan, lambda x: x**3):
-            assert ks_statistic(transform(a), transform(b)) == base
-
-    def test_two_sample_result(self):
-        rng = np.random.default_rng(1)
-        res = ks_two_sample(rng.normal(size=400), rng.normal(size=900))
-        assert res["critical_001"] == pytest.approx(1.628 * math.sqrt(1300 / (400 * 900)))
-        assert res["margin"] == res["critical_001"] - res["statistic"] > 0
-        assert res["rejects"] is False
-
-    def test_min_sizes(self):
-        with pytest.raises(DomainError):
-            ks_two_sample(np.ones(10), np.zeros(100))
 
 
 class TestKsNormal:

@@ -17,11 +17,11 @@ from fbmlab.experiments import (
     converge_experiment,
     hermite_experiment,
     identity_experiment,
-    parse_integrand_list,
     sextic_experiment,
     usable_cores,
 )
 from fbmlab.sampler import RNG_STREAM_VERSION
+from fbmlab.variations import parse_integrand_list
 
 
 # small runs of every Monte Carlo command
@@ -101,12 +101,14 @@ class TestConfigHandling:
         ("audit", "--n-list", "1,64"),
         ("sextic", "--n-list", ","),
         ("scaling", "--replications", "199"),
+        ("variations", "--n-list", "64", "--replications", "3"),
     ])
     def test_degenerate_values_are_config_errors(self, capsys, tmp_path, argv):
         # a grid of no steps or a negative number of them, or no grid at all,
         # has no path, one replication has no sample variance, an audit of
-        # one step has no lag for its ratio (v), and the scaling fits need
-        # 200 replications; each is refused before anything is written
+        # one step has no lag for its ratio (v), the scaling fits need 200
+        # replications, and the Fisher z of variations' correlation 4; each
+        # is refused before anything is written
         code, _, err = run(capsys, *argv, "--check", "--output-dir", str(tmp_path / "out"))
         assert code == 2
         assert "config error" in err
@@ -442,8 +444,10 @@ class TestReportsAndManifest:
 
     @pytest.mark.parametrize("command, forced, expected", [
         # identities gate at every grid, the variance and correlation at the largest only
-        ("variations", {"IDENTITY_TOL": -1.0, "CUBIC_VAR_RTOL": 0.0, "CUBIC_CORR_MAX": 0.0},
-         ["n=32 identities_ok", "n=64 identities_ok", "n=64 variance_ok", "n=64 corr_ok"]),
+        # the correlation's line carries its record, as report.json holds it
+        ("variations", {"IDENTITY_TOL": -1.0, "CUBIC_VAR_RTOL": 0.0, "MEAN_SE_MULT": 0.0},
+         ["n=32 identities_ok", "n=64 identities_ok", "n=64 variance_ok",
+          "n=64 corr_ok fisher_z {corr_ok}"]),
         # the means gate at every grid, the variance at the largest only
         ("hermite", {"MEAN_SE_MULT": 0.0, "HERMITE_VAR_RTOL": 0.0},
          ["sin n=32 left_mean_ok", "sin n=32 right_mean_ok", "sin n=64 left_mean_ok",
@@ -455,11 +459,20 @@ class TestReportsAndManifest:
         code, _, err = run(capsys, command, "--n-list", "32,64", "--replications", "30",
                            "--check", "--workers", "1", "--output-dir", str(tmp_path))
         assert code == 4
-        assert err.splitlines() == [f"check failed: {command} {line}" for line in expected]
-        # the report still holds every verdict of every grid
         report = json.loads((tmp_path / command / "report.json").read_text())
         rows = report["per_n" if command == "variations" else "per_integrand"]
-        assert all(not row[name] for row in rows for name in checks.judge(command, row)[0])
+        described = {}
+        if command == "variations":
+            described["corr_ok"] = checks._describe(rows[-1]["corr_ok"]["fisher_z"])
+        assert err.splitlines() == [
+            f"check failed: {command} {line.format(**described)}" for line in expected
+        ]
+        # the report still holds every verdict of every grid, each failed
+        verdicts = [row[name] for row in rows for name in checks.judge(command, row)[0]]
+        assert all(
+            not all(r["ok"] for r in v.values()) if isinstance(v, dict) else not v
+            for v in verdicts
+        )
 
     def test_no_partial_files_on_success(self, capsys, tmp_path):
         run(capsys, "taylor", "--output-dir", str(tmp_path), "--master-seed", "3")

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from fbmlab import experiments
+from fbmlab.checks import judge
 from fbmlab.errors import CapabilityError, DomainError
 from fbmlab.cli import ExperimentConfig
-from fbmlab.variations import parse_integrand
+from fbmlab.variations import parse_integrand, parse_integrand_list
 from fbmlab.experiments import (
     DEFAULT_SCALING_SPECS,
     _sextic_row,
@@ -18,7 +19,6 @@ from fbmlab.experiments import (
     fbm_draws,
     hermite_experiment,
     identity_experiment,
-    parse_integrand_list,
     run_tasks,
     sampler_experiment,
     scaling_experiment,
@@ -115,6 +115,16 @@ class TestIdentity:
         [(row, _)] = identity_experiment([512], 400, 13)
         assert 3.0 < row["cubic_variance"] < 9.0
         assert abs(row["cubic_b_corr"]) < 0.5
+
+    def test_exact_correlation_target(self):
+        # Cov(V_n, B(1)) = 3 n^{-1/3} by Wick's formula, and Var V_n = 5.42647
+        # at n = 4096; corr_ok passes at the exact value and rejects the named
+        # alternative rho = 0.25 at M = 500
+        [(row, _)] = identity_experiment([4096], 4, 11)
+        assert row["cubic_b_corr_exact"] == pytest.approx(0.08049, abs=5e-6)
+        for corr, ok in ((row["cubic_b_corr_exact"], True), (0.25, False)):
+            trial = {**row, "cubic_b_corr": corr, "replications": 500}
+            assert judge("variations", trial)[0]["corr_ok"]["fisher_z"]["ok"] is ok
 
 
 class TestSextic:
@@ -323,11 +333,11 @@ class TestRunReplications:
         out = fresh_python(
             "import resource\n"
             "from fbmlab.sampler import Grid\n"
-            "from fbmlab.experiments import fbm_draws, run_replications\n"
-            "draw, stats = fbm_draws(Grid(16384), 2), {'b': lambda path: path.values[-1]}\n"
-            "run_replications(draw, stats, 2, workers=1)\n"
+            "from fbmlab.experiments import fbm_draws, run_tasks\n"
+            "tasks = [(fbm_draws(Grid(16384), 2), {'b': lambda path: path.values[-1]})]\n"
+            "run_tasks(tasks, 2, workers=1)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "run_replications(draw, stats, 50, workers=1)\n"
+            "run_tasks(tasks, 50, workers=1)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
         assert int(out) < 5 * 50
@@ -381,9 +391,8 @@ class TestFbmDraws:
 
 class TestSamplerExperiment:
     def test_small_validation(self):
-        row = sampler_experiment(
-            37, gram_n=128, gram_replications=500, ks_replications=200,
-            probe_indices=(16, 32, 64, 128),
-        )
+        row = sampler_experiment(37, n=128, replications=500)
         assert row["gram_max_z"] < 5.0
-        assert not row["method_ks"]["rejects"]
+        records = judge("sampler", row)[0]["method_ks_ok"]
+        assert set(records) == {"circulant", "cholesky"}
+        assert all(record["ok"] for record in records.values()), records

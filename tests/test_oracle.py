@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from fbmlab import oracle
-from fbmlab.analysis import ks_two_sample
+from fbmlab.checks import KS_COEFF_001
 from fbmlab.errors import DomainError
 from fbmlab.kernel import kappa_constant
 from fbmlab.oracle import LimitSample, weak_strat_integral
@@ -12,6 +13,12 @@ from fbmlab.sampler import Grid, SeedPolicy, sample_bm, sample_fbm
 from fbmlab.variations import monomial_map, parse_integrand, sin_map
 
 KAPPA = kappa_constant(10_000).kappa
+
+
+def ks_2samp_rejects(a, b) -> bool:
+    """Whether the two-sample KS distance exceeds its 1 % critical value."""
+    m1, m2 = len(a), len(b)
+    return ks_2samp(a, b).statistic > KS_COEFF_001 * math.sqrt((m1 + m2) / (m1 * m2))
 
 
 def draw(refinement, master_seed, stream_id, integrands=(), kappa=KAPPA):
@@ -99,8 +106,7 @@ class TestLimitLaw:
             "int_sin": ([weak_strat_integral(g, s) for s in samples], ref_sin),
         }
         for name, (new, ref) in pairs.items():
-            res = ks_two_sample(new, ref)
-            assert not res["rejects"], (name, res["statistic"], res["critical_001"])
+            assert not ks_2samp_rejects(new, ref), (name, ks_2samp(new, ref).statistic)
 
 
 class TestLimitSample:
@@ -161,7 +167,7 @@ class TestWeakStratIntegral:
         g, reps = sin_map(), 1000
         coarse = [weak_strat_integral(g, draw(256, 8, r, [g])) for r in range(reps)]
         fine = [weak_strat_integral(g, draw(2048, 8, reps + r, [g])) for r in range(reps)]
-        assert not ks_two_sample(coarse, fine)["rejects"]
+        assert not ks_2samp_rejects(coarse, fine)
 
 
 def residual(g, sample) -> float:

@@ -7,7 +7,7 @@ from scipy import integrate
 
 import fbmlab.quadrature as quadrature
 from fbmlab.errors import DomainError
-from fbmlab.experiments import fbm_draws, run_replications
+from fbmlab.experiments import fbm_draws, run_tasks
 from fbmlab.kernel import anchor_cube_sums, cov_r, kappa_constant, rho
 from fbmlab.quadrature import (
     closed_pair_moment,
@@ -293,7 +293,7 @@ class TestRiemannExactMean:
             - g.antiderivative()(path.values[-1]) + g.antiderivative()(0.0)
             for g in maps
         }
-        cols = run_replications(fbm_draws(Grid(n), 5), stats, replications, workers=2)
+        [cols] = run_tasks([(fbm_draws(Grid(n), 5), stats)], replications, workers=2)
         for g in maps:
             col = cols[g.label]
             se = np.std(col, ddof=1) / math.sqrt(replications)
