@@ -103,9 +103,9 @@ CHECKS = (
     Check("sextic", "mean_ok", EVERY,
           lambda r: _within(r["mean_value"], r["mean_target"], MEAN_SE_MULT * r["mean_se"])),
     Check("hermite", "left_mean_ok", EVERY,
-          lambda r: _within(r["left_mean"], r["mean_limit"], MEAN_SE_MULT * r["left_se"])),
+          lambda r: _within(r["left_mean"], r["left_mean_exact"], MEAN_SE_MULT * r["left_se"])),
     Check("hermite", "right_mean_ok", EVERY,
-          lambda r: _within(r["right_mean"], -r["mean_limit"], MEAN_SE_MULT * r["right_se"])),
+          lambda r: _within(r["right_mean"], r["right_mean_exact"], MEAN_SE_MULT * r["right_se"])),
     Check("hermite", "variance_ok", TOP,
           lambda r: _within(r["left_variance"], r["variance_target"],
                             HERMITE_VAR_RTOL * r["variance_target"])),

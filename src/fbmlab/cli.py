@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ConfigError(f"n_list repeats a grid size: {self.n_list}")
         for n in self.n_list:  # the Grid refuses a bad size
             Grid(n)
+        if not 0 <= self.master_seed < 2**64:  # SeedPolicy keys on the seed's low 64 bits
+            raise ConfigError(f"master_seed must lie in [0, 2^64): {self.master_seed}")
         if self.replications < 2:  # a sample variance needs two paths
             raise ConfigError("replications must be at least 2")
         if self.workers < 1:
@@ -399,6 +401,9 @@ def main(argv=None) -> int:
         return 4 if failed else 0
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a float past 1.8e308, e.g. an exp integrand's moment
+        print(f"config error: non-finite value: {exc}", file=sys.stderr)
         return 2
     except (CapabilityError, MemoryError) as exc:  # MemoryError: a grid too large to allocate
         print(f"capability error: {exc}", file=sys.stderr)

@@ -49,6 +49,7 @@ from .checks import SLOPE_FLOORS
 from .errors import DomainError
 from .kernel import anchor_cube_sums, cov_r, cubic_variance_exact, kappa_constant
 from .quadrature import (
+    hermite_mean_exact,
     hermite_mean_limit,
     hermite_variance_exact,
     hermite_variance_limit,
@@ -179,14 +180,6 @@ def fbm_draws(grid: Grid, master_seed: int):
 # --- converge: the conditional limit law through exact-mean pivots ----------
 
 
-def _constant_g2(g: SmoothMap) -> float | None:
-    """g'' when it is a constant (g a polynomial of degree <= 2), else None."""
-    g2 = g.derivative(2)
-    if g2.family is Family.POLYNOMIAL and not any(g2.params[1:]):
-        return g2.params[0]
-    return None
-
-
 def converge_row(
     n: int,
     cols: dict[str, np.ndarray],
@@ -214,7 +207,7 @@ def converge_row(
     for g in integrands:
         big_g = g.antiderivative()
         remainder = cols[f"int_{g.label}"] - big_g(b1) + big_g(0.0)
-        const = _constant_g2(g)
+        const = g.derivative(2).constant
         if const == 0.0:
             identities[g.label] = float(np.max(np.abs(remainder)))
             continue
@@ -263,7 +256,7 @@ def converge_experiment(
     }
     for g in integrands:
         stats[f"int_{g.label}"] = lambda path, g=g: riemann_strat(g, path)[-1]
-    curved = [g for g in integrands if _constant_g2(g) is None]
+    curved = [g for g in integrands if g.derivative(2).constant is None]
     for g in curved:
         g2 = g.derivative(2)
         stats[f"g2_{g.label}"] = lambda path, g2=g2: np.square(g2(path.values[:-1])).sum()
@@ -392,13 +385,13 @@ def hermite_experiment(
     """Left/right endpoint weighted third-Hermite variations at t = 1.
 
     Returns, for each integrand and then each n in n_list, the report row
-    (sample means, standard errors and left variance, with the quadrature
-    limits of the left mean and variance, which depend on the integrand
-    alone and are computed once, and the left variance's target) and the
-    columns left and right.  Every integrand reads the same paths of each
-    grid.  The target is the exact finite-n variance for trig and exp
-    integrands (variance_target_kind "exact") and the limit for
-    polynomials ("limit")."""
+    (sample means with standard errors and exact finite-n targets, the
+    left variance and its target, and the quadrature limits of the left
+    mean and variance, which depend on the integrand alone and are computed
+    once) and the columns left and right.  Every integrand reads the same
+    paths of each grid.  The variance target is the exact finite-n variance
+    for trig and exp integrands (variance_target_kind "exact") and the limit
+    for polynomials ("limit")."""
     kappa_sq = kappa_constant().kappa_sq
     limits = [
         {
@@ -418,14 +411,17 @@ def hermite_experiment(
         exact = integrand.family is not Family.POLYNOMIAL
         for n, cols in zip(n_list, grids):
             left, right = cols[i].T.copy()  # contiguous, so each sum runs as on a plain column
+            left_exact, right_exact = hermite_mean_exact(integrand, n)
             row = {
                 "integrand": integrand.label,
                 "bounded": integrand.is_bounded,
                 "n": n,
                 "left_mean": float(np.mean(left)),
                 "left_se": float(np.std(left, ddof=1) / math.sqrt(len(left))),
+                "left_mean_exact": left_exact,
                 "right_mean": float(np.mean(right)),
                 "right_se": float(np.std(right, ddof=1) / math.sqrt(len(right))),
+                "right_mean_exact": right_exact,
                 "left_variance": float(np.var(left, ddof=1)),
                 **limit,
                 "variance_target": (

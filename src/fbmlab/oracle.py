@@ -25,16 +25,14 @@ import numpy as np
 
 from .errors import DomainError
 from .sampler import Grid, Path, SeedPolicy, sample_fbm
-from .variations import Family, SmoothMap
+from .variations import SmoothMap
 
 
 @lru_cache(maxsize=64)
 def _parts(g: SmoothMap) -> tuple[SmoothMap, SmoothMap | float]:
     """G and g'' of one integrand, g'' as a float where it is constant."""
     g2 = g.derivative(2)
-    if g2.family is Family.POLYNOMIAL and all(c == 0.0 for c in g2.params[1:]):
-        return g.antiderivative(), g2.params[0]
-    return g.antiderivative(), g2
+    return g.antiderivative(), g2 if g2.constant is None else g2.constant
 
 
 @dataclass(frozen=True)

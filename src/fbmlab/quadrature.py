@@ -1,26 +1,23 @@
-"""Quadrature oracles for Gaussian expectations of the integrand families.
+"""Exact Gaussian moments of the integrand families, and the Hermite targets.
 
-Gauss-Hermite rules compute E[f(X)] for X ~ N(0, var) and mixed moments
-E[f(X) g(Y)] of a correlated Gaussian pair; Gauss-Legendre rules handle the
-time integrals.  Together they evaluate the two limit functionals of the
-weighted third-Hermite variation with left endpoints,
+Every target and limit here needs only E[f(X)] for X ~ N(0, var) and
+E[f(X) f(Y)] for a centred Gaussian pair, and for the three integrand
+families both have closed forms, closed_mean and closed_pair_moment:
+Gaussian characteristic functions for a sin(bx + c) and a e^{bx}, and
+Isserlis' theorem for polynomials.  Gauss-Legendre rules take the time
+integrals of the two limit functionals of the left-endpoint weighted
+third-Hermite variation,
 
     mean:      -(1/8) int_0^1 E[g'''(B_s)] ds,
     variance:  kappa^2 int_0^1 E[g^2(B_s)] ds
                + (1/64) E[( int_0^1 g'''(B_s) ds )^2] - mean^2,
 
-where Var(B_s) = s^{1/3} and Cov(B_s, B_u) = R(s, u), plus the exact
-finite-n mean sum_j E[g'''(B(t_{j-1}))] E[B(t_{j-1}) dB_j]^3 and, for the
-trig and exp families, the exact finite-n variance.  For the trig and exp
-families the inner pair moment E[g'''(B_s) g'''(B_u)] of the double integral is a
-Gaussian characteristic function, evaluated in closed form on the whole
-Gauss-Legendre grid; polynomials keep the bivariate Gauss-Hermite rule,
-which is exact for them.  riemann_mean_exact is the exact finite-n mean of
-the trapezoid sum less its antiderivative part, which centres converge's
-pivots.
-
-These are used as independent oracles by the statistical harness; they
-never touch sampled paths.
+where Var(B_s) = s^{1/3} and Cov(B_s, B_u) = R(s, u).  The exact finite-n
+targets are the means of the left and right variations, the variance of
+the left one for the trig and exp families, and riemann_mean_exact, which
+centres converge's pivots.  expect_gauss_pair, a tensor Gauss-Hermite
+rule, serves the Hermite orthogonality audit alone.  None of these touches
+a sampled path.
 """
 
 from __future__ import annotations
@@ -51,28 +48,15 @@ def _gauss_legendre_01(nodes: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def expect_gauss(f, var: float, nodes: int = GH_NODES) -> float:
-    """E[f(X)] for X ~ N(0, var)."""
-    if var < 0:
-        raise DomainError("variance must be nonnegative")
-    if var == 0.0:
-        return float(f(0.0))
-    z, w = _gauss_hermite(nodes)
-    return float(np.dot(w, f(np.sqrt(var) * z)))
-
 def expect_gauss_pair(f, g, var_x: float, var_y: float, cov: float,
                       nodes: int = GH_NODES) -> float:
-    """E[f(X) g(Y)] for centered jointly Gaussian (X, Y).
+    """E[f(X) g(Y)] for centered jointly Gaussian (X, Y) of positive variances.
 
     Uses the Cholesky substitution Y = (cov/sx) Z1 + sqrt(var_y - cov^2/var_x) Z2
     on a tensor Gauss-Hermite grid.
     """
-    if var_x < 0 or var_y < 0:
-        raise DomainError("variances must be nonnegative")
-    if var_x == 0.0:
-        return float(f(0.0)) * expect_gauss(g, var_y, nodes)
-    if var_y == 0.0:
-        return expect_gauss(f, var_x, nodes) * float(g(0.0))
+    if var_x <= 0 or var_y <= 0:
+        raise DomainError("variances must be positive")
     corr = cov / np.sqrt(var_x * var_y)
     if abs(corr) > 1 + 1e-12:
         raise DomainError(f"|correlation| = {abs(corr)} exceeds 1")
@@ -85,39 +69,77 @@ def expect_gauss_pair(f, g, var_x: float, var_y: float, cov: float,
     return float(np.einsum("i,j,i,ij->", w, w, fx, gy))
 
 
-def time_integral_expect(f, nodes: int = GL_NODES) -> float:
-    """int_0^1 E[f(B_s)] ds via Gauss-Legendre over s and Gauss-Hermite in x.
+def _normal_moment(k: int) -> int:
+    """E[Z^k] for Z ~ N(0, 1): (k - 1)!! for even k, 0 for odd k."""
+    return 0 if k % 2 else math.prod(range(k - 1, 0, -2))
 
-    Substituting s = u^3 removes the s^{1/3} cusp of Var(B_s) at the origin,
-    so the rule converges at spectral rate for the closed-form families.
+
+def closed_mean(f: SmoothMap, var):
+    """E[f(X)] for X ~ N(0, var), broadcasting over var.
+
+    a sin(c) e^{-b^2 var/2} for f = a sin(bx + c), a e^{b^2 var/2} for
+    f = a e^{bx}, and sum_k c_k E[Z^k] var^{k/2} for a polynomial.
     """
-    u, w = _gauss_legendre_01(nodes)
-    vals = np.array([expect_gauss(f, uv) for uv in u])
-    return float(np.dot(w * (3.0 * u**2), vals))
+    if f.family is Family.TRIG:
+        a, b, c = f.params
+        return a * np.sin(c) * np.exp(-0.5 * b * b * var)
+    if f.family is Family.EXP:
+        a, b = f.params
+        return a * np.exp(0.5 * b * b * var)
+    return sum(c * _normal_moment(k) * var ** (k // 2) for k, c in enumerate(f.params))
+
+
+def closed_pair_moment(f: SmoothMap, var_x, var_y, cov):
+    """E[f(X) f(Y)] for centered jointly Gaussian (X, Y).
+
+    For f = a sin(bx + c), sin A sin B = (cos(A - B) - cos(A + B)) / 2 gives
+    (a^2/2) [e^{-b^2 Var(X-Y)/2} - cos(2c) e^{-b^2 Var(X+Y)/2}]; for
+    f = a e^{bx} it is a^2 e^{b^2 Var(X+Y)/2}; for a polynomial it is
+    sum_{i,j} c_i c_j E[X^i Y^j].  The arguments broadcast.
+    """
+    if f.family is Family.TRIG:
+        a, b, c = f.params
+        minus = np.exp(-0.5 * b * b * (var_x + var_y - 2.0 * cov))
+        plus = np.exp(-0.5 * b * b * (var_x + var_y + 2.0 * cov))
+        return 0.5 * a * a * (minus - math.cos(2.0 * c) * plus)
+    if f.family is Family.EXP:
+        a, b = f.params
+        return a * a * np.exp(0.5 * b * b * (var_x + var_y + 2.0 * cov))
+    # Isserlis: k factors of X^i pair with k of Y^j, in C(i, k) C(j, k) k! ways
+    return sum(
+        ci * cj * math.comb(i, k) * math.comb(j, k) * math.factorial(k)
+        * _normal_moment(i - k) * _normal_moment(j - k)
+        * cov**k * var_x ** ((i - k) // 2) * var_y ** ((j - k) // 2)
+        for i, ci in enumerate(f.params)
+        for j, cj in enumerate(f.params)
+        for k in range(min(i, j) + 1)
+    )
 
 
 def hermite_mean_limit(g: SmoothMap) -> float:
-    """Limit mean -(1/8) int_0^1 E[g'''(B_s)] ds of the left-endpoint variation."""
-    return -0.125 * time_integral_expect(g.derivative(3))
+    """Limit mean -(1/8) int_0^1 E[g'''(B_s)] ds of the left-endpoint variation.
+
+    Substituting s = u^3 removes the s^{1/3} cusp of Var(B_s) = u at the
+    origin, so the Gauss-Legendre rule converges at spectral rate.
+    """
+    u, w = _gauss_legendre_01(GL_NODES)
+    return -0.125 * float(np.dot(w * (3.0 * u**2), closed_mean(g.derivative(3), u)))
 
 
-def _grid_means(f, i: np.ndarray, n: int) -> np.ndarray:
-    """E[f(B(t_i))] for each grid index in i, by the Gauss-Hermite rule."""
-    z, w = _gauss_hermite(GH_NODES)
-    sd = np.sqrt(np.cbrt(i / n))
-    means = np.empty(len(i))
-    for lo in range(0, len(i), 256):  # 256 x GH_NODES tables: 128 KiB each, not n x GH_NODES
-        means[lo : lo + 256] = np.asarray(f(sd[lo : lo + 256, None] * z)) @ w
-    return means
+def hermite_mean_exact(g: SmoothMap, n: int) -> tuple[float, float]:
+    """Exact finite-n means of the left and right variations at time 1,
+    sum_{k <= n} E[g'''(B(t_i))] E[B(t_i) dB_k]^3 with i = k - 1 and i = k.
 
-
-def hermite_mean_exact(g: SmoothMap, n: int) -> float:
-    """Exact finite-n mean sum_{j <= n} E[g'''(B(t_{j-1}))] E[B(t_{j-1}) dB_j]^3."""
+    E[g(A) h_3(X)] = Cov(A, X)^3 E[g'''(A)] for Gaussian A and a standard
+    normal X, by Gaussian integration by parts.
+    """
     if n < 1:
         raise DomainError("hermite_mean_exact requires n >= 1")
     k = np.arange(1, n + 1)
-    e = np.asarray(endpoint_increment_cov(n, k - 1, k))
-    return float(np.sum(_grid_means(g.derivative(3), k - 1, n) * e**3))
+    left = np.asarray(endpoint_increment_cov(n, k - 1, k))
+    right = np.asarray(endpoint_increment_cov(n, k, k))
+    means = closed_mean(g.derivative(3), np.cbrt(np.arange(n + 1) / n))  # i = 0..n
+    return float(np.sum(means[:-1] * left**3)), float(np.sum(means[1:] * right**3))
 
 
 def riemann_mean_exact(g: SmoothMap, n: int) -> float:
@@ -132,28 +154,10 @@ def riemann_mean_exact(g: SmoothMap, n: int) -> float:
     k = np.arange(1, n + 1)
     left = np.asarray(endpoint_increment_cov(n, k - 1, k))
     right = np.asarray(endpoint_increment_cov(n, k, k))
-    means = _grid_means(g.derivative(1), np.arange(n + 1), n)  # E g'(B(t_i)), i = 0..n
+    means = closed_mean(g.derivative(1), np.cbrt(np.arange(n + 1) / n))  # E g'(B(t_i))
     big_g = g.antiderivative()
     riemann = 0.5 * float(np.sum(left * means[:-1] + right * means[1:]))
-    return riemann - expect_gauss(big_g, 1.0) + float(big_g(0.0))
-
-
-def closed_pair_moment(f: SmoothMap, var_x, var_y, cov):
-    """E[f(X) f(Y)] for centered jointly Gaussian (X, Y) and a trig or exp f.
-
-    For f = a sin(bx + c), sin A sin B = (cos(A - B) - cos(A + B)) / 2 gives
-    (a^2/2) [e^{-b^2 Var(X-Y)/2} - cos(2c) e^{-b^2 Var(X+Y)/2}]; for
-    f = a e^{bx} it is a^2 e^{b^2 Var(X+Y)/2}.  The arguments broadcast.
-    """
-    if f.family is Family.TRIG:
-        a, b, c = f.params
-        minus = np.exp(-0.5 * b * b * (var_x + var_y - 2.0 * cov))
-        plus = np.exp(-0.5 * b * b * (var_x + var_y + 2.0 * cov))
-        return 0.5 * a * a * (minus - math.cos(2.0 * c) * plus)
-    if f.family is Family.EXP:
-        a, b = f.params
-        return a * a * np.exp(0.5 * b * b * (var_x + var_y + 2.0 * cov))
-    raise DomainError("closed_pair_moment takes a trig or exp map")
+    return riemann - float(closed_mean(big_g, 1.0)) + float(big_g(0.0))
 
 
 def hermite_variance_limit(g: SmoothMap, kappa_sq: float, nodes: int = GL_NODES) -> float:
@@ -161,28 +165,17 @@ def hermite_variance_limit(g: SmoothMap, kappa_sq: float, nodes: int = GL_NODES)
 
     The limit second moment kappa^2 int_0^1 E[g^2]
     + (1/64) int int E[g'''(B_s) g'''(B_u)] ds du less the squared limit
-    mean hermite_mean_limit(g).  The double integral is a tensor
-    Gauss-Legendre rule over (s, u) with the exact covariance R(s, u).  Its
-    inner pair moment is closed_pair_moment, one array expression over the
-    whole grid, for trig and exp maps; a polynomial keeps one bivariate
-    Gauss-Hermite rule per node pair, which is exact for it.
+    mean hermite_mean_limit(g).  The first integral takes the nodes as u in
+    s = u^3, as hermite_mean_limit does; the double integral is a tensor
+    Gauss-Legendre rule over (s, u) with the exact covariance R(s, u), its
+    integrand closed_pair_moment, one array expression over the whole grid.
     """
-    g3 = g.derivative(3)
-    sq_term = kappa_sq * time_integral_expect(lambda x: np.asarray(g(x)) ** 2)
     s, w = _gauss_legendre_01(nodes)
+    sq_term = kappa_sq * float(np.dot(w * (3.0 * s**2), closed_pair_moment(g, s, s, s)))
     var = s ** (1.0 / 3.0)
     cov = cov_r(s[:, None], s[None, :])
-    if g3.family is Family.POLYNOMIAL:
-        pair = np.array([
-            [expect_gauss_pair(g3, g3, var[i], var[j], float(cov[i, j])) for j in range(len(s))]
-            for i in range(len(s))
-        ])
-    else:
-        pair = closed_pair_moment(g3, var[:, None], var[None, :], cov)
-    double = 0.0
-    for i in range(len(s)):
-        double += w[i] * np.dot(w, pair[i])
-    return float(sq_term + double / 64.0 - hermite_mean_limit(g) ** 2)
+    pair = closed_pair_moment(g.derivative(3), var[:, None], var[None, :], cov)
+    return float(sq_term + (w @ pair @ w) / 64.0 - hermite_mean_limit(g) ** 2)
 
 
 def _wick_h3_terms(p_scale, r) -> list:
@@ -213,7 +206,7 @@ def hermite_variance_exact(g: SmoothMap, n: int) -> float:
         Expanding S in powers of a_j and a_k leaves 16 cross-correlations of
         beta a^s with beta a^t, beta_j = e^{-+b^2 Var A_j}, one FFT each.
     So it costs O(n log n) time and O(n) memory.  The mean it subtracts is
-    hermite_mean_exact(g, n).
+    the left mean of hermite_mean_exact(g, n).
     """
     if n < 1:
         raise DomainError("hermite_variance_exact requires n >= 1")
@@ -250,7 +243,7 @@ def hermite_variance_exact(g: SmoothMap, n: int) -> float:
                 for m in range(max(s, t), 4)
             )
             plus += float(np.dot(weight * growth, corr))
-    mean = hermite_mean_exact(g, n)
+    mean = hermite_mean_exact(g, n)[0]
     if g.family is Family.EXP:
         return a * a * plus / n - mean**2
     p = bh_sq * (d_hi - 1.0) * (d_lo + 1.0)

@@ -74,8 +74,8 @@ class Grid:
     horizon: float = 1.0
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise DomainError("grid size n must be a positive integer")
+        if int(self.n) != self.n or not 1 <= self.n < 2**1024:  # 2^1024 overflows a float
+            raise DomainError("grid size n must be a positive integer below 2^1024")
         if not 0 < self.horizon < math.inf:  # refuses nan too
             raise DomainError("horizon must be positive and finite")
         steps = self.n * self.horizon

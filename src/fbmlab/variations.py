@@ -114,13 +114,16 @@ class SmoothMap:
         return SmoothMap(Family.EXP, (a / b, b), f"int({self.label})")
 
     @property
+    def constant(self) -> float | None:
+        """The value of g if g is a constant polynomial, else None."""
+        if self.family is Family.POLYNOMIAL and not any(self.params[1:]):
+            return self.params[0]
+        return None
+
+    @property
     def is_bounded(self) -> bool:
-        """Bounded with all derivatives bounded (true only for TRIG)."""
-        if self.family is Family.TRIG:
-            return True
-        if self.family is Family.POLYNOMIAL:
-            return all(c == 0.0 for c in self.params[1:])
-        return False
+        """Bounded with all derivatives bounded: TRIG, or a constant."""
+        return self.family is Family.TRIG or self.constant is not None
 
 
 def monomial_map(power: int) -> SmoothMap:

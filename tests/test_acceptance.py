@@ -170,17 +170,17 @@ def test_c07_hermite_mean_limits(hermite_row):
     row, _ = hermite_row
     checks, _ = judge("hermite", row)
     left_ok, right_ok = checks["left_mean_ok"], checks["right_mean_ok"]
-    limit = row["mean_limit"]
+    exact_l, exact_r, limit = row["left_mean_exact"], row["right_mean_exact"], row["mean_limit"]
     tol_l, tol_r = MEAN_SE_MULT * row["left_se"], MEAN_SE_MULT * row["right_se"]
     left, right = row["left_mean"], row["right_mean"]
     report(
         7,
         left_ok and right_ok,
-        f"left mean {left:+.4f} vs {limit:+.4f} (+-{tol_l:.4f}), "
-        f"right mean {right:+.4f} vs {-limit:+.4f} (+-{tol_r:.4f})",
+        f"left mean {left:+.4f} vs exact finite-n {exact_l:+.4f} (+-{tol_l:.4f}), "
+        f"right mean {right:+.4f} vs {exact_r:+.4f} (+-{tol_r:.4f}); limit {limit:+.4f}",
     )
-    assert left_ok, f"left mean {left} vs limit {limit} +- {tol_l}"
-    assert right_ok, f"right mean {right} vs limit {-limit} +- {tol_r}"
+    assert left_ok, f"left mean {left} vs exact {exact_l} +- {tol_l}"
+    assert right_ok, f"right mean {right} vs exact {exact_r} +- {tol_r}"
 
 
 def test_c08_hermite_variance_limit(hermite_row):

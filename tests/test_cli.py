@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import importlib.util
 import json
 import os
@@ -102,13 +103,18 @@ class TestConfigHandling:
         ("sextic", "--n-list", ","),
         ("scaling", "--replications", "199"),
         ("variations", "--n-list", "64", "--replications", "3"),
+        ("sextic", "--n-list", "1" + "0" * 400),
+        ("taylor", "--master-seed", "-1"),
+        ("converge", "--master-seed", str(2**64)),
     ])
     def test_degenerate_values_are_config_errors(self, capsys, tmp_path, argv):
         # a grid of no steps or a negative number of them, or no grid at all,
         # has no path, one replication has no sample variance, an audit of
         # one step has no lag for its ratio (v), the scaling fits need 200
-        # replications, and the Fisher z of variations' correlation 4; each
-        # is refused before anything is written
+        # replications, and the Fisher z of variations' correlation 4; a grid
+        # of 10^400 steps overflows a float, and a seed outside [0, 2^64)
+        # would draw the streams of its low 64 bits; each is refused before
+        # anything is written
         code, _, err = run(capsys, *argv, "--check", "--output-dir", str(tmp_path / "out"))
         assert code == 2
         assert "config error" in err
@@ -150,14 +156,17 @@ class TestConfigHandling:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_nonfinite_statistics_are_a_config_error(self, capsys, tmp_path):
-        # finite parameters whose values overflow on the sampled paths
-        for command in ("hermite", "converge"):
+        # finite parameters whose values overflow on the sampled paths or in
+        # their exact moments; hermite's squared limit mean of exp:1,30 and
+        # exp:1,37 overflows a Python float, which raises OverflowError
+        for command, spec in itertools.product(("hermite", "converge"),
+                                               ("exp:1,1000", "exp:1,30", "exp:1,37")):
             code, _, err = run(capsys, command, "--n-list", "64", "--replications", "60",
-                               "--check", "--integrand", "exp:1,1000", "--workers", "1",
+                               "--check", "--integrand", spec, "--workers", "1",
                                "--output-dir", str(tmp_path / "out"))
-            assert code == 2, command
-            assert "config error" in err and "non-finite" in err, command
-            assert not (tmp_path / "out").exists(), command  # no sample CSV either
+            assert code == 2, (command, spec)
+            assert "config error" in err and "non-finite" in err, (command, spec)
+            assert not (tmp_path / "out").exists(), (command, spec)  # no sample CSV either
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_json_refuses_nonfinite_values(self, value):

@@ -150,22 +150,24 @@ class TestHermite:
         # 4 standard errors of the exact finite-n mean formula
         [(_, cols)] = hermite_experiment([256], 600, 19)
         left = cols["left"]
-        exact = hermite_mean_exact(sin_map(), 256)
+        exact = hermite_mean_exact(sin_map(), 256)[0]
         se = left.std(ddof=1) / math.sqrt(len(left))
         assert abs(left.mean() - exact) <= 4 * se
 
     def test_right_mirrors_left_in_sign(self):
         [(_, cols)] = hermite_experiment([256], 600, 19)
         right = cols["right"]
-        exact_right = -hermite_mean_exact(sin_map(), 256)
+        exact_right = hermite_mean_exact(sin_map(), 256)[1]
         # right endpoint anchors at t_k instead of t_{k-1}; its exact mean
-        # uses the mirrored covariance, close to the negated left value
+        # uses the mirrored covariance, 19 % above the negated left value here
         se = right.std(ddof=1) / math.sqrt(len(right))
-        assert abs(right.mean() - exact_right) <= 5 * se
+        assert abs(right.mean() - exact_right) <= 4 * se
 
     def test_limits_attached(self):
         [(row, _)] = hermite_experiment([64], 200, 23)
         assert row["mean_limit"] == pytest.approx(6 - 9.75 * math.exp(-0.5), abs=1e-9)
+        exact = hermite_mean_exact(sin_map(), 64)
+        assert (row["left_mean_exact"], row["right_mean_exact"]) == exact
         assert row["variance_limit"] > 1.0
         assert row["bounded"]
 

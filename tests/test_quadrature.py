@@ -10,15 +10,14 @@ from fbmlab.errors import DomainError
 from fbmlab.experiments import fbm_draws, run_tasks
 from fbmlab.kernel import anchor_cube_sums, cov_r, kappa_constant, rho
 from fbmlab.quadrature import (
+    closed_mean,
     closed_pair_moment,
-    expect_gauss,
     expect_gauss_pair,
     hermite_mean_exact,
     hermite_mean_limit,
     hermite_variance_exact,
     hermite_variance_limit,
     riemann_mean_exact,
-    time_integral_expect,
 )
 from fbmlab.sampler import Grid
 from fbmlab.variations import Family, monomial_map, parse_integrand, riemann_strat, sin_map
@@ -26,22 +25,47 @@ from fbmlab.kernel import endpoint_increment_cov
 from fbmlab.quadrature import GL_NODES, _gauss_legendre_01
 
 
-class TestExpectGauss:
+def _rule_mean(f, var, nodes=64):
+    # E[f(X)], X ~ N(0, var), by a Gauss-Hermite rule: the reference for closed_mean
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    return float(np.dot(w / np.sqrt(np.pi), f(np.sqrt(2.0 * var) * x)))
+
+
+TRIG_EXP_SPECS = (
+    "sin", "cos", "sin:2,0.5,0.3", "sin:-1.5,2,0.7", "exp", "exp:1,0.5", "exp:-0.7,1.3",
+)
+POLY_SPECS = ("x^2", "poly:1,2,3,4,5", "poly:0.5,-1,0,0.25")
+
+
+class TestClosedMean:
+    @pytest.mark.parametrize("spec", TRIG_EXP_SPECS + POLY_SPECS)
+    def test_matches_a_gauss_hermite_rule(self, spec):
+        # within 1e-13 relative; sin's mean is 0, where the rule leaves 1e-17
+        g = parse_integrand(spec)
+        for var in (0.25, 1.0, 2.5):
+            assert closed_mean(g, var) == pytest.approx(_rule_mean(g, var), rel=1e-13, abs=1e-15)
+        # an array of variances gives each one's mean
+        var = np.array([0.25, 1.0, 2.5])
+        assert np.array_equal(closed_mean(g, var), [closed_mean(g, v) for v in var])
+
     def test_gaussian_moments(self):
         for var in (0.25, 1.0, 2.5):
-            assert expect_gauss(lambda x: x**2, var) == pytest.approx(var, abs=1e-12)
-            assert expect_gauss(lambda x: x**4, var) == pytest.approx(3 * var**2, abs=1e-10)
-            assert expect_gauss(lambda x: x**6, var) == pytest.approx(15 * var**3, abs=1e-8)
+            assert closed_mean(monomial_map(2), var) == var
+            assert closed_mean(monomial_map(4), var) == 3 * var**2
+            assert closed_mean(monomial_map(6), var) == 15 * var**3
+            assert closed_mean(monomial_map(5), var) == 0.0
 
     def test_characteristic_function(self):
         # E cos(B) = exp(-var/2) for a centered Gaussian
         for var in (0.1, 0.5, 1.0):
-            assert expect_gauss(np.cos, var) == pytest.approx(math.exp(-var / 2), abs=1e-12)
+            assert closed_mean(parse_integrand("cos"), var) == pytest.approx(
+                math.exp(-var / 2), rel=1e-15, abs=0
+            )
 
-    def test_degenerate_variance(self):
-        assert expect_gauss(np.cos, 0.0) == 1.0
-        with pytest.raises(DomainError):
-            expect_gauss(np.cos, -1.0)
+    @pytest.mark.parametrize("spec", TRIG_EXP_SPECS + POLY_SPECS)
+    def test_degenerate_variance(self, spec):
+        g = parse_integrand(spec)
+        assert closed_mean(g, 0.0) == g(0.0)
 
 
 class TestExpectGaussPair:
@@ -67,6 +91,11 @@ class TestExpectGaussPair:
         with pytest.raises(DomainError):
             expect_gauss_pair(np.cos, np.cos, 1.0, 1.0, 1.5)
 
+    def test_refuses_a_degenerate_variance(self):
+        for var_x, var_y in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)):
+            with pytest.raises(DomainError):
+                expect_gauss_pair(np.cos, np.cos, var_x, var_y, 0.0)
+
     def test_odd_cross_moment_linear_response(self):
         # E[sin(X) Y^3] = eta e^{-1/2} (3 - eta^2) for unit-variance pair
         # with covariance eta: the odd cross moment vanishes linearly in
@@ -76,11 +105,6 @@ class TestExpectGaussPair:
             closed = eta * math.exp(-0.5) * (3.0 - eta * eta)
             assert value == pytest.approx(closed, abs=1e-12)
             assert abs(value) <= 3.0 * abs(eta)
-
-
-TRIG_EXP_SPECS = (
-    "sin", "cos", "sin:2,0.5,0.3", "sin:-1.5,2,0.7", "exp", "exp:1,0.5", "exp:-0.7,1.3",
-)
 
 
 class TestClosedPairMoment:
@@ -99,16 +123,33 @@ class TestClosedPairMoment:
             rule = expect_gauss_pair(g3, g3, vx, vy, r)
             assert closed_pair_moment(g3, vx, vy, r) == pytest.approx(rule, rel=1e-12, abs=0)
 
-    def test_refuses_a_polynomial(self):
-        with pytest.raises(DomainError):
-            closed_pair_moment(monomial_map(2), 1.0, 1.0, 0.5)
+    @pytest.mark.parametrize("spec", POLY_SPECS)
+    def test_polynomial_matches_the_gauss_hermite_rule(self, spec):
+        # Isserlis' theorem against the rule, which is exact for polynomials
+        g = parse_integrand(spec)
+        for vx, vy, r in self.TRIPLES:
+            rule = expect_gauss_pair(g, g, vx, vy, r)
+            assert closed_pair_moment(g, vx, vy, r) == pytest.approx(rule, rel=1e-12, abs=0)
+
+    def test_polynomial_cross_moments(self):
+        # E[X^2 Y^2] = vx vy + 2 c^2 and E[X^3 Y^3] = 9 vx vy c + 6 c^3
+        vx, vy, c = 0.8, 0.5, 0.3
+        assert closed_pair_moment(monomial_map(2), vx, vy, c) == pytest.approx(
+            vx * vy + 2 * c * c, rel=1e-15, abs=0
+        )
+        assert closed_pair_moment(monomial_map(3), vx, vy, c) == pytest.approx(
+            9 * vx * vy * c + 6 * c**3, rel=1e-15, abs=0
+        )
 
 
 def _per_pair_variance_limit(g, kappa_sq, nodes):
-    # hermite_variance_limit as it was before the closed form: one bivariate
+    # hermite_variance_limit without the closed forms: a Gauss-Hermite rule
+    # for E[g^2] at every node u of the s = u^3 rule, and one bivariate
     # Gauss-Hermite rule at every Gauss-Legendre node pair
     g3 = g.derivative(3)
-    sq_term = kappa_sq * time_integral_expect(lambda x: np.asarray(g(x)) ** 2)
+    u, w = _gauss_legendre_01(nodes)
+    sq_term = kappa_sq * sum(wi * 3 * ui**2 * _rule_mean(lambda x: g(x) ** 2, ui)
+                             for ui, wi in zip(u, w))
     s, w = _gauss_legendre_01(nodes)
     var = s ** (1.0 / 3.0)
     cov = cov_r(s[:, None], s[None, :])
@@ -121,15 +162,15 @@ def _per_pair_variance_limit(g, kappa_sq, nodes):
 
 class TestTimeIntegral:
     def test_variance_integral(self):
-        # int_0^1 E[B_s^2] ds = int_0^1 s^{1/3} ds = 3/4
-        assert time_integral_expect(lambda x: x**2) == pytest.approx(0.75, abs=1e-12)
+        # g = x^5 has third derivative 60 x^2, and int_0^1 E[B_s^2] ds = int_0^1 s^{1/3} ds = 3/4
+        assert hermite_mean_limit(monomial_map(5)) == pytest.approx(-5.625, rel=2e-15, abs=0)
 
     def test_sin_squared_closed_form(self):
-        # int_0^1 E sin^2(B_s) ds = 1/8 + (15/8) e^{-2}
-        target = 1 / 8 + (15 / 8) * math.exp(-2.0)
-        assert time_integral_expect(lambda x: np.sin(x) ** 2) == pytest.approx(
-            target, abs=1e-12
-        )
+        # int_0^1 E sin^2(B_s) ds = 1/8 + (15/8) e^{-2}, over s = u^3 as in
+        # hermite_variance_limit's kappa^2 term
+        u, w = _gauss_legendre_01(GL_NODES)
+        value = float(np.dot(w * 3 * u**2, closed_pair_moment(sin_map(), u, u, u)))
+        assert value == pytest.approx(1 / 8 + (15 / 8) * math.exp(-2.0), rel=1e-14, abs=0)
 
 
 class TestHermiteLimits:
@@ -166,7 +207,7 @@ class TestHermiteLimits:
         cov = cov_r(s[:, None], s[None, :])
         assert all(cov[i, j] == cov_r(s[i], s[j]) for i in range(len(s)) for j in range(len(s)))
         kappa_sq = kappa_constant().kappa_sq
-        assert hermite_variance_limit(sin_map(), kappa_sq) == 2.042684241747045
+        assert hermite_variance_limit(sin_map(), kappa_sq) == 2.0426842417470454
 
     def test_variance_limit_converges_in_nodes(self):
         # 64 Gauss-Legendre nodes settle the limit to about 6e-6 relative
@@ -179,7 +220,9 @@ class TestHermiteLimits:
         assert abs(v64 - v32) < abs(v32 - v16)
 
     @pytest.mark.parametrize("nodes", [16, 64])
-    @pytest.mark.parametrize("spec", ["cos", "sin:-1.5,2,0.7", "exp:-0.7,1.3"])
+    @pytest.mark.parametrize(
+        "spec", ["cos", "sin:-1.5,2,0.7", "exp:-0.7,1.3", "x^3", "poly:1,2,0.5,0.25"]
+    )
     def test_variance_limit_matches_the_per_pair_rule(self, spec, nodes):
         g, kappa_sq = parse_integrand(spec), kappa_constant().kappa_sq
         assert hermite_variance_limit(g, kappa_sq, nodes=nodes) == pytest.approx(
@@ -194,12 +237,9 @@ class TestHermiteLimits:
             lambda *args, **kwargs: calls.append(args) or rule(*args, **kwargs),
         )
         kappa_sq = kappa_constant().kappa_sq
-        for spec in ("sin", "exp"):
+        for spec in ("sin", "exp", "x^3"):
             hermite_variance_limit(parse_integrand(spec), kappa_sq)
         assert len(calls) == 0
-        # a polynomial still takes the rule, once per node pair
-        hermite_variance_limit(monomial_map(3), kappa_sq, nodes=16)
-        assert len(calls) == 16 * 16
 
     def test_variance_limit_cubic_closed_form(self):
         # g = x^3: kappa^2 int_0^1 E[B_s^6] ds = kappa^2 int_0^1 15 s ds = 7.5 kappa^2,
@@ -216,20 +256,31 @@ class TestHermiteExactMean:
         n = 64
         k = np.arange(1, n + 1)
         cubes = np.asarray(endpoint_increment_cov(n, k - 1, k)) ** 3
-        assert hermite_mean_exact(monomial_map(3), n) == pytest.approx(
+        assert hermite_mean_exact(monomial_map(3), n)[0] == pytest.approx(
+            6.0 * float(np.sum(cubes)), rel=1e-12
+        )
+        # and the right mean to 6 sum_j E[B(t_j) dB_j]^3
+        cubes = np.asarray(endpoint_increment_cov(n, k, k)) ** 3
+        assert hermite_mean_exact(monomial_map(3), n)[1] == pytest.approx(
             6.0 * float(np.sum(cubes)), rel=1e-12
         )
 
     @pytest.mark.parametrize("spec", ["sin", "exp:-0.7,1.3", "poly:1,2,3,4,5"])
     def test_matches_one_rule_per_anchor(self, spec):
-        # the n x GH_NODES table gives the per-anchor Gauss-Hermite rules' sum
+        # the closed-form means give the per-anchor Gauss-Hermite rules' sums
         g, n = parse_integrand(spec), 300
         k = np.arange(1, n + 1)
-        e = np.asarray(endpoint_increment_cov(n, k - 1, k))
-        means = np.array([expect_gauss(g.derivative(3), ((i - 1) / n) ** (1 / 3)) for i in k])
-        assert hermite_mean_exact(g, n) == pytest.approx(
-            float(np.sum(means * e**3)), rel=1e-13, abs=0
-        )
+        for side, anchor in enumerate((k - 1, k)):
+            e = np.asarray(endpoint_increment_cov(n, anchor, k))
+            means = np.array([_rule_mean(g.derivative(3), (i / n) ** (1 / 3)) for i in anchor])
+            assert hermite_mean_exact(g, n)[side] == pytest.approx(
+                float(np.sum(means * e**3)), rel=1e-13, abs=0
+            )
+
+    def test_sin_values(self):
+        # below the limit 0.08633 on the left, and above its negation on the right
+        assert hermite_mean_exact(sin_map(), 256) == pytest.approx((0.08035, -0.09566), abs=5e-6)
+        assert hermite_mean_exact(sin_map(), 4096) == pytest.approx((0.08526, -0.08762), abs=5e-6)
 
     def test_exact_at_non_power_of_two_n(self):
         # the same reduction from the closed form E[B(t_{k-1}) dB_k]
@@ -238,13 +289,13 @@ class TestHermiteExactMean:
         n = 3000
         k = np.arange(1, n + 1)
         e = (np.cbrt(k) - np.cbrt(k - 1) - 1.0) / (2.0 * np.cbrt(float(n)))
-        assert hermite_mean_exact(monomial_map(3), n) == pytest.approx(
+        assert hermite_mean_exact(monomial_map(3), n)[0] == pytest.approx(
             6.0 * float(np.sum(e**3)), rel=1e-12
         )
 
     def test_exact_mean_converges_to_limit(self):
         limit = hermite_mean_limit(sin_map())
-        errors = [abs(hermite_mean_exact(sin_map(), n) - limit) for n in (64, 512, 4096)]
+        errors = [abs(hermite_mean_exact(sin_map(), n)[0] - limit) for n in (64, 512, 4096)]
         assert errors[0] > errors[1] > errors[2]
         # sup|E g'''| <= 1 for sin, so the anchored cube defect (which already
         # carries the 1/8) bounds the gap up to the O(1/n) Riemann error
@@ -276,6 +327,11 @@ class TestRiemannExactMean:
     def test_vanishes_by_telescoping_or_oddness(self, spec, n):
         # 1 and x telescope (E I_n(x) = E B(1)^2 / 2); x^2 and cos have odd g' and G
         assert abs(riemann_mean_exact(parse_integrand(spec), n)) < 1e-15
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_vanishes_exactly_for_x_squared(self, n):
+        # E V_n = 0 and R_n(x^2) = V_n / 6: every closed-form mean is an exact 0
+        assert riemann_mean_exact(monomial_map(2), n) == 0.0
 
     @pytest.mark.parametrize("spec", ["sin", "exp:1,0.5"])
     @pytest.mark.parametrize("n", [1, 7, 32])

@@ -37,6 +37,11 @@ class TestGrid:
         with pytest.raises(DomainError):
             Grid(4, horizon)
 
+    def test_size_too_large_for_a_float_rejected(self):
+        # 10^400 * 1.0 raises OverflowError; the grid refuses it as a DomainError
+        with pytest.raises(DomainError):
+            Grid(10**400)
+
 
 class TestSeeding:
     def test_deterministic_draws(self):

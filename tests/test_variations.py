@@ -238,6 +238,13 @@ class TestSmoothMap:
         assert not monomial_map(2).is_bounded
         assert not parse_integrand("exp").is_bounded
 
+    def test_constant(self):
+        assert parse_integrand("3").constant == 3.0
+        assert monomial_map(2).derivative(2).constant == 2.0
+        assert parse_integrand("poly:1,0,0").constant == 1.0
+        assert monomial_map(3).derivative(2).constant is None
+        assert sin_map().constant is None and parse_integrand("exp").constant is None
+
     def test_zero_frequency_rejected(self):
         with pytest.raises(DomainError):
             SmoothMap(Family.TRIG, (1.0, 0.0, 0.0))
