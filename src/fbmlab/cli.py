@@ -13,17 +13,6 @@ identical reports and manifest hashes on one platform.
 Exit codes: 0 success, 2 configuration error, 3 capability limit,
 4 acceptance-check failure under --check, with one "check failed" line
 per failed check on stderr.
-
-Config files are plain text key=value lines under one [command] header; the
-keys are the flag names with "_" for "-", and any other key, a second
-header, or a command key or command argument that differs from the header
-is an error:
-
-    [converge]
-    n_list = 1024,2048
-    replications = 500
-    integrand = x^2; sin
-    master_seed = 20260810
 """
 
 from __future__ import annotations
@@ -93,75 +82,15 @@ class ExperimentConfig:
         return {**asdict(self), "n_list": list(self.n_list)}
 
 
-def _parse_config_file(path: str) -> dict:
-    values: dict[str, str] = {}
-    section = None
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            if section is not None:  # one file configures one command
-                raise ConfigError(f"second [section] header in config: {raw!r}")
-            section = line[1:-1].strip()
-            continue
-        if "=" not in line:
-            raise ConfigError(f"bad config line: {raw!r}")
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
-    if section:
-        if values.setdefault("command", section) != section:
-            raise ConfigError(f"command {values['command']!r} differs from header [{section}]")
-    return values
-
-
-# spellings of the boolean config values; any other value is a ConfigError
-_FLAG_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
-    file_values = _parse_config_file(args.config) if args.config else {}
-    command = file_values.get("command")
-    if args.command and command and args.command != command:
-        raise ConfigError(f"command {args.command!r} differs from the config file's {command!r}")
-    command = args.command or command
-    if not command:
-        raise ConfigError("no command given (flag or [section] in config)")
-    if command not in _COMMANDS:
-        raise ConfigError(f"unknown command {command!r}")
-
-    # omitted keys take the ExperimentConfig defaults
-    casts = {
-        "n_list": lambda text: tuple(int(part) for part in text.split(",") if part.strip()),
-        "replications": int,
-        "master_seed": int,
-        "integrand": str,
-        "output_dir": str,
-        "check": lambda text: _FLAG_WORDS[text.lower()],
-        "workers": int,
-    }
-    unknown = sorted(set(file_values) - set(casts) - {"command"})
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    values = {}
-    for name, cast in casts.items():
-        value = getattr(args, name, None)
-        if value is None:
-            if name not in file_values:
-                continue
-            value = file_values[name]
-        if isinstance(value, str):  # argparse has already typed the other flags
-            try:
-                value = cast(value)
-            except (KeyError, ValueError) as exc:
-                raise ConfigError(f"bad config value for {name}: {value!r}") from exc
-        values[name] = value
-    cfg = ExperimentConfig(command=command, **values)
+    # omitted flags take the ExperimentConfig defaults
+    values = {name: value for name, value in vars(args).items() if value is not None}
+    if "n_list" in values:
+        try:
+            values["n_list"] = tuple(int(part) for part in args.n_list.split(",") if part.strip())
+        except ValueError as exc:
+            raise ConfigError(f"bad config value for n_list: {args.n_list!r}") from exc
+    cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg
 
@@ -259,6 +188,20 @@ def cmd_kappa(cfg: ExperimentConfig) -> Outcome:
     return {**payload, "checks": checks}, failed, {}
 
 
+def _judge_rows(cfg: ExperimentConfig, runs, where, csv_name=None):
+    """The rows of runs, (row, columns) pairs, with their verdicts, the failed
+    gating checks, each after where(row), and each row's columns as the CSV
+    csv_name(row).  TOP checks gate at the largest grid and on gridless rows."""
+    rows, failed, files, top = [], [], {}, max(cfg.n_list)
+    for row, cols in runs:
+        if csv_name:
+            files[csv_name(row)] = _samples_csv(cols)
+        checks, bad = judge(cfg.command, row, where(row), row.get("n", top) == top)
+        rows.append({**row, **checks})
+        failed += bad
+    return rows, failed, files
+
+
 def cmd_converge(cfg: ExperimentConfig) -> Outcome:
     """The estimator corpus of each grid, judged without a sampled limit law:
     B(1) and the scaled cubic variation against N(0, 1), each integrand with
@@ -266,28 +209,20 @@ def cmd_converge(cfg: ExperimentConfig) -> Outcome:
     all_ks_accepted, named for the KS rows of earlier reports, is the overall
     verdict."""
     integrands = parse_integrand_list(cfg.integrand)
-    rows, failed, files = [], [], {}
-    for row, est, _ in converge_experiment(
-        cfg.n_list, cfg.replications, cfg.master_seed, integrands, cfg.workers
-    ):
-        n = row["n"]
-        files[f"estimator_n{n}.csv"] = _samples_csv(est)
-        checks, bad = judge("converge", row, f"n={n} ", n == max(cfg.n_list))
-        rows.append({**row, **checks})
-        failed += bad
+    runs = converge_experiment(cfg.n_list, cfg.replications, cfg.master_seed, integrands,
+                               cfg.workers)
+    rows, failed, files = _judge_rows(
+        cfg, ((row, est) for row, est, _ in runs),
+        lambda row: f"n={row['n']} ", lambda row: f"estimator_n{row['n']}.csv",
+    )
     return {"per_n": rows, "all_ks_accepted": not failed}, failed, files
 
 
 def cmd_variations(cfg: ExperimentConfig) -> Outcome:
-    rows, failed, files = [], [], {}
-    for row, cols in identity_experiment(
-        cfg.n_list, cfg.replications, cfg.master_seed, cfg.workers
-    ):
-        n = row["n"]
-        files[f"cubic_n{n}.csv"] = _samples_csv(cols)
-        checks, bad = judge("variations", row, f"n={n} ", n == max(cfg.n_list))
-        rows.append({**row, **checks})
-        failed += bad
+    rows, failed, files = _judge_rows(
+        cfg, identity_experiment(cfg.n_list, cfg.replications, cfg.master_seed, cfg.workers),
+        lambda row: f"n={row['n']} ", lambda row: f"cubic_n{row['n']}.csv",
+    )
     return {"per_n": rows, "all_ok": not failed}, failed, files
 
 
@@ -304,35 +239,25 @@ def cmd_hermite(cfg: ExperimentConfig) -> Outcome:
         raise ConfigError(f"integrands share a CSV file name: {', '.join(tags)}")
     for g in integrands:
         if not g.is_bounded:
-            print(
-                f"warning: integrand {g.label!r} is unbounded; the fdd limits "
-                "assume bounded maps, proceeding anyway",
-                file=sys.stderr,
-            )
+            print(f"warning: integrand {g.label!r} is unbounded; the fdd limits "
+                  "assume bounded maps, proceeding anyway", file=sys.stderr)
     tag_of = dict(zip((g.label for g in integrands), tags))
-    rows, failed, files = [], [], {}
-    for row, cols in hermite_experiment(
-        cfg.n_list, cfg.replications, cfg.master_seed, integrands, cfg.workers
-    ):
-        label, n = row["integrand"], row["n"]
-        files[f"hermite_{tag_of[label]}_n{n}.csv"] = _samples_csv(cols)
-        checks, bad = judge("hermite", row, f"{label} n={n} ", n == max(cfg.n_list))
-        rows.append({**row, **checks})
-        failed += bad
+    runs = hermite_experiment(cfg.n_list, cfg.replications, cfg.master_seed, integrands,
+                              cfg.workers)
+    rows, failed, files = _judge_rows(
+        cfg, runs, lambda row: f"{row['integrand']} n={row['n']} ",
+        lambda row: f"hermite_{tag_of[row['integrand']]}_n{row['n']}.csv",
+    )
     return {"per_integrand": rows, "all_ok": not failed}, failed, files
 
 
 def cmd_scaling(cfg: ExperimentConfig) -> Outcome:
-    rows = scaling_experiment(
-        cfg.master_seed, cfg.replications, parse_integrand(cfg.integrand), cfg.workers
-    )
-    failed = []
-    for row in rows:
-        checks, bad = judge("scaling", row, f"{row['estimator']} ")
-        row.update(checks)
-        failed += bad
+    runs = scaling_experiment(cfg.master_seed, cfg.replications,
+                              parse_integrand(cfg.integrand), cfg.workers)
+    rows, failed, files = _judge_rows(cfg, ((row, None) for row in runs),
+                                      lambda row: f"{row['estimator']} ")
     report = {"per_estimator": rows, "replications": cfg.replications, "all_ok": not failed}
-    return report, failed, {}
+    return report, failed, files
 
 
 def cmd_taylor(cfg: ExperimentConfig) -> Outcome:
@@ -365,17 +290,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo laboratory for the sixth-root fractional "
         "Brownian motion and its weak Stratonovich limit theory",
     )
-    parser.add_argument("command", nargs="?", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", help="key=value config file with a [command] header")
-    parser.add_argument("--n-list", dest="n_list", help="comma-separated grid sizes")
+    parser.add_argument("command", choices=sorted(_COMMANDS))
+    parser.add_argument("--n-list", help="comma-separated grid sizes")
     parser.add_argument("--replications", type=int)
-    parser.add_argument("--master-seed", dest="master_seed", type=int)
-    parser.add_argument(
-        "--integrand", help="integrand spec, semicolon-separated for several"
-    )
-    parser.add_argument("--output-dir", dest="output_dir")
+    parser.add_argument("--master-seed", type=int)
+    parser.add_argument("--integrand", help="integrand spec, semicolon-separated for several")
+    parser.add_argument("--output-dir")
     parser.add_argument("--workers", type=int)
-    parser.add_argument("--check", action="store_const", const=True, default=None,
+    parser.add_argument("--check", action="store_true",
                         help="exit 4 unless the command's acceptance checks pass")
     return parser
 

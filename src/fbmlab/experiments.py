@@ -35,6 +35,7 @@ from time import perf_counter
 import numpy as np
 
 from .analysis import (
+    KS_MIN_SAMPLES,
     Estimator,
     TAYLOR_GAMMA,
     audit_grid,
@@ -249,7 +250,11 @@ def converge_experiment(
     Returns, for each n in n_list, converge_row at the true kappa, the
     columns B, cubic and int_<label>, and, keyed by label,
     sum_k g''(B(t_{k-1}))^2 of each integrand whose g'' is not constant.
+    Fewer than KS_MIN_SAMPLES replications are refused before any draw:
+    every row holds a KS distance.
     """
+    if replications < KS_MIN_SAMPLES:
+        raise DomainError(f"converge needs at least {KS_MIN_SAMPLES} replications")
     stats = {
         "B": lambda path: path.values[-1],
         "cubic": lambda path: signed_cubic(path)[-1],

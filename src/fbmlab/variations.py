@@ -142,7 +142,9 @@ def parse_integrand(text: str) -> SmoothMap:
     """Parse the plain-text integrand grammar.
 
     Accepted forms: a float literal; "x"; "x^k"; "poly:c0,c1,...";
-    "sin"; "cos"; "sin:a,b,c"; "exp"; "exp:a,b".
+    "sin"; "cos"; "sin:a,b,c"; "exp"; "exp:a,b".  An identically zero map
+    (every coefficient, or the amplitude a, zero) is refused: converge's
+    pivot of it would divide by sigma_n = 0.
     """
     text = text.strip()
     if text == "x":
@@ -164,21 +166,18 @@ def parse_integrand(text: str) -> SmoothMap:
             params = tuple(float(p) for p in tail.split(","))
         except ValueError as exc:
             raise DomainError(f"bad parameters in {text!r}") from exc
-        if head == "poly":
-            return SmoothMap(Family.POLYNOMIAL, params, text)
-        if head == "sin":
-            if len(params) != 3:
-                raise DomainError("sin:a,b,c needs three parameters")
-            return SmoothMap(Family.TRIG, params, text)
-        if head == "exp":
-            if len(params) != 2:
-                raise DomainError("exp:a,b needs two parameters")
-            return SmoothMap(Family.EXP, params, text)
-        raise DomainError(f"unknown integrand family {head!r}")
-    try:
-        return SmoothMap(Family.POLYNOMIAL, (float(text),), text)
-    except ValueError as exc:
-        raise DomainError(f"cannot parse integrand {text!r}") from exc
+        families = {"poly": Family.POLYNOMIAL, "sin": Family.TRIG, "exp": Family.EXP}
+        if head not in families:
+            raise DomainError(f"unknown integrand family {head!r}")
+        g = SmoothMap(families[head], params, text)
+    else:
+        try:
+            g = SmoothMap(Family.POLYNOMIAL, (float(text),), text)
+        except ValueError as exc:
+            raise DomainError(f"cannot parse integrand {text!r}") from exc
+    if not any(g.params if g.family is Family.POLYNOMIAL else g.params[:1]):
+        raise DomainError(f"integrand {text!r} is identically zero")
+    return g
 
 
 def parse_integrand_list(text: str) -> list[SmoothMap]:

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from fbmlab import checks
-from fbmlab.cli import _build_parser, _config_from, _json_bytes, _parse_config_file, main
+from fbmlab import checks, experiments
+from fbmlab.cli import _build_parser, _config_from, _json_bytes, main
 from fbmlab.errors import DomainError
 from fbmlab.experiments import (
     converge_experiment,
@@ -106,15 +106,16 @@ class TestConfigHandling:
         ("sextic", "--n-list", "1" + "0" * 400),
         ("taylor", "--master-seed", "-1"),
         ("converge", "--master-seed", str(2**64)),
+        ("converge", "--n-list", "64", "--replications", "49"),
     ])
     def test_degenerate_values_are_config_errors(self, capsys, tmp_path, argv):
         # a grid of no steps or a negative number of them, or no grid at all,
         # has no path, one replication has no sample variance, an audit of
         # one step has no lag for its ratio (v), the scaling fits need 200
-        # replications, and the Fisher z of variations' correlation 4; a grid
-        # of 10^400 steps overflows a float, and a seed outside [0, 2^64)
-        # would draw the streams of its low 64 bits; each is refused before
-        # anything is written
+        # replications, converge's KS 50 and the Fisher z of variations'
+        # correlation 4; a grid of 10^400 steps overflows a float, and a seed
+        # outside [0, 2^64) would draw the streams of its low 64 bits; each is
+        # refused before anything is written
         code, _, err = run(capsys, *argv, "--check", "--output-dir", str(tmp_path / "out"))
         assert code == 2
         assert "config error" in err
@@ -122,26 +123,48 @@ class TestConfigHandling:
 
     def test_bad_method(self, capsys, tmp_path):
         # the sampling method is not a setting: every command samples with sample_fbm
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[kappa]\nmethod = circulant\n")
-        code, _, err = run(capsys, "--config", str(cfg), "--output-dir", str(tmp_path))
+        code, _, err = run(capsys, "kappa", "--method", "circulant",
+                           "--output-dir", str(tmp_path / "out"))
         assert code == 2
-        assert "method" in err
+        assert "--method" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "setting", ["refinement_factor = 4", "truncation = 0", "horizon = 0.35"]
     )
     def test_removed_settings_are_refused(self, capsys, tmp_path, setting):
         # the oracle refines 4-fold, kappa sums 10^4 lags and every run is on
-        # [0, 1] (self-similarity turns [0, T] into it): none is a setting
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"[kappa]\n{setting}\n")
-        code, _, err = run(capsys, "--config", str(cfg), "--output-dir", str(tmp_path / "out"))
-        assert code == 2
+        # [0, 1] (self-similarity turns [0, T] into it): none is a flag
         key, _, value = setting.partition(" = ")
-        assert key in err
         flag = "--" + key.replace("_", "-")
-        assert run(capsys, "kappa", flag, value, "--output-dir", str(tmp_path / "out"))[0] == 2
+        code, _, err = run(capsys, "kappa", flag, value, "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert flag in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_is_refused(self, capsys, tmp_path):
+        # flags are the one way to configure a run; there is no config file format
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[kappa]\nmaster_seed = 1\n")
+        code, _, err = run(capsys, "kappa", "--config", str(cfg),
+                           "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert "unrecognized arguments: --config" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["converge", "hermite", "scaling"])
+    @pytest.mark.parametrize("spec", ["0", "poly:0,0,0", "sin:0,1,0", "exp:0,1"])
+    def test_zero_integrand_is_refused_before_drawing(self, capsys, monkeypatch, tmp_path,
+                                                      command, spec):
+        # converge's pivot of a zero map divides by sigma_n = 0, and its
+        # correlations by a zero variance: the spec is refused before any draw
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew paths for a zero integrand")
+        monkeypatch.setattr(experiments, "run_tasks", no_draws)
+        code, _, err = run(capsys, command, "--n-list", "64", "--replications", "200",
+                           "--integrand", spec, "--check", "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert f"config error: integrand {spec!r} is identically zero" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("spec", ["nan", "inf", "sin:1,nan,0", "exp:1,inf", "poly:0,1e400"])
@@ -201,9 +224,10 @@ class TestConfigHandling:
         assert "share a CSV file name" in err
         assert not (tmp_path / "out").exists()
 
-    def test_missing_command(self, capsys):
-        code, *_ = run(capsys)
+    def test_missing_command(self, capsys, tmp_path):
+        code, *_ = run(capsys, "--output-dir", str(tmp_path / "out"))
         assert code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_capability_exit(self, capsys, tmp_path):
         code, _, err = run(
@@ -220,83 +244,6 @@ class TestConfigHandling:
         assert code == 3
         assert err.startswith("capability error: ")
         assert not (tmp_path / "out").exists()
-
-    def test_config_file_with_section(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "[taylor]\n"
-            "command = taylor\n"
-            "master_seed = 123\n"
-            "output_dir = {}\n".format(tmp_path / "out")
-        )
-        code, *_ = run(capsys, "--config", str(cfg))
-        assert code == 0
-        assert (tmp_path / "out" / "taylor" / "report.json").exists()
-
-    def test_flags_override_config(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[kappa]\nmaster_seed = 1\n")
-        code, *_ = run(capsys, "kappa", "--config", str(cfg),
-                       "--master-seed", "50", "--output-dir", str(tmp_path))
-        assert code == 0
-        manifest = json.loads((tmp_path / "kappa" / "manifest.json").read_text())
-        assert manifest["config"]["master_seed"] == 50
-
-    def test_bad_config_line(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[kappa]\nthis is not a setting\n")
-        code, *_ = run(capsys, "--config", str(cfg))
-        assert code == 2
-
-    def test_unknown_config_key(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[kappa]\nreplicatons = 50\n")
-        code, _, err = run(capsys, "--config", str(cfg), "--output-dir", str(tmp_path))
-        assert code == 2
-        assert "replicatons" in err
-        assert not (tmp_path / "kappa").exists()
-
-    def test_unknown_command_section(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[kapa]\nmaster_seed = 5\n")
-        code, _, err = run(capsys, "--config", str(cfg), "--output-dir", str(tmp_path))
-        assert code == 2
-        assert "kapa" in err
-
-    @pytest.mark.parametrize("text, command", [
-        pytest.param(text, command, id=text) for text, command in (
-            ("[kappa]\ncheck = yes\n[taylor]\n", ()),
-            ("[taylor]\n[taylor]\n", ()),
-            ("[kappa]\ncommand = taylor\n", ()),
-            ("[taylor]\ncheck = yes\n", ("kappa",)),
-        )
-    ])
-    def test_config_names_one_command(self, capsys, tmp_path, text, command):
-        # the keys of two sections would merge into one run of the last, and
-        # a command flag would run with the keys of another command's section
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
-        code, _, err = run(capsys, *command, "--config", str(cfg),
-                           "--output-dir", str(tmp_path / "out"))
-        assert code == 2
-        assert "config error" in err
-        assert not (tmp_path / "out").exists()
-
-    def test_check_value_spellings(self, capsys, monkeypatch, tmp_path):
-        # a wrong reference fails the kappa check, so the exit code shows the flag
-        monkeypatch.setattr(checks, "KAPPA_REF", 0.0)
-        cfg = tmp_path / "run.cfg"
-        for word, code in (("1", 4), ("True", 4), ("YES", 4), ("0", 0), ("false", 0), ("No", 0)):
-            cfg.write_text(f"[kappa]\ncheck = {word}\n")
-            assert run(capsys, "--config", str(cfg), "--output-dir", str(tmp_path))[0] == code
-
-    def test_misspelt_check_value_is_a_config_error(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[kappa]\ncheck = ture\n")
-        code, _, err = run(capsys, "--config", str(cfg), "--output-dir", str(tmp_path))
-        assert code == 2
-        assert "check" in err and "ture" in err
-        assert not (tmp_path / "kappa").exists()
 
     def test_audit_above_cap_is_a_capability_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "audit", "--n-list", "8192", "--check",
@@ -483,6 +430,21 @@ class TestReportsAndManifest:
             for v in verdicts
         )
 
+    def test_converge_top_checks_gate_at_the_largest_grid(self, capsys, monkeypatch,
+                                                            tmp_path):
+        # a pivot variance gate below 0 fails the record of both grids, but the
+        # TOP check gates, and stderr names it, at the largest grid only
+        monkeypatch.setattr(checks, "PIVOT_VAR_TOL", -1.0)
+        code, _, err = run(capsys, "converge", "--n-list", "64,128", "--replications", "60",
+                           "--integrand", "sin", "--check", "--workers", "1",
+                           "--output-dir", str(tmp_path))
+        assert code == 4
+        rows = json.loads((tmp_path / "converge" / "report.json").read_text())["per_n"]
+        assert [row["pivot_variance"]["sin"]["ok"] for row in rows] == [False, False]
+        assert [line.split(" (")[0] for line in err.splitlines()] == [
+            "check failed: converge n=128 pivot_variance sin"
+        ]
+
     def test_no_partial_files_on_success(self, capsys, tmp_path):
         run(capsys, "taylor", "--output-dir", str(tmp_path), "--master-seed", "3")
         names = os.listdir(tmp_path / "taylor")
@@ -547,7 +509,7 @@ class TestMoreCommands:
 
 class TestReadme:
     """The README's examples still parse: each command line of its command
-    block and its config file example give a valid configuration."""
+    block gives a valid configuration."""
 
     README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -567,13 +529,6 @@ class TestReadme:
             commands.add(cfg.command)
         assert commands == {"kappa", "converge", "variations", "sextic", "hermite",
                             "scaling", "taylor", "audit"}
-
-    def test_config_example_parses(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(self.block("ini"), encoding="utf-8")
-        assert _parse_config_file(str(path))["command"] == "converge"
-        cfg = _config_from(_build_parser().parse_args(["--config", str(path)]))
-        assert (cfg.command, cfg.n_list, cfg.replications) == ("converge", (1024, 4096), 2000)
 
 
 class TestImports:

@@ -138,7 +138,7 @@ class TestRiemannSums:
 class TestWeightedHermite:
     def test_zero_integrand(self):
         path = sample_fbm(Grid(32), SeedPolicy(15, 0))
-        left, right = weighted_hermite(parse_integrand("0"), path)
+        left, right = weighted_hermite(SmoothMap(Family.POLYNOMIAL, (0.0,), "0"), path)
         assert np.all(left == 0.0) and np.all(right == 0.0)
 
     def test_unit_weight_rearrangement(self):
@@ -272,7 +272,8 @@ class TestParser:
         assert parse_integrand(text)(x) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize(
-        "bad", ["", "x^", "x^a", "tan", "sin:1,2", "exp:1", "poly:", "what:1"]
+        "bad", ["", "x^", "x^a", "tan", "sin:1,2", "exp:1", "poly:", "what:1",
+                "0", "-0.0", "poly:0,0,0", "sin:0,1,0", "exp:0,1"]
     )
     def test_rejects(self, bad):
         with pytest.raises(DomainError):
