@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CapabilityError, DomainError
 from .kernel import endpoint_increment_block, hermite, rho
 from .sampler import Grid, Path
-from .variations import SmoothMap, int_power
+from .variations import SmoothMap, cubic_terms, int_power, prefix_sums
 from .quadrature import expect_gauss_pair
 
 KS_MIN_SAMPLES = 50
@@ -65,7 +65,7 @@ def window_moments(estimator: Estimator, path: Path, gaps, g: SmoothMap) -> np.n
     fast for negative bases and round alike on every IEEE host.
     """
     if estimator is Estimator.CUBIC_4TH:
-        cum = np.concatenate([[0.0], np.cumsum(int_power(path.increments(), 3))])
+        cum = prefix_sums(cubic_terms(path.increments()))
         return np.array([[np.mean(int_power(np.diff(cum[::gv]), 4)) for gv in gaps]])
     power = 5 if estimator is Estimator.QUINTIC_2ND else 3
     rows = []

@@ -60,12 +60,13 @@ from .sampler import Grid, SeedPolicy, sample_fbm_block, sample_fbm_cholesky
 from .variations import (
     Family,
     SmoothMap,
+    cubic_terms,
+    hermite_terms,
     int_power,
     parse_integrand,
-    riemann_strat,
-    signed_cubic,
+    prefix_sums,
+    riemann_terms,
     sin_map,
-    weighted_hermite,
 )
 
 
@@ -185,6 +186,7 @@ def converge_row(
     n: int,
     cols: dict[str, np.ndarray],
     g2_sums: dict[str, np.ndarray],
+    means: dict[str, float],
     integrands: list[SmoothMap],
     kappa: float,
 ) -> dict:
@@ -195,12 +197,12 @@ def converge_row(
     (kappa/12) int_0^1 g''(B) dW, which is N(0, sigma^2) with
     sigma_n^2 = (kappa^2/144) n^{-1} sum_k g''(B(t_{k-1}))^2, so each g with
     g'' != 0 has the pivot Z_g = (R_n(g) - m_n(g)) / sigma_n(g), where
-    m_n = riemann_mean_exact(g, n); g2_sums holds the sums for each g whose
-    g'' is not constant.  The row holds the KS distance of B(1) from N(0, 1)
-    and of V_n(B, 1) / sqrt(Var V_n) from N(0, 1) under the exact variance,
-    per pivot its KS distance, the mean of R_n with its standard error and
-    target m_n, and the variance of Z_g, and max |R_n(g)| of each g with
-    g'' = 0, which telescopes to round-off.
+    m_n = riemann_mean_exact(g, n) is means[label]; g2_sums holds the sums
+    for each g whose g'' is not constant.  The row holds the KS distance of
+    B(1) and of V_n(B, 1) / sqrt(Var V_n) under the exact variance from
+    N(0, 1), per pivot its KS distance, the mean of R_n with its standard
+    error and target m_n, and the variance of Z_g, and max |R_n(g)| of each
+    g with g'' = 0, which telescopes to round-off.
     """
     b1 = cols["B"]
     replications = len(b1)
@@ -213,13 +215,12 @@ def converge_row(
             identities[g.label] = float(np.max(np.abs(remainder)))
             continue
         mean_sq = const * const if const is not None else g2_sums[g.label] / n
-        target = riemann_mean_exact(g, n)
-        z = (remainder - target) / (kappa / 12.0 * np.sqrt(mean_sq))
+        z = (remainder - means[g.label]) / (kappa / 12.0 * np.sqrt(mean_sq))
         pivots[g.label] = {
             "ks": ks_normal(z),
             "mean": float(np.mean(remainder)),
             "mean_se": float(np.std(remainder, ddof=1) / math.sqrt(replications)),
-            "mean_exact": target,
+            "mean_exact": means[g.label],
             "variance": float(np.var(z, ddof=1)),
         }
     cubic_variance = cubic_variance_exact(n)
@@ -238,6 +239,30 @@ def converge_row(
     }
 
 
+def _finite(target, g: SmoothMap, *args):
+    """target(g, *args), an exact moment, refused naming g and target unless finite."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = target(g, *args)
+    except OverflowError:  # a Python float past 1.8e308
+        value = math.inf
+    if np.all(np.isfinite(value)):
+        return value
+    raise DomainError(f"integrand {g.label!r}: {target.__name__} is non-finite ({value})")
+
+
+def _converge_stats(integrands: list[SmoothMap], curved: list, path) -> np.ndarray:
+    """[B(1), V_n(B, 1), I_n(g, B, 1) per g, sum_k g''(B(t_{k-1}))^2 per
+    (index of g, g'') in curved] of one path, each the pairwise sum of its terms."""
+    v, dx = path.values, path.increments()
+    gvs = [g(v) for g in integrands]
+    row = [v[-1], cubic_terms(dx).sum()] + [riemann_terms(gv, dx).sum() for gv in gvs]
+    bent = [
+        integrands[i].second_derivative_square_sum(g2, v[:-1], gvs[i][:-1]) for i, g2 in curved
+    ]
+    return np.array(row + bent)
+
+
 def converge_experiment(
     n_list,
     replications: int,
@@ -250,27 +275,24 @@ def converge_experiment(
     Returns, for each n in n_list, converge_row at the true kappa, the
     columns B, cubic and int_<label>, and, keyed by label,
     sum_k g''(B(t_{k-1}))^2 of each integrand whose g'' is not constant.
-    Fewer than KS_MIN_SAMPLES replications are refused before any draw:
-    every row holds a KS distance.
+    Fewer than KS_MIN_SAMPLES replications, since every row holds a KS
+    distance, and a non-finite exact mean m_n are refused before any draw.
     """
     if replications < KS_MIN_SAMPLES:
         raise DomainError(f"converge needs at least {KS_MIN_SAMPLES} replications")
-    stats = {
-        "B": lambda path: path.values[-1],
-        "cubic": lambda path: signed_cubic(path)[-1],
-    }
-    for g in integrands:
-        stats[f"int_{g.label}"] = lambda path, g=g: riemann_strat(g, path)[-1]
-    curved = [g for g in integrands if g.derivative(2).constant is None]
-    for g in curved:
-        g2 = g.derivative(2)
-        stats[f"g2_{g.label}"] = lambda path, g2=g2: np.square(g2(path.values[:-1])).sum()
+    means = {n: {g.label: _finite(riemann_mean_exact, g, n) for g in integrands} for n in n_list}
+    second = [(i, g.derivative(2)) for i, g in enumerate(integrands)]
+    curved = [(i, g2) for i, g2 in second if g2.constant is None]
+    stats = {"row": partial(_converge_stats, integrands, curved)}
     tasks = [(fbm_draws(Grid(n), master_seed), stats) for n in n_list]
+    names = ["B", "cubic"] + [f"int_{g.label}" for g in integrands]
     kappa = kappa_constant().kappa
     runs = []
     for n, cols in zip(n_list, run_tasks(tasks, replications, workers)):
-        g2_sums = {g.label: cols.pop(f"g2_{g.label}") for g in curved}
-        runs.append((converge_row(n, cols, g2_sums, integrands, kappa), cols, g2_sums))
+        columns = [col.copy() for col in cols["row"].T]  # contiguous, as plain columns sum
+        est = dict(zip(names, columns))
+        g2_sums = {integrands[i].label: col for (i, _), col in zip(curved, columns[len(names) :])}
+        runs.append((converge_row(n, est, g2_sums, means[n], integrands, kappa), est, g2_sums))
     return runs
 
 
@@ -282,17 +304,14 @@ _IDENTITY_MAPS = tuple(parse_integrand(text) for text in ("1", "x", "x^2"))
 
 def _identity_row(path) -> np.ndarray:
     """Relative residuals of the four pathwise identities, then B(1) and V_n(B, 1)."""
-    const, lin, quad = _IDENTITY_MAPS
-    n = path.grid.n
-    v = path.values
-    cubic = signed_cubic(path)
+    n, v, dx = path.grid.n, path.values, path.increments()
+    cubic = prefix_sums(cubic_terms(dx))
     scale = max(1.0, float(np.max(np.abs(v))) ** 3)
-    res_c = np.max(np.abs(riemann_strat(const, path) - (v - v[0])))
-    res_l = np.max(np.abs(riemann_strat(lin, path) - 0.5 * (v**2 - v[0] ** 2)))
-    res_q = np.max(
-        np.abs(riemann_strat(quad, path) - (int_power(v, 3) - v[0] ** 3) / 3.0 - cubic / 6.0)
-    )
-    hermite_one = weighted_hermite(const, path)[0]
+    const, lin, quad = (prefix_sums(riemann_terms(g(v), dx)) for g in _IDENTITY_MAPS)
+    res_c = np.max(np.abs(const - (v - v[0])))
+    res_l = np.max(np.abs(lin - 0.5 * (v**2 - v[0] ** 2)))
+    res_q = np.max(np.abs(quad - (int_power(v, 3) - v[0] ** 3) / 3.0 - cubic / 6.0))
+    hermite_one = prefix_sums(hermite_terms(np.ones_like(v), dx, n)[0])
     res_y = np.max(np.abs(cubic - hermite_one - 3.0 * n ** (-1.0 / 3.0) * v))
     residuals = np.array([res_c, res_l, res_q, res_y]) / scale
     return np.append(residuals, [v[-1], cubic[-1]])
@@ -348,7 +367,7 @@ def _sextic_row(path) -> tuple[float, float]:
     The sixth powers are products (int_power), so both are exactly even
     under B -> -B and the same on every IEEE host.
     """
-    v6 = np.concatenate([[0.0], np.cumsum(int_power(path.increments(), 6))])
+    v6 = prefix_sums(int_power(path.increments(), 6))
     return np.max(np.abs(v6 - 15.0 * path.grid.times())), v6[-1]
 
 
@@ -380,6 +399,12 @@ def sextic_experiment(
 # --- weighted Hermite variations --------------------------------------------
 
 
+def _hermite_stats(integrands: list[SmoothMap], path) -> np.ndarray:
+    """[left, right] weighted third-Hermite variation at t = 1 per g: sums of terms."""
+    v, dx = path.values, path.increments()
+    return np.array([[t.sum() for t in hermite_terms(g(v), dx, path.grid.n)] for g in integrands])
+
+
 def hermite_experiment(
     n_list,
     replications: int,
@@ -390,33 +415,40 @@ def hermite_experiment(
     """Left/right endpoint weighted third-Hermite variations at t = 1.
 
     Returns, for each integrand and then each n in n_list, the report row
-    (sample means with standard errors and exact finite-n targets, the
-    left variance and its target, and the quadrature limits of the left
-    mean and variance, which depend on the integrand alone and are computed
-    once) and the columns left and right.  Every integrand reads the same
-    paths of each grid.  The variance target is the exact finite-n variance
+    (sample means with standard errors and exact finite-n targets, the left
+    variance and its target, and the quadrature limits of the left mean and
+    variance, which depend on the integrand alone and are computed once)
+    and the columns left and right.  Every integrand reads the same paths
+    of each grid, and every target is computed, a non-finite one refused,
+    before any draw.  The variance target is the exact finite-n variance
     for trig and exp integrands (variance_target_kind "exact") and the limit
     for polynomials ("limit")."""
     kappa_sq = kappa_constant().kappa_sq
     limits = [
         {
-            "mean_limit": hermite_mean_limit(g),
-            "variance_limit": hermite_variance_limit(g, kappa_sq),
+            "mean_limit": _finite(hermite_mean_limit, g),
+            "variance_limit": _finite(hermite_variance_limit, g, kappa_sq),
         }
         for g in integrands
     ]
-    stats = {
-        i: lambda path, g=g: [prefix[-1] for prefix in weighted_hermite(g, path)]
-        for i, g in enumerate(integrands)
-    }
+    targets = {}  # (integrand index, n): the exact means and the variance target
+    for i, (g, limit) in enumerate(zip(integrands, limits)):
+        for n in n_list:
+            variance = (
+                limit["variance_limit"]
+                if g.family is Family.POLYNOMIAL
+                else _finite(hermite_variance_exact, g, n)
+            )
+            targets[i, n] = (_finite(hermite_mean_exact, g, n), variance)
+    stats = {"hermite": partial(_hermite_stats, integrands)}
     tasks = [(fbm_draws(Grid(n), master_seed), stats) for n in n_list]
     grids = run_tasks(tasks, replications, workers)
     runs = []
     for i, (integrand, limit) in enumerate(zip(integrands, limits)):
         exact = integrand.family is not Family.POLYNOMIAL
         for n, cols in zip(n_list, grids):
-            left, right = cols[i].T.copy()  # contiguous, so each sum runs as on a plain column
-            left_exact, right_exact = hermite_mean_exact(integrand, n)
+            left, right = cols["hermite"][:, i].T.copy()  # contiguous, as plain columns sum
+            (left_exact, right_exact), variance_target = targets[i, n]
             row = {
                 "integrand": integrand.label,
                 "bounded": integrand.is_bounded,
@@ -429,9 +461,7 @@ def hermite_experiment(
                 "right_mean_exact": right_exact,
                 "left_variance": float(np.var(left, ddof=1)),
                 **limit,
-                "variance_target": (
-                    hermite_variance_exact(integrand, n) if exact else limit["variance_limit"]
-                ),
+                "variance_target": variance_target,
                 "variance_target_kind": "exact" if exact else "limit",
             }
             runs.append((row, {"left": left, "right": right}))

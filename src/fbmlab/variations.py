@@ -1,8 +1,9 @@
 """Discrete functionals of a sampled path.
 
-For a path X on the grid t_j = j/n each functional F returns its prefix
-sums as one array: entry k is F(X, t_k) = F(X, t) for t in [t_k, t_{k+1}),
-entry 0 is 0.0 and the last entry is the value at the horizon.
+For a path X on the grid t_j = j/n each functional F returns its terms, one
+per increment dX_j, from the increments and the integrand's grid values, so
+a caller of several computes each once.  prefix_sums(terms)[k] is F(X, t_k)
+= F(X, t) for t in [t_k, t_{k+1}); terms.sum() is the value at the horizon.
 
 * the signed cubic variation V_n(X, t) = sum_{j <= nt} dX_j^3;
 * trapezoid Riemann sums I_n(g, X, t) = sum (g(X_{j-1}) + g(X_j))/2 dX_j;
@@ -14,9 +15,8 @@ Integrands live in one of three closed-form families (polynomial,
 a*sin(bx+c), a*exp(bx)) so that derivatives up to any order used here and
 one antiderivative are exact, keeping the identity tests free of numerical
 differentiation error; parse_integrand and parse_integrand_list read them
-from the command line's plain-text grammar.  Summation is a fixed
-ascending prefix sum, so the results do not depend on any parallel
-schedule.
+from the command line's plain-text grammar.  An ascending cumsum and
+numpy's pairwise sum depend on no parallel schedule or BLAS build.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .sampler import Path
 
 
 class Family(enum.Enum):
@@ -101,6 +100,13 @@ class SmoothMap:
         for _ in range(order):
             out = out._derivative_once()
         return out
+
+    def second_derivative_square_sum(self, g2: "SmoothMap", x: np.ndarray, gx: np.ndarray) -> float:
+        """sum g''(x)^2 given g2 = g'' and gx = g(x); b^4 sum gx^2 for trig and
+        exp, where g'' = -+b^2 g, so only a polynomial evaluates g2."""
+        if self.family is Family.POLYNOMIAL:
+            return float(np.square(g2(x)).sum())
+        return self.params[1] ** 4 * float(np.square(gx).sum())
 
     def antiderivative(self) -> "SmoothMap":
         """One antiderivative G with G' = g (constant of integration 0)."""
@@ -210,32 +216,24 @@ def int_power(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _prefix(terms: np.ndarray) -> np.ndarray:
+def prefix_sums(terms: np.ndarray) -> np.ndarray:
+    """F(X, t_k) for k = 0..m from the per-step terms of F: 0.0, then the ascending cumsum."""
     return np.concatenate([[0.0], np.cumsum(terms)])
 
 
-def signed_cubic(path: Path) -> np.ndarray:
-    """V_n(X, t) = sum dX_j^3."""
-    return _prefix(int_power(path.increments(), 3))
+def cubic_terms(dx: np.ndarray) -> np.ndarray:
+    """dX_j^3, the terms of V_n(X, t), from the increments dx."""
+    return int_power(dx, 3)
 
 
-def riemann_strat(g: SmoothMap, path: Path) -> np.ndarray:
-    """Trapezoid Riemann sum I_n(g, X, t)."""
-    gv = np.asarray(g(path.values))
-    w = 0.5 * (gv[:-1] + gv[1:])
-    return _prefix(w * path.increments())
+def riemann_terms(gv: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """(g(X_{j-1}) + g(X_j))/2 dX_j, the terms of I_n(g, X, t), from gv = g(X)."""
+    return 0.5 * (gv[:-1] + gv[1:]) * dx
 
 
-def weighted_hermite(g: SmoothMap, path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """n^{-1/2} sum_{j <= nt} w_j h_3(n^{1/6} dX_j) at both endpoints.
-
-    Returns the left prefix sums, with w_j = g(X(t_{j-1})), and the right
-    ones, with w_j = g(X(t_j)); h_3(x) = x (x^2 - 3) and g are evaluated
-    once for both.
-    """
-    n = path.grid.n
-    x = n ** (1.0 / 6.0) * path.increments()
+def hermite_terms(gv: np.ndarray, dx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n^{-1/2} w_j h_3(n^{1/6} dX_j) from gv = g(X), h_3(x) = x (x^2 - 3): the
+    left terms, w_j = g(X(t_{j-1})), and the right ones, w_j = g(X(t_j))."""
+    x = n ** (1.0 / 6.0) * dx
     h3 = x * (x * x - 3.0)
-    w = np.asarray(g(path.values))
-    root = np.sqrt(n)
-    return _prefix((w[:-1] * h3) / root), _prefix((w[1:] * h3) / root)
+    return (gv[:-1] * h3) / np.sqrt(n), (gv[1:] * h3) / np.sqrt(n)

@@ -35,6 +35,7 @@ from fbmlab.experiments import (
     sextic_experiment,
     taylor_experiment,
 )
+from fbmlab.quadrature import riemann_mean_exact
 from fbmlab.sampler import Path
 from fbmlab.variations import parse_integrand_list
 
@@ -158,10 +159,13 @@ def test_c06_pivot_variance_rejects_a_wrong_kappa(converge_run, scale):
     # A KS of Z_g alone reads below its critical value against kappa * 0.9.
     row, cols, g2_sums, _ = converge_run
     integrands = parse_integrand_list("; ".join(INTEGRANDS))
-    truth = experiments.converge_row(ACCEPT_N, cols, g2_sums, integrands, row["kappa"])
+    means = {g.label: riemann_mean_exact(g, ACCEPT_N) for g in integrands}
+    truth = experiments.converge_row(ACCEPT_N, cols, g2_sums, means, integrands, row["kappa"])
     assert truth == row
     assert all(r["ok"] for r in judge("converge", truth)[0]["pivot_variance"].values())
-    wrong = experiments.converge_row(ACCEPT_N, cols, g2_sums, integrands, scale * row["kappa"])
+    wrong = experiments.converge_row(
+        ACCEPT_N, cols, g2_sums, means, integrands, scale * row["kappa"]
+    )
     variance = judge("converge", wrong)[0]["pivot_variance"]
     assert not variance["x^2"]["ok"] and not variance["sin"]["ok"], variance
 

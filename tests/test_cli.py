@@ -167,6 +167,26 @@ class TestConfigHandling:
         assert f"config error: integrand {spec!r} is identically zero" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")  # and without a RuntimeWarning on the way
+    @pytest.mark.parametrize("command, spec, target", [
+        ("converge", "exp:1,40", "riemann_mean_exact"),
+        ("converge", "x^400", "riemann_mean_exact"),
+        ("hermite", "exp:1,38", "hermite_mean_limit"),
+    ])
+    def test_overflowing_exact_target_is_refused_before_drawing(
+        self, capsys, monkeypatch, tmp_path, command, spec, target
+    ):
+        # at the README size; these used to draw every path and then fail on
+        # a KS sample or a report holding a non-finite value
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew paths for a non-finite target")
+        monkeypatch.setattr(experiments, "run_tasks", no_draws)
+        code, _, err = run(capsys, command, "--n-list", "4096", "--replications", "2000",
+                           "--integrand", spec, "--check", "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert f"config error: integrand {spec!r}: {target} is non-finite" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("spec", ["nan", "inf", "sin:1,nan,0", "exp:1,inf", "poly:0,1e400"])
     def test_nonfinite_integrand_is_a_config_error(self, capsys, tmp_path, spec):
         # a report built from it would hold NaN or Infinity, which are not JSON

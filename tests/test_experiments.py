@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fbmlab import experiments
+from fbmlab.analysis import KS_MIN_SAMPLES
 from fbmlab.checks import judge
 from fbmlab.errors import CapabilityError, DomainError
 from fbmlab.cli import ExperimentConfig
@@ -27,7 +28,22 @@ from fbmlab.experiments import (
 )
 from fbmlab.quadrature import hermite_mean_exact, hermite_variance_exact, riemann_mean_exact
 from fbmlab.sampler import Grid, Path, SeedPolicy, sample_fbm
-from fbmlab.variations import sin_map
+from fbmlab.variations import Family, int_power, sin_map
+
+
+def _paths(n, master_seed, replications):
+    return [sample_fbm(Grid(n), SeedPolicy(master_seed, r)) for r in range(replications)]
+
+
+def _prefix_last(terms):
+    return np.concatenate([[0.0], np.cumsum(terms)])[-1]
+
+
+def assert_round_off(got, ref, rel=1e-12):
+    # relative to max(1, |ref|): a value near 0, such as int_x = B(1)^2 / 2,
+    # keeps the absolute round-off of its O(1) terms in either summation order
+    ref = np.asarray(ref)
+    assert np.all(np.abs(np.asarray(got) - ref) <= rel * np.maximum(1.0, np.abs(ref)))
 
 
 class TestIntegrandList:
@@ -92,7 +108,8 @@ class TestConverge:
         big_g = g.antiderivative()
         remainder = riemann_mean_exact(g, n) + kappa / 12.0 * np.sqrt(sums / n) * q
         cols = {"B": b1, "cubic": b1 ** 3, "int_sin": big_g(b1) - big_g(0.0) + remainder}
-        pivot = experiments.converge_row(n, cols, {"sin": sums}, [g], kappa)["pivots"]["sin"]
+        means = {"sin": riemann_mean_exact(g, n)}
+        pivot = experiments.converge_row(n, cols, {"sin": sums}, means, [g], kappa)["pivots"]["sin"]
         assert pivot["ks"] == pytest.approx(0.5 / m, abs=1e-12)
         assert pivot["variance"] == pytest.approx(np.var(q, ddof=1), rel=1e-12)
         assert pivot["mean"] == pytest.approx(np.mean(remainder), rel=1e-12)
@@ -103,6 +120,91 @@ class TestConverge:
         path = sample_fbm(Grid(32), SeedPolicy(7, 5))
         left = path.values[:-1]
         assert g2_sums["sin"][5] == pytest.approx(np.sum(np.sin(left) ** 2), rel=1e-12)
+
+
+class TestFinalSums:
+    """Values read at t = 1 are one pairwise sum of each path's terms; they
+    agree with the last entry of the cumsum prefix to round-off."""
+
+    def test_converge_columns_match_the_prefix_definitions(self):
+        integrands = parse_integrand_list("1; x; x^3; cos; sin:2,3,0.5; exp:1,0.5")
+        n, reps = 256, 60
+        [(_, est, g2_sums)] = converge_experiment([n], reps, 7, integrands)
+        paths = _paths(n, 7, reps)
+        assert est["B"].tobytes() == np.array([p.values[-1] for p in paths]).tobytes()
+        assert_round_off(est["cubic"], [_prefix_last(np.diff(p.values) ** 3) for p in paths])
+        for g in integrands:
+            ref = []
+            for p in paths:
+                gv = g(p.values)
+                ref.append(_prefix_last(0.5 * (gv[:-1] + gv[1:]) * np.diff(p.values)))
+            assert_round_off(est[f"int_{g.label}"], ref)
+        assert list(g2_sums) == ["x^3", "cos", "sin:2,3,0.5", "exp:1,0.5"]
+        for g in integrands[2:]:
+            ref = [np.sum(g.derivative(2)(p.values[:-1]) ** 2) for p in paths]
+            np.testing.assert_allclose(g2_sums[g.label], ref, rtol=1e-12, atol=0)
+
+    def test_hermite_columns_match_the_prefix_definitions(self):
+        integrands = parse_integrand_list("sin; exp:1,0.5; x^3")
+        n, reps = 256, 40
+        runs = hermite_experiment([n], reps, 7, integrands)
+        paths = _paths(n, 7, reps)
+        for g, (_, cols) in zip(integrands, runs):
+            for side, weights in (("left", slice(None, -1)), ("right", slice(1, None))):
+                ref = []
+                for p in paths:
+                    x = n ** (1.0 / 6.0) * np.diff(p.values)
+                    ref.append(_prefix_last(g(p.values)[weights] * x * (x * x - 3.0) / np.sqrt(n)))
+                assert_round_off(cols[side], ref)
+
+    def test_targets_are_those_of_each_row_label_and_n(self):
+        # every target is computed before the draws; each row must read the
+        # one of its own integrand and grid, not a neighbour's
+        n_list = [64, 256]
+        integrands = parse_integrand_list("x^3; sin:2,3,0.5; exp:1,0.5")
+        runs = converge_experiment(n_list, KS_MIN_SAMPLES, 5, integrands)
+        for n, (row, _, _) in zip(n_list, runs):
+            assert row["n"] == n
+            for g in integrands:
+                assert row["pivots"][g.label]["mean_exact"] == riemann_mean_exact(g, n)
+        runs = hermite_experiment(n_list, 4, 5, integrands)
+        assert [(r["integrand"], r["n"]) for r, _ in runs] == [
+            (g.label, n) for g in integrands for n in n_list
+        ]
+        for (row, _), (g, n) in zip(runs, [(g, n) for g in integrands for n in n_list]):
+            left, right = hermite_mean_exact(g, n)
+            assert (row["left_mean_exact"], row["right_mean_exact"]) == (left, right)
+            if g.family is Family.POLYNOMIAL:
+                assert row["variance_target"] == row["variance_limit"]
+            else:
+                assert row["variance_target"] == hermite_variance_exact(g, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 256, 4096])
+    def test_identity_row_keeps_its_prefix_sums(self, n):
+        # variations still reads F(X, t) on the whole grid, as ascending
+        # cumsums of the same terms, so its row is bitwise what it was
+        def reference(path):
+            v = path.values
+            dx = np.diff(v)
+            cubic = np.concatenate([[0.0], np.cumsum(int_power(dx, 3))])
+
+            def riemann(spec):
+                gv = np.asarray(parse_integrand(spec)(v))
+                return np.concatenate([[0.0], np.cumsum(0.5 * (gv[:-1] + gv[1:]) * dx)])
+
+            x = n ** (1.0 / 6.0) * dx
+            hermite_one = np.concatenate([[0.0], np.cumsum(x * (x * x - 3.0) / np.sqrt(n))])
+            res = [
+                np.max(np.abs(riemann("1") - (v - v[0]))),
+                np.max(np.abs(riemann("x") - 0.5 * (v**2 - v[0] ** 2))),
+                np.max(np.abs(riemann("x^2") - (int_power(v, 3) - v[0] ** 3) / 3.0 - cubic / 6.0)),
+                np.max(np.abs(cubic - hermite_one - 3.0 * n ** (-1.0 / 3.0) * v)),
+            ]
+            scale = max(1.0, float(np.max(np.abs(v))) ** 3)
+            return np.append(np.array(res) / scale, [v[-1], cubic[-1]])
+
+        for path in _paths(n, 11, 5):
+            assert experiments._identity_row(path).tobytes() == reference(path).tobytes()
 
 
 class TestIdentity:

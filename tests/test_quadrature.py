@@ -20,7 +20,7 @@ from fbmlab.quadrature import (
     riemann_mean_exact,
 )
 from fbmlab.sampler import Grid
-from fbmlab.variations import Family, monomial_map, parse_integrand, riemann_strat, sin_map
+from fbmlab.variations import Family, monomial_map, parse_integrand, riemann_terms, sin_map
 from fbmlab.kernel import endpoint_increment_cov
 from fbmlab.quadrature import GL_NODES, _gauss_legendre_01
 
@@ -345,7 +345,7 @@ class TestRiemannExactMean:
         n, replications = 256, 10_000
         maps = [parse_integrand(spec) for spec in ("sin", "exp:1,0.5")]
         stats = {
-            g.label: lambda path, g=g: riemann_strat(g, path)[-1]
+            g.label: lambda path, g=g: riemann_terms(g(path.values), path.increments()).sum()
             - g.antiderivative()(path.values[-1]) + g.antiderivative()(0.0)
             for g in maps
         }

@@ -11,11 +11,12 @@ from fbmlab.variations import (
     SmoothMap,
     int_power,
     monomial_map,
+    cubic_terms,
+    hermite_terms,
     parse_integrand,
-    riemann_strat,
-    signed_cubic,
+    prefix_sums,
+    riemann_terms,
     sin_map,
-    weighted_hermite,
 )
 
 
@@ -26,35 +27,48 @@ def make_path(values, horizon=None):
     return Path(grid=grid, values=values)
 
 
+def cubic_prefix(path):
+    return prefix_sums(cubic_terms(path.increments()))
+
+
+def riemann_prefix(g, path):
+    return prefix_sums(riemann_terms(np.asarray(g(path.values)), path.increments()))
+
+
+def hermite_prefixes(g, path):
+    terms = hermite_terms(np.asarray(g(path.values)), path.increments(), path.grid.n)
+    return tuple(prefix_sums(t) for t in terms)
+
+
 class TestStepProcess:
-    """A functional returns its prefix sums, one entry per grid point."""
+    """The prefix sums of a functional's terms, one entry per grid point."""
 
     def test_step_rule_and_final(self):
-        step = signed_cubic(make_path([0.0, 1.0, 1.0, 3.0, 3.0]))
+        step = cubic_prefix(make_path([0.0, 1.0, 1.0, 3.0, 3.0]))
         assert step[0] == 0.0
         assert step.tolist() == [0.0, 1.0, 1.0, 9.0, 9.0]
 
     def test_prefix_consistency(self):
         path = sample_fbm(Grid(256), SeedPolicy(8, 0))
-        step = signed_cubic(path)
+        step = cubic_prefix(path)
         assert len(step) == path.grid.m + 1
         assert np.max(np.abs(np.diff(step) - path.increments() ** 3)) < 1e-12
 
 
 class TestPowerVariation:
     def test_constant_path(self):
-        step = signed_cubic(make_path(np.zeros(9)))
+        step = cubic_prefix(make_path(np.zeros(9)))
         assert np.all(step == 0.0)
 
     def test_signed_cancellation(self):
         a = 0.7
-        step = signed_cubic(make_path([0.0, a, 0.0]))
+        step = cubic_prefix(make_path([0.0, a, 0.0]))
         assert step == pytest.approx([0.0, a**3, 0.0], abs=1e-15)
 
     def test_linear_drift_cubes(self):
         c = 0.25
         path = make_path(np.arange(9) * c, horizon=1.0)
-        step = signed_cubic(path)
+        step = cubic_prefix(path)
         assert np.allclose(step, np.arange(9) * c**3, atol=1e-15)
 
     def test_sextic_mean(self):
@@ -99,20 +113,20 @@ class TestMidpoints:
 class TestRiemannSums:
     def test_constant_integrand_telescopes(self):
         path = sample_fbm(Grid(64), SeedPolicy(11, 0))
-        step = riemann_strat(parse_integrand("1"), path)
+        step = riemann_prefix(parse_integrand("1"), path)
         assert np.max(np.abs(step - (path.values - path.values[0]))) < 1e-12
 
     def test_linear_integrand_telescopes(self):
         path = sample_fbm(Grid(64), SeedPolicy(12, 0))
-        step = riemann_strat(monomial_map(1), path)
+        step = riemann_prefix(monomial_map(1), path)
         target = 0.5 * (path.values**2 - path.values[0] ** 2)
         assert np.max(np.abs(step - target)) < 1e-12
 
     def test_quadratic_integrand_identity(self):
         # ((a^2+b^2)/2)(b-a) - (b^3-a^3)/3 = (b-a)^3/6 per step
         path = sample_fbm(Grid(1024), SeedPolicy(13, 0))
-        step = riemann_strat(monomial_map(2), path)
-        target = (path.values**3 - path.values[0] ** 3) / 3.0 + signed_cubic(path) / 6.0
+        step = riemann_prefix(monomial_map(2), path)
+        target = (path.values**3 - path.values[0] ** 3) / 3.0 + cubic_prefix(path) / 6.0
         scale = max(1.0, float(np.max(np.abs(target))))
         assert np.max(np.abs(step - target)) / scale < 1e-10
 
@@ -129,8 +143,8 @@ class TestRiemannSums:
             tuple(a * cg + b * ch for cg, ch in zip(gc, h.params)),
             "a*g+b*h",
         )
-        lhs = riemann_strat(combined, path)
-        rhs = a * riemann_strat(g, path) + b * riemann_strat(h, path)
+        lhs = riemann_prefix(combined, path)
+        rhs = a * riemann_prefix(g, path) + b * riemann_prefix(h, path)
         scale = max(1.0, float(np.max(np.abs(rhs))))
         assert np.max(np.abs(lhs - rhs)) / scale < 1e-10
 
@@ -138,14 +152,14 @@ class TestRiemannSums:
 class TestWeightedHermite:
     def test_zero_integrand(self):
         path = sample_fbm(Grid(32), SeedPolicy(15, 0))
-        left, right = weighted_hermite(SmoothMap(Family.POLYNOMIAL, (0.0,), "0"), path)
+        left, right = hermite_prefixes(SmoothMap(Family.POLYNOMIAL, (0.0,), "0"), path)
         assert np.all(left == 0.0) and np.all(right == 0.0)
 
     def test_unit_weight_rearrangement(self):
         # V_n(B,t) = G_n^-(1,B,t) + 3 n^{-1/3} B(floor(nt)/n)
         path = sample_fbm(Grid(512), SeedPolicy(16, 0))
-        cubic = signed_cubic(path)
-        left, _ = weighted_hermite(parse_integrand("1"), path)
+        cubic = cubic_prefix(path)
+        left, _ = hermite_prefixes(parse_integrand("1"), path)
         recon = left + 3.0 * 512 ** (-1 / 3) * path.values
         scale = max(1.0, float(np.max(np.abs(cubic))))
         assert np.max(np.abs(cubic - recon)) / scale < 1e-10
@@ -153,7 +167,7 @@ class TestWeightedHermite:
     def test_h3_matches_the_recurrence(self):
         # the product x (x^2 - 3) against kernel.hermite's three-term recurrence
         path = sample_fbm(Grid(4096), SeedPolicy(18, 0))
-        left, _ = weighted_hermite(parse_integrand("1"), path)
+        left, _ = hermite_prefixes(parse_integrand("1"), path)
         x = 4096 ** (1.0 / 6.0) * path.increments()
         assert np.allclose(np.diff(left) * 64.0, hermite(3, x), rtol=1e-12, atol=1e-12)
 
@@ -174,7 +188,7 @@ class TestWeightedHermite:
                   parse_integrand("poly:1,2,0.5")):
             for master_seed, stream_id in ((0, 0), (2, 7), (11, 1999)):
                 path = sample_fbm(grid, SeedPolicy(master_seed, stream_id))
-                left, right = weighted_hermite(g, path)
+                left, right = hermite_prefixes(g, path)
                 assert left.tobytes() == one_endpoint(g, path, True).tobytes()
                 assert right.tobytes() == one_endpoint(g, path, False).tobytes()
 
