@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .checks import judge
-from .errors import CapabilityError, ConfigError, DomainError
+from .errors import CapabilityError, DomainError
 from .experiments import (
     TIMINGS,
     audit_experiment,
@@ -66,17 +66,17 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if not self.n_list:
-            raise ConfigError("n_list must hold at least one grid size")
+            raise DomainError("n_list must hold at least one grid size")
         if len(set(self.n_list)) < len(self.n_list):
-            raise ConfigError(f"n_list repeats a grid size: {self.n_list}")
+            raise DomainError(f"n_list repeats a grid size: {self.n_list}")
         for n in self.n_list:  # the Grid refuses a bad size
             Grid(n)
         if not 0 <= self.master_seed < 2**64:  # SeedPolicy keys on the seed's low 64 bits
-            raise ConfigError(f"master_seed must lie in [0, 2^64): {self.master_seed}")
+            raise DomainError(f"master_seed must lie in [0, 2^64): {self.master_seed}")
         if self.replications < 2:  # a sample variance needs two paths
-            raise ConfigError("replications must be at least 2")
+            raise DomainError("replications must be at least 2")
         if self.workers < 1:
-            raise ConfigError("workers must be positive")
+            raise DomainError("workers must be positive")
 
     def echo(self) -> dict:
         return {**asdict(self), "n_list": list(self.n_list)}
@@ -89,7 +89,7 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
         try:
             values["n_list"] = tuple(int(part) for part in args.n_list.split(",") if part.strip())
         except ValueError as exc:
-            raise ConfigError(f"bad config value for n_list: {args.n_list!r}") from exc
+            raise DomainError(f"bad config value for n_list: {args.n_list!r}") from exc
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg
@@ -236,7 +236,7 @@ def cmd_hermite(cfg: ExperimentConfig) -> Outcome:
     integrands = parse_integrand_list(cfg.integrand)
     tags = ["".join(ch if ch.isalnum() else "_" for ch in g.label) for g in integrands]
     if len(set(tags)) < len(tags):  # one integrand's CSVs would overwrite another's
-        raise ConfigError(f"integrands share a CSV file name: {', '.join(tags)}")
+        raise DomainError(f"integrands share a CSV file name: {', '.join(tags)}")
     for g in integrands:
         if not g.is_bounded:
             print(f"warning: integrand {g.label!r} is unbounded; the fdd limits "
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
         for name in failed:
             print(f"check failed: {cfg.command} {name}", file=sys.stderr)
         return 4 if failed else 0
-    except (ConfigError, DomainError) as exc:
+    except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:  # a float past 1.8e308, e.g. an exp integrand's moment

@@ -276,11 +276,14 @@ def converge_experiment(
     columns B, cubic and int_<label>, and, keyed by label,
     sum_k g''(B(t_{k-1}))^2 of each integrand whose g'' is not constant.
     Fewer than KS_MIN_SAMPLES replications, since every row holds a KS
-    distance, and a non-finite exact mean m_n are refused before any draw.
+    distance, and an m_n whose square is not finite are refused before any draw.
     """
     if replications < KS_MIN_SAMPLES:
         raise DomainError(f"converge needs at least {KS_MIN_SAMPLES} replications")
     means = {n: {g.label: _finite(riemann_mean_exact, g, n) for g in integrands} for n in n_list}
+    for g, m_n in ((g, row[g.label]) for row in means.values() for g in integrands):
+        if math.isinf(m_n * m_n):  # the pivots' sample variance squares values of order m_n
+            raise DomainError(f"integrand {g.label!r}: riemann_mean_exact squared is non-finite")
     second = [(i, g.derivative(2)) for i, g in enumerate(integrands)]
     curved = [(i, g2) for i, g2 in second if g2.constant is None]
     stats = {"row": partial(_converge_stats, integrands, curved)}

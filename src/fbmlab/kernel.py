@@ -156,41 +156,20 @@ def _cube_root_tables(top: int) -> tuple[np.ndarray, np.ndarray]:
     return root[1:] - root[:-1], np.concatenate([root[:0:-1], root])
 
 
-def endpoint_increment_cov(n: int, i, k):
-    """E[B(t_i) dB_k] in closed form, for the grid point t_i = i/n.
-
-    E[B(t_i) dB_k] = (2 n^{1/3})^{-1} (k^{1/3} - (k-1)^{1/3}
-                                       - |k - i|^{1/3} + |k - i - 1|^{1/3}),
-    which equals cov_r(i/n, k/n) - cov_r(i/n, (k-1)/n).  The anchor is given
-    by its integer index, so the lag k - i is exact: the 1/3-Hoelder kernel
-    would amplify the rounding of n * (i/n) near the diagonal.  All four
-    roots are read from one table.  Broadcasts over integer arrays i and k.
-    """
+def anchor_covariances(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """E[B(t_{k-1}) dB_k] and E[B(t_k) dB_k] = (k^{1/3} - (k-1)^{1/3} -+ 1) / (2 n^{1/3}),
+    k = 1..n: the two diagonals of endpoint_increment_block, bit for bit."""
     if n < 1:
-        raise DomainError("endpoint_increment_cov requires n >= 1")
-    i = np.asarray(i)
-    k = np.asarray(k)
-    if i.dtype.kind != "i" or k.dtype.kind != "i":
-        raise DomainError("endpoint_increment_cov requires signed integer grid indices")
-    if np.any(i < 0):
-        raise DomainError("endpoint_increment_cov requires i >= 0")
-    if np.any(k < 1):
-        raise DomainError("endpoint_increment_cov requires k >= 1")
-    top = max(np.max(i, initial=0), np.max(k, initial=1)) + 1
-    step, mirror = _cube_root_tables(top)
-    lag = k - i
-    lag += top
-    out = step[k - 1] - mirror.take(lag)
-    lag -= 1
-    out += mirror.take(lag)
-    out /= 2.0 * np.cbrt(float(n))
-    return out if out.ndim else float(out)
+        raise DomainError("anchor_covariances requires n >= 1")
+    step, scale = _cube_root_tables(n)[0], 2.0 * np.cbrt(float(n))
+    return (step - 1.0) / scale, (step + 1.0) / scale
 
 
 def endpoint_increment_block(n: int, m: int, lo: int, out: np.ndarray) -> np.ndarray:
-    """Rows i = lo, lo + 1, ... of E[B(t_i) dB_k], k = 1..m, written into out, each
-    equal bit for bit to endpoint_increment_cov.  Both lag terms of row i are windows
-    of the mirrored root table, the second also row i + 1's first: no index array."""
+    """Rows i = lo, lo + 1, ... of E[B(t_i) dB_k] = cov_r(i/n, k/n) - cov_r(i/n, (k-1)/n)
+    = (k^{1/3} - (k-1)^{1/3} - |k - i|^{1/3} + |k - i - 1|^{1/3}) / (2 n^{1/3}), k = 1..m,
+    written into out.  The integer anchor i keeps the lag k - i exact, and both lag
+    terms of row i are windows of the mirrored root table, the second also row i + 1's."""
     if n < 1 or lo < 0 or lo + len(out) > m + 1 or out.shape[1:] != (m,):
         raise DomainError("endpoint_increment_block requires n >= 1 and rows within i = 0..m")
     step, mirror = _cube_root_tables(m + 1)
@@ -211,11 +190,7 @@ def anchor_cube_sums(n: int) -> tuple[float, float]:
     Each left term telescopes against the cube-root increments, giving the
     analytic bound (3/8) n^{1/3} / n, so both sums vanish like n^{-2/3}.
     """
-    if n < 1:
-        raise DomainError("anchor_cube_sums requires n >= 1")
-    k = np.arange(1, n + 1)
-    left = endpoint_increment_cov(n, k - 1, k)
-    right = endpoint_increment_cov(n, k, k)
+    left, right = anchor_covariances(n)
     return (
         float(np.sum(np.abs(left**3 + 1.0 / (8.0 * n)))),
         float(np.sum(np.abs(right**3 - 1.0 / (8.0 * n)))),

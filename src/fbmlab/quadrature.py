@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .kernel import cov_r, endpoint_increment_cov
+from .kernel import _cube_root_tables, anchor_covariances, cov_r
 from .variations import Family, SmoothMap
 
 GH_NODES = 64
@@ -126,37 +126,31 @@ def hermite_mean_limit(g: SmoothMap) -> float:
     return -0.125 * float(np.dot(w * (3.0 * u**2), closed_mean(g.derivative(3), u)))
 
 
+def _anchor_terms(g: SmoothMap, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """E[g^(p)(B(t_i))] E[B(t_i) dB_k]^p, k = 1..n, at the anchors i = k - 1 and i = k:
+    by Gaussian integration by parts, E[g(A) h_p(X)] = Cov(A, X)^p E[g^(p)(A)] for
+    Gaussian A and a standard normal X, the terms of the exact means."""
+    left, right = anchor_covariances(n)
+    means = closed_mean(g.derivative(p), np.cbrt(np.arange(n + 1) / n))  # i = 0..n
+    return means[:-1] * left**p, means[1:] * right**p
+
+
 def hermite_mean_exact(g: SmoothMap, n: int) -> tuple[float, float]:
     """Exact finite-n means of the left and right variations at time 1,
-    sum_{k <= n} E[g'''(B(t_i))] E[B(t_i) dB_k]^3 with i = k - 1 and i = k.
-
-    E[g(A) h_3(X)] = Cov(A, X)^3 E[g'''(A)] for Gaussian A and a standard
-    normal X, by Gaussian integration by parts.
-    """
-    if n < 1:
-        raise DomainError("hermite_mean_exact requires n >= 1")
-    k = np.arange(1, n + 1)
-    left = np.asarray(endpoint_increment_cov(n, k - 1, k))
-    right = np.asarray(endpoint_increment_cov(n, k, k))
-    means = closed_mean(g.derivative(3), np.cbrt(np.arange(n + 1) / n))  # i = 0..n
-    return float(np.sum(means[:-1] * left**3)), float(np.sum(means[1:] * right**3))
+    sum_{k <= n} E[g'''(B(t_i))] E[B(t_i) dB_k]^3 with i = k - 1 and i = k."""
+    left, right = _anchor_terms(g, n, 3)
+    return float(np.sum(left)), float(np.sum(right))
 
 
 def riemann_mean_exact(g: SmoothMap, n: int) -> float:
     """Exact finite-n mean of R_n(g) = I_n(g, B, 1) - G(B(1)) + G(0), G' = g.
 
-    Gaussian integration by parts, E[g(X) Y] = E[XY] E[g'(X)], gives
     E I_n = sum_k (E[B(t_{k-1}) dB_k] E g'(B(t_{k-1})) + E[B(t_k) dB_k] E g'(B(t_k))) / 2,
-    and B(1) ~ N(0, 1).  O(n) time, like hermite_mean_exact.
+    the p = 1 anchor terms, and B(1) ~ N(0, 1).  O(n) time, like hermite_mean_exact.
     """
-    if n < 1:
-        raise DomainError("riemann_mean_exact requires n >= 1")
-    k = np.arange(1, n + 1)
-    left = np.asarray(endpoint_increment_cov(n, k - 1, k))
-    right = np.asarray(endpoint_increment_cov(n, k, k))
-    means = closed_mean(g.derivative(1), np.cbrt(np.arange(n + 1) / n))  # E g'(B(t_i))
+    left, right = _anchor_terms(g, n, 1)
     big_g = g.antiderivative()
-    riemann = 0.5 * float(np.sum(left * means[:-1] + right * means[1:]))
+    riemann = 0.5 * float(np.sum(left + right))
     return riemann - float(closed_mean(big_g, 1.0)) + float(big_g(0.0))
 
 
@@ -218,7 +212,7 @@ def hermite_variance_exact(g: SmoothMap, n: int) -> float:
         sign = -1.0  # e^{L}: S(-p, r) under the growth e^{Var L/2}
     else:
         raise DomainError("hermite_variance_exact takes a trig or exp map")
-    root = np.cbrt(np.abs(np.arange(-n, n + 1.0)))  # root[n + i] = |i|^{1/3}
+    step, root = _cube_root_tables(n)  # root[n + i] = |i|^{1/3}
     d = np.diff(root)  # d[n - 1 + l] = D(l), l = 1 - n .. n
     d_lo, d_hi = d[: 2 * n - 1], d[1:]  # D(l) and D(l + 1), l = 1 - n .. n - 1
     r = 0.5 * (d_hi - d_lo)
@@ -229,7 +223,7 @@ def hermite_variance_exact(g: SmoothMap, n: int) -> float:
 
     j = np.arange(1, n + 1)
     beta = np.exp(-sign * bb * np.cbrt((j - 1) / n))
-    aj = 2.0 * (root[n + j] - root[n + j - 1]) - 1.0
+    aj = 2.0 * step - 1.0
     spectra = [np.fft.rfft(beta * aj**s, 2 * n) for s in range(4)]
     coef = _wick_h3_terms(sign * bh_sq, r)  # p^m terms of S(sign p, r)
     growth = np.exp(0.5 * sign * bb * gap)

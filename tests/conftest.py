@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import fbmlab
@@ -32,6 +33,20 @@ def timed(experiment, *args, **kwargs):
     start = time.perf_counter()
     result = experiment(*args, **kwargs)
     return result, time.perf_counter() - start
+
+
+@pytest.fixture(scope="session")
+def endpoint_cov():
+    """E[B(t_i) dB_k] = (k^{1/3} - (k-1)^{1/3} - |k - i|^{1/3} + |k - i - 1|^{1/3}) / (2 n^{1/3})
+    with one cube root per lag, as the formula reads: the bit-for-bit reference of the
+    kernel's endpoint_increment_block and anchor_covariances.  Broadcasts over i and k."""
+
+    def direct(n, i, k):
+        i, k = np.asarray(i, dtype=float), np.asarray(k, dtype=float)
+        c = lambda x: np.cbrt(np.abs(x))
+        return (c(k) - c(k - 1) - c(k - i) + c(k - i - 1)) / (2.0 * np.cbrt(float(n)))
+
+    return direct
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,6 @@ from fbmlab.kernel import cov_r
 from fbmlab.sampler import Grid, Path, SeedPolicy, sample_fbm
 from fbmlab.variations import monomial_map, parse_integrand, sin_map
 from fbmlab.analysis import window_moments
-from fbmlab.kernel import endpoint_increment_cov
 
 
 class TestKsNormal:
@@ -194,14 +193,14 @@ class TestCovarAudit:
                     assert audit[key] == pytest.approx(value, rel=1e-12), (n, rows, key)
 
     @pytest.mark.parametrize("rows", [1, 2, 7, analysis.AUDIT_BLOCK_ROWS])
-    def test_block_ratios_equal_full_matrix(self, monkeypatch, rows):
-        # (ii) and (iii) bit for bit against one endpoint_increment_cov matrix;
+    def test_block_ratios_equal_full_matrix(self, monkeypatch, rows, endpoint_cov):
+        # (ii) and (iii) bit for bit against one matrix of the direct formula;
         # the last two grids end a block exactly at row n and one row past it
         monkeypatch.setattr(analysis, "AUDIT_BLOCK_ROWS", rows)
         for n in (3, 64, 100, 257, 3 * rows - 1, 3 * rows):
             i = np.arange(n + 1)[:, None]
             j = np.arange(1, n + 1)
-            eb = endpoint_increment_cov(n, i, j)
+            eb = endpoint_cov(n, i, j)
             lag_env = np.maximum(np.arange(n + 1), 1) ** (-2.0 / 3.0)
             env = (1.0 / n) ** (1.0 / 3.0) * (j ** (-2.0 / 3.0) + lag_env[np.abs(j - i)])
             mid = 0.5 * (eb[:-1] + eb[1:])

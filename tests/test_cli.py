@@ -171,13 +171,16 @@ class TestConfigHandling:
     @pytest.mark.parametrize("command, spec, target", [
         ("converge", "exp:1,40", "riemann_mean_exact"),
         ("converge", "x^400", "riemann_mean_exact"),
+        # m_n is finite but its square is not: the pivots' variance would overflow
+        ("converge", "exp:1,27", "riemann_mean_exact squared"),
+        ("converge", "exp:1,30", "riemann_mean_exact squared"),
         ("hermite", "exp:1,38", "hermite_mean_limit"),
     ])
     def test_overflowing_exact_target_is_refused_before_drawing(
         self, capsys, monkeypatch, tmp_path, command, spec, target
     ):
         # at the README size; these used to draw every path and then fail on
-        # a KS sample or a report holding a non-finite value
+        # a KS sample, an overflowing variance or a report holding a non-finite value
         def no_draws(*args, **kwargs):
             raise AssertionError("drew paths for a non-finite target")
         monkeypatch.setattr(experiments, "run_tasks", no_draws)
@@ -186,6 +189,19 @@ class TestConfigHandling:
         assert code == 2
         assert f"config error: integrand {spec!r}: {target} is non-finite" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_squarable_exact_mean_still_draws(self, capsys, monkeypatch, tmp_path):
+        # exp:1,26 has m_n = 6.34e146 at n = 256, whose square is finite
+        class Drew(Exception):
+            pass
+
+        def drew(*args, **kwargs):
+            raise Drew
+        monkeypatch.setattr(experiments, "run_tasks", drew)
+        with pytest.raises(Drew):
+            run(capsys, "converge", "--n-list", "256", "--replications", "200",
+                "--integrand", "exp:1,26", "--output-dir", str(tmp_path / "out"))
 
     @pytest.mark.parametrize("spec", ["nan", "inf", "sin:1,nan,0", "exp:1,inf", "poly:0,1e400"])
     def test_nonfinite_integrand_is_a_config_error(self, capsys, tmp_path, spec):

@@ -4,16 +4,16 @@ from numpy.polynomial import hermite_e
 
 from fbmlab.errors import CapabilityError, DomainError
 from fbmlab.kernel import (
+    anchor_covariances,
     anchor_cube_sums,
     cov_r,
     cubic_variance_exact,
-    endpoint_increment_cov,
+    endpoint_increment_block,
     hermite,
     kappa_constant,
     rho,
     rho_tail_bound,
 )
-from fbmlab.kernel import endpoint_increment_block
 
 
 class TestCovariance:
@@ -210,31 +210,40 @@ class TestIncrementCov:
             assert increment_cov(n, i, j) == pytest.approx(double_diff, abs=1e-10)
 
 
+def block(n, m, lo=0, rows=None):
+    """Rows lo .. lo + rows - 1 (default: to i = m) of E[B(t_i) dB_k], k = 1..m."""
+    rows = m + 1 - lo if rows is None else rows
+    return endpoint_increment_block(n, m, lo, np.empty((rows, m)))
+
+
 class TestEndpointIncrementCov:
     def test_zero_start(self):
-        for n, k in ((4, 1), (16, 5), (256, 100)):
-            assert endpoint_increment_cov(n, 0, k) == pytest.approx(0.0, abs=1e-15)
+        for n, m in ((4, 4), (16, 16), (256, 100)):
+            assert np.max(np.abs(block(n, m, 0, 1))) <= 1e-15
 
     def test_first_step_variance(self):
         for n in (2, 8, 128):
-            assert endpoint_increment_cov(n, 1, 1) == pytest.approx(n ** (-1 / 3), abs=1e-14)
+            assert anchor_covariances(n)[1][0] == pytest.approx(n ** (-1 / 3), abs=1e-14)
 
     def test_previous_endpoint_value(self):
         # anchor t_{k-1}: E[B(t_1) dB_2] = E[dB_1 dB_2], adjacent steps
-        value = endpoint_increment_cov(8, 1, 2)
+        value = anchor_covariances(8)[0][1]
         assert value == pytest.approx((2.0 ** (1 / 3) - 2.0) / 4.0, abs=1e-14)
         assert value == pytest.approx(increment_cov(8, 1, 2), abs=1e-15)
         assert value < 0
 
     def test_matches_cov_r_difference(self):
-        # grid times formed as index/n, anchors on and past k, up to t = 2
+        # grid times formed as index/n; a block of m >= 2n columns holds the
+        # anchors on and past k up to t = 2
         rng = np.random.default_rng(4)
-        for _ in range(100):
+        for _ in range(20):
             n = int(rng.integers(2, 256))
-            k = int(rng.integers(1, 64))
-            i = int(rng.integers(0, 2 * n + 1))
-            direct = cov_r(i / n, k / n) - cov_r(i / n, (k - 1) / n)
-            assert endpoint_increment_cov(n, i, k) == pytest.approx(direct, abs=1e-12)
+            rows = block(n, max(2 * n, 63))
+            for _ in range(5):
+                k = int(rng.integers(1, 64))
+                i = int(rng.integers(0, 2 * n + 1))
+                direct = cov_r(i / n, k / n) - cov_r(i / n, (k - 1) / n)
+                assert rows[i, k - 1] == pytest.approx(direct, abs=1e-12)
 
     def test_exact_at_non_power_of_two_n(self):
         # anchor t_{k-1}: |k - i - 1|^{1/3} is exactly 0, so the value is
@@ -242,55 +251,56 @@ class TestEndpointIncrementCov:
         n = 3000
         k = np.arange(1, n + 1)
         exact = (np.cbrt(k) - np.cbrt(k - 1) - 1.0) / (2.0 * np.cbrt(float(n)))
-        assert np.max(np.abs(endpoint_increment_cov(n, k - 1, k) - exact)) <= 1e-15
+        assert np.max(np.abs(anchor_covariances(n)[0] - exact)) <= 1e-15
 
-    def test_cube_root_table_matches_direct_roots(self):
+    def test_cube_root_table_matches_direct_roots(self, endpoint_cov):
         # bit for bit against one cube root per lag, as the formula reads
-        def direct(n, i, k):
-            i, k = np.asarray(i, dtype=float), np.asarray(k, dtype=float)
-            c = lambda x: np.cbrt(np.abs(x))
-            return (c(k) - c(k - 1) - c(k - i) + c(k - i - 1)) / (2.0 * np.cbrt(float(n)))
-
         rng = np.random.default_rng(7)
         for n in (3, 64, 3000):
+            k = np.arange(1, n + 1)
             for _ in range(5):
                 lo = int(rng.integers(0, n + 1))
-                i = np.arange(lo, min(lo + 64, n + 1))[:, None]
-                k = rng.integers(1, n + 1, size=200)
-                assert np.array_equal(endpoint_increment_cov(n, i, k), direct(n, i, k))
-            k = np.arange(1, n + 1)
-            assert np.array_equal(endpoint_increment_cov(n, k - 1, k), direct(n, k - 1, k))
-            assert endpoint_increment_cov(n, n, 1) == float(direct(n, n, 1))
+                rows = min(64, n + 1 - lo)
+                i = np.arange(lo, lo + rows)[:, None]
+                assert np.array_equal(block(n, n, lo, rows), endpoint_cov(n, i, k))
+            assert np.array_equal(block(n, n, n, 1)[0], endpoint_cov(n, n, k))
 
-    def test_block_rows_equal_pointwise_values(self):
+    def test_anchor_covariances_are_the_block_diagonals(self, endpoint_cov):
+        for n in (1, 3, 64, 3000):
+            k = np.arange(1, n + 1)
+            left, right = anchor_covariances(n)
+            full = block(n, n)  # rows i = 0..n
+            assert np.array_equal(left, np.diagonal(full)), n
+            assert np.array_equal(right, np.diagonal(full, -1)), n
+            assert np.array_equal(left, endpoint_cov(n, k - 1, k)), n
+            assert np.array_equal(right, endpoint_cov(n, k, k)), n
+
+    def test_block_rows_equal_pointwise_values(self, endpoint_cov):
         for n, m in ((3, 3), (64, 32), (100, 100)):
             k = np.arange(1, m + 1)
             for lo, rows in ((0, 1), (0, m + 1), (1, m), (1, 2), (m - 2, 3), (m, 1)):
-                out = endpoint_increment_block(n, m, lo, np.empty((rows, m)))
                 i = np.arange(lo, lo + rows)[:, None]
-                assert np.array_equal(out, endpoint_increment_cov(n, i, k)), (n, m, lo, rows)
+                out = block(n, m, lo, rows)
+                assert np.array_equal(out, endpoint_cov(n, i, k)), (n, m, lo, rows)
         for n, m, lo, rows in ((0, 4, 0, 1), (4, 4, -1, 2), (4, 4, 4, 2)):
             with pytest.raises(DomainError):
-                endpoint_increment_block(n, m, lo, np.empty((rows, m)))
+                block(n, m, lo, rows)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            endpoint_increment_cov(0, 1, 1)
-        with pytest.raises(DomainError):
-            endpoint_increment_cov(4, 1.0, 2)
-        with pytest.raises(DomainError):
-            endpoint_increment_cov(4, -1, 1)
-        with pytest.raises(DomainError):
-            endpoint_increment_cov(4, 1, 0)
+        for n in (0, -1):
+            with pytest.raises(DomainError):
+                anchor_covariances(n)
+            with pytest.raises(DomainError):
+                anchor_cube_sums(n)
 
 
 class TestAnchoredCubeSums:
-    def test_direct_summation_oracle(self):
+    def test_direct_summation_oracle(self, endpoint_cov):
         # same sums assembled from the endpoint covariance itself
         for n in (16, 257):
             k = np.arange(1, n + 1)
-            e_left = np.asarray(endpoint_increment_cov(n, k - 1, k))
-            e_right = np.asarray(endpoint_increment_cov(n, k, k))
+            e_left = endpoint_cov(n, k - 1, k)
+            e_right = endpoint_cov(n, k, k)
             assert anchor_cube_sums(n) == pytest.approx((
                 np.sum(np.abs(e_left**3 + 1.0 / (8 * n))),
                 np.sum(np.abs(e_right**3 - 1.0 / (8 * n))),

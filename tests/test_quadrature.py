@@ -21,7 +21,6 @@ from fbmlab.quadrature import (
 )
 from fbmlab.sampler import Grid
 from fbmlab.variations import Family, monomial_map, parse_integrand, riemann_terms, sin_map
-from fbmlab.kernel import endpoint_increment_cov
 from fbmlab.quadrature import GL_NODES, _gauss_legendre_01
 
 
@@ -251,27 +250,27 @@ class TestHermiteLimits:
 
 
 class TestHermiteExactMean:
-    def test_constant_third_derivative_reduces_to_cube_sums(self):
+    def test_constant_third_derivative_reduces_to_cube_sums(self, endpoint_cov):
         # g = x^3: exact mean is 6 sum_j E[B(t_{j-1}) dB_j]^3
         n = 64
         k = np.arange(1, n + 1)
-        cubes = np.asarray(endpoint_increment_cov(n, k - 1, k)) ** 3
+        cubes = endpoint_cov(n, k - 1, k) ** 3
         assert hermite_mean_exact(monomial_map(3), n)[0] == pytest.approx(
             6.0 * float(np.sum(cubes)), rel=1e-12
         )
         # and the right mean to 6 sum_j E[B(t_j) dB_j]^3
-        cubes = np.asarray(endpoint_increment_cov(n, k, k)) ** 3
+        cubes = endpoint_cov(n, k, k) ** 3
         assert hermite_mean_exact(monomial_map(3), n)[1] == pytest.approx(
             6.0 * float(np.sum(cubes)), rel=1e-12
         )
 
     @pytest.mark.parametrize("spec", ["sin", "exp:-0.7,1.3", "poly:1,2,3,4,5"])
-    def test_matches_one_rule_per_anchor(self, spec):
+    def test_matches_one_rule_per_anchor(self, spec, endpoint_cov):
         # the closed-form means give the per-anchor Gauss-Hermite rules' sums
         g, n = parse_integrand(spec), 300
         k = np.arange(1, n + 1)
         for side, anchor in enumerate((k - 1, k)):
-            e = np.asarray(endpoint_increment_cov(n, anchor, k))
+            e = endpoint_cov(n, anchor, k)
             means = np.array([_rule_mean(g.derivative(3), (i / n) ** (1 / 3)) for i in anchor])
             assert hermite_mean_exact(g, n)[side] == pytest.approx(
                 float(np.sum(means * e**3)), rel=1e-13, abs=0
@@ -362,7 +361,7 @@ class TestRiemannExactMean:
             riemann_mean_exact(sin_map(), 0)
 
 
-def _wick_pair_sum_variance(g, n):
+def _wick_pair_sum_variance(g, n, endpoint_cov):
     # Var(G_n^-(g)) as the O(n^2) sum of Wick's formula over every pair (j, k)
     # of left anchors A_j = B(t_{j-1}) and normalised increments X_j
     def s_poly(p, r):
@@ -372,7 +371,7 @@ def _wick_pair_sum_variance(g, n):
     t = (j - 1) / n
     var_a = np.asarray(cov_r(t, t))
     cov_aa = cov_r(t[:, None], t[None, :])
-    e = n ** (1 / 6) * np.asarray(endpoint_increment_cov(n, j[:, None] - 1, j[None, :]))
+    e = n ** (1 / 6) * endpoint_cov(n, j[:, None] - 1, j[None, :])
     own = np.diag(e)  # e[j, k] = Cov(A_j, X_k)
     r = np.asarray(rho(j[:, None] - j[None, :]))
     a, b = g.params[:2]
@@ -397,10 +396,10 @@ class TestHermiteExactVariance:
 
     @pytest.mark.parametrize("n", [8, 64])
     @pytest.mark.parametrize("spec", SPECS)
-    def test_matches_the_wick_pair_sum(self, spec, n):
+    def test_matches_the_wick_pair_sum(self, spec, n, endpoint_cov):
         g = parse_integrand(spec)
         assert hermite_variance_exact(g, n) == pytest.approx(
-            _wick_pair_sum_variance(g, n), rel=1e-12, abs=0
+            _wick_pair_sum_variance(g, n, endpoint_cov), rel=1e-12, abs=0
         )
 
     @pytest.mark.parametrize("spec", ["sin", "exp:-0.7,1.3"])
@@ -442,3 +441,12 @@ class TestHermiteExactVariance:
             hermite_variance_exact(monomial_map(3), 64)
         with pytest.raises(DomainError):
             hermite_variance_exact(sin_map(), 0)
+
+
+def test_exact_targets_are_pinned_bit_for_bit():
+    # the exact layer at n = 4096, so that a refactor of it shows any drift
+    assert hermite_variance_exact(sin_map(), 4096) == 2.2386141265898623
+    assert hermite_mean_exact(sin_map(), 4096) == (0.08526383720257001, -0.08761660131020237)
+    assert riemann_mean_exact(sin_map(), 4096) == -0.006145367560623338
+    assert riemann_mean_exact(parse_integrand("exp:1,0.5"), 4096) == 0.0010403049614460258
+    assert anchor_cube_sums(4096) == (0.0013764355274729421, 0.0016164788163953658)
