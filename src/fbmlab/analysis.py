@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import enum
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .kernel import endpoint_increment_block, hermite, rho
+from .kernel import endpoint_increment_block, rho
 from .sampler import Grid, Path
 from .variations import SmoothMap, cubic_terms, int_power, prefix_sums
-from .quadrature import expect_gauss_pair
+from .quadrature import poly_pair_moment
 
 KS_MIN_SAMPLES = 50
 AUDIT_MAX_STEPS = 4096
@@ -191,23 +192,22 @@ def covar_bound_audit(n: int) -> dict:
     }
 
 
-def orthogonality_audit(p: int, q: int, correlation: float) -> float:
-    """Deviation of the quadrature value E[h_p(U) h_q(V)] from q! c^q [p == q].
+@lru_cache(maxsize=None)
+def _hermite_coefficients(order: int) -> tuple[float, ...]:  # of h_order, constant first
+    return tuple(np.polynomial.hermite_e.herme2poly([0] * order + [1]).tolist())
 
-    U, V are standard normal with correlation c; the expectation is computed
-    by a bivariate Gauss-Hermite rule with 48 nodes per axis.
+
+def orthogonality_audit(p: int, q: int, correlation: float) -> float:
+    """Deviation of E[h_p(U) h_q(V)] from Mehler's delta_pq p! c^p.
+
+    U, V are standard normal with correlation c; the expectation is the
+    Isserlis sum poly_pair_moment over the monomial coefficients of h_p and
+    h_q, the function closed_pair_moment's polynomial branch rests on.
     """
     if p < 0 or q < 0 or p > 4 or q > 4:
         raise DomainError("orthogonality audit supports orders 0..4")
     if abs(correlation) > 1:
         raise DomainError("|correlation| must be at most 1")
-    value = expect_gauss_pair(
-        lambda x: np.asarray(hermite(p, x)),
-        lambda y: np.asarray(hermite(q, y)),
-        1.0,
-        1.0,
-        correlation,
-        nodes=48,
-    )
-    expected = float(math.factorial(q)) * correlation**q if p == q else 0.0
-    return float(value - expected)
+    h_p, h_q = _hermite_coefficients(p), _hermite_coefficients(q)
+    expected = float(math.factorial(p)) * correlation**p if p == q else 0.0
+    return float(poly_pair_moment(h_p, h_q, 1.0, 1.0, correlation) - expected)

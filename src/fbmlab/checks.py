@@ -5,8 +5,8 @@ report row of the command's experiment, and each threshold is compared
 here alone.  A TOP check is asymptotic: judged on every row, it gates only
 at the largest grid in --n-list.  The "sampler" entries have no command;
 the acceptance suite judges sampler_experiment's row with them.  The
-measured entries (those of converge, the sampler's KS and the correlation
-of variations) map the row to one record per column,
+measured entries (those of converge, the sampler's KS, the correlation
+of variations and audit's orthogonality) map the row to one record per column,
 {value, target, tol, margin, ok}, which holds when |value - target| <= tol.
 """
 
@@ -118,7 +118,7 @@ CHECKS = (
           lambda r: all(r["anchored_cube_sums"][-1][side] < ANCHOR_SUM_MAX
                         for side in ("left", "right"))),
     Check("audit", "orthogonality_max_dev", EVERY,
-          lambda r: r["orthogonality_max_dev"] < ORTHOGONALITY_TOL),
+          lambda r: {"mehler": _record(r["orthogonality_max_dev"], 0.0, ORTHOGONALITY_TOL)}),
     Check("sampler", "gram_z_ok", EVERY, lambda r: r["gram_max_z"] < GRAM_Z_MAX),
     Check("sampler", "method_ks_ok", EVERY,
           lambda r: {method: _ks(r, d) for method, d in r["method_ks"].items()}),

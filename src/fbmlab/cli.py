@@ -8,7 +8,7 @@ manifest.json into <output_dir>/<command>/, only once report.json has
 serialised, so a refused report leaves no file.  Files are written to a
 temporary file and atomically renamed, and the manifest hash covers the
 content hashes of every emitted file, so identical configurations produce
-identical reports and manifest hashes on one platform.
+identical reports and manifest hashes per numpy version and SIMD dispatch.
 
 Exit codes: 0 success, 2 configuration error, 3 capability limit,
 4 acceptance-check failure under --check, with one "check failed" line
@@ -129,6 +129,21 @@ def _samples_csv(columns: dict[str, np.ndarray]) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
+# float64 ufuncs whose SIMD kernel, and so whose last bit, numpy picks by CPU
+DISPATCH_UFUNCS = ("cbrt", "exp", "sin", "cos", "log")
+
+
+def _dispatch() -> dict[str, str]:
+    """numpy's current dispatch target of each DISPATCH_UFUNCS, or "unknown"."""
+    try:
+        from numpy.lib.introspect import opt_func_info  # numpy >= 2.0
+        info = opt_func_info("^(" + "|".join(DISPATCH_UFUNCS) + ")$", "^float64$")
+    except ImportError:
+        info = {}
+    return {name: info.get(name, {}).get("dd", {}).get("current", "unknown")
+            for name in DISPATCH_UFUNCS}
+
+
 class Emitter:
     """Collects output files for one command run and writes the manifest."""
 
@@ -157,6 +172,7 @@ class Emitter:
                 "numpy": np.__version__,
                 "machine": platform.machine(),
                 "system": platform.system(),
+                "dispatch": _dispatch(),
             },
             "wall_clock_s": round(time.time() - self.started, 3),
             "timings": {

@@ -566,11 +566,8 @@ def audit_experiment(n_list) -> dict:
     covar = [covar_bound_audit(n) for n in n_list]
     sums = [anchor_cube_sums(n) for n in n_list]
     anchor = [{"n": n, "left": left, "right": right} for n, (left, right) in zip(n_list, sums)]
-    max_dev = 0.0
-    for p in range(5):
-        for q in range(5):
-            for c in (-0.75, -0.3, 0.0, 0.5, 0.9):
-                max_dev = max(max_dev, abs(orthogonality_audit(p, q, c)))
+    max_dev = max(abs(orthogonality_audit(p, q, c))
+                  for p in range(5) for q in range(5) for c in (-0.75, -0.3, 0.0, 0.5, 0.9))
     return {
         "covariance_audits": covar,
         "anchored_cube_sums": anchor,

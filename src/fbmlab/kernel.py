@@ -25,17 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError
+from .errors import DomainError
 
 # H = 1/6 throughout.  The increment-variance exponent 2H = 1/3 is kept in
 # one named constant so the hard-coded Hurst index stays auditable.
 HURST = 1.0 / 6.0
 INCREMENT_EXPONENT = 2.0 * HURST
-
-# Recurrence-based evaluation is exact for the orders used in this package
-# (up to h_4 in the orthogonality audit, and h_3 as the tests' reference for
-# the variations' product form x (x^2 - 3)).
-HERMITE_MAX_ORDER = 12
 
 
 def _cbrt_abs(x):
@@ -128,26 +123,6 @@ def cubic_variance_exact(n: int) -> float:
         raise DomainError("cubic_variance_exact requires n >= 1")
     lags = np.arange(1 - n, n)
     return 6.0 * float(np.dot(n - np.abs(lags), rho(lags) ** 3)) / n + 9.0 * n ** (-2.0 / 3.0)
-
-
-def hermite(order: int, x):
-    """Probabilists' Hermite polynomial h_order(x) by the three-term recurrence.
-
-    h_0 = 1, h_1 = x, h_{k+1}(x) = x h_k(x) - k h_{k-1}(x); so h_2 = x^2 - 1
-    and h_3 = x^3 - 3x.  Supports vector x.
-    """
-    if order < 0:
-        raise DomainError("Hermite order must be nonnegative")
-    if order > HERMITE_MAX_ORDER:
-        raise CapabilityError(f"Hermite evaluation limited to order {HERMITE_MAX_ORDER}")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if order == 0:
-        return prev if prev.ndim else float(prev)
-    cur = x.copy()
-    for k in range(1, order):
-        prev, cur = cur, x * cur - k * prev
-    return cur if cur.ndim else float(cur)
 
 
 def _cube_root_tables(top: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,9 +15,9 @@ third-Hermite variation,
 where Var(B_s) = s^{1/3} and Cov(B_s, B_u) = R(s, u).  The exact finite-n
 targets are the means of the left and right variations, the variance of
 the left one for the trig and exp families, and riemann_mean_exact, which
-centres converge's pivots.  expect_gauss_pair, a tensor Gauss-Hermite
-rule, serves the Hermite orthogonality audit alone.  None of these touches
-a sampled path.
+centres converge's pivots.  poly_pair_moment, the Isserlis sum behind the
+polynomials, also serves the Hermite orthogonality audit.  None of these
+touches a sampled path.
 """
 
 from __future__ import annotations
@@ -31,42 +31,13 @@ from .errors import DomainError
 from .kernel import _cube_root_tables, anchor_covariances, cov_r
 from .variations import Family, SmoothMap
 
-GH_NODES = 64
 GL_NODES = 64
-
-
-@lru_cache(maxsize=8)
-def _gauss_hermite(nodes: int):
-    # physicists' weight e^{-x^2}; rescale to the standard normal measure
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    return np.sqrt(2.0) * x, w / np.sqrt(np.pi)
 
 
 @lru_cache(maxsize=8)
 def _gauss_legendre_01(nodes: int):
     x, w = np.polynomial.legendre.leggauss(nodes)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def expect_gauss_pair(f, g, var_x: float, var_y: float, cov: float,
-                      nodes: int = GH_NODES) -> float:
-    """E[f(X) g(Y)] for centered jointly Gaussian (X, Y) of positive variances.
-
-    Uses the Cholesky substitution Y = (cov/sx) Z1 + sqrt(var_y - cov^2/var_x) Z2
-    on a tensor Gauss-Hermite grid.
-    """
-    if var_x <= 0 or var_y <= 0:
-        raise DomainError("variances must be positive")
-    corr = cov / np.sqrt(var_x * var_y)
-    if abs(corr) > 1 + 1e-12:
-        raise DomainError(f"|correlation| = {abs(corr)} exceeds 1")
-    corr = float(np.clip(corr, -1.0, 1.0))
-    z, w = _gauss_hermite(nodes)
-    sx, sy = np.sqrt(var_x), np.sqrt(var_y)
-    fx = np.asarray(f(sx * z))
-    ygrid = sy * (corr * z[:, None] + np.sqrt(1.0 - corr * corr) * z[None, :])
-    gy = np.asarray(g(ygrid))
-    return float(np.einsum("i,j,i,ij->", w, w, fx, gy))
 
 
 def _normal_moment(k: int) -> int:
@@ -89,13 +60,27 @@ def closed_mean(f: SmoothMap, var):
     return sum(c * _normal_moment(k) * var ** (k // 2) for k, c in enumerate(f.params))
 
 
+def poly_pair_moment(p, q, var_x, var_y, cov):
+    """E[P(X) Q(Y)] for centered jointly Gaussian (X, Y) and polynomials of coefficients
+    p and q, constant first.  Isserlis: k factors of X^i pair with k of Y^j in
+    C(i, k) C(j, k) k! ways, the rest among themselves.  The arguments broadcast."""
+    return sum(
+        pi * qj * math.comb(i, k) * math.comb(j, k) * math.factorial(k)
+        * _normal_moment(i - k) * _normal_moment(j - k)
+        * cov**k * var_x ** ((i - k) // 2) * var_y ** ((j - k) // 2)
+        for i, pi in enumerate(p)
+        for j, qj in enumerate(q)
+        for k in range(min(i, j) + 1)
+    )
+
+
 def closed_pair_moment(f: SmoothMap, var_x, var_y, cov):
     """E[f(X) f(Y)] for centered jointly Gaussian (X, Y).
 
     For f = a sin(bx + c), sin A sin B = (cos(A - B) - cos(A + B)) / 2 gives
     (a^2/2) [e^{-b^2 Var(X-Y)/2} - cos(2c) e^{-b^2 Var(X+Y)/2}]; for
     f = a e^{bx} it is a^2 e^{b^2 Var(X+Y)/2}; for a polynomial it is
-    sum_{i,j} c_i c_j E[X^i Y^j].  The arguments broadcast.
+    poly_pair_moment(c, c, ...).  The arguments broadcast.
     """
     if f.family is Family.TRIG:
         a, b, c = f.params
@@ -105,15 +90,7 @@ def closed_pair_moment(f: SmoothMap, var_x, var_y, cov):
     if f.family is Family.EXP:
         a, b = f.params
         return a * a * np.exp(0.5 * b * b * (var_x + var_y + 2.0 * cov))
-    # Isserlis: k factors of X^i pair with k of Y^j, in C(i, k) C(j, k) k! ways
-    return sum(
-        ci * cj * math.comb(i, k) * math.comb(j, k) * math.factorial(k)
-        * _normal_moment(i - k) * _normal_moment(j - k)
-        * cov**k * var_x ** ((i - k) // 2) * var_y ** ((j - k) // 2)
-        for i, ci in enumerate(f.params)
-        for j, cj in enumerate(f.params)
-        for k in range(min(i, j) + 1)
-    )
+    return poly_pair_moment(f.params, f.params, var_x, var_y, cov)
 
 
 def hermite_mean_limit(g: SmoothMap) -> float:

@@ -50,6 +50,25 @@ def endpoint_cov():
 
 
 @pytest.fixture(scope="session")
+def expect_gauss_pair():
+    """E[f(X) g(Y)] for centered jointly Gaussian (X, Y) of positive variances by a
+    64 x 64 tensor Gauss-Hermite rule over the Cholesky substitution
+    Y = sy (c Z1 + sqrt(1 - c^2) Z2), c = corr(X, Y): the reference of the package's
+    closed-form pair moments, exact for polynomials f, g with deg f + deg g < 128."""
+    x, w = np.polynomial.hermite.hermgauss(64)
+    z, w = np.sqrt(2.0) * x, w / np.sqrt(np.pi)
+
+    def rule(f, g, var_x, var_y, cov):
+        corr = float(np.clip(cov / np.sqrt(var_x * var_y), -1.0, 1.0))
+        sx, sy = np.sqrt(var_x), np.sqrt(var_y)
+        fx = np.asarray(f(sx * z))
+        gy = np.asarray(g(sy * (corr * z[:, None] + np.sqrt(1.0 - corr * corr) * z[None, :])))
+        return float(np.einsum("i,j,i,ij->", w, w, fx, gy))
+
+    return rule
+
+
+@pytest.fixture(scope="session")
 def fresh_python():
     """Run a Python snippet in a new interpreter that imports this fbmlab;
     return its stdout.  For checks on what a process has imported."""

@@ -261,6 +261,14 @@ class TestOrthogonality:
         # 3! * 0.5^3 = 0.75; deviation from it must be tiny
         assert abs(orthogonality_audit(3, 3, 0.5)) < 1e-8
 
+    @pytest.mark.parametrize("c", [-1.0, -0.75, -0.3, 0.0, 0.5, 0.9, 1.0])
+    def test_mehler_identity(self, c):
+        # E[h_p(U) h_q(V)] = delta_pq p! c^p for every order pair up to 4, to
+        # round-off in the Isserlis sum, also at c = -1, 0 and 1
+        for p in range(5):
+            for q in range(5):
+                assert abs(orthogonality_audit(p, q, c)) <= 2e-15, (p, q)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             orthogonality_audit(1, 1, 1.5)

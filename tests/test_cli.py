@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from fbmlab import checks, experiments
-from fbmlab.cli import _build_parser, _config_from, _json_bytes, main
+from fbmlab import analysis, checks, experiments, quadrature
+from fbmlab.cli import DISPATCH_UFUNCS, _build_parser, _config_from, _json_bytes, main
 from fbmlab.errors import DomainError
 from fbmlab.experiments import (
     converge_experiment,
@@ -357,6 +357,23 @@ class TestReportsAndManifest:
             assert timings["draw_s"] >= 0.0 and timings["stats_s"] >= 0.0
             assert timings["pools"] == int(workers == "2" and usable_cores() > 1)
 
+    def test_manifest_records_the_numeric_dispatch(self, capsys, monkeypatch, tmp_path):
+        # numpy's kernel for each ufunc whose last bits differ by CPU, read when
+        # the manifest is written, and "unknown" where numpy cannot report it
+        from numpy.lib.introspect import opt_func_info
+
+        def dispatch(out):
+            assert run(capsys, "kappa", "--output-dir", str(out))[0] == 0
+            return json.loads((out / "kappa" / "manifest.json").read_text())["platform"]["dispatch"]
+
+        assert DISPATCH_UFUNCS == ("cbrt", "exp", "sin", "cos", "log")
+        assert dispatch(tmp_path / "a") == {
+            name: opt_func_info(f"^{name}$", "^float64$")[name]["dd"]["current"]
+            for name in DISPATCH_UFUNCS
+        }
+        monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)  # as before numpy 2.0
+        assert dispatch(tmp_path / "b") == dict.fromkeys(DISPATCH_UFUNCS, "unknown")
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         # every Monte Carlo command writes the same bytes whatever the worker
         # count; scaling reduces its window moments in replication order
@@ -496,6 +513,20 @@ class TestReportsAndManifest:
         assert code == 0
         report = json.loads((tmp_path / "audit" / "report.json").read_text())
         assert report["anchored_sums_decreasing"] is True
+
+    def test_audit_orthogonality_failure_names_its_record(self, capsys, monkeypatch, tmp_path):
+        # pair moments 2e-8 off Mehler's value fail the audit, and stderr gives
+        # the check's value, target, tolerance and margin
+        monkeypatch.setattr(analysis, "poly_pair_moment",
+                            lambda *args: quadrature.poly_pair_moment(*args) + 2e-8)
+        code, _, err = run(capsys, "audit", "--n-list", "64,128", "--check",
+                           "--output-dir", str(tmp_path))
+        assert code == 4
+        assert json.loads((tmp_path / "audit" / "report.json").read_text())["ok"] is False
+        assert (
+            "check failed: audit orthogonality_max_dev mehler "
+            "(value 2e-08, target 0, tol 1e-08, margin -1e-08)"
+        ) in err.splitlines()
 
     def test_variations_small(self, capsys, tmp_path):
         code, *_ = run(

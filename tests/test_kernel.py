@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
-from numpy.polynomial import hermite_e
 
-from fbmlab.errors import CapabilityError, DomainError
+from fbmlab.errors import DomainError
 from fbmlab.kernel import (
     anchor_covariances,
     anchor_cube_sums,
     cov_r,
     cubic_variance_exact,
     endpoint_increment_block,
-    hermite,
     kappa_constant,
     rho,
     rho_tail_bound,
@@ -143,36 +141,6 @@ class TestCubicVariance:
     def test_refuses_an_empty_grid(self):
         with pytest.raises(DomainError):
             cubic_variance_exact(0)
-
-
-class TestHermite:
-    def test_small_values(self):
-        assert hermite(3, 2.0) == pytest.approx(2.0, abs=1e-14)  # 8 - 6
-        assert hermite(4, 0.0) == pytest.approx(3.0, abs=1e-14)  # x h3 - 3 h2 at 0
-        x = np.linspace(-3, 3, 41)
-        assert np.allclose(hermite(2, x), x**2 - 1, atol=1e-12)
-        assert np.allclose(hermite(3, x), x**3 - 3 * x, atol=1e-12)
-
-    def test_against_numpy_hermite_e(self):
-        x = np.linspace(-2.5, 2.5, 27)
-        for order in range(7):
-            basis = np.zeros(order + 1)
-            basis[order] = 1.0
-            assert np.allclose(hermite(order, x), hermite_e.hermeval(x, basis), atol=1e-10)
-
-    def test_order_cap(self):
-        assert hermite(12, 0.5) == pytest.approx(hermite_e.hermeval(0.5, [0] * 12 + [1]))
-        with pytest.raises(CapabilityError):
-            hermite(13, 0.0)
-        with pytest.raises(DomainError):
-            hermite(-1, 0.0)
-
-    def test_eval_matches_recurrence(self):
-        # numpy's HermiteE series is an independent reference for the recurrence
-        x = np.linspace(-2, 2, 17)
-        for k in range(13):
-            expected = hermite_e.hermeval(x, [0] * k + [1])
-            assert np.allclose(hermite(k, x), expected, rtol=1e-12, atol=1e-9)
 
 
 def increment_cov(n, i, j):
