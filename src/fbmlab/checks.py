@@ -6,8 +6,9 @@ here alone.  A TOP check is asymptotic: judged on every row, it gates only
 at the largest grid in --n-list.  The "sampler" entries have no command;
 the acceptance suite judges sampler_experiment's row with them.  The
 measured entries (those of converge, the sampler's KS, the correlation
-of variations and audit's orthogonality) map the row to one record per column,
-{value, target, tol, margin, ok}, which holds when |value - target| <= tol.
+of variations, taylor's R6 and audit's anchored sums and orthogonality) map
+the row to one record per column, {value, target, tol, margin, ok}, which
+holds when |value - target| <= tol.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ SLOPE_FLOORS = {
 }
 SLOPE_R2_MIN = 0.95
 TAYLOR_R6_TOL = 1e-9
-ANCHOR_SUM_MAX = 0.01
+# the anchored cube sums of n steps are at most c n^{-2/3}, the telescoping
+# bounds of kernel.anchor_cube_sums
+ANCHOR_SUM_COEFFS = {"left": 3.0 / 8.0, "right": 7.0 / 8.0}
 ORTHOGONALITY_TOL = 1e-8
 # largest entrywise z score of the sampler's empirical Gram matrix
 GRAM_Z_MAX = 4.0
@@ -111,12 +114,13 @@ CHECKS = (
                             HERMITE_VAR_RTOL * r["variance_target"])),
     Check("scaling", "ok", EVERY,
           lambda r: r["slope"] >= r["slope_floor"] and r["r_squared"] >= SLOPE_R2_MIN),
-    Check("taylor", "max_poly_r6", EVERY, lambda r: r["max_poly_r6"] < TAYLOR_R6_TOL),
+    Check("taylor", "max_poly_r6", EVERY,
+          lambda r: {"poly": _record(r["max_poly_r6"], 0.0, TAYLOR_R6_TOL)}),
     Check("taylor", "gamma_exact", EVERY, lambda r: r["gamma_exact"]),
     Check("audit", "anchored_sums_decreasing", EVERY, lambda r: r["anchored_sums_decreasing"]),
     Check("audit", "anchored_sums_small", EVERY,
-          lambda r: all(r["anchored_cube_sums"][-1][side] < ANCHOR_SUM_MAX
-                        for side in ("left", "right"))),
+          lambda r: {f"n={row['n']} {side}": _record(row[side], 0.0, c * row["n"] ** (-2.0 / 3.0))
+                     for row in r["anchored_cube_sums"] for side, c in ANCHOR_SUM_COEFFS.items()}),
     Check("audit", "orthogonality_max_dev", EVERY,
           lambda r: {"mehler": _record(r["orthogonality_max_dev"], 0.0, ORTHOGONALITY_TOL)}),
     Check("sampler", "gram_z_ok", EVERY, lambda r: r["gram_max_z"] < GRAM_Z_MAX),

@@ -29,7 +29,6 @@ import math
 import os
 from collections import Counter
 from functools import partial
-from multiprocessing import get_context
 from time import perf_counter
 
 import numpy as np
@@ -90,6 +89,8 @@ def _pmap(worker, jobs, workers: int):
     size = min(workers, len(jobs), usable_cores())
     if size <= 1:
         return [worker(job) for job in jobs]
+    from multiprocessing import get_context  # loaded only by commands that fork a pool
+
     TIMINGS["pools"] += 1
     with get_context("fork").Pool(size) as pool:
         return pool.map(worker, jobs, chunksize=1)

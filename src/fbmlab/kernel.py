@@ -22,6 +22,7 @@ absolute value, never a complex branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -125,10 +126,16 @@ def cubic_variance_exact(n: int) -> float:
     return 6.0 * float(np.dot(n - np.abs(lags), rho(lags) ** 3)) / n + 9.0 * n ** (-2.0 / 3.0)
 
 
+@lru_cache(maxsize=8)
 def _cube_root_tables(top: int) -> tuple[np.ndarray, np.ndarray]:
-    """step[k - 1] = k^{1/3} - (k-1)^{1/3}, k <= top; mirror[top + d] = |d|^{1/3}, |d| <= top."""
+    """step[k - 1] = k^{1/3} - (k-1)^{1/3}, k <= top; mirror[top + d] = |d|^{1/3}, |d| <= top.
+
+    Built once per top, for the last few tops, and shared by every caller, so both
+    arrays are read-only: each block of covar_bound_audit reads the same pair."""
     root = np.cbrt(np.arange(top + 1.0))
-    return root[1:] - root[:-1], np.concatenate([root[:0:-1], root])
+    step, mirror = root[1:] - root[:-1], np.concatenate([root[:0:-1], root])
+    step.flags.writeable = mirror.flags.writeable = False
+    return step, mirror
 
 
 def anchor_covariances(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,8 +169,9 @@ def anchor_cube_sums(n: int) -> tuple[float, float]:
         sum_{k <= n} | E[B(t_{k-1}) dB_k]^3 + 1/(8n) |,
         sum_{k <= n} | E[B(t_k) dB_k]^3 - 1/(8n) |.
 
-    Each left term telescopes against the cube-root increments, giving the
-    analytic bound (3/8) n^{1/3} / n, so both sums vanish like n^{-2/3}.
+    With s_k = k^{1/3} - (k-1)^{1/3} in (0, 1], the terms are (1 - (1 - s_k)^3)/(8n)
+    <= 3 s_k/(8n) and ((1 + s_k)^3 - 1)/(8n) <= 7 s_k/(8n), and the s_k telescope
+    to n^{1/3}: the sums are at most (3/8) n^{-2/3} and (7/8) n^{-2/3}.
     """
     left, right = anchor_covariances(n)
     return (

@@ -14,7 +14,7 @@ import pytest
 
 from fbmlab.kernel import kappa_constant
 from fbmlab.checks import (
-    ANCHOR_SUM_MAX,
+    ANCHOR_SUM_COEFFS,
     CUBIC_VAR_RTOL,
     GRAM_Z_MAX,
     HERMITE_VAR_RTOL,
@@ -221,15 +221,15 @@ def test_c09_moment_bound_scaling():
 def test_c10_taylor_identity():
     row = taylor_experiment(MASTER_SEED)
     checks, _ = judge("taylor", row)
-    r6_ok, gamma_ok = checks["max_poly_r6"], checks["gamma_exact"]
+    r6, gamma_ok = checks["max_poly_r6"]["poly"], checks["gamma_exact"]
     report(
         10,
-        r6_ok and gamma_ok,
-        f"max |R6| = {row['max_poly_r6']:.2e} over {row['pairs']} pairs x "
+        r6["ok"] and gamma_ok,
+        f"max |R6| = {row['max_poly_r6']:.2e} <= {r6['tol']:g} over {row['pairs']} pairs x "
         f"{row['poly_count']} polynomials of degree <= 5, "
         f"gamma = {row['gamma']} = -1/480 exactly: {gamma_ok}",
     )
-    assert r6_ok, f"max |R6| = {row['max_poly_r6']}"
+    assert r6["ok"], _describe(r6)
     assert gamma_ok
 
 
@@ -237,14 +237,18 @@ def test_c11_anchored_cube_sums():
     row = audit_experiment(LADDER)
     checks, _ = judge("audit", row)
     small, decreasing = checks["anchored_sums_small"], checks["anchored_sums_decreasing"]
+    failed = [f"{name} {_describe(record)}" for name, record in small.items() if not record["ok"]]
     top = row["anchored_cube_sums"][-1]
+    left_c, right_c = ANCHOR_SUM_COEFFS["left"], ANCHOR_SUM_COEFFS["right"]
     report(
         11,
-        small and decreasing,
-        f"left(4096)={top['left']:.5f}, right(4096)={top['right']:.5f} < {ANCHOR_SUM_MAX}, "
-        f"monotone over ladder: {decreasing}",
+        not failed and decreasing,
+        f"left(4096)={top['left']:.5f} <= {left_c:g} n^(-2/3), "
+        f"right(4096)={top['right']:.5f} <= {right_c:g} n^(-2/3) on every grid "
+        f"(the telescoping bounds), monotone over ladder: {decreasing}",
     )
-    assert small
+    assert len(small) == 2 * len(row["anchored_cube_sums"])
+    assert not failed, failed
     assert decreasing
 
 

@@ -507,10 +507,25 @@ class TestReportsAndManifest:
         code, *_ = run(capsys, "taylor", "--check", "--output-dir", str(tmp_path))
         assert code == 0
 
+    def test_taylor_r6_failure_names_its_record(self, capsys, monkeypatch, tmp_path):
+        # residuals 2e-9 off zero fail the polynomial corpus, and stderr gives
+        # the check's value, target, tolerance and margin
+        monkeypatch.setattr(experiments, "taylor_residual",
+                            lambda *args: analysis.taylor_residual(*args) + 2e-9)
+        code, _, err = run(capsys, "taylor", "--check", "--output-dir", str(tmp_path))
+        assert code == 4
+        assert json.loads((tmp_path / "taylor" / "report.json").read_text())["ok"] is False
+        assert err.splitlines() == [
+            "check failed: taylor max_poly_r6 poly "
+            "(value 2e-09, target 0, tol 1e-09, margin -1e-09)"
+        ]
+
     def test_audit_small(self, capsys, tmp_path):
-        code, *_ = run(capsys, "audit", "--n-list", "64,128",
-                       "--output-dir", str(tmp_path))
-        assert code == 0
+        # the anchored sums are judged against their analytic bounds on every
+        # grid, so the check holds on small grids as well
+        code, _, err = run(capsys, "audit", "--n-list", "64,128", "--check",
+                           "--output-dir", str(tmp_path))
+        assert (code, err) == (0, "")
         report = json.loads((tmp_path / "audit" / "report.json").read_text())
         assert report["anchored_sums_decreasing"] is True
 
@@ -610,6 +625,25 @@ class TestImports:
         )
         lines = out.splitlines()  # kappa prints its JSON in between
         assert (lines[0], lines[-1]) == ("False", "0 False")
+
+    def test_only_a_forking_command_loads_multiprocessing(self, fresh_python, tmp_path):
+        # the CLI and the exact commands never load multiprocessing or socket;
+        # sextic loads them just before its pool forks
+        out = fresh_python(
+            "import sys\n"
+            "from fbmlab import cli\n"
+            "from fbmlab.experiments import usable_cores\n"
+            "def loaded():\n"
+            "    return [m for m in ('multiprocessing', 'socket') if m in sys.modules]\n"
+            "bare = loaded()\n"
+            "for argv in (['kappa'], ['taylor'], ['audit', '--n-list', '64,128']):\n"
+            f"    assert cli.main([*argv, '--check', '--output-dir', {str(tmp_path)!r}]) == 0\n"
+            "exact = loaded()\n"
+            "cli.main(['sextic', '--n-list', '64', '--replications', '30', '--workers', '2',\n"
+            f"          '--output-dir', {str(tmp_path)!r}])\n"
+            "print(bare, exact, ('multiprocessing' in sys.modules) == (usable_cores() > 1))\n"
+        )
+        assert out.splitlines()[-1] == "[] [] True"
 
     def test_commands_run_without_scipy(self, fresh_python, tmp_path):
         # any scipy import raises; a drawing command that forks a pool and an

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import sys
 from collections import Counter
 from statistics import NormalDist
@@ -375,7 +376,7 @@ class TestRunReplications:
         # --workers far above the core count must not fork one process per
         # replication; the chunking, and so every column, stays the same
         fake = FakeContext()
-        monkeypatch.setattr(experiments, "get_context", fake)
+        monkeypatch.setattr(multiprocessing, "get_context", fake)
         if affinity:
             monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                                 raising=False)
@@ -409,7 +410,7 @@ class TestRunReplications:
         # on a clock that only the draw (1 s a path) and the statistics
         # (10 s each) advance, the totals count every chunk of every task
         fake = FakeContext()
-        monkeypatch.setattr(experiments, "get_context", fake)
+        monkeypatch.setattr(multiprocessing, "get_context", fake)
         monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         monkeypatch.setattr(experiments, "TIMINGS", Counter())
@@ -466,7 +467,7 @@ class TestOnePoolPerCommand:
                             raising=False)
         for name, run in runs.items():
             fake = FakeContext()
-            monkeypatch.setattr(experiments, "get_context", fake)
+            monkeypatch.setattr(multiprocessing, "get_context", fake)
             pooled = run(2)
             assert fake.sizes == [2], name
             np.testing.assert_equal(pooled, serial[name], err_msg=name)
