@@ -22,9 +22,10 @@ from .quadrature import poly_pair_moment
 
 KS_MIN_SAMPLES = 50
 AUDIT_MAX_STEPS = 4096
-# endpoint rows per block of covar_bound_audit: its three 16 x 4096 float64
-# buffers take 1.5 MiB and stay in one core's L2; 8, 32 and 64 rows were slower
-AUDIT_BLOCK_ROWS = 16
+# endpoint rows per block of covar_bound_audit: its three 8 x 4096 float64
+# buffers take 0.75 MiB, and a 4096-step audit traces 1.13 MiB at its peak
+# against 1.88 MiB at 16 rows, for about 3 % more time than at 16 rows
+AUDIT_BLOCK_ROWS = 8
 
 # Symmetric Taylor constant gamma = (5! 2^4)^{-1} - (4! 2^4)^{-1} = -1/480.
 TAYLOR_GAMMA = 1.0 / 1920.0 - 1.0 / 384.0
@@ -195,7 +196,13 @@ def covar_bound_audit(n: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _hermite_coefficients(order: int) -> tuple[float, ...]:  # of h_order, constant first
-    return tuple(np.polynomial.hermite_e.herme2poly([0] * order + [1]).tolist())
+    prev, h = [], [1.0]
+    for k in range(order):  # h_{k+1} = x h_k - k h_{k-1}
+        nxt = [0.0, *h]
+        for m, c in enumerate(prev):
+            nxt[m] -= k * c
+        prev, h = h, nxt
+    return tuple(h)
 
 
 def orthogonality_audit(p: int, q: int, correlation: float) -> float:

@@ -531,16 +531,20 @@ def scaling_experiment(
 # --- symmetric Taylor corpus -------------------------------------------------
 
 
-def taylor_experiment(master_seed: int, pairs: int = 1000, poly_count: int = 25) -> dict:
-    """R6 over a random corpus of degree <= 5 polynomials (must vanish) and
+def taylor_experiment(pairs: int = 1000, poly_count: int = 25) -> dict:
+    """R6 over a fixed corpus of degree <= 5 polynomials (must vanish) and
     the sin map (must stay below the sixth-derivative envelope), as the
-    report of the taylor command."""
-    rng = np.random.default_rng(master_seed)
-    a, b = rng.uniform(-1.0, 1.0, size=(pairs, 2)).T
+    report of the taylor command.  The corpus draws nothing random: pair k of
+    1..pairs is 2 frac(k s) - 1 for s the steps of the R2 sequence, 1/p and
+    1/p^2 with p the plastic number, and polynomial i has degree i mod 6 and
+    coefficients 2 frac((j + 7i) / phi) - 1, j = 1..degree + 1, with phi the
+    golden ratio."""
+    k = np.arange(1, pairs + 1)[:, None]
+    a, b = (2.0 * (k * np.array([0.7548776662466927, 0.5698402909980532]) % 1.0) - 1.0).T
     max_poly = 0.0
-    for _ in range(poly_count):
-        degree = int(rng.integers(0, 6))
-        coeffs = tuple(rng.uniform(-1.0, 1.0, size=degree + 1))
+    for i in range(poly_count):
+        coeffs = tuple(2.0 * ((j + 7 * i) * 0.6180339887498949 % 1.0) - 1.0
+                       for j in range(1, i % 6 + 2))
         g = SmoothMap(Family.POLYNOMIAL, coeffs, "poly")
         max_poly = max(max_poly, float(np.max(np.abs(taylor_residual(g, a, b)))))
     sin_r6 = taylor_residual(sin_map(), a, b)

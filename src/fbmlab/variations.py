@@ -69,7 +69,10 @@ class SmoothMap:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.family is Family.POLYNOMIAL:
-            out = np.polynomial.polynomial.polyval(x, self.params)
+            # Horner in numpy polyval's own order, so bit for bit its value
+            out = self.params[-1] + x * 0.0
+            for c in self.params[-2::-1]:
+                out = c + out * x
         elif self.family is Family.TRIG:
             a, b, c = self.params
             out = a * np.sin(b * x + c)

@@ -219,7 +219,7 @@ def test_c09_moment_bound_scaling():
 
 
 def test_c10_taylor_identity():
-    row = taylor_experiment(MASTER_SEED)
+    row = taylor_experiment()
     checks, _ = judge("taylor", row)
     r6, gamma_ok = checks["max_poly_r6"]["poly"], checks["gamma_exact"]
     report(

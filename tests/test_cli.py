@@ -507,6 +507,16 @@ class TestReportsAndManifest:
         code, *_ = run(capsys, "taylor", "--check", "--output-dir", str(tmp_path))
         assert code == 0
 
+    def test_taylor_report_does_not_depend_on_the_seed(self, capsys, tmp_path):
+        # the corpus is a fixed low-discrepancy point set, so taylor draws nothing
+        reports = []
+        for seed in ("2", "11"):
+            out = tmp_path / seed
+            code, *_ = run(capsys, "taylor", "--master-seed", seed, "--output-dir", str(out))
+            assert code == 0
+            reports.append((out / "taylor" / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_taylor_r6_failure_names_its_record(self, capsys, monkeypatch, tmp_path):
         # residuals 2e-9 off zero fail the polynomial corpus, and stderr gives
         # the check's value, target, tolerance and margin
@@ -644,6 +654,34 @@ class TestImports:
             "print(bare, exact, ('multiprocessing' in sys.modules) == (usable_cores() > 1))\n"
         )
         assert out.splitlines()[-1] == "[] [] True"
+
+    def test_exact_commands_load_no_libcrypto_random_or_polynomial(self, fresh_python,
+                                                                    tmp_path):
+        # kappa, taylor and audit hash with CPython's own SHA-256, draw nothing
+        # and evaluate polynomials by Horner; their digests are hashlib's
+        out = fresh_python(
+            "import json, os, sys\n"
+            "from fbmlab import cli\n"
+            "for argv in (['kappa'], ['taylor'], ['audit', '--n-list', '64,128']):\n"
+            f"    assert cli.main([*argv, '--check', '--output-dir', {str(tmp_path)!r}]) == 0\n"
+            "print([m for m in ('_hashlib', 'numpy.random', 'numpy.polynomial')\n"
+            "       if m in sys.modules])\n"
+            "import hashlib\n"
+            "for command in ('kappa', 'taylor', 'audit'):\n"
+            f"    base = os.path.join({str(tmp_path)!r}, command)\n"
+            "    with open(os.path.join(base, 'manifest.json')) as handle:\n"
+            "        files = json.load(handle)['files']\n"
+            "    for name, digest in files.items():\n"
+            "        with open(os.path.join(base, name), 'rb') as handle:\n"
+            "            assert hashlib.sha256(handle.read()).hexdigest() == digest, name\n"
+            "    print(command, sorted(files))\n"
+        )
+        assert out.splitlines()[-4:] == [
+            "[]",
+            "kappa ['report.json']",
+            "taylor ['report.json']",
+            "audit ['report.json']",
+        ]
 
     def test_commands_run_without_scipy(self, fresh_python, tmp_path):
         # any scipy import raises; a drawing command that forks a pool and an

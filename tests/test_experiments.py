@@ -312,7 +312,7 @@ class TestScaling:
 
 class TestTaylorExperiment:
     def test_poly_corpus_closes(self):
-        res = taylor_experiment(31, pairs=200, poly_count=10)
+        res = taylor_experiment(pairs=200, poly_count=10)
         assert res["max_poly_r6"] < 1e-9
         assert res["gamma_exact"]
         assert res["gamma"] == pytest.approx(-1 / 480)

@@ -261,6 +261,22 @@ class TestSmoothMap:
         assert monomial_map(3).derivative(2).constant is None
         assert sin_map().constant is None and parse_integrand("exp").constant is None
 
+    @pytest.mark.parametrize("degree", range(7))
+    def test_polynomial_is_polyval_bit_for_bit(self, degree):
+        # Horner in polyval's own order: the same value, the same bits, also
+        # at a 0-d input, at negatives and where inf or nan propagate
+        coeffs = tuple(np.random.default_rng(degree).uniform(-3.0, 3.0, degree + 1))
+        g = SmoothMap(Family.POLYNOMIAL, coeffs)
+        x = np.array([-2.5, -1.0, -0.0, 0.0, 0.3, 1.7, 1e100, -np.inf, np.inf, np.nan])
+        with np.errstate(invalid="ignore", over="ignore"):
+            out, ref = g(x), np.polynomial.polynomial.polyval(x, coeffs)
+            assert out.tobytes() == ref.tobytes()
+            assert np.all((out == ref) | np.isnan(ref))
+            for value in (np.asarray(-0.7), -0.7, 2.0):
+                scalar = g(value)
+                assert type(scalar) is float
+                assert scalar == np.polynomial.polynomial.polyval(value, coeffs)
+
     def test_zero_frequency_rejected(self):
         with pytest.raises(DomainError):
             SmoothMap(Family.TRIG, (1.0, 0.0, 0.0))
