@@ -5,8 +5,8 @@ report row of the command's experiment, and each threshold is compared
 here alone.  A TOP check is asymptotic: judged on every row, it gates only
 at the largest grid in --n-list.  The "sampler" entries have no command;
 the acceptance suite judges sampler_experiment's row with them.  The
-measured entries (those of converge, the sampler's KS, the correlation
-of variations, taylor's R6 and audit's anchored sums and orthogonality) map
+measured entries (those of converge and the sampler, the correlation of
+variations, taylor's R6 and audit's anchored sums and orthogonality) map
 the row to one record per column, {value, target, tol, margin, ok}, which
 holds when |value - target| <= tol.
 """
@@ -39,8 +39,6 @@ TAYLOR_R6_TOL = 1e-9
 # bounds of kernel.anchor_cube_sums
 ANCHOR_SUM_COEFFS = {"left": 3.0 / 8.0, "right": 7.0 / 8.0}
 ORTHOGONALITY_TOL = 1e-8
-# largest entrywise z score of the sampler's empirical Gram matrix
-GRAM_Z_MAX = 4.0
 # a Monte Carlo mean passes within this many standard errors of its target
 MEAN_SE_MULT = 3.0
 
@@ -63,6 +61,11 @@ def _within(value: float, target: float, tol: float) -> bool:
 def _record(value: float, target: float, tol: float) -> dict:
     margin = tol - abs(value - target)
     return {"value": value, "target": target, "tol": tol, "margin": margin, "ok": margin >= 0}
+
+
+def _identities(deviations):
+    """Exact identities: each deviation against 0 within IDENTITY_TOL."""
+    return {key: _record(dev, 0.0, IDENTITY_TOL) for key, dev in deviations.items()}
 
 
 def _ks(row: dict, statistic: float) -> dict:
@@ -90,8 +93,7 @@ CHECKS = (
     Check("converge", "pivot_variance", TOP,
           lambda r: {g: _record(p["variance"], 1.0, PIVOT_VAR_TOL)
                      for g, p in r["pivots"].items()}),
-    Check("converge", "identity", EVERY,
-          lambda r: {g: _record(v, 0.0, IDENTITY_TOL) for g, v in r["identities"].items()}),
+    Check("converge", "identity", EVERY, lambda r: _identities(r["identities"])),
     Check("variations", "identities_ok", EVERY,
           lambda r: all(v <= IDENTITY_TOL for v in r["max_rel_residuals"].values())),
     Check("variations", "variance_ok", TOP,
@@ -123,9 +125,10 @@ CHECKS = (
                      for row in r["anchored_cube_sums"] for side, c in ANCHOR_SUM_COEFFS.items()}),
     Check("audit", "orthogonality_max_dev", EVERY,
           lambda r: {"mehler": _record(r["orthogonality_max_dev"], 0.0, ORTHOGONALITY_TOL)}),
-    Check("sampler", "gram_z_ok", EVERY, lambda r: r["gram_max_z"] < GRAM_Z_MAX),
-    Check("sampler", "method_ks_ok", EVERY,
-          lambda r: {method: _ks(r, d) for method, d in r["method_ks"].items()}),
+    # the exact covariance of the circulant paths, and the KS of their B(1),
+    # which alone sees the normals and the seed wiring
+    Check("sampler", "covariance_max_dev", EVERY, lambda r: _identities(r["covariance_max_dev"])),
+    Check("sampler", "b1_ks", EVERY, lambda r: {"B": _ks(r, r["b1_ks"])}),
 )
 
 

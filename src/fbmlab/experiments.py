@@ -2,14 +2,14 @@
 
 Every Monte Carlo experiment is a set of per-path statistics of independent
 replications on one or more grids, and all of them run through one engine,
-run_tasks, which takes one (draw, stats) task per grid, or per sampler in
-sampler_experiment.  Replication r draws its path once from its own seed
-stream (master_seed, r), and every statistic of the task is applied to
-that one path; fbm_draws synthesises the paths of a chunk in small blocks
-that share one batched FFT, each path byte-identical to its one-row draw.
-The engine splits the replication range into chunks and fans the chunks
-of every task out together over one fork-only process pool, so a command
-forks at most one pool; the tasks are left in a module-level slot before
+run_tasks, which takes one (draw, stats) task per grid.  Replication r
+draws its path once from its own seed stream (master_seed, r), and every
+statistic of the task is applied to that one path; fbm_draws synthesises
+the paths of a chunk in small blocks that share one batched FFT, each
+path byte-identical to its one-row draw.  The engine splits the
+replication range into chunks and fans the chunks of every task out
+together over one fork-only process pool, so a command forks at most one
+pool; the tasks are left in a module-level slot before
 the pool starts, so forked workers inherit them and only (task, lo, hi)
 bounds cross the process boundary.  Columns come back concatenated in
 replication order, and every reduction over them (medians, means, ordered
@@ -18,9 +18,10 @@ the worker count.  Each chunk also returns the seconds it spent drawing
 and in statistics, which TIMINGS sums for the manifest.  No experiment
 samples a limit law, and every law is judged against its exact target:
 converge judges the paper's conditional limit through pivots built from
-its own paths and exact finite-n means, and sampler_experiment each
-sampler's B(1) by a one-sample KS against N(0, 1).  Every experiment but
-scaling, whose windows are sub-intervals, runs on [0, 1].
+its own paths and exact finite-n means, and sampler_experiment the
+sampler's exact covariance against cov_r and its B(1) by a one-sample KS
+against N(0, 1).  Every experiment but scaling, whose windows are
+sub-intervals, runs on [0, 1].
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .quadrature import (
     hermite_variance_limit,
     riemann_mean_exact,
 )
-from .sampler import Grid, SeedPolicy, sample_fbm_block, sample_fbm_cholesky
+from .sampler import Grid, SeedPolicy, _assemble, _fgn_circulant, sample_fbm_block
 from .variations import (
     Family,
     SmoothMap,
@@ -129,11 +130,10 @@ def run_tasks(tasks: list, replications: int, workers: int) -> list[dict]:
     """Named columns of per-path statistics over stream ids 0..replications-1,
     one dict per (draw, stats) task, from at most one process pool.
 
-    draw(lo, hi) yields the paths (or any per-replication samples) of stream
-    ids lo..hi-1 in order; each callable in stats maps one to a scalar or an
-    array.  Column name of a task holds stats[name] of every replication,
-    stacked along axis 0 in replication order.  The chunks of every task go
-    to the pool together.
+    draw(lo, hi) yields the paths of stream ids lo..hi-1 in order; each
+    callable in stats maps one to a scalar or an array.  Column name of a
+    task holds stats[name] of every replication, stacked along axis 0 in
+    replication order.  The chunks of every task go to the pool together.
     """
     global _TASKS
     # Before the fork, so pool workers inherit it: freeing one 4 MiB block
@@ -586,30 +586,21 @@ def audit_experiment(n_list) -> dict:
 
 
 def sampler_experiment(master_seed: int, n: int = 512, replications: int = 2000) -> dict:
-    """The sampler row: gram_max_z, the largest entrywise z score of the
-    empirical Gram matrix of the circulant paths at t = 1/8, 1/4, 1/2 and 1
-    against cov_r, and method_ks, the KS distance of B(1) from N(0, 1)
-    under each sampler.  The circulant and the Cholesky paths are two tasks
-    of one run_tasks call, on the same seed streams."""
-    grid = Grid(n)
-    probes = n // np.array([8, 4, 2, 1])
-    b1 = {"b1": lambda path: path.values[-1]}
-
-    def cholesky(lo: int, hi: int):
-        return (sample_fbm_cholesky(grid, SeedPolicy(master_seed, r)) for r in range(lo, hi))
-
-    circulant = {"probes": lambda path: path.values[probes], **b1}
-    circ, chol = run_tasks(
-        [(fbm_draws(grid, master_seed), circulant), (cholesky, b1)], replications, workers=1
+    """The sampler row: covariance_max_dev, keyed m=<m> for m = 1, 2, 3 and
+    n, the largest |V^T V - cov_r(t_i, t_j)| over t = 1/m, ..., 1, where row
+    j of V is the path the circulant synthesis makes of the j-th of its 2m
+    unit normals, so that V^T V is the exact covariance of its paths; and
+    b1_ks, the KS distance of B(1) from N(0, 1) over the circulant paths of
+    streams (master_seed, r)."""
+    max_dev = {}
+    for m in (1, 2, 3, n):
+        grid = Grid(m)
+        v = _assemble(_fgn_circulant(grid, np.eye(2 * m)))[:, 1:]
+        t = grid.times()[1:]
+        max_dev[f"m={m}"] = float(np.max(np.abs(v.T @ v - cov_r(t[:, None], t[None, :]))))
+    [cols] = run_tasks(
+        [(fbm_draws(Grid(n), master_seed), {"b1": lambda path: path.values[-1]})],
+        replications, workers=1,
     )
-    vals = circ["probes"]
-    t = probes / n
-    target = cov_r(t[:, None], t[None, :])
-    prods = vals[:, :, None] * vals[:, None, :]
-    emp = prods.mean(axis=0)
-    se = prods.std(axis=0, ddof=1) / math.sqrt(replications)
-    return {
-        "replications": replications,
-        "gram_max_z": float(np.max(np.abs(emp - target) / se)),
-        "method_ks": {"circulant": ks_normal(circ["b1"]), "cholesky": ks_normal(chol["b1"])},
-    }
+    return {"replications": replications, "covariance_max_dev": max_dev,
+            "b1_ks": ks_normal(cols["b1"])}

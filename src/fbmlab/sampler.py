@@ -1,22 +1,20 @@
 """Exact Gaussian path sampling on uniform grids.
 
-Two exact samplers for the H = 1/6 fractional Brownian motion are provided:
+sample_fbm draws the H = 1/6 fractional Brownian motion exactly: it embeds
+the increment autocovariance in a circulant of size 2m (Davies-Harte),
+diagonalizes it with one real FFT, and synthesizes the stationary noise
+from independent spectral Gaussians in O(m log m).  It is the one-row case
+of sample_fbm_block, which every experiment samples with: one batched FFT
+and one cumulative sum serve a block of paths, each byte-identical to its
+sample_fbm draw.  The synthesis is linear in its Gaussians, so the paths it
+makes of the unit vectors give the exact covariance of its draws, which
+sampler_experiment compares with cov_r.
 
-* sample_fbm embeds the increment autocovariance in a circulant of size
-  2m (Davies-Harte), diagonalizes it with one real FFT, and synthesizes
-  the stationary noise from independent spectral Gaussians in
-  O(m log m); it is the one-row case of sample_fbm_block, which every
-  experiment samples with: one batched FFT and one cumulative sum serve a
-  block of paths, each byte-identical to its sample_fbm draw;
-* sample_fbm_cholesky factors the m x m increment Gram matrix
-  n^{-1/3} rho(i - j) directly (limited to m <= 4096); it is the reference
-  the sampler validation compares sample_fbm against.
-
-Both target the same exact law.  Randomness is counter based: every path
-draws from a Philox stream keyed by (master_seed, stream_id, purpose tag),
-and Gaussians come from numpy's ziggurat sampler on that stream.
-Replication-level parallelism therefore cannot reorder draws, and
-identical (grid, seeds) reproduce byte-identical arrays for each sampler.
+Randomness is counter based: every path draws from a Philox stream keyed
+by (master_seed, stream_id, purpose tag), and Gaussians come from numpy's
+ziggurat sampler on that stream.  Replication-level parallelism therefore
+cannot reorder draws, and identical (grid, seeds) reproduce byte-identical
+arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, EmbeddingError
+from .errors import DomainError, EmbeddingError
 from .kernel import INCREMENT_EXPONENT, rho
 
 # Version of the random streams: bumped whenever a release draws different
@@ -36,8 +34,6 @@ from .kernel import INCREMENT_EXPONENT, rho
 # 3: Gaussians come from numpy's ziggurat instead of scipy's inverse normal
 # CDF of the raw counter words.
 RNG_STREAM_VERSION = 3
-
-CHOLESKY_MAX_STEPS = 4096
 
 # Relative floor for circulant eigenvalues: fGn embeddings are nonnegative
 # in theory, so anything below -1e-8 * max eigenvalue aborts.
@@ -135,20 +131,13 @@ class Path:
 
 
 @lru_cache(maxsize=8)
-def _cholesky_factor(n: int, m: int) -> np.ndarray:
-    i = np.arange(m)
-    gram = n ** (-INCREMENT_EXPONENT) * np.asarray(rho(i[:, None] - i[None, :]))
-    return np.linalg.cholesky(gram)
-
-
-@lru_cache(maxsize=8)
 def _circulant_sqrt_eigs(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """sqrt of the (clipped) eigenvalues lam_k of the 2m circulant embedding,
     and the spectral scales _fgn_circulant multiplies its Gaussians by:
     sqrt(lam_k M) at k = 0 and k = m, sqrt(lam_k M / 2) in between (M = 2m).
     """
     lags = n ** (-INCREMENT_EXPONENT) * np.asarray(rho(np.arange(m + 1)))
-    row = np.concatenate([lags, lags[-2:0:-1]]) if m > 1 else lags
+    row = np.concatenate([lags, lags[-2:0:-1]])
     eigs = np.fft.rfft(row).real
     floor = -EIGENVALUE_RTOL * float(eigs.max())
     if eigs.min() < floor:
@@ -205,16 +194,6 @@ def sample_fbm_block(grid: Grid, seeds: list[SeedPolicy]) -> list[Path]:
 def sample_fbm(grid: Grid, seeds: SeedPolicy) -> Path:
     """Draw one exact H = 1/6 fBm path on the grid by circulant embedding."""
     return sample_fbm_block(grid, [seeds])[0]
-
-
-def sample_fbm_cholesky(grid: Grid, seeds: SeedPolicy) -> Path:
-    """Draw one exact H = 1/6 fBm path on the grid by Cholesky factorization."""
-    if grid.m > CHOLESKY_MAX_STEPS:
-        raise CapabilityError(
-            f"Cholesky sampling limited to m <= {CHOLESKY_MAX_STEPS}; use sample_fbm"
-        )
-    z = seeds.normals(grid.m, "fbm:cholesky")
-    return Path(grid=grid, values=_assemble(_cholesky_factor(grid.n, grid.m) @ z))
 
 
 def sample_bm(grid: Grid, seeds: SeedPolicy) -> Path:

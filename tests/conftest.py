@@ -6,11 +6,13 @@ import os
 import subprocess
 import sys
 import time
+from functools import cache
 
 import numpy as np
 import pytest
 
 import fbmlab
+from fbmlab.kernel import rho
 from fbmlab.experiments import (
     converge_experiment,
     hermite_experiment,
@@ -66,6 +68,26 @@ def expect_gauss_pair():
         return float(np.einsum("i,j,i,ij->", w, w, fx, gy))
 
     return rule
+
+
+@pytest.fixture(scope="session")
+def cholesky_fbm():
+    """(factor, draw): the Cholesky reference for exact H = 1/6 fBm, the second
+    construction the circulant sampler's law is compared with.  factor(n, m) is
+    the lower Cholesky factor L of the m x m increment Gram matrix
+    n^{-1/3} rho(i - j), and draw(grid, seeds) the path values 0, cumsum(L z)
+    for the grid.m normals z of the seeds' "fbm:cholesky" stream."""
+
+    @cache
+    def factor(n, m):
+        i = np.arange(m)
+        return np.linalg.cholesky(n ** (-1 / 3) * rho(i[:, None] - i[None, :]))
+
+    def draw(grid, seeds):
+        z = seeds.normals(grid.m, "fbm:cholesky")
+        return np.concatenate([[0.0], np.cumsum(factor(grid.n, grid.m) @ z)])
+
+    return factor, draw
 
 
 @pytest.fixture(scope="session")

@@ -9,14 +9,17 @@ below is a deterministic property of the artifact on one platform.
 """
 
 from dataclasses import asdict
+from functools import partial
 
+import numpy as np
 import pytest
 
-from fbmlab.kernel import kappa_constant
+from fbmlab import sampler
+from fbmlab.errors import EmbeddingError
+from fbmlab.kernel import kappa_constant, rho
 from fbmlab.checks import (
     ANCHOR_SUM_COEFFS,
     CUBIC_VAR_RTOL,
-    GRAM_Z_MAX,
     HERMITE_VAR_RTOL,
     KAPPA_REF,
     KAPPA_SQ_REF,
@@ -36,7 +39,6 @@ from fbmlab.experiments import (
     taylor_experiment,
 )
 from fbmlab.quadrature import riemann_mean_exact
-from fbmlab.sampler import Path
 from fbmlab.variations import parse_integrand_list
 
 from conftest import ACCEPT_N, INTEGRANDS, MASTER_SEED, timed
@@ -253,34 +255,83 @@ def test_c11_anchored_cube_sums():
 
 
 def test_c12_sampler_validity():
-    # each sampler's B(1) against its exact law N(0, 1), a one-sample KS
+    # the exact covariance of the circulant paths against cov_r at m = 1, 2,
+    # 3 and 512 steps, and their B(1) against N(0, 1), a one-sample KS
     row, elapsed = timed(sampler_experiment, MASTER_SEED, n=512, replications=2000)
     checks, failed = judge("sampler", row)
-    gram_ok, ks = checks["gram_z_ok"], checks["method_ks_ok"]
-    ks_text = ", ".join(f"{method} {record['value']:.4f}" for method, record in ks.items())
+    exact, ks = checks["covariance_max_dev"], checks["b1_ks"]["B"]
+    exact_text = ", ".join(f"{m} {_describe(record)}" for m, record in exact.items())
     report(
         12,
         not failed,
-        f"Gram max |z| = {row['gram_max_z']:.2f} < {GRAM_Z_MAX:g} (m=512, M=2000); "
-        f"KS of B(1) against N(0, 1): {ks_text} < {ks['circulant']['tol']:.4f} "
-        f"({elapsed:.1f}s)",
+        f"max |V^T V - cov_r|: {exact_text}; KS of B(1) against N(0, 1) "
+        f"{ks['value']:.4f} < {ks['tol']:.4f} (M=2000) ({elapsed:.1f}s)",
     )
-    assert set(ks) == {"circulant", "cholesky"}
-    assert gram_ok, f"gram z {row['gram_max_z']}"
+    assert set(exact) == {"m=1", "m=2", "m=3", "m=512"}
     assert not failed, failed
 
 
-def test_c12_method_ks_rejects_scaled_paths(monkeypatch):
-    # the named wrong sampler: circulant paths scaled by 1.25.  The one-sample
-    # KS of its B(1) rejects and names its record; the Cholesky paths pass.
-    draw = experiments.sample_fbm_block
+EIGS = sampler._circulant_sqrt_eigs.__wrapped__  # the uncached spectrum
 
-    def scaled(grid, seeds):
-        return [Path(grid, 1.25 * path.values) for path in draw(grid, seeds)]
 
-    monkeypatch.setattr(experiments, "sample_fbm_block", scaled)
-    row = sampler_experiment(MASTER_SEED, n=512, replications=2000)
-    checks, failed = judge("sampler", row)
-    ks = checks["method_ks_ok"]
-    assert not ks["circulant"]["ok"] and ks["cholesky"]["ok"], ks
-    assert f"method_ks_ok circulant {_describe(ks['circulant'])}" in failed
+def _rescaled(slot, factor):
+    """A wrong spectrum: the sampler's spectral scales at slot times factor."""
+
+    def eigs(n, m):
+        sq, scales = EIGS(n, m)
+        scales[slot] *= factor
+        return sq, scales
+
+    return eigs
+
+
+@pytest.fixture
+def wrong_sampler(monkeypatch):
+    """setattr(name, value) patches a wrong sampler into fbmlab.sampler; the
+    spectral cache is cleared before and after, so no other test sees it."""
+    sampler._circulant_sqrt_eigs.cache_clear()
+    yield partial(monkeypatch.setattr, sampler)
+    monkeypatch.undo()
+    sampler._circulant_sqrt_eigs.cache_clear()
+
+
+def _failed_records(check):
+    """The keys of check's records that fail on the C12 row."""
+    failed = judge("sampler", sampler_experiment(MASTER_SEED, n=512, replications=2000))[1]
+    return {line.split()[1] for line in failed if line.startswith(check)}
+
+
+EVERY_M = {"m=1", "m=2", "m=3", "m=512"}
+
+
+def test_c12_method_ks_rejects_scaled_paths(wrong_sampler):
+    # the named wrong sampler: circulant paths scaled by 1.25, through the
+    # spectral scales.  Both the one-sample KS of B(1) and the exact record
+    # at every m reject, and name their records.
+    wrong_sampler("_circulant_sqrt_eigs", _rescaled(slice(None), 1.25))
+    assert _failed_records("b1_ks") == {"B"}
+    assert _failed_records("covariance_max_dev") == EVERY_M
+
+
+@pytest.mark.parametrize("slot", [0, -1], ids=["k=0", "k=m"])
+def test_c12_exact_record_rejects_a_wrong_real_slot(wrong_sampler, slot):
+    # the k = 0 and k = m spectral Gaussians are real, so their scales
+    # carry no 1/sqrt(2); scaling either by 1/sqrt(2) changes the
+    # covariance at every m (by 0.083 or more at k = 0, 1e-4 at k = m)
+    wrong_sampler("_circulant_sqrt_eigs", _rescaled(slot, 1 / np.sqrt(2.0)))
+    assert _failed_records("covariance_max_dev") == EVERY_M
+
+
+def test_c12_exact_record_rejects_a_wrong_lag_one_rho(wrong_sampler):
+    # the sampler's rho with its lag-one value 1 % too small fails at every
+    # m >= 2 (one step sees no lag); 1 % too large, the embedding has a
+    # negative eigenvalue and the sampler refuses it
+    def lag_one_times(factor):
+        return lambda r: rho(r) * np.where(np.abs(r) == 1, factor, 1.0)
+
+    wrong_sampler("rho", lag_one_times(0.99))
+    assert _failed_records("covariance_max_dev") == EVERY_M - {"m=1"}
+    sampler._circulant_sqrt_eigs.cache_clear()
+    wrong_sampler("rho", lag_one_times(1.01))
+    with pytest.raises(EmbeddingError):
+        sampler_experiment(MASTER_SEED, n=512, replications=2000)

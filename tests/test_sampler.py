@@ -2,18 +2,11 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from fbmlab.errors import CapabilityError, DomainError
-from fbmlab.sampler import (
-    Grid,
-    SeedPolicy,
-    sample_bm,
-    sample_fbm,
-    sample_fbm_block,
-    sample_fbm_cholesky,
-)
+from fbmlab.errors import DomainError
+from fbmlab.sampler import Grid, SeedPolicy, sample_bm, sample_fbm, sample_fbm_block
 from fbmlab.checks import KS_COEFF_001
 from fbmlab.kernel import cov_r, rho
-from fbmlab.sampler import _cholesky_factor, _circulant_sqrt_eigs
+from fbmlab.sampler import _circulant_sqrt_eigs
 
 
 class TestGrid:
@@ -74,21 +67,26 @@ class TestSeeding:
         with pytest.raises(DomainError):
             SeedPolicy(1, -1)
 
+    def test_stream_keys_are_distinct(self):
+        # the fBm streams of master seeds 1..40 and 2,000 replications each:
+        # 80,000 Philox keys, no two alike
+        keys = {tuple(SeedPolicy(seed, r)._key("fbm:circulant").tolist())
+                for seed in range(1, 41) for r in range(2000)}
+        assert len(keys) == 80_000
+
 
 class TestFbmSampler:
     def test_starts_at_zero(self):
         grid = Grid(64)
-        for sample in (sample_fbm, sample_fbm_cholesky):
-            path = sample(grid, SeedPolicy(5, 0))
-            assert path.values[0] == 0.0
-            assert len(path.values) == grid.m + 1
+        path = sample_fbm(grid, SeedPolicy(5, 0))
+        assert path.values[0] == 0.0
+        assert len(path.values) == grid.m + 1
 
     def test_bit_reproducible(self):
         grid = Grid(128)
-        for sample in (sample_fbm, sample_fbm_cholesky):
-            a = sample(grid, SeedPolicy(42, 3))
-            b = sample(grid, SeedPolicy(42, 3))
-            assert a.values.tobytes() == b.values.tobytes()
+        a = sample_fbm(grid, SeedPolicy(42, 3))
+        b = sample_fbm(grid, SeedPolicy(42, 3))
+        assert a.values.tobytes() == b.values.tobytes()
 
     @pytest.mark.parametrize("n, horizon", [(64, 0.5), (256, 0.25), (1024, 2.0), (4096, 0.5)])
     def test_self_similar_in_the_horizon(self, n, horizon):
@@ -105,12 +103,9 @@ class TestFbmSampler:
         with pytest.raises(ValueError):
             path.values[0] = 1.0
 
-    def test_cholesky_cap(self):
-        with pytest.raises(CapabilityError):
-            sample_fbm_cholesky(Grid(8192), SeedPolicy(0, 0))
-
-    def test_cholesky_factor_reproduces_gram(self):
-        length = _cholesky_factor(64, 64)
+    def test_cholesky_factor_reproduces_gram(self, cholesky_fbm):
+        factor, _ = cholesky_fbm
+        length = factor(64, 64)
         i = np.arange(64)
         gram = 64 ** (-1 / 3) * np.asarray(rho(i[:, None] - i[None, :]))
         assert np.max(np.abs(length @ length.T - gram)) < 1e-12
@@ -126,18 +121,17 @@ class TestFbmSampler:
     def test_unit_variance_both_methods(self):
         grid = Grid(256)
         reps = 500
-        for sample in (sample_fbm, sample_fbm_cholesky):
-            b1 = np.array([sample(grid, SeedPolicy(11, r)).values[-1] for r in range(reps)])
-            var = b1.var(ddof=1)
-            se = var * np.sqrt(2.0 / (reps - 1))
-            assert abs(var - 1.0) <= 4 * se
+        b1 = np.array([sample_fbm(grid, SeedPolicy(11, r)).values[-1] for r in range(reps)])
+        var = b1.var(ddof=1)
+        se = var * np.sqrt(2.0 / (reps - 1))
+        assert abs(var - 1.0) <= 4 * se
 
-    def test_methods_agree_in_law(self):
+    def test_methods_agree_in_law(self, cholesky_fbm):
+        # the circulant B(1) against the Cholesky reference's, a two-sample KS
         grid = Grid(128)
         reps = 500
-        chol = np.array(
-            [sample_fbm_cholesky(grid, SeedPolicy(13, r)).values[-1] for r in range(reps)]
-        )
+        _, draw = cholesky_fbm
+        chol = np.array([draw(grid, SeedPolicy(13, r))[-1] for r in range(reps)])
         circ = np.array(
             [sample_fbm(grid, SeedPolicy(13, r)).values[-1] for r in range(reps)]
         )
