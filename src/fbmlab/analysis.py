@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError
 from .kernel import endpoint_increment_block, rho
-from .sampler import Grid, Path
+from .sampler import Grid
 from .variations import SmoothMap, cubic_terms, int_power, prefix_sums
 from .quadrature import poly_pair_moment
 
@@ -56,8 +56,8 @@ def _reversed_values(values: np.ndarray) -> np.ndarray:
     return values[::-1] - values[-1]
 
 
-def window_moments(estimator: Estimator, path: Path, gaps, g: SmoothMap) -> np.ndarray:
-    """Window moments of one path, one column per gap.
+def window_moments(estimator: Estimator, values: np.ndarray, gaps, g: SmoothMap) -> np.ndarray:
+    """Window moments of one path's values, one column per gap.
 
     CUBIC_4TH returns one row: the mean of |sum_{j in window} dB_j^3|^4
     over all disjoint windows of each gap (the cubic sums are stationary
@@ -68,13 +68,13 @@ def window_moments(estimator: Estimator, path: Path, gaps, g: SmoothMap) -> np.n
     fast for negative bases and round alike on every IEEE host.
     """
     if estimator is Estimator.CUBIC_4TH:
-        cum = prefix_sums(cubic_terms(path.increments()))
+        cum = prefix_sums(cubic_terms(np.diff(values)))
         return np.array([[np.mean(int_power(np.diff(cum[::gv]), 4)) for gv in gaps]])
     power = 5 if estimator is Estimator.QUINTIC_2ND else 3
     rows = []
-    for values in (path.values, _reversed_values(path.values)):
-        d = np.diff(values)
-        beta = 0.5 * (values[:-1] + values[1:])
+    for v in (values, _reversed_values(values)):
+        d = np.diff(v)
+        beta = 0.5 * (v[:-1] + v[1:])
         cum = np.cumsum(np.asarray(g(beta)) * int_power(d, power))
         rows.append(0.5 * cum[np.asarray(gaps) - 1] ** 2)
     return np.array(rows)

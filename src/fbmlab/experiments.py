@@ -1,17 +1,19 @@
 """Batch Monte Carlo experiments behind the command-line harness.
 
 Every Monte Carlo experiment is a set of per-path statistics of independent
-replications on one or more grids, and all of them run through one engine,
-run_tasks, which takes one (draw, stats) task per grid.  Replication r
-draws its path once from its own seed stream (master_seed, r), and every
-statistic of the task is applied to that one path; fbm_draws synthesises
-the paths of a chunk in small blocks that share one batched FFT, each
-path byte-identical to its one-row draw.  The engine splits the
-replication range into chunks and fans the chunks of every task out
-together over one fork-only process pool, so a command forks at most one
-pool; the tasks are left in a module-level slot before
-the pool starts, so forked workers inherit them and only (task, lo, hi)
-bounds cross the process boundary.  Columns come back concatenated in
+replications on one grid, and all of them run through one engine,
+run_paths.  Replication r draws its fBm path once, from its own seed
+stream (master_seed, r), at the command's finest grid, and every
+statistic is applied to that one path: a grid ladder reads each coarser
+grid of n steps as values[::N // n] of the N-step path (fBm restricted to
+a coarser grid is exactly fBm there), and scaling's weighted estimators
+read its first quarter.  The engine splits the replication range into
+chunks and fans them out over one fork-only process pool, so a command
+forks at most one pool; the grid and statistics are left in a
+module-level slot before the pool starts, so forked workers inherit them
+and only (lo, hi) bounds cross the process boundary.  A chunk synthesises
+its paths in small blocks that share one batched FFT, each path
+byte-identical to its one-row draw.  Columns come back concatenated in
 replication order, and every reduction over them (medians, means, ordered
 sums) runs in that order, so results are independent of chunking and of
 the worker count.  Each chunk also returns the seconds it spent drawing
@@ -20,8 +22,7 @@ samples a limit law, and every law is judged against its exact target:
 converge judges the paper's conditional limit through pivots built from
 its own paths and exact finite-n means, and sampler_experiment the
 sampler's exact covariance against cov_r and its B(1) by a one-sample KS
-against N(0, 1).  Every experiment but scaling, whose windows are
-sub-intervals, runs on [0, 1].
+against N(0, 1).  Every experiment runs on [0, 1].
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .quadrature import (
     hermite_variance_limit,
     riemann_mean_exact,
 )
-from .sampler import Grid, SeedPolicy, _assemble, _fgn_circulant, sample_fbm_block
+from .sampler import Grid, Path, SeedPolicy, _assemble, _fgn_circulant, sample_fbm_block
 from .variations import (
     Family,
     SmoothMap,
@@ -103,39 +104,47 @@ def _chunks(replications: int, workers: int):
     return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
-# (draw, stats) tasks of the running run_tasks call; forked workers inherit them
-_TASKS = ()
+# Rows per block of sample_fbm_block: at most 8, and at most 2^14 steps in
+# all.  A batched irfft shares most of its work at two rows already, and
+# bigger blocks of long paths would grow the heap past what a short run
+# touched, so 16,384-step paths are synthesised one at a time.
+FBM_BLOCK_ROWS, FBM_BLOCK_STEPS = 8, 1 << 14
+
+# (grid, stats, master_seed) of the running run_paths call; forked workers inherit it
+_RUN = None
 
 
-def _replicate(job):
-    """The columns of chunk (task, lo, hi), and its draw and statistics seconds."""
-    task, lo, hi = job
-    draw, stats = _TASKS[task]
+def _replicate(bounds):
+    """The columns of replications lo..hi-1, and their draw and statistics seconds."""
+    lo, hi = bounds
+    grid, stats, master_seed = _RUN
+    rows = max(1, min(FBM_BLOCK_ROWS, FBM_BLOCK_STEPS // grid.m))
     cols = {name: [] for name in stats}
     draw_s = stats_s = 0.0
-    start = perf_counter()
-    for path in draw(lo, hi):
+    for first in range(lo, hi, rows):
+        start = perf_counter()
+        seeds = [SeedPolicy(master_seed, r) for r in range(first, min(first + rows, hi))]
+        block = sample_fbm_block(grid, seeds)
         drawn = perf_counter()
-        for name, stat in stats.items():
-            cols[name].append(stat(path))
-        del path
-        end = perf_counter()
+        for path in block:
+            for name, stat in stats.items():
+                cols[name].append(stat(path))
+        del block, path  # free this block before the next is drawn
         draw_s += drawn - start
-        stats_s += end - drawn
-        start = end
+        stats_s += perf_counter() - drawn
     return {name: np.array(values) for name, values in cols.items()}, (draw_s, stats_s)
 
 
-def run_tasks(tasks: list, replications: int, workers: int) -> list[dict]:
-    """Named columns of per-path statistics over stream ids 0..replications-1,
-    one dict per (draw, stats) task, from at most one process pool.
+def run_paths(grid: Grid, stats: dict, replications: int, master_seed: int,
+              workers: int) -> dict[str, np.ndarray]:
+    """Named columns of per-path statistics of the fBm paths on grid of the
+    streams (master_seed, r), r = 0..replications-1, from at most one pool.
 
-    draw(lo, hi) yields the paths of stream ids lo..hi-1 in order; each
-    callable in stats maps one to a scalar or an array.  Column name of a
-    task holds stats[name] of every replication, stacked along axis 0 in
-    replication order.  The chunks of every task go to the pool together.
+    Each callable in stats maps one path to a scalar or an array; column
+    name holds stats[name] of every replication, stacked along axis 0 in
+    replication order.
     """
-    global _TASKS
+    global _RUN
     # Before the fork, so pool workers inherit it: freeing one 4 MiB block
     # raises glibc malloc's mmap threshold to 4 MiB and its trim threshold
     # to 8 MiB.  At their start values (128 KiB each) every array of at
@@ -143,41 +152,31 @@ def run_tasks(tasks: list, replications: int, workers: int) -> list[dict]:
     # and of longer ones, is mapped, or trimmed off the heap, and faulted in
     # afresh for every path: about 100 page faults per 16,384-step path.
     np.empty(1 << 19)
-    bounds = _chunks(replications, workers)
-    jobs = [(task, lo, hi) for task in range(len(tasks)) for lo, hi in bounds]
-    _TASKS = tasks
+    _RUN = grid, stats, master_seed
     try:
-        parts = _pmap(_replicate, jobs, workers)
+        parts = _pmap(_replicate, _chunks(replications, workers), workers)
     finally:
-        _TASKS = ()
+        _RUN = None
     for _, (draw_s, stats_s) in parts:
         TIMINGS["draw_s"] += draw_s
         TIMINGS["stats_s"] += stats_s
-    columns = []
-    for i, (_, stats) in enumerate(tasks):
-        own = [cols for cols, _ in parts[i * len(bounds) : (i + 1) * len(bounds)]]
-        columns.append({name: np.concatenate([cols[name] for cols in own]) for name in stats})
-    return columns
+    return {name: np.concatenate([cols[name] for cols, _ in parts]) for name in stats}
 
 
-# Rows per block of fbm_draws: at most 8, and at most 2^14 steps in all.  A
-# batched irfft shares most of its work at two rows already, and bigger
-# blocks of long paths would grow the heap past what a short run touched,
-# so 16,384-step paths are synthesised one at a time.
-FBM_BLOCK_ROWS, FBM_BLOCK_STEPS = 8, 1 << 14
+def _restricted(grid: Grid, stat, path):
+    return stat(Path(grid, path.values[:: path.grid.n // grid.n]))
 
 
-def fbm_draws(grid: Grid, master_seed: int):
-    """draw for run_tasks: the circulant fBm paths of streams (master_seed, r),
-    synthesised in blocks of up to FBM_BLOCK_ROWS rows, each a fresh array."""
-    rows = max(1, min(FBM_BLOCK_ROWS, FBM_BLOCK_STEPS // grid.m))
-
-    def draw(lo: int, hi: int):
-        for first in range(lo, hi, rows):
-            block = range(first, min(first + rows, hi))
-            yield from sample_fbm_block(grid, [SeedPolicy(master_seed, r) for r in block])
-
-    return draw
+def _ladder(n_list, stat) -> tuple[Grid, dict]:
+    """run_paths' grid and stats for a grid ladder: stat, keyed n, of the
+    path on each grid n in n_list, read from one path on the largest grid N
+    as Path(Grid(n), values[::N // n]); fBm restricted to a coarser grid is
+    exactly fBm there.  Refuses an n that does not divide N."""
+    top = max(n_list)
+    uneven = [n for n in n_list if top % n]
+    if uneven:
+        raise DomainError(f"grid sizes {uneven} do not divide the largest, {top}")
+    return Grid(top), {n: partial(_restricted, Grid(n), stat) for n in n_list}
 
 
 # --- converge: the conditional limit law through exact-mean pivots ----------
@@ -287,13 +286,13 @@ def converge_experiment(
             raise DomainError(f"integrand {g.label!r}: riemann_mean_exact squared is non-finite")
     second = [(i, g.derivative(2)) for i, g in enumerate(integrands)]
     curved = [(i, g2) for i, g2 in second if g2.constant is None]
-    stats = {"row": partial(_converge_stats, integrands, curved)}
-    tasks = [(fbm_draws(Grid(n), master_seed), stats) for n in n_list]
+    grid, stats = _ladder(n_list, partial(_converge_stats, integrands, curved))
+    cols = run_paths(grid, stats, replications, master_seed, workers)
     names = ["B", "cubic"] + [f"int_{g.label}" for g in integrands]
     kappa = kappa_constant().kappa
     runs = []
-    for n, cols in zip(n_list, run_tasks(tasks, replications, workers)):
-        columns = [col.copy() for col in cols["row"].T]  # contiguous, as plain columns sum
+    for n in n_list:
+        columns = [col.copy() for col in cols[n].T]  # contiguous, as plain columns sum
         est = dict(zip(names, columns))
         g2_sums = {integrands[i].label: col for (i, _), col in zip(curved, columns[len(names) :])}
         runs.append((converge_row(n, est, g2_sums, means[n], integrands, kappa), est, g2_sums))
@@ -337,11 +336,11 @@ def identity_experiment(
     z of a correlation has variance 1 / (M - 3)."""
     if replications < 4:
         raise DomainError("variations needs at least 4 replications")
-    tasks = [(fbm_draws(Grid(n), master_seed), {"identity": _identity_row}) for n in n_list]
+    cols = run_paths(*_ladder(n_list, _identity_row), replications, master_seed, workers)
     kappa_sq = kappa_constant().kappa_sq
     runs = []
-    for n, cols in zip(n_list, run_tasks(tasks, replications, workers)):
-        rows = cols["identity"]
+    for n in n_list:
+        rows = cols[n]
         worst = np.max(rows[:, :4], axis=0)
         b1, vn = rows[:, 4].copy(), rows[:, 5].copy()
         row = {
@@ -385,10 +384,9 @@ def sextic_experiment(
     of V^6_n(B, 1) at the finest level against 15, as the report of the
     sextic command."""
     n_list = sorted(int(n) for n in n_list)
-    tasks = [(fbm_draws(Grid(n), master_seed), {"sextic": _sextic_row}) for n in n_list]
-    levels = [cols["sextic"] for cols in run_tasks(tasks, replications, workers)]
-    medians = [float(np.median(rows[:, 0])) for rows in levels]
-    final = levels[-1][:, 1]  # the finest level's paths serve its median and the mean
+    cols = run_paths(*_ladder(n_list, _sextic_row), replications, master_seed, workers)
+    medians = [float(np.median(cols[n][:, 0])) for n in n_list]
+    final = cols[n_list[-1]][:, 1]  # the finest level's paths serve its median and the mean
     return {
         "n_list": n_list,
         "median_sup_deviation": medians,
@@ -444,14 +442,13 @@ def hermite_experiment(
                 else _finite(hermite_variance_exact, g, n)
             )
             targets[i, n] = (_finite(hermite_mean_exact, g, n), variance)
-    stats = {"hermite": partial(_hermite_stats, integrands)}
-    tasks = [(fbm_draws(Grid(n), master_seed), stats) for n in n_list]
-    grids = run_tasks(tasks, replications, workers)
+    grid, stats = _ladder(n_list, partial(_hermite_stats, integrands))
+    grids = run_paths(grid, stats, replications, master_seed, workers)
     runs = []
     for i, (integrand, limit) in enumerate(zip(integrands, limits)):
         exact = integrand.family is not Family.POLYNOMIAL
-        for n, cols in zip(n_list, grids):
-            left, right = cols["hermite"][:, i].T.copy()  # contiguous, as plain columns sum
+        for n in n_list:
+            left, right = grids[n][:, i].T.copy()  # contiguous, as plain columns sum
             (left_exact, right_exact), variance_target = targets[i, n]
             row = {
                 "integrand": integrand.label,
@@ -474,27 +471,19 @@ def hermite_experiment(
 
 # --- moment-bound scaling ----------------------------------------------------
 
-# Per-estimator default windows.  The cubic fourth moment needs gaps past
-# the kurtosis crossover (about 120 steps) before the quadratic regime
+# Per-estimator default windows on the first "steps" steps of one path on
+# the grid of SCALING_N steps.  The cubic fourth moment needs gaps past the
+# kurtosis crossover (about 120 steps) before the quadratic regime
 # dominates; the weighted second moments are gap-tight only for windows
-# anchored at the origin with gap << n.  Each spec's gaps are sorted and
-# distinct, at least two, and each between 1 and the grid's step count.
+# anchored at the origin with gap << n, so they read the path on [0, 1/4].
+# Each spec's gaps are sorted and distinct, at least two, and each between
+# 1 and its steps, which are at most SCALING_N.
+SCALING_N = 8192
 DEFAULT_SCALING_SPECS: dict[Estimator, dict] = {
-    Estimator.CUBIC_4TH: {
-        "n": 8192,
-        "horizon": 1.0,
-        "gaps": (512, 1024, 2048, 4096, 8192),
-    },
-    Estimator.QUINTIC_2ND: {
-        "n": 8192,
-        "horizon": 0.25,
-        "gaps": (64, 91, 128, 181, 256, 362, 512, 724, 1024),
-    },
-    Estimator.WEIGHTED_CUBIC_2ND: {
-        "n": 8192,
-        "horizon": 0.25,
-        "gaps": (64, 91, 128, 181, 256, 362, 512, 724, 1024),
-    },
+    Estimator.CUBIC_4TH: {"steps": 8192, "gaps": (512, 1024, 2048, 4096, 8192)},
+    Estimator.QUINTIC_2ND: {"steps": 2048, "gaps": (64, 91, 128, 181, 256, 362, 512, 724, 1024)},
+    Estimator.WEIGHTED_CUBIC_2ND: {"steps": 2048,
+                                   "gaps": (64, 91, 128, 181, 256, 362, 512, 724, 1024)},
 }
 
 SCALING_MIN_REPLICATIONS = 200
@@ -507,23 +496,21 @@ def scaling_experiment(
     workers: int = 1,
 ) -> list[dict]:
     """The report row of each estimator in DEFAULT_SCALING_SPECS: its
-    moment-bound scaling fit, slope floor and spec.  Estimators on the same
-    grid share one set of paths.  Fewer than SCALING_MIN_REPLICATIONS
+    moment-bound scaling fit, slope floor and spec.  Every estimator reads
+    the same paths, on Grid(SCALING_N).  Fewer than SCALING_MIN_REPLICATIONS
     replications are refused."""
     if replications < SCALING_MIN_REPLICATIONS:
         raise DomainError(f"scaling needs at least {SCALING_MIN_REPLICATIONS} replications")
-    stats = {}
-    for e, spec in DEFAULT_SCALING_SPECS.items():
-        grid = Grid(spec["n"], spec["horizon"])
-        stats.setdefault(grid, {})[e] = partial(window_moments, e, gaps=spec["gaps"], g=integrand)
-    tasks = [(fbm_draws(grid, master_seed), group) for grid, group in stats.items()]
-    fits = {}
-    for grid, cols in zip(stats, run_tasks(tasks, replications, workers)):
-        for e, moments in cols.items():
-            gaps = DEFAULT_SCALING_SPECS[e]["gaps"]
-            fits[e] = moment_scaling(grid.n, gaps, moments, replications)
+    stats = {
+        e: lambda path, e=e, spec=spec: window_moments(
+            e, path.values[: spec["steps"] + 1], spec["gaps"], integrand
+        )
+        for e, spec in DEFAULT_SCALING_SPECS.items()
+    }
+    cols = run_paths(Grid(SCALING_N), stats, replications, master_seed, workers)
     return [
-        {"estimator": e.value, **fits[e], "slope_floor": SLOPE_FLOORS[e], "spec": spec}
+        {"estimator": e.value, **moment_scaling(SCALING_N, spec["gaps"], cols[e], replications),
+         "slope_floor": SLOPE_FLOORS[e], "spec": spec}
         for e, spec in DEFAULT_SCALING_SPECS.items()
     ]
 
@@ -598,9 +585,6 @@ def sampler_experiment(master_seed: int, n: int = 512, replications: int = 2000)
         v = _assemble(_fgn_circulant(grid, np.eye(2 * m)))[:, 1:]
         t = grid.times()[1:]
         max_dev[f"m={m}"] = float(np.max(np.abs(v.T @ v - cov_r(t[:, None], t[None, :]))))
-    [cols] = run_tasks(
-        [(fbm_draws(Grid(n), master_seed), {"b1": lambda path: path.values[-1]})],
-        replications, workers=1,
-    )
+    cols = run_paths(Grid(n), {"b1": lambda path: path.values[-1]}, replications, master_seed, 1)
     return {"replications": replications, "covariance_max_dev": max_dev,
             "b1_ks": ks_normal(cols["b1"])}

@@ -32,8 +32,9 @@ from .kernel import INCREMENT_EXPONENT, rho
 # numbers for the same (grid, seeds) and sampler.  2: the oracle draws its Ito
 # correction from the "oracle:w" tag instead of a Brownian path on "bm".
 # 3: Gaussians come from numpy's ziggurat instead of scipy's inverse normal
-# CDF of the raw counter words.
-RNG_STREAM_VERSION = 3
+# CDF of the raw counter words.  4: a command draws only its finest grid (the
+# numbers of 3) and reads coarser grids, and scaling's [0, 1/4], from that path.
+RNG_STREAM_VERSION = 4
 
 # Relative floor for circulant eigenvalues: fGn embeddings are nonnegative
 # in theory, so anything below -1e-8 * max eigenvalue aborts.
@@ -67,7 +68,7 @@ class Grid:
     """
 
     n: int
-    horizon: float = 1.0
+    horizon: float = 1.0  # no command reads it; the benchmark's probe grid fbm:8192:0.25 does
 
     def __post_init__(self):
         if int(self.n) != self.n or not 1 <= self.n < 2**1024:  # 2^1024 overflows a float

@@ -15,9 +15,9 @@ from fbmlab.analysis import (
     taylor_residual,
 )
 from fbmlab.errors import CapabilityError, DomainError
-from fbmlab.experiments import DEFAULT_SCALING_SPECS
+from fbmlab.experiments import DEFAULT_SCALING_SPECS, SCALING_N, run_paths
 from fbmlab.kernel import cov_r
-from fbmlab.sampler import Grid, Path, SeedPolicy, sample_fbm
+from fbmlab.sampler import Grid, SeedPolicy, sample_fbm
 from fbmlab.variations import monomial_map, parse_integrand, sin_map
 from fbmlab.analysis import window_moments
 
@@ -62,39 +62,36 @@ class TestScalingFit:
 class TestMomentScaling:
     def test_validation(self):
         # the scaling command fits these ladders: each fit needs two
-        # distinct gaps, and each window must fit its grid
+        # distinct gaps, and each window must fit the steps it reads
         for spec in DEFAULT_SCALING_SPECS.values():
-            gaps, m = spec["gaps"], Grid(spec["n"], spec["horizon"]).m
+            gaps, steps = spec["gaps"], spec["steps"]
             assert list(gaps) == sorted(set(gaps)) and len(gaps) >= 2
-            assert 1 <= gaps[0] and gaps[-1] <= m
+            assert 1 <= gaps[0] and gaps[-1] <= steps <= SCALING_N
 
     def test_cubic_smoke_slope(self):
-        fit = _fit(Estimator.CUBIC_4TH, 1024, [128, 256, 512, 1024], 5, horizon=1.0)
+        fit = _fit(Estimator.CUBIC_4TH, 1024, [128, 256, 512, 1024], 5, steps=1024)
         assert 1.2 < fit["slope"] < 2.5
         assert fit["r_squared"] > 0.9
 
     def test_weighted_smoke_slope(self):
-        fit = _fit(Estimator.WEIGHTED_CUBIC_2ND, 2048, [32, 64, 128, 256], 6, horizon=0.125)
+        fit = _fit(Estimator.WEIGHTED_CUBIC_2ND, 2048, [32, 64, 128, 256], 6, steps=256)
         assert 0.7 < fit["slope"] < 1.8
 
     def test_cubic_row_even_under_reflection(self):
         # integer powers as products: -B gives the row of B byte for byte
         grid, gaps = Grid(8192), (512, 1024, 2048, 4096, 8192)
         for r in range(3):
-            path = sample_fbm(grid, SeedPolicy(2, r))
-            flipped = Path(grid, -path.values)
-            row = window_moments(Estimator.CUBIC_4TH, path, gaps, sin_map())
-            mirrored = window_moments(Estimator.CUBIC_4TH, flipped, gaps, sin_map())
+            values = sample_fbm(grid, SeedPolicy(2, r)).values
+            row = window_moments(Estimator.CUBIC_4TH, values, gaps, sin_map())
+            mirrored = window_moments(Estimator.CUBIC_4TH, -values, gaps, sin_map())
             assert mirrored.tobytes() == row.tobytes()
 
 
-def _fit(estimator, n, gaps, master_seed, horizon, replications=200):
-    grid = Grid(n, horizon)
-    rows = [
-        window_moments(estimator, sample_fbm(grid, SeedPolicy(master_seed, r)), gaps, sin_map())
-        for r in range(replications)
-    ]
-    return moment_scaling(n, gaps, np.array(rows), replications)
+def _fit(estimator, n, gaps, master_seed, steps, replications=200):
+    # as scaling fits: the window moments of the first steps of each path on Grid(n)
+    stat = lambda path: window_moments(estimator, path.values[: steps + 1], gaps, sin_map())
+    moments = run_paths(Grid(n), {"m": stat}, replications, master_seed, workers=1)["m"]
+    return moment_scaling(n, gaps, moments, replications)
 
 
 class TestTaylor:

@@ -7,6 +7,7 @@ import os
 import re
 import shlex
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,13 +16,14 @@ from fbmlab import analysis, checks, experiments, quadrature
 from fbmlab.cli import DISPATCH_UFUNCS, _build_parser, _config_from, _json_bytes, main
 from fbmlab.errors import DomainError
 from fbmlab.experiments import (
+    SCALING_N,
     converge_experiment,
     hermite_experiment,
     identity_experiment,
     sextic_experiment,
     usable_cores,
 )
-from fbmlab.sampler import RNG_STREAM_VERSION
+from fbmlab.sampler import RNG_STREAM_VERSION, Grid
 from fbmlab.variations import parse_integrand_list
 
 
@@ -160,7 +162,7 @@ class TestConfigHandling:
         # correlations by a zero variance: the spec is refused before any draw
         def no_draws(*args, **kwargs):
             raise AssertionError("drew paths for a zero integrand")
-        monkeypatch.setattr(experiments, "run_tasks", no_draws)
+        monkeypatch.setattr(experiments, "run_paths", no_draws)
         code, _, err = run(capsys, command, "--n-list", "64", "--replications", "200",
                            "--integrand", spec, "--check", "--output-dir", str(tmp_path / "out"))
         assert code == 2
@@ -183,7 +185,7 @@ class TestConfigHandling:
         # a KS sample, an overflowing variance or a report holding a non-finite value
         def no_draws(*args, **kwargs):
             raise AssertionError("drew paths for a non-finite target")
-        monkeypatch.setattr(experiments, "run_tasks", no_draws)
+        monkeypatch.setattr(experiments, "run_paths", no_draws)
         code, _, err = run(capsys, command, "--n-list", "4096", "--replications", "2000",
                            "--integrand", spec, "--check", "--output-dir", str(tmp_path / "out"))
         assert code == 2
@@ -198,7 +200,7 @@ class TestConfigHandling:
 
         def drew(*args, **kwargs):
             raise Drew
-        monkeypatch.setattr(experiments, "run_tasks", drew)
+        monkeypatch.setattr(experiments, "run_paths", drew)
         with pytest.raises(Drew):
             run(capsys, "converge", "--n-list", "256", "--replications", "200",
                 "--integrand", "exp:1,26", "--output-dir", str(tmp_path / "out"))
@@ -238,6 +240,21 @@ class TestConfigHandling:
                            "--check", "--output-dir", str(tmp_path / "out"))
         assert code == 2
         assert "repeats" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["converge", "variations", "sextic", "hermite"])
+    def test_grid_not_dividing_the_largest_is_refused_before_drawing(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        # every grid is read from one path on the largest, which 96 steps
+        # cannot be read from: refused before any path is drawn
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew paths for a grid ladder it refuses")
+        monkeypatch.setattr(experiments, "sample_fbm_block", no_draws)
+        code, _, err = run(capsys, command, "--n-list", "96,256", "--replications", "60",
+                           "--check", "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert "config error: grid sizes [96] do not divide the largest, 256" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["converge", "hermite"])
@@ -356,6 +373,24 @@ class TestReportsAndManifest:
             assert set(timings) == {"draw_s", "stats_s", "pools"}
             assert timings["draw_s"] >= 0.0 and timings["stats_s"] >= 0.0
             assert timings["pools"] == int(workers == "2" and usable_cores() > 1)
+
+    @pytest.mark.parametrize("argv", MONTE_CARLO_RUNS, ids=lambda argv: argv[0])
+    def test_one_grid_drawn_once_per_replication(self, capsys, monkeypatch, tmp_path, argv):
+        # each command draws its largest grid (scaling: SCALING_N steps)
+        # once per replication, and nothing else: replications x N steps
+        drawn, block = Counter(), experiments.sample_fbm_block
+
+        def counted(grid, seeds):
+            drawn[grid] += len(seeds)
+            return block(grid, seeds)
+        monkeypatch.setattr(experiments, "sample_fbm_block", counted)
+        code, *_ = run(capsys, *argv, "--workers", "1", "--output-dir", str(tmp_path))
+        assert code == 0
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        n = max(map(int, flags["--n-list"].split(","))) if "--n-list" in flags else SCALING_N
+        replications = int(flags["--replications"])
+        assert drawn == {Grid(n): replications}
+        assert sum(grid.m * rows for grid, rows in drawn.items()) == replications * n
 
     def test_manifest_records_the_numeric_dispatch(self, capsys, monkeypatch, tmp_path):
         # numpy's kernel for each ufunc whose last bits differ by CPU, read when

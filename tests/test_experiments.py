@@ -18,10 +18,9 @@ from fbmlab.experiments import (
     _sextic_row,
     audit_experiment,
     converge_experiment,
-    fbm_draws,
     hermite_experiment,
     identity_experiment,
-    run_tasks,
+    run_paths,
     sampler_experiment,
     scaling_experiment,
     sextic_experiment,
@@ -247,6 +246,26 @@ class TestSextic:
             assert np.array(_sextic_row(flipped)).tobytes() == np.array(_sextic_row(path)).tobytes()
 
 
+class TestCoupledGrids:
+    """Every grid of a ladder is read from one path on the largest grid."""
+
+    def test_finest_grid_is_as_if_drawn_alone(self):
+        # variations' n = 256 row and columns do not depend on the coarser 64
+        [_, (row, cols)] = identity_experiment([64, 256], 60, 17)
+        [(alone_row, alone_cols)] = identity_experiment([256], 60, 17)
+        assert row == alone_row
+        np.testing.assert_equal(cols, alone_cols)
+
+    def test_coarse_levels_subsample_the_finest_path(self):
+        # B(1) is one value on every level, and a coarse level's statistic
+        # is that of values[::k] of the finest path
+        runs = converge_experiment([32, 64, 256], 60, 7, [sin_map()])
+        assert all(est["B"].tobytes() == runs[-1][1]["B"].tobytes() for _, est, _ in runs)
+        res = sextic_experiment([32, 256], 60, 7)
+        coarse = [_sextic_row(Path(Grid(32), p.values[::8]))[0] for p in _paths(256, 7, 60)]
+        assert res["median_sup_deviation"][0] == float(np.median(coarse))
+
+
 class TestHermite:
     def test_mean_matches_exact_finite_n(self):
         # unbiased check: the MC mean of the left variation must sit within
@@ -365,9 +384,9 @@ class FakeContext:
         return [worker(job) for job in jobs]
 
 
-def stream_ids(lo, hi):
-    """A draw whose sample of replication r is r itself."""
-    return range(lo, hi)
+def stream_ids(grid, seeds):
+    """A sample_fbm_block stand-in whose sample of replication r is r itself."""
+    return [policy.stream_id for policy in seeds]
 
 
 class TestRunReplications:
@@ -383,18 +402,17 @@ class TestRunReplications:
         else:
             monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(experiments, "sample_fbm_block", stream_ids)
         stats = {"r": lambda r: float(r), "sq": lambda r: float(r * r)}
-        tasks = [(stream_ids, stats), (lambda lo, hi: range(lo + 1, hi + 1), stats)]
-        many = run_tasks(tasks, 2000, workers=10_000)
+        many = run_paths(Grid(64), stats, 2000, 5, workers=10_000)
         assert fake.sizes == [3]
-        few = run_tasks(tasks, 2000, workers=2)
+        few = run_paths(Grid(64), stats, 2000, 5, workers=2)
         assert fake.sizes == [3, 2]
-        serial = run_tasks(tasks, 2000, workers=1)
+        serial = run_paths(Grid(64), stats, 2000, 5, workers=1)
         assert fake.sizes == [3, 2]
-        for shift, columns in enumerate(zip(many, few, serial)):
-            for name in stats:
-                a, b, c = (cols[name].tolist() for cols in columns)
-                assert a == b == c == [stats[name](r + shift) for r in range(2000)]
+        for name in stats:
+            a, b, c = (cols[name].tolist() for cols in (many, few, serial))
+            assert a == b == c == [stats[name](r) for r in range(2000)]
 
     def test_chunks_follow_usable_cores(self, monkeypatch):
         # --workers 64 on two usable cores makes the chunks of two workers,
@@ -408,7 +426,7 @@ class TestRunReplications:
 
     def test_timings_sum_every_chunk(self, monkeypatch):
         # on a clock that only the draw (1 s a path) and the statistics
-        # (10 s each) advance, the totals count every chunk of every task
+        # (10 s each) advance, the totals count every chunk
         fake = FakeContext()
         monkeypatch.setattr(multiprocessing, "get_context", fake)
         monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1},
@@ -420,13 +438,13 @@ class TestRunReplications:
         def tick(seconds):
             clock[0] += seconds
 
-        def draw(lo, hi):
-            for r in stream_ids(lo, hi):
-                tick(1.0)
-                yield r
+        def draw(grid, seeds):
+            tick(1.0 * len(seeds))
+            return stream_ids(grid, seeds)
 
+        monkeypatch.setattr(experiments, "sample_fbm_block", draw)
         stats = {"a": lambda r: tick(10.0), "b": lambda r: tick(10.0)}
-        run_tasks([(draw, stats)] * 3, 10, workers=2)
+        run_paths(Grid(64), stats, 30, 5, workers=2)
         assert fake.sizes == [2]
         assert experiments.TIMINGS == {"pools": 1, "draw_s": 30.0, "stats_s": 600.0}
 
@@ -438,11 +456,11 @@ class TestRunReplications:
         out = fresh_python(
             "import resource\n"
             "from fbmlab.sampler import Grid\n"
-            "from fbmlab.experiments import fbm_draws, run_tasks\n"
-            "tasks = [(fbm_draws(Grid(16384), 2), {'b': lambda path: path.values[-1]})]\n"
-            "run_tasks(tasks, 2, workers=1)\n"
+            "from fbmlab.experiments import run_paths\n"
+            "stats = {'b': lambda path: path.values[-1]}\n"
+            "run_paths(Grid(16384), stats, 2, 2, workers=1)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "run_tasks(tasks, 50, workers=1)\n"
+            "run_paths(Grid(16384), stats, 50, 2, workers=1)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
         assert int(out) < 5 * 50
@@ -451,8 +469,8 @@ class TestRunReplications:
 class TestOnePoolPerCommand:
     def test_every_grid_of_a_command_shares_one_pool(self, monkeypatch):
         # sextic's five levels, two grids of variations, converge and hermite
-        # (two integrands), and scaling's two grids: one pool each, and the
-        # same results as a serial run
+        # (two integrands), and scaling's three estimators: one pool each,
+        # and the same results as a serial run
         runs = {
             "sextic": lambda w: sextic_experiment([16, 32, 64, 128, 256], 60, 17, workers=w),
             "variations": lambda w: identity_experiment([64, 128], 60, 17, workers=w),
@@ -485,12 +503,14 @@ class TestFbmDraws:
         "grid", [Grid(64), Grid(4096), Grid(8192), Grid(8192, 0.25), Grid(16384)]
     )
     def test_blocks_need_not_align_with_chunks(self, grid):
-        # a chunk's blocks start at its first replication (8, 4, 2, 8 and 1
-        # rows here); every path equals its single-row draw, and views kept
-        # from earlier blocks are not overwritten by later ones
-        kept = [path.values for path in fbm_draws(grid, 5)(3, 22)]
-        assert len(kept) == 19
-        for r, values in enumerate(kept, start=3):
+        # a chunk's blocks start at its first replication (chunks 0, 5, 11
+        # and 16 of 22; blocks of 8, 4, 2, 8 and 1 rows here); every path
+        # equals its single-row draw, and views kept from earlier blocks are
+        # not overwritten by later ones
+        kept = run_paths(grid, {"v": lambda path: path.values}, 22, 5, workers=1)["v"]
+        assert experiments._chunks(22, 1) == [(0, 5), (5, 11), (11, 16), (16, 22)]
+        assert kept.shape == (22, grid.m + 1)
+        for r, values in enumerate(kept):
             assert values.tobytes() == sample_fbm(grid, SeedPolicy(5, r)).values.tobytes()
 
 

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from fbmlab.errors import DomainError
-from fbmlab.experiments import fbm_draws, run_tasks
+from fbmlab.experiments import run_paths
 from fbmlab.kernel import anchor_cube_sums, cov_r, kappa_constant, rho
 from fbmlab.quadrature import (
     closed_mean,
@@ -347,7 +347,7 @@ class TestRiemannExactMean:
             - g.antiderivative()(path.values[-1]) + g.antiderivative()(0.0)
             for g in maps
         }
-        [cols] = run_tasks([(fbm_draws(Grid(n), 5), stats)], replications, workers=2)
+        cols = run_paths(Grid(n), stats, replications, 5, workers=2)
         for g in maps:
             col = cols[g.label]
             se = np.std(col, ddof=1) / math.sqrt(replications)

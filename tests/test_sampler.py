@@ -5,7 +5,7 @@ from scipy.stats import ks_2samp
 from fbmlab.errors import DomainError
 from fbmlab.sampler import Grid, SeedPolicy, sample_bm, sample_fbm, sample_fbm_block
 from fbmlab.checks import KS_COEFF_001
-from fbmlab.kernel import cov_r, rho
+from fbmlab.kernel import rho
 from fbmlab.sampler import _circulant_sqrt_eigs
 
 
@@ -137,21 +137,6 @@ class TestFbmSampler:
         )
         critical = KS_COEFF_001 * np.sqrt(2.0 / reps)
         assert ks_2samp(chol, circ).statistic < critical
-
-    def test_empirical_gram(self):
-        grid = Grid(64)
-        probes = np.array([8, 16, 32, 64])
-        reps = 3000
-        vals = np.array(
-            [sample_fbm(grid, SeedPolicy(17, r)).values[probes] for r in range(reps)]
-        )
-        t = probes / grid.n
-        target = cov_r(t[:, None], t[None, :])
-        prods = vals[:, :, None] * vals[:, None, :]
-        z = np.abs(prods.mean(axis=0) - target) / (
-            prods.std(axis=0, ddof=1) / np.sqrt(reps)
-        )
-        assert z.max() < 4.0
 
     def test_stationary_increment_variance(self):
         grid = Grid(1024)
