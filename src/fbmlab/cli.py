@@ -325,6 +325,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Block OpenSSL's libcrypto before numpy.random loads it through secrets
+    # and hmac, which fall back to CPython's own digests; hashlib.sha256 and
+    # every manifest digest are the same either way.
+    sys.modules.setdefault("_hashlib", None)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

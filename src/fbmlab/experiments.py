@@ -8,12 +8,11 @@ statistic is applied to that one path: a grid ladder reads each coarser
 grid of n steps as values[::N // n] of the N-step path (fBm restricted to
 a coarser grid is exactly fBm there), and scaling's weighted estimators
 read its first quarter.  The engine splits the replication range into
-chunks and fans them out over one fork-only process pool, so a command
-forks at most one pool; the grid and statistics are left in a
-module-level slot before the pool starts, so forked workers inherit them
-and only (lo, hi) bounds cross the process boundary.  A chunk synthesises
-its paths in small blocks that share one batched FFT, each path
-byte-identical to its one-row draw.  Columns come back concatenated in
+chunks and forks at most one set of workers per command to run them
+(fanout.fork_map); the grid and statistics are left in a module-level slot
+before the fork, so the workers inherit them and only columns come back.
+A chunk synthesises its paths in small blocks that share one batched FFT,
+each path byte-identical to its one-row draw.  Columns come back in
 replication order, and every reduction over them (medians, means, ordered
 sums) runs in that order, so results are independent of chunking and of
 the worker count.  Each chunk also returns the seconds it spent drawing
@@ -76,14 +75,14 @@ def _decreasing(values) -> bool:
 
 
 def usable_cores() -> int:
-    """The cores this process may run on, which caps the pool and the chunk count."""
+    """The cores this process may run on, which caps the workers and the chunk count."""
     affinity = getattr(os, "sched_getaffinity", None)  # missing on some platforms
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 # Engine totals since the last clear, which the CLI writes to the manifest:
 # draw_s and stats_s, the seconds chunks spent drawing paths and applying
-# statistics, summed in replication order, and pools, the pools forked.
+# statistics, summed in replication order, and pools, the times workers were forked.
 TIMINGS = Counter()
 
 
@@ -91,11 +90,10 @@ def _pmap(worker, jobs, workers: int):
     size = min(workers, len(jobs), usable_cores())
     if size <= 1:
         return [worker(job) for job in jobs]
-    from multiprocessing import get_context  # loaded only by commands that fork a pool
+    from .fanout import fork_map  # loaded only by commands that fork
 
     TIMINGS["pools"] += 1
-    with get_context("fork").Pool(size) as pool:
-        return pool.map(worker, jobs, chunksize=1)
+    return fork_map(worker, jobs, size)
 
 
 def _chunks(replications: int, workers: int):
@@ -138,14 +136,14 @@ def _replicate(bounds):
 def run_paths(grid: Grid, stats: dict, replications: int, master_seed: int,
               workers: int) -> dict[str, np.ndarray]:
     """Named columns of per-path statistics of the fBm paths on grid of the
-    streams (master_seed, r), r = 0..replications-1, from at most one pool.
+    streams (master_seed, r), r = 0..replications-1, from at most one fork.
 
     Each callable in stats maps one path to a scalar or an array; column
     name holds stats[name] of every replication, stacked along axis 0 in
     replication order.
     """
     global _RUN
-    # Before the fork, so pool workers inherit it: freeing one 4 MiB block
+    # Before the fork, so the workers inherit it: freeing one 4 MiB block
     # raises glibc malloc's mmap threshold to 4 MiB and its trim threshold
     # to 8 MiB.  At their start values (128 KiB each) every array of at
     # least 128 KiB, such as the FFT buffers of scaling's 8,192-step paths
@@ -374,18 +372,19 @@ def _sextic_row(path) -> tuple[float, float]:
     return np.max(np.abs(v6 - 15.0 * path.grid.times())), v6[-1]
 
 
-def sextic_experiment(
-    n_list,
-    replications: int,
-    master_seed: int,
-    workers: int = 1,
-) -> dict:
+def _median(x) -> float:
+    """np.median of x, by its own partition and mean, without importing numpy.ma."""
+    half = len(x) // 2
+    return float(np.mean(np.partition(x, [half - 1, half])[half - 1 + len(x) % 2 : half + 1]))
+
+
+def sextic_experiment(n_list, replications: int, master_seed: int, workers: int = 1) -> dict:
     """Median sup-deviation of V^6_n from 15t per grid level, plus the mean
     of V^6_n(B, 1) at the finest level against 15, as the report of the
     sextic command."""
     n_list = sorted(int(n) for n in n_list)
     cols = run_paths(*_ladder(n_list, _sextic_row), replications, master_seed, workers)
-    medians = [float(np.median(cols[n][:, 0])) for n in n_list]
+    medians = [_median(cols[n][:, 0]) for n in n_list]
     final = cols[n_list[-1]][:, 1]  # the finest level's paths serve its median and the mean
     return {
         "n_list": n_list,

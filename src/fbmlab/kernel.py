@@ -59,7 +59,16 @@ def rho(r):
     rho(0) = 1, rho(r) < 0 for r != 0, and |rho(r)| ~ (1/9) r^{-5/3}.
     """
     r = np.asarray(r, dtype=float)
-    out = 0.5 * (_cbrt_abs(r + 1) + _cbrt_abs(r - 1) - 2.0 * _cbrt_abs(r))
+    # 0.5 * (cbrt|r + 1| + cbrt|r - 1| - 2.0 * cbrt|r|) bit for bit, by the same
+    # ufuncs on the same operands, in two buffers; out= keeps a 0-d input an array
+    out, tmp = np.add(r, 1.0, out=np.empty_like(r)), np.subtract(r, 1.0, out=np.empty_like(r))
+    for buf in (out, tmp):
+        np.cbrt(np.abs(buf, out=buf), out=buf)
+    out += tmp
+    np.cbrt(np.abs(r, out=tmp), out=tmp)
+    tmp *= 2.0
+    out -= tmp
+    out *= 0.5
     return out if out.ndim else float(out)
 
 
@@ -104,7 +113,8 @@ def kappa_constant(truncation_radius: int = DEFAULT_TRUNCATION) -> KernelConstan
     if truncation_radius < 0:
         raise DomainError("truncation radius must be nonnegative")
     lags = np.arange(-truncation_radius, truncation_radius + 1)
-    kappa_sq = 6.0 * float(np.sum(rho(lags) ** 3))
+    cubes = rho(lags)
+    kappa_sq = 6.0 * float(np.sum(np.power(cubes, 3, out=cubes)))
     return KernelConstants(
         kappa_sq=kappa_sq,
         kappa=float(np.sqrt(kappa_sq)),

@@ -671,36 +671,41 @@ class TestImports:
         lines = out.splitlines()  # kappa prints its JSON in between
         assert (lines[0], lines[-1]) == ("False", "0 False")
 
-    def test_only_a_forking_command_loads_multiprocessing(self, fresh_python, tmp_path):
-        # the CLI and the exact commands never load multiprocessing or socket;
-        # sextic loads them just before its pool forks
+    def test_no_command_loads_multiprocessing(self, fresh_python, tmp_path):
+        # no command loads multiprocessing or socket; workers are forked by
+        # fbmlab.fanout, which only a command that forks loads
         out = fresh_python(
             "import sys\n"
-            "from fbmlab import cli\n"
-            "from fbmlab.experiments import usable_cores\n"
+            "from fbmlab import cli, experiments\n"
+            "experiments.os.sched_getaffinity = lambda pid: {0, 1}\n"
             "def loaded():\n"
-            "    return [m for m in ('multiprocessing', 'socket') if m in sys.modules]\n"
+            "    return [m for m in ('multiprocessing', 'socket', 'fbmlab.fanout')\n"
+            "            if m in sys.modules]\n"
             "bare = loaded()\n"
             "for argv in (['kappa'], ['taylor'], ['audit', '--n-list', '64,128']):\n"
             f"    assert cli.main([*argv, '--check', '--output-dir', {str(tmp_path)!r}]) == 0\n"
             "exact = loaded()\n"
             "cli.main(['sextic', '--n-list', '64', '--replications', '30', '--workers', '2',\n"
             f"          '--output-dir', {str(tmp_path)!r}])\n"
-            "print(bare, exact, ('multiprocessing' in sys.modules) == (usable_cores() > 1))\n"
+            "print(bare, exact, loaded())\n"
         )
-        assert out.splitlines()[-1] == "[] [] True"
+        assert out.splitlines()[-1] == "[] [] ['fbmlab.fanout']"
 
     def test_exact_commands_load_no_libcrypto_random_or_polynomial(self, fresh_python,
                                                                     tmp_path):
         # kappa, taylor and audit hash with CPython's own SHA-256, draw nothing
-        # and evaluate polynomials by Horner; their digests are hashlib's
+        # and evaluate polynomials by Horner; their digests are hashlib's.  A
+        # None in sys.modules is a module the CLI blocked, not one it loaded.
         out = fresh_python(
             "import json, os, sys\n"
             "from fbmlab import cli\n"
             "for argv in (['kappa'], ['taylor'], ['audit', '--n-list', '64,128']):\n"
             f"    assert cli.main([*argv, '--check', '--output-dir', {str(tmp_path)!r}]) == 0\n"
             "print([m for m in ('_hashlib', 'numpy.random', 'numpy.polynomial')\n"
-            "       if m in sys.modules])\n"
+            "       if sys.modules.get(m) is not None])\n"
+            "if sys.platform.startswith('linux'):\n"
+            "    with open('/proc/self/maps') as handle:\n"
+            "        assert 'libcrypto' not in handle.read()\n"
             "import hashlib\n"
             "for command in ('kappa', 'taylor', 'audit'):\n"
             f"    base = os.path.join({str(tmp_path)!r}, command)\n"
@@ -717,6 +722,35 @@ class TestImports:
             "taylor ['report.json']",
             "audit ['report.json']",
         ]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_monte_carlo_processes_map_no_libcrypto(self, fresh_python, tmp_path):
+        # numpy.random loads in both forked workers of a --workers 2 command,
+        # and in the parent of a --workers 1 one, and none of them maps
+        # OpenSSL's libcrypto
+        out = fresh_python(
+            "import os, sys\n"
+            "from fbmlab import cli, experiments, fanout\n"
+            "experiments.os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "def seen():\n"
+            "    with open('/proc/self/maps') as handle:\n"
+            "        maps = handle.read()\n"
+            "    return os.getpid(), 'numpy.random' in sys.modules, 'libcrypto' in maps\n"
+            "real, workers = fanout.fork_map, set()\n"
+            "def spy(worker, jobs, size):\n"
+            "    replies = real(lambda job: (worker(job), seen()), jobs, size)\n"
+            "    workers.update(state for _, state in replies)\n"
+            "    return [result for result, _ in replies]\n"
+            "fanout.fork_map = spy\n"
+            "argv = ['sextic', '--n-list', '64', '--replications', '30',\n"
+            f"        '--output-dir', {str(tmp_path)!r}]\n"
+            "assert cli.main([*argv, '--workers', '2']) == 0\n"
+            "print(len({pid for pid, _, _ in workers} - {os.getpid()}),\n"
+            "      sorted({state[1:] for state in workers}), seen()[1:])\n"
+            "assert cli.main([*argv, '--workers', '1']) == 0\n"
+            "print(seen()[1:])\n"
+        )
+        assert out.splitlines()[-2:] == ["2 [(True, False)] (False, False)", "(True, False)"]
 
     def test_commands_run_without_scipy(self, fresh_python, tmp_path):
         # any scipy import raises; a drawing command that forks a pool and an

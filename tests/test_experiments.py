@@ -1,5 +1,7 @@
+import contextlib
 import math
-import multiprocessing
+import os
+import signal
 import sys
 from collections import Counter
 from statistics import NormalDist
@@ -7,7 +9,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from fbmlab import experiments
+from fbmlab import experiments, fanout
 from fbmlab.analysis import KS_MIN_SAMPLES
 from fbmlab.checks import judge
 from fbmlab.errors import CapabilityError, DomainError
@@ -237,6 +239,14 @@ class TestSextic:
         assert res["mean_n"] == 128
         assert res["mean_se"] > 0
 
+    @pytest.mark.parametrize("size", [1, 2, 7, 200, 201])
+    def test_median_is_numpys(self, size):
+        # partition and the mean of the middle one or two values: np.median's
+        # own arithmetic, bit for bit, ties included
+        for x in (np.sin(np.arange(size) * 1.7) * 3.1, np.round(np.cos(np.arange(size)), 1)):
+            assert experiments._median(x) == np.median(x)
+            assert type(experiments._median(x)) is float
+
     def test_even_under_reflection(self):
         # sixth powers as products: -B gives the statistic of B byte for byte
         grid = Grid(1024)
@@ -360,28 +370,31 @@ class TestAuditExperiment:
         assert calls == []
 
 
-class FakeContext:
-    """A get_context("fork") stand-in whose Pool records its size and maps in-process."""
+class FakeForkMap:
+    """A fanout.fork_map stand-in that records its worker count and maps in-process."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.sizes = []
+        monkeypatch.setattr(fanout, "fork_map", self)
 
-    def __call__(self, method):
-        assert method == "fork"
-        return self
-
-    def Pool(self, size):
+    def __call__(self, worker, jobs, size):
         self.sizes.append(size)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, worker, jobs, chunksize=None):
         return [worker(job) for job in jobs]
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in this process once seconds pass, so a hang fails the test."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def stream_ids(grid, seeds):
@@ -394,8 +407,7 @@ class TestRunReplications:
     def test_pool_capped_at_usable_cores(self, monkeypatch, affinity):
         # --workers far above the core count must not fork one process per
         # replication; the chunking, and so every column, stays the same
-        fake = FakeContext()
-        monkeypatch.setattr(multiprocessing, "get_context", fake)
+        fake = FakeForkMap(monkeypatch)
         if affinity:
             monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                                 raising=False)
@@ -427,8 +439,7 @@ class TestRunReplications:
     def test_timings_sum_every_chunk(self, monkeypatch):
         # on a clock that only the draw (1 s a path) and the statistics
         # (10 s each) advance, the totals count every chunk
-        fake = FakeContext()
-        monkeypatch.setattr(multiprocessing, "get_context", fake)
+        fake = FakeForkMap(monkeypatch)
         monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         monkeypatch.setattr(experiments, "TIMINGS", Counter())
@@ -484,11 +495,56 @@ class TestOnePoolPerCommand:
         monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         for name, run in runs.items():
-            fake = FakeContext()
-            monkeypatch.setattr(multiprocessing, "get_context", fake)
+            fake = FakeForkMap(monkeypatch)
             pooled = run(2)
             assert fake.sizes == [2], name
             np.testing.assert_equal(pooled, serial[name], err_msg=name)
+
+    def test_forked_workers_match_a_serial_run(self, monkeypatch):
+        # the real fork_map: worker k runs chunks k, k + 2, ..., and the
+        # columns come back in replication order, every worker reaped
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(experiments, "TIMINGS", Counter())
+        stats = {"v": lambda path: path.values, "pid": lambda path: os.getpid()}
+        serial = run_paths(Grid(64), stats, 30, 5, workers=1)
+        forked = run_paths(Grid(64), stats, 30, 5, workers=2)
+        assert forked["v"].tobytes() == serial["v"].tobytes()
+        assert len(set(forked["pid"]) - {os.getpid()}) == 2
+        assert experiments.TIMINGS["pools"] == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_killed_worker_is_a_capability_error(self, monkeypatch):
+        # a worker that dies without writing its results fails the call at
+        # once instead of hanging it, and leaves no process behind
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        parent = os.getpid()
+
+        def die(path):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return 0.0
+
+        with deadline(10), pytest.raises(CapabilityError, match="exited with code -9"):
+            run_paths(Grid(64), {"x": die}, 20, 5, workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_error_reaches_the_caller(self):
+        # worker 1 of 2 (jobs 1 and 3) refuses a job; the caller gets its
+        # DomainError, and its sibling, which succeeded, is reaped too
+        def refuse(job):
+            if job == 3:
+                raise DomainError("job 3 refused")
+            return job
+
+        with deadline(10), pytest.raises(DomainError, match="job 3 refused"):
+            fanout.fork_map(refuse, [0, 1, 2, 3], 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert fanout.fork_map(lambda job: -job, [0, 1, 2, 3, 4], 2) == [0, -1, -2, -3, -4]
 
     def test_hermite_integrands_read_the_same_paths(self):
         [(sin_row, sin_cols)] = hermite_experiment([64], 30, 23)

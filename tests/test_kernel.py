@@ -67,6 +67,18 @@ class TestLagSequence:
     def test_rho_at_one(self):
         assert rho(1) == pytest.approx((2.0 ** (1 / 3) - 2.0) / 2.0, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "r", [0, -2.5, np.array(7.0), [1, 2], np.arange(-10_000, 10_001),
+              np.linspace(-50.0, 50.0, 1001).reshape(7, 143), np.arange(-300.0, 300.0)[::3]],
+    )
+    def test_rho_is_the_out_of_place_formula(self, r):
+        # evaluated in place, bit for bit the formula's value and type
+        x = np.asarray(r, dtype=float)
+        ref = 0.5 * (np.cbrt(np.abs(x + 1)) + np.cbrt(np.abs(x - 1)) - 2.0 * np.cbrt(np.abs(x)))
+        ref = ref if ref.ndim else float(ref)
+        assert type(rho(r)) is type(ref)
+        assert np.asarray(rho(r)).tobytes() == np.asarray(ref).tobytes()
+
     def test_rho_even(self):
         r = np.arange(1, 200)
         assert np.array_equal(np.asarray(rho(r)), np.asarray(rho(-r)))
@@ -107,6 +119,7 @@ class TestKappa:
 
     def test_reference_values(self):
         kc = kappa_constant(10_000)
+        assert kc.kappa_sq == 5.391164368226857  # 6 * sum(rho(lags) ** 3), bit for bit
         assert kc.kappa_sq == pytest.approx(5.391, abs=1e-3)
         assert kc.kappa == pytest.approx(2.322, abs=5e-3)
         assert kc.tail_bound < 1e-12
