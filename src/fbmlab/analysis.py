@@ -86,7 +86,7 @@ def moment_scaling(n: int, gaps, moments: np.ndarray, replications: int) -> dict
 
     moments stacks the window_moments of every replication in replication
     order; its rows are summed one after another in that order, so the fit
-    does not depend on how the replications were chunked.
+    does not depend on how the replications were split between workers.
     """
     rows = np.asarray(moments).reshape(-1, len(gaps))
     x = np.log(np.array(gaps) / n)

@@ -1,14 +1,14 @@
 """The acceptance checks in one table, shared by --check and the acceptance suite.
 
 Each entry names a command, a check, its scope and a predicate over the
-report row of the command's experiment, and each threshold is compared
-here alone.  A TOP check is asymptotic: judged on every row, it gates only
-at the largest grid in --n-list.  The "sampler" entries have no command;
-the acceptance suite judges sampler_experiment's row with them.  The
-measured entries (those of converge and the sampler, the correlation of
-variations, taylor's R6 and audit's anchored sums and orthogonality) map
-the row to one record per column, {value, target, tol, margin, ok}, which
-holds when |value - target| <= tol.
+report row of the command's experiment; every verdict is decided, and each
+threshold compared, here alone.  A TOP check is asymptotic: judged on
+every row, it gates only at the largest grid in --n-list.  The "sampler"
+entries have no command; the acceptance suite judges sampler_experiment's
+row with them.  The measured entries (those of converge and the sampler,
+the correlation of variations, taylor's R6 and audit's anchored sums and
+orthogonality) map the row to one record per column, {value, target, tol,
+margin, ok}, which holds when |value - target| <= tol.
 """
 
 from __future__ import annotations
@@ -52,6 +52,10 @@ class Check(NamedTuple):
     name: str
     top_only: bool  # EVERY or TOP
     holds: Callable[[dict], bool | dict[str, dict]]
+
+
+def _decreasing(values) -> bool:
+    return all(a > b for a, b in zip(values, values[1:]))
 
 
 def _within(value: float, target: float, tol: float) -> bool:
@@ -104,7 +108,7 @@ CHECKS = (
           lambda r: {"fisher_z": _record(math.atanh(r["cubic_b_corr"]),
                                          math.atanh(r["cubic_b_corr_exact"]),
                                          MEAN_SE_MULT / math.sqrt(r["replications"] - 3))}),
-    Check("sextic", "medians_decreasing", EVERY, lambda r: r["medians_decreasing"]),
+    Check("sextic", "medians_decreasing", EVERY, lambda r: _decreasing(r["median_sup_deviation"])),
     Check("sextic", "mean_ok", EVERY,
           lambda r: _within(r["mean_value"], r["mean_target"], MEAN_SE_MULT * r["mean_se"])),
     Check("hermite", "left_mean_ok", EVERY,
@@ -118,8 +122,10 @@ CHECKS = (
           lambda r: r["slope"] >= r["slope_floor"] and r["r_squared"] >= SLOPE_R2_MIN),
     Check("taylor", "max_poly_r6", EVERY,
           lambda r: {"poly": _record(r["max_poly_r6"], 0.0, TAYLOR_R6_TOL)}),
-    Check("taylor", "gamma_exact", EVERY, lambda r: r["gamma_exact"]),
-    Check("audit", "anchored_sums_decreasing", EVERY, lambda r: r["anchored_sums_decreasing"]),
+    Check("taylor", "gamma_exact", EVERY, lambda r: r["gamma"] == -1.0 / 480.0),
+    Check("audit", "anchored_sums_decreasing", EVERY,
+          lambda r: all(_decreasing([row[side] for row in r["anchored_cube_sums"]])
+                        for side in ANCHOR_SUM_COEFFS)),
     Check("audit", "anchored_sums_small", EVERY,
           lambda r: {f"n={row['n']} {side}": _record(row[side], 0.0, c * row["n"] ** (-2.0 / 3.0))
                      for row in r["anchored_cube_sums"] for side, c in ANCHOR_SUM_COEFFS.items()}),

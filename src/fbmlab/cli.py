@@ -203,11 +203,16 @@ class Emitter:
 Outcome = tuple[dict, list[str], dict[str, bytes]]
 
 
+def _judged(cfg: ExperimentConfig, report: dict) -> Outcome:
+    """A gridless report with its verdicts under checks and the overall ok."""
+    checks, failed = judge(cfg.command, report)
+    return {**report, "checks": checks, "ok": not failed}, failed, {}
+
+
 def cmd_kappa(cfg: ExperimentConfig) -> Outcome:
     payload = asdict(kappa_constant())
     print(json.dumps(payload, indent=2, sort_keys=True))
-    checks, failed = judge("kappa", payload)
-    return {**payload, "checks": checks}, failed, {}
+    return _judged(cfg, payload)
 
 
 def _judge_rows(cfg: ExperimentConfig, runs, where, csv_name=None):
@@ -249,6 +254,7 @@ def cmd_variations(cfg: ExperimentConfig) -> Outcome:
 
 
 def cmd_sextic(cfg: ExperimentConfig) -> Outcome:
+    # its verdicts stay at the top level, where perfbench's VERDICTS reads them
     report = sextic_experiment(cfg.n_list, cfg.replications, cfg.master_seed, cfg.workers)
     checks, failed = judge("sextic", report)
     return {**report, **checks}, failed, {}
@@ -283,15 +289,11 @@ def cmd_scaling(cfg: ExperimentConfig) -> Outcome:
 
 
 def cmd_taylor(cfg: ExperimentConfig) -> Outcome:
-    report = taylor_experiment()
-    failed = judge("taylor", report)[1]
-    return {**report, "ok": not failed}, failed, {}
+    return _judged(cfg, taylor_experiment())
 
 
 def cmd_audit(cfg: ExperimentConfig) -> Outcome:
-    report = audit_experiment(cfg.n_list)
-    failed = judge("audit", report)[1]
-    return {**report, "ok": not failed}, failed, {}
+    return _judged(cfg, audit_experiment(cfg.n_list))
 
 
 _COMMANDS = {

@@ -8,20 +8,21 @@ statistic is applied to that one path: a grid ladder reads each coarser
 grid of n steps as values[::N // n] of the N-step path (fBm restricted to
 a coarser grid is exactly fBm there), and scaling's weighted estimators
 read its first quarter.  The engine splits the replication range into
-chunks and forks at most one set of workers per command to run them
-(fanout.fork_map); the grid and statistics are left in a module-level slot
-before the fork, so the workers inherit them and only columns come back.
-A chunk synthesises its paths in small blocks that share one batched FFT,
-each path byte-identical to its one-row draw.  Columns come back in
-replication order, and every reduction over them (medians, means, ordered
-sums) runs in that order, so results are independent of chunking and of
-the worker count.  Each chunk also returns the seconds it spent drawing
-and in statistics, which TIMINGS sums for the manifest.  No experiment
-samples a limit law, and every law is judged against its exact target:
-converge judges the paper's conditional limit through pivots built from
-its own paths and exact finite-n means, and sampler_experiment the
-sampler's exact covariance against cov_r and its B(1) by a one-sample KS
-against N(0, 1).  Every experiment runs on [0, 1].
+one contiguous range per worker, and with more than one worker forks them
+once per command (fanout.fork_map); each worker inherits the grid and
+statistics by the fork, and only columns come back.  A worker synthesises
+its paths in small blocks that share one batched FFT, each path
+byte-identical to its one-row draw.  Columns come back in replication
+order, and every reduction over them (medians, means, ordered sums) runs
+in that order, so results are independent of the worker count.  Each
+worker also returns the seconds it spent drawing and in statistics, which
+TIMINGS sums for the manifest.  No experiment samples a limit law, and
+every law is judged against its exact target: converge judges the paper's
+conditional limit through pivots built from its own paths and exact
+finite-n means, and sampler_experiment the sampler's exact covariance
+against cov_r and its B(1) by a one-sample KS against N(0, 1).  The
+experiments return measurements only; checks.CHECKS judges them.  Every
+experiment runs on [0, 1].
 """
 
 from __future__ import annotations
@@ -70,36 +71,26 @@ from .variations import (
 )
 
 
-def _decreasing(values) -> bool:
-    return all(a > b for a, b in zip(values, values[1:]))
-
-
 def usable_cores() -> int:
-    """The cores this process may run on, which caps the workers and the chunk count."""
+    """The cores this process may run on, which caps the workers."""
     affinity = getattr(os, "sched_getaffinity", None)  # missing on some platforms
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 # Engine totals since the last clear, which the CLI writes to the manifest:
-# draw_s and stats_s, the seconds chunks spent drawing paths and applying
+# draw_s and stats_s, the seconds workers spent drawing paths and applying
 # statistics, summed in replication order, and pools, the times workers were forked.
 TIMINGS = Counter()
 
 
-def _pmap(worker, jobs, workers: int):
-    size = min(workers, len(jobs), usable_cores())
-    if size <= 1:
+def _pmap(worker, jobs):
+    """[worker(job) for job in jobs], one forked worker per job if there are several."""
+    if len(jobs) <= 1:
         return [worker(job) for job in jobs]
     from .fanout import fork_map  # loaded only by commands that fork
 
     TIMINGS["pools"] += 1
-    return fork_map(worker, jobs, size)
-
-
-def _chunks(replications: int, workers: int):
-    pieces = max(1, min(replications, 4 * min(workers, usable_cores())))
-    bounds = np.linspace(0, replications, pieces + 1).astype(int)
-    return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    return fork_map(worker, jobs)
 
 
 # Rows per block of sample_fbm_block: at most 8, and at most 2^14 steps in
@@ -108,14 +99,10 @@ def _chunks(replications: int, workers: int):
 # touched, so 16,384-step paths are synthesised one at a time.
 FBM_BLOCK_ROWS, FBM_BLOCK_STEPS = 8, 1 << 14
 
-# (grid, stats, master_seed) of the running run_paths call; forked workers inherit it
-_RUN = None
 
-
-def _replicate(bounds):
+def _replicate(grid: Grid, stats: dict, master_seed: int, bounds):
     """The columns of replications lo..hi-1, and their draw and statistics seconds."""
     lo, hi = bounds
-    grid, stats, master_seed = _RUN
     rows = max(1, min(FBM_BLOCK_ROWS, FBM_BLOCK_STEPS // grid.m))
     cols = {name: [] for name in stats}
     draw_s = stats_s = 0.0
@@ -136,13 +123,13 @@ def _replicate(bounds):
 def run_paths(grid: Grid, stats: dict, replications: int, master_seed: int,
               workers: int) -> dict[str, np.ndarray]:
     """Named columns of per-path statistics of the fBm paths on grid of the
-    streams (master_seed, r), r = 0..replications-1, from at most one fork.
+    streams (master_seed, r), r = 0..replications-1, split into one
+    contiguous range for each of at most workers usable cores.
 
     Each callable in stats maps one path to a scalar or an array; column
     name holds stats[name] of every replication, stacked along axis 0 in
     replication order.
     """
-    global _RUN
     # Before the fork, so the workers inherit it: freeing one 4 MiB block
     # raises glibc malloc's mmap threshold to 4 MiB and its trim threshold
     # to 8 MiB.  At their start values (128 KiB each) every array of at
@@ -150,11 +137,9 @@ def run_paths(grid: Grid, stats: dict, replications: int, master_seed: int,
     # and of longer ones, is mapped, or trimmed off the heap, and faulted in
     # afresh for every path: about 100 page faults per 16,384-step path.
     np.empty(1 << 19)
-    _RUN = grid, stats, master_seed
-    try:
-        parts = _pmap(_replicate, _chunks(replications, workers), workers)
-    finally:
-        _RUN = None
+    size = min(workers, replications, usable_cores())
+    bounds = [replications * k // size for k in range(size + 1)]
+    parts = _pmap(partial(_replicate, grid, stats, master_seed), list(zip(bounds, bounds[1:])))
     for _, (draw_s, stats_s) in parts:
         TIMINGS["draw_s"] += draw_s
         TIMINGS["stats_s"] += stats_s
@@ -279,6 +264,9 @@ def converge_experiment(
     if replications < KS_MIN_SAMPLES:
         raise DomainError(f"converge needs at least {KS_MIN_SAMPLES} replications")
     means = {n: {g.label: _finite(riemann_mean_exact, g, n) for g in integrands} for n in n_list}
+    # before run_paths raises malloc's mmap threshold: past it, the four
+    # 160 KB arrays of kappa_constant would grow the heap for good
+    kappa = kappa_constant().kappa
     for g, m_n in ((g, row[g.label]) for row in means.values() for g in integrands):
         if math.isinf(m_n * m_n):  # the pivots' sample variance squares values of order m_n
             raise DomainError(f"integrand {g.label!r}: riemann_mean_exact squared is non-finite")
@@ -287,7 +275,6 @@ def converge_experiment(
     grid, stats = _ladder(n_list, partial(_converge_stats, integrands, curved))
     cols = run_paths(grid, stats, replications, master_seed, workers)
     names = ["B", "cubic"] + [f"int_{g.label}" for g in integrands]
-    kappa = kappa_constant().kappa
     runs = []
     for n in n_list:
         columns = [col.copy() for col in cols[n].T]  # contiguous, as plain columns sum
@@ -334,8 +321,8 @@ def identity_experiment(
     z of a correlation has variance 1 / (M - 3)."""
     if replications < 4:
         raise DomainError("variations needs at least 4 replications")
+    kappa_sq = kappa_constant().kappa_sq  # before the draws, as in converge_experiment
     cols = run_paths(*_ladder(n_list, _identity_row), replications, master_seed, workers)
-    kappa_sq = kappa_constant().kappa_sq
     runs = []
     for n in n_list:
         rows = cols[n]
@@ -384,12 +371,10 @@ def sextic_experiment(n_list, replications: int, master_seed: int, workers: int 
     sextic command."""
     n_list = sorted(int(n) for n in n_list)
     cols = run_paths(*_ladder(n_list, _sextic_row), replications, master_seed, workers)
-    medians = [_median(cols[n][:, 0]) for n in n_list]
     final = cols[n_list[-1]][:, 1]  # the finest level's paths serve its median and the mean
     return {
         "n_list": n_list,
-        "median_sup_deviation": medians,
-        "medians_decreasing": _decreasing(medians),
+        "median_sup_deviation": [_median(cols[n][:, 0]) for n in n_list],
         "mean_n": n_list[-1],
         "mean_value": float(np.mean(final)),
         "mean_se": float(np.std(final, ddof=1) / math.sqrt(len(final))),
@@ -539,7 +524,6 @@ def taylor_experiment(pairs: int = 1000, poly_count: int = 25) -> dict:
         "poly_count": poly_count,
         "max_poly_r6": max_poly,
         "gamma": TAYLOR_GAMMA,
-        "gamma_exact": TAYLOR_GAMMA == -1.0 / 480.0,
         "sin_max_r6": float(np.max(np.abs(sin_r6))),
     }
 
@@ -562,8 +546,6 @@ def audit_experiment(n_list) -> dict:
     return {
         "covariance_audits": covar,
         "anchored_cube_sums": anchor,
-        "anchored_sums_decreasing": _decreasing([row["left"] for row in anchor])
-        and _decreasing([row["right"] for row in anchor]),
         "orthogonality_max_dev": max_dev,
     }
 

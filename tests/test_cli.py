@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import itertools
 import importlib.util
@@ -289,6 +290,29 @@ class TestConfigHandling:
         assert code == 3
         assert "capability" in err
 
+    def test_failed_fork_is_a_capability_error(self, capsys, monkeypatch, tmp_path):
+        # a pids limit refuses the second worker: the first is killed and
+        # reaped, and the command exits 3, naming the worker count
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        forks, fork = [], os.fork
+
+        def refuse_second():
+            forks.append(None)
+            if len(forks) > 1:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", refuse_second)
+        code, _, err = run(capsys, "sextic", "--n-list", "64", "--replications", "30",
+                           "--workers", "2", "--output-dir", str(tmp_path / "out"))
+        assert (code, len(forks)) == (3, 2)
+        assert err == ("capability error: could not start worker 2 of 2: "
+                       "[Errno 11] Resource temporarily unavailable\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert not (tmp_path / "out").exists()
+
     def test_unallocatable_grid_is_a_capability_error(self, capsys, tmp_path):
         # 2 * 10^15 doubles are 16 PB, beyond the 128 TiB x86-64 address
         # space, so the allocation is refused at once and uses no memory
@@ -565,6 +589,41 @@ class TestReportsAndManifest:
             "(value 2e-09, target 0, tol 1e-09, margin -1e-09)"
         ]
 
+    @pytest.mark.parametrize("command, names", [
+        ("kappa", {"kappa_sq_close", "kappa_close"}),
+        ("taylor", {"max_poly_r6", "gamma_exact"}),
+        ("audit", {"anchored_sums_decreasing", "anchored_sums_small", "orthogonality_max_dev"}),
+    ])
+    def test_exact_reports_hold_their_checks(self, capsys, tmp_path, command, names):
+        # an exact command's report holds every verdict of the check table
+        # under checks, measured ones as records, and the overall ok
+        code, *_ = run(capsys, command, "--n-list", "64,128", "--check",
+                       "--output-dir", str(tmp_path))
+        assert code == 0
+        report = json.loads((tmp_path / command / "report.json").read_text())
+        assert report["ok"] is True
+        assert set(report["checks"]) == names
+        assert report.keys().isdisjoint({"gamma_exact", "anchored_sums_decreasing"})
+        for verdict in report["checks"].values():
+            records = verdict.values() if isinstance(verdict, dict) else ()
+            assert all(set(record) == {"value", "target", "tol", "margin", "ok"}
+                       for record in records)
+
+    def test_taylor_failure_writes_its_record(self, capsys, monkeypatch, tmp_path):
+        # with no tolerance, R6's round-off fails the polynomial corpus, and
+        # report.json holds the same record that stderr names
+        monkeypatch.setattr(checks, "TAYLOR_R6_TOL", 0.0)
+        code, _, err = run(capsys, "taylor", "--check", "--output-dir", str(tmp_path))
+        assert code == 4
+        report = json.loads((tmp_path / "taylor" / "report.json").read_text())
+        record = report["checks"]["max_poly_r6"]["poly"]
+        assert record == {"value": report["max_poly_r6"], "target": 0.0, "tol": 0.0,
+                          "margin": -report["max_poly_r6"], "ok": False}
+        assert report["ok"] is False and report["checks"]["gamma_exact"] is True
+        assert err.splitlines() == [
+            f"check failed: taylor max_poly_r6 poly {checks._describe(record)}"
+        ]
+
     def test_audit_small(self, capsys, tmp_path):
         # the anchored sums are judged against their analytic bounds on every
         # grid, so the check holds on small grids as well
@@ -572,7 +631,7 @@ class TestReportsAndManifest:
                            "--output-dir", str(tmp_path))
         assert (code, err) == (0, "")
         report = json.loads((tmp_path / "audit" / "report.json").read_text())
-        assert report["anchored_sums_decreasing"] is True
+        assert report["checks"]["anchored_sums_decreasing"] is True
 
     def test_audit_orthogonality_failure_names_its_record(self, capsys, monkeypatch, tmp_path):
         # pair moments 2e-8 off Mehler's value fail the audit, and stderr gives
@@ -737,8 +796,8 @@ class TestImports:
             "        maps = handle.read()\n"
             "    return os.getpid(), 'numpy.random' in sys.modules, 'libcrypto' in maps\n"
             "real, workers = fanout.fork_map, set()\n"
-            "def spy(worker, jobs, size):\n"
-            "    replies = real(lambda job: (worker(job), seen()), jobs, size)\n"
+            "def spy(worker, jobs):\n"
+            "    replies = real(lambda job: (worker(job), seen()), jobs)\n"
             "    workers.update(state for _, state in replies)\n"
             "    return [result for result, _ in replies]\n"
             "fanout.fork_map = spy\n"

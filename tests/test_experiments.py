@@ -11,7 +11,7 @@ import pytest
 
 from fbmlab import experiments, fanout
 from fbmlab.analysis import KS_MIN_SAMPLES
-from fbmlab.checks import judge
+from fbmlab.checks import CHECKS, judge
 from fbmlab.errors import CapabilityError, DomainError
 from fbmlab.cli import ExperimentConfig
 from fbmlab.variations import parse_integrand, parse_integrand_list
@@ -238,6 +238,7 @@ class TestSextic:
         assert len(res["median_sup_deviation"]) == 2
         assert res["mean_n"] == 128
         assert res["mean_se"] > 0
+        assert "medians_decreasing" not in res  # a verdict, which checks.CHECKS decides
 
     @pytest.mark.parametrize("size", [1, 2, 7, 200, 201])
     def test_median_is_numpys(self, size):
@@ -343,8 +344,9 @@ class TestTaylorExperiment:
     def test_poly_corpus_closes(self):
         res = taylor_experiment(pairs=200, poly_count=10)
         assert res["max_poly_r6"] < 1e-9
-        assert res["gamma_exact"]
+        assert judge("taylor", res)[0]["gamma_exact"] is True
         assert res["gamma"] == pytest.approx(-1 / 480)
+        assert "gamma_exact" not in res
         # pairs span d up to 2, so R6 ~ d^6 |g^(6) oscillation| / 5! ~ 1e-3
         assert res["sin_max_r6"] < 0.01
 
@@ -353,9 +355,10 @@ class TestAuditExperiment:
     def test_structure(self):
         res = audit_experiment([64, 128, 256])
         assert [row["n"] for row in res["anchored_cube_sums"]] == [64, 128, 256]
-        assert res["anchored_sums_decreasing"]
+        assert judge("audit", res)[0]["anchored_sums_decreasing"] is True
         assert res["orthogonality_max_dev"] < 1e-8
         assert len(res["covariance_audits"]) == 3
+        assert "anchored_sums_decreasing" not in res
 
     def test_large_n_is_a_capability_error(self):
         # a grid above AUDIT_MAX_STEPS is refused, not dropped from the report
@@ -370,15 +373,36 @@ class TestAuditExperiment:
         assert calls == []
 
 
+class TestMovedVerdicts:
+    @pytest.mark.parametrize("command, name, row, holds", [
+        ("sextic", "medians_decreasing", {"median_sup_deviation": [0.3, 0.2, 0.1]}, True),
+        ("sextic", "medians_decreasing", {"median_sup_deviation": [0.3, 0.2, 0.2]}, False),
+        ("taylor", "gamma_exact", {"gamma": -1.0 / 480.0}, True),
+        ("taylor", "gamma_exact", {"gamma": math.nextafter(-1.0 / 480.0, 0.0)}, False),
+        ("audit", "anchored_sums_decreasing",
+         {"anchored_cube_sums": [{"left": 0.2, "right": 0.4}, {"left": 0.1, "right": 0.3}]}, True),
+        ("audit", "anchored_sums_decreasing",
+         {"anchored_cube_sums": [{"left": 0.2, "right": 0.3}, {"left": 0.1, "right": 0.3}]}, False),
+    ])
+    def test_decided_from_the_measurements(self, command, name, row, holds):
+        [check] = [c for c in CHECKS if (c.command, c.name) == (command, name)]
+        assert check.holds(row) is holds
+
+
 class FakeForkMap:
-    """A fanout.fork_map stand-in that records its worker count and maps in-process."""
+    """A fanout.fork_map stand-in that records the jobs of each call and maps in-process."""
 
     def __init__(self, monkeypatch):
-        self.sizes = []
+        self.jobs = []
         monkeypatch.setattr(fanout, "fork_map", self)
 
-    def __call__(self, worker, jobs, size):
-        self.sizes.append(size)
+    @property
+    def sizes(self) -> list[int]:
+        """The worker count of each call: one worker per job."""
+        return [len(jobs) for jobs in self.jobs]
+
+    def __call__(self, worker, jobs):
+        self.jobs.append(list(jobs))
         return [worker(job) for job in jobs]
 
 
@@ -406,7 +430,7 @@ class TestRunReplications:
     @pytest.mark.parametrize("affinity", [True, False])
     def test_pool_capped_at_usable_cores(self, monkeypatch, affinity):
         # --workers far above the core count must not fork one process per
-        # replication; the chunking, and so every column, stays the same
+        # replication, and every column stays the same
         fake = FakeForkMap(monkeypatch)
         if affinity:
             monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2},
@@ -427,14 +451,45 @@ class TestRunReplications:
             assert a == b == c == [stats[name](r) for r in range(2000)]
 
     def test_chunks_follow_usable_cores(self, monkeypatch):
-        # --workers 64 on two usable cores makes the chunks of two workers,
-        # and the default worker count is the usable cores, not every CPU
+        # --workers 64 on two usable cores splits the replications between
+        # two workers, and the default worker count is the usable cores, not
+        # every CPU
+        fake = FakeForkMap(monkeypatch)
         monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
-        assert len(experiments._chunks(2000, 64)) == len(experiments._chunks(2000, 2)) == 8
-        assert len(experiments._chunks(2000, 1)) == 4
+        monkeypatch.setattr(experiments, "sample_fbm_block", stream_ids)
+        for workers in (64, 2, 1):
+            run_paths(Grid(64), {"r": float}, 2000, 5, workers)
+        assert fake.jobs == [[(0, 1000), (1000, 2000)]] * 2
         assert ExperimentConfig("sextic").workers == 2
+
+    @pytest.mark.parametrize("workers, ranges", [
+        (1, [(0, 22)]),
+        (2, [(0, 11), (11, 22)]),
+        (3, [(0, 7), (7, 14), (14, 22)]),
+    ])
+    def test_worker_k_runs_the_kth_range(self, monkeypatch, workers, ranges):
+        # _pmap gets one contiguous range of replications per worker, so
+        # --workers 1 runs a single job in this process, and forked worker k
+        # draws every path of the k-th range
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        calls, pmap = [], experiments._pmap
+
+        def spy(worker, jobs):
+            calls.append(list(jobs))
+            return pmap(worker, jobs)
+
+        monkeypatch.setattr(experiments, "_pmap", spy)
+        pids = run_paths(Grid(64), {"pid": lambda path: os.getpid()}, 22, 5, workers)["pid"]
+        assert calls == [ranges]
+        owners = [set(pids[lo:hi]) for lo, hi in ranges]
+        assert all(len(owner) == 1 for owner in owners)
+        assert len(set.union(*owners)) == workers
+        assert (os.getpid() in pids) == (workers == 1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_timings_sum_every_chunk(self, monkeypatch):
         # on a clock that only the draw (1 s a path) and the statistics
@@ -501,8 +556,8 @@ class TestOnePoolPerCommand:
             np.testing.assert_equal(pooled, serial[name], err_msg=name)
 
     def test_forked_workers_match_a_serial_run(self, monkeypatch):
-        # the real fork_map: worker k runs chunks k, k + 2, ..., and the
-        # columns come back in replication order, every worker reaped
+        # the real fork_map: worker k runs the k-th half of the replications,
+        # and the columns come back in replication order, every worker reaped
         monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         monkeypatch.setattr(experiments, "TIMINGS", Counter())
@@ -533,18 +588,18 @@ class TestOnePoolPerCommand:
             os.waitpid(-1, os.WNOHANG)
 
     def test_worker_error_reaches_the_caller(self):
-        # worker 1 of 2 (jobs 1 and 3) refuses a job; the caller gets its
-        # DomainError, and its sibling, which succeeded, is reaped too
+        # worker 1 of 2 refuses its job; the caller gets its DomainError, and
+        # its sibling, which succeeded, is reaped too
         def refuse(job):
-            if job == 3:
-                raise DomainError("job 3 refused")
+            if job == 1:
+                raise DomainError("job 1 refused")
             return job
 
-        with deadline(10), pytest.raises(DomainError, match="job 3 refused"):
-            fanout.fork_map(refuse, [0, 1, 2, 3], 2)
+        with deadline(10), pytest.raises(DomainError, match="job 1 refused"):
+            fanout.fork_map(refuse, [0, 1])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert fanout.fork_map(lambda job: -job, [0, 1, 2, 3, 4], 2) == [0, -1, -2, -3, -4]
+        assert fanout.fork_map(lambda job: -job, [0, 1, 2]) == [0, -1, -2]
 
     def test_hermite_integrands_read_the_same_paths(self):
         [(sin_row, sin_cols)] = hermite_experiment([64], 30, 23)
@@ -558,13 +613,17 @@ class TestFbmDraws:
     @pytest.mark.parametrize(
         "grid", [Grid(64), Grid(4096), Grid(8192), Grid(8192, 0.25), Grid(16384)]
     )
-    def test_blocks_need_not_align_with_chunks(self, grid):
-        # a chunk's blocks start at its first replication (chunks 0, 5, 11
-        # and 16 of 22; blocks of 8, 4, 2, 8 and 1 rows here); every path
-        # equals its single-row draw, and views kept from earlier blocks are
-        # not overwritten by later ones
-        kept = run_paths(grid, {"v": lambda path: path.values}, 22, 5, workers=1)["v"]
-        assert experiments._chunks(22, 1) == [(0, 5), (5, 11), (11, 16), (16, 22)]
+    def test_blocks_need_not_align_with_chunks(self, grid, monkeypatch):
+        # a worker's blocks start at the first replication of its range
+        # (ranges 0, 7 and 14 of 22 over three workers, run in this process;
+        # blocks of 8, 4, 2, 8 and 1 rows here); every path equals its
+        # single-row draw, and views kept from earlier blocks are not
+        # overwritten by later ones
+        fake = FakeForkMap(monkeypatch)
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        kept = run_paths(grid, {"v": lambda path: path.values}, 22, 5, workers=3)["v"]
+        assert fake.jobs == [[(0, 7), (7, 14), (14, 22)]]
         assert kept.shape == (22, grid.m + 1)
         for r, values in enumerate(kept):
             assert values.tobytes() == sample_fbm(grid, SeedPolicy(5, r)).values.tobytes()
