@@ -127,12 +127,12 @@ def _json_bytes(payload) -> bytes:
 
 def _samples_csv(columns: dict[str, np.ndarray]) -> bytes:
     names = list(columns)
-    buffer = io.StringIO()
+    buffer = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")  # one copy: bytes
     out = csv.writer(buffer, lineterminator="\n")  # RFC 4180 quotes a name such as int_poly:1,2
     out.writerow(["replication", *names])
     for r in range(len(next(iter(columns.values())))):
         out.writerow([r, *(repr(float(columns[c][r])) for c in names)])
-    return buffer.getvalue().encode("utf-8")
+    return buffer.detach().getvalue()
 
 
 # float64 ufuncs whose SIMD kernel, and so whose last bit, numpy picks by CPU
@@ -166,6 +166,10 @@ class Emitter:
         self.hashes[name] = sha256(data).hexdigest()
 
     def finish(self) -> None:
+        import resource  # only now, so that it adds nothing to the peaks it reports
+        per_mb = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss: bytes or KiB
+        self_mb, workers_mb = (round(resource.getrusage(who).ru_maxrss / per_mb, 3)
+                               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
         digest = sha256()
         for name in sorted(self.hashes):
             digest.update(f"{name}:{self.hashes[name]}\n".encode())
@@ -185,6 +189,8 @@ class Emitter:
                 "draw_s": round(TIMINGS["draw_s"], 3),
                 "stats_s": round(TIMINGS["stats_s"], 3),
                 "pools": TIMINGS["pools"],
+                "peak_rss_mb": self_mb,
+                "workers_peak_rss_mb": workers_mb,
             },
             "files": self.hashes,
             "manifest_hash": digest.hexdigest(),

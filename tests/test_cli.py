@@ -3,18 +3,28 @@ import errno
 import hashlib
 import itertools
 import importlib.util
+import io
 import json
 import os
 import re
 import shlex
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fbmlab import analysis, checks, experiments, quadrature
-from fbmlab.cli import DISPATCH_UFUNCS, _build_parser, _config_from, _json_bytes, main
+from fbmlab.cli import (
+    DISPATCH_UFUNCS,
+    _build_parser,
+    _config_from,
+    _json_bytes,
+    _samples_csv,
+    main,
+)
 from fbmlab.errors import DomainError
 from fbmlab.experiments import (
     SCALING_N,
@@ -177,7 +187,7 @@ class TestConfigHandling:
         # m_n is finite but its square is not: the pivots' variance would overflow
         ("converge", "exp:1,27", "riemann_mean_exact squared"),
         ("converge", "exp:1,30", "riemann_mean_exact squared"),
-        ("hermite", "exp:1,38", "hermite_mean_limit"),
+        ("hermite", "exp:1,38", "hermite_mean_exact"),  # the exact targets come first
     ])
     def test_overflowing_exact_target_is_refused_before_drawing(
         self, capsys, monkeypatch, tmp_path, command, spec, target
@@ -385,18 +395,72 @@ class TestReportsAndManifest:
         assert len(rows) == 60
         assert all(len(row) == len(head) for row in rows)
 
+    @pytest.mark.parametrize("columns", [
+        {"B": [0.5, -1.25], "int_poly:1,2": [1e-300, 2.0]},
+        {"edge": [-0.0, 5e-324, float("inf")], "x": [1.0, 0.1, -7e22]},
+        {"one": [0.3]},
+    ], ids=["quoted-name", "edge-values", "one-row"])
+    def test_samples_csv_bytes_are_the_text_encoded(self, columns):
+        # one byte buffer writes exactly what the text buffer, encoded, wrote
+        columns = {name: np.array(values) for name, values in columns.items()}
+        text = io.StringIO()
+        out = csv.writer(text, lineterminator="\n")
+        out.writerow(["replication", *columns])
+        for r in range(len(next(iter(columns.values())))):
+            out.writerow([r, *(repr(float(values[r])) for values in columns.values())])
+        assert _samples_csv(columns) == text.getvalue().encode("utf-8")
+
+    def test_samples_csv_peak_is_under_two_copies(self):
+        # a text buffer, its str and the encoded bytes held 2.9 times the length
+        rng = np.random.default_rng(3)
+        columns = {f"c{k}": rng.standard_normal(2000) for k in range(7)}
+        tracemalloc.start()
+        try:
+            data = _samples_csv(columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * len(data)
+
     def test_manifest_records_engine_timings(self, capsys, tmp_path):
-        # the engine's draw and statistics seconds and its pool count; a
-        # pool at --workers 2 wherever two cores are usable, none serially
+        # the engine's draw and statistics seconds, its pool count and the
+        # peak RSS of the command and of its workers; a pool at --workers 2
+        # wherever two cores are usable, none serially
         for workers in ("1", "2"):
             out = tmp_path / workers
             code, *_ = run(capsys, "sextic", "--n-list", "32,64,128", "--replications", "30",
                            "--workers", workers, "--output-dir", str(out))
             assert code == 0
             timings = json.loads((out / "sextic" / "manifest.json").read_text())["timings"]
-            assert set(timings) == {"draw_s", "stats_s", "pools"}
+            assert set(timings) == {"draw_s", "stats_s", "pools", "peak_rss_mb",
+                                    "workers_peak_rss_mb"}
             assert timings["draw_s"] >= 0.0 and timings["stats_s"] >= 0.0
             assert timings["pools"] == int(workers == "2" and usable_cores() > 1)
+            assert timings["peak_rss_mb"] > 1.0 and timings["workers_peak_rss_mb"] >= 0.0
+
+    def test_manifest_peak_rss_of_the_command_and_its_workers(self, fresh_python, tmp_path):
+        # in a fresh process: no worker was reaped at --workers 1, and at
+        # --workers 2 each forked worker is counted; ru_maxrss is KiB on
+        # Linux and bytes on macOS, either way in MB of 2^20 bytes here
+        out = fresh_python(
+            "import json, os, resource, sys\n"
+            "from fbmlab import cli, experiments\n"
+            "experiments.os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "for workers in ('1', '2'):\n"
+            f"    base = os.path.join({str(tmp_path)!r}, workers)\n"
+            "    assert cli.main(['sextic', '--n-list', '32,64', '--replications', '30',\n"
+            "                     '--workers', workers, '--output-dir', base]) == 0\n"
+            "    with open(os.path.join(base, 'sextic', 'manifest.json')) as handle:\n"
+            "        timings = json.load(handle)['timings']\n"
+            "    print(workers, timings['peak_rss_mb'] > 1.0,\n"
+            "          timings['workers_peak_rss_mb'] > 1.0)\n"
+            "kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "sys.platform = 'darwin'\n"
+            "cli.Emitter(cli.ExperimentConfig('sextic', output_dir=base)).finish()\n"
+            "with open(os.path.join(base, 'sextic', 'manifest.json')) as handle:\n"
+            "    print(json.load(handle)['timings']['peak_rss_mb'] == round(kib / 2**20, 3))\n"
+        )
+        assert out.splitlines()[-3:] == ["1 True False", "2 True True", "True"]
 
     @pytest.mark.parametrize("argv", MONTE_CARLO_RUNS, ids=lambda argv: argv[0])
     def test_one_grid_drawn_once_per_replication(self, capsys, monkeypatch, tmp_path, argv):

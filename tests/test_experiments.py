@@ -329,6 +329,21 @@ class TestHermite:
         assert all((row["mean_limit"], row["variance_limit"]) == (0.25, 2.0) for row, _ in runs)
         assert calls == {"mean": 1, "variance": 1}
 
+    def test_exact_targets_come_before_the_limits(self, monkeypatch):
+        # the exact variance's transient then peaks before the limits'
+        # Gauss-Legendre nodes map LAPACK; a polynomial has no exact variance
+        calls = []
+        for name in ("hermite_mean_exact", "hermite_variance_exact",
+                     "hermite_mean_limit", "hermite_variance_limit"):
+            def spy(*args, _name=name, _real=getattr(experiments, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(experiments, name, spy)
+        integrands = [sin_map(), parse_integrand("x^3"), parse_integrand("exp:1,0.5")]
+        hermite_experiment([16, 32], 4, 23, integrands)
+        assert Counter(calls[:-6]) == {"hermite_mean_exact": 6, "hermite_variance_exact": 4}
+        assert Counter(calls[-6:]) == {"hermite_mean_limit": 3, "hermite_variance_limit": 3}
+
 
 class TestScaling:
     def test_default_specs_cover_all_estimators(self):
